@@ -11,6 +11,26 @@ Hypotheses may terminate cost-free once the minimum length is reached and
 are force-terminated at the maximum length; the returned candidates are the
 top completions of a single run (deterministic mode) or the winners of K
 independently seeded Gumbel-noise runs (sampled mode).
+
+Set-up is done once at the level where its data lives:
+
+- Corpus: built lazily on first use and cached on the object that owns the
+  data. ``NGramModel`` holds the frequency-ranked word list, the unigram
+  log scores and every context's continuations as token ids with their
+  log ratios (``ContinuationIndex``); ``IdfTable`` holds its unigram and
+  bigram features as arrays over word ids (``IdfIndex``).
+- Constraint: ``build_candidate_vocab`` reads the M most frequent legal
+  words off the ranked list, stopping at the M-th.
+- Paragraph: ``_BeamEngine`` keeps only what depends on the source: the
+  vocabulary, the source's TF-IDF weights over it, and maps from
+  vocabulary positions to model and IDF word ids, through which LM and
+  bigram rows are scattered from the corpus-level arrays.
+
+Each search step works on beams x vocabulary matrices: the LM rows, the
+bigram rows of each beam's last word, a unigram term-count matrix for the
+sum-of-squares correction, the n-gram repeat bans read off the beams'
+token-id history, and a partition-based top-k whose order equals a stable
+full sort.
 """
 
 from __future__ import annotations
@@ -24,7 +44,7 @@ import numpy as np
 
 from .lexicon import Lexicon, constraint_free_synonyms
 from .metrics import IdfTable, TfidfEmbedder, cosine_similarity, embed
-from .ngram import BOS, EOS, NGramModel
+from .ngram import BOS, NGramModel
 from .textcore import ConstraintSet, canonical, tokenize, violates
 
 
@@ -166,15 +186,13 @@ def build_candidate_vocab(
     for word in source_words:
         for synonym in constraint_free_synonyms(word, c, lex):
             add(canonical(synonym))
-    legal_model_words = sorted(
-        (
-            (-count, word)
-            for (word,), count in m.tables[0].items()
-            if word not in (BOS, EOS) and not violates(word, c)
-        )
-    )
-    for _, word in legal_model_words[:M]:
-        add(word)
+    taken = 0
+    for word in m.ranked_words:
+        if taken == M:
+            break
+        if not violates(word, c):
+            add(word)
+            taken += 1
 
     if not ordered:
         raise EmptyVocabulary(
@@ -183,12 +201,65 @@ def build_candidate_vocab(
     return ordered
 
 
+def top_k(rank: np.ndarray, k: int) -> np.ndarray:
+    """Flat indices of the k >= 1 highest entries of ``rank``, best first.
+
+    Equal to ``np.argsort(-rank, kind="stable")`` cut after k entries and
+    at the first non-finite one: ties keep index order. A partition finds
+    the k-th best value, every entry that ties it is kept, and only that
+    slice is sorted.
+    """
+    neg = -rank
+    order = None
+    if k < len(neg):
+        kth = np.partition(neg, k - 1)[k - 1]
+        if not np.isnan(kth):  # NaN only when fewer than k entries are not NaN
+            keep = np.flatnonzero(neg <= kth)
+            order = keep[np.argsort(neg[keep], kind="stable")][:k]
+    if order is None:
+        order = np.argsort(neg, kind="stable")[:k]
+    finite = np.isfinite(rank[order])
+    return order if finite.all() else order[: finite.argmin()]
+
+
+class _PairRows:
+    """Values at (first, second) pairs of small-int keys, grouped by first."""
+
+    def __init__(self, n_firsts: int, firsts, seconds, values):
+        firsts = np.asarray(firsts, dtype=np.intp)
+        order = np.argsort(firsts, kind="stable")
+        self._starts = np.concatenate(
+            ([0], np.cumsum(np.bincount(firsts, minlength=n_firsts)))
+        )
+        self._seconds = np.asarray(seconds, dtype=np.intp)[order]
+        self._values = np.asarray(values, dtype=float)[order]
+
+    def pairs(self, firsts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(row, second, value) of every pair of each first key, where row
+        is the key's index in ``firsts``."""
+        rows, entries = _expand(self._starts[firsts], self._starts[firsts + 1])
+        return rows, self._seconds[entries], self._values[entries]
+
+
+def _expand(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For every index in each range lo[i]:hi[i], the pair (i, index)."""
+    counts = hi - lo
+    rows = np.repeat(np.arange(len(lo)), counts)
+    offsets = np.repeat(lo - np.cumsum(counts) + counts, counts)
+    return rows, offsets + np.arange(len(rows))
+
+
 class _BeamEngine:
     """Vectorized synchronized-length beam search over a fixed vocabulary.
 
     All beams share a length at every step; ending is cost-free, so every
     surviving beam of legal length is recorded as a completed hypothesis
     and the search simply continues to the maximum length.
+
+    The engine holds the paragraph-level state only: the vocabulary, the
+    source's TF-IDF weights over it, and the maps from vocabulary positions
+    to the model's and the IDF table's word ids, through which LM rows and
+    bigram rows are scattered from the corpus-level indexes.
     """
 
     def __init__(
@@ -211,101 +282,119 @@ class _BeamEngine:
         self.min_len = math.ceil(cfg.min_ratio * self.source_len)
         self.max_len = math.floor(cfg.max_ratio * self.source_len)
 
-        # Unigram LM score vector, built with math.log so stacked backoff
-        # sums stay bit-identical to NGramModel.token_logscore.
-        total, v_model = model.total, len(model.vocabulary)
-        uni = model.tables[0]
-        base = np.empty(n_vocab)
-        for i, word in enumerate(self.vocab):
-            count = uni.get((word,), 0)
-            if count:
-                base[i] = math.log(count / total)
-            else:
-                base[i] = math.log(1.0 / (total + v_model))
-        self._uni_vec = base
+        # Unigram LM score vector; the corpus-level scores come from math.log,
+        # so stacked backoff sums stay bit-identical to token_logscore.
+        model_ids = _positions(self.vocab, model.token_ids)
+        known = model_ids >= 0
+        base = np.full(
+            n_vocab, math.log(1.0 / (model.total + len(model.vocabulary)))
+        )
+        base[known] = model.unigram_logscores[model_ids[known]]
+        self._model_pos = _inverse(model_ids, len(model.tokens))
         self._log_alpha = math.log(model.alpha)
-        self._lm_cache: dict[tuple[str, ...], np.ndarray] = {(): base}
+        for _ in range(model.order - 1):
+            base = self._log_alpha + base
+        self._backoff_vec = base  # the score of a word unseen after the context
+        if model.order > 1:
+            self._lm_bigrams = _PairRows(
+                n_vocab + 1, *self._continuations([(w,) for w in self.vocab] + [(BOS,)])
+            )
 
         # Similarity machinery: the source's normalized TF-IDF weights and
         # per-token idf arrays for incremental dot/sum-of-squares updates.
         self.source_vec = embed(source_paragraph, idf)
         src = self.source_vec.weights
-        self._idf_uni = np.array([idf.value(w) for w in self.vocab])
-        self._idf_uni_sq = self._idf_uni**2
-        self._default_sq = idf.default**2
-        self._src_uni = np.array(
-            [src.get(w, 0.0) * idf.value(w) for w in self.vocab]
+        features = idf.index
+        idf_ids = _positions(self.vocab, features.word_ids)
+        self._idf_uni = np.where(
+            idf_ids >= 0, features.word_values[idf_ids], idf.default
         )
-        bigram_by_first: dict[str, list[tuple[int, float]]] = {}
-        for feat, value in idf.values.items():
-            first, sep, second = feat.partition(" ")
-            if sep:
-                j = self.index.get(second)
-                if j is not None:
-                    bigram_by_first.setdefault(first, []).append((j, value))
-        self._bigram_by_first = bigram_by_first
-        src_bi_by_first: dict[str, list[tuple[int, float]]] = {}
+        self._idf_uni_sq = self._idf_uni**2
+        idf_pos = _inverse(idf_ids, len(features.word_ids))
+        firsts = idf_pos[features.bigram_firsts]
+        seconds = idf_pos[features.bigram_seconds]
+        inside = (firsts >= 0) & (seconds >= 0)
+        values = features.bigram_values[inside]
+        self._bigram_sq = _PairRows(
+            n_vocab, firsts[inside], seconds[inside], values * values
+        )
+        self._default_sq = idf.default**2
+        self._src_uni = np.zeros(n_vocab)
+        src_firsts, src_seconds, src_values = [], [], []
         for feat, weight in src.items():
             first, sep, second = feat.partition(" ")
-            if sep:
-                j = self.index.get(second)
-                if j is not None:
-                    src_bi_by_first.setdefault(first, []).append(
-                        (j, weight * idf.value(feat))
-                    )
-        self._src_bi_by_first = src_bi_by_first
-        self._bigram_sq_cache: dict[str, np.ndarray] = {}
-        self._src_bi_cache: dict[str, np.ndarray] = {}
+            if not sep:
+                if feat in self.index:
+                    self._src_uni[self.index[feat]] = weight * idf.value(feat)
+            elif first in self.index and second in self.index:
+                src_firsts.append(self.index[first])
+                src_seconds.append(self.index[second])
+                src_values.append(weight * idf.value(feat))
+        self._src_bi = _PairRows(n_vocab, src_firsts, src_seconds, src_values)
 
-    def _lm_vec(self, ctx: tuple[str, ...]) -> np.ndarray:
-        vec = self._lm_cache.get(ctx)
-        if vec is not None:
-            return vec
-        vec = self._log_alpha + self._lm_vec(ctx[1:])
-        c_ctx = self.model.count(ctx)
-        if c_ctx:
-            for token, c_full in self.model.continuations(ctx).items():
-                j = self.index.get(token)
-                if j is not None:
-                    vec[j] = math.log(c_full / c_ctx)
-        self._lm_cache[ctx] = vec
-        return vec
+    def _lm_rows(self, beam_tokens: list[tuple[str, ...]], last: np.ndarray) -> np.ndarray:
+        """Backoff LM scores of every vocabulary word after each beam.
 
-    def _context(self, tokens: tuple[str, ...]) -> tuple[str, ...]:
+        ``last`` holds each beam's last vocabulary position, or n_vocab for
+        an empty beam. Every score starts as the unigram fallback; then the
+        words attested after each longer suffix of the context overwrite
+        it, the one-word suffix from the table built at set-up.
+        """
+        mat = np.repeat(self._backoff_vec[None, :], len(last), axis=0)
+        if self.model.order > 1:
+            rows, pos, logs = self._lm_bigrams.pairs(last)
+            mat[rows, pos] = logs
         span = self.model.order - 1
-        if span <= 0:
-            return ()
-        padded = (BOS,) * span + tokens
-        return padded[-span:]
+        pad = (BOS,) * max(0, span - len(beam_tokens[0]))
+        for j in range(2, span + 1):
+            contexts = [(pad + tokens)[-j:] for tokens in beam_tokens]
+            rows, pos, logs = self._continuations(contexts)
+            mat[rows, pos] = logs
+        return mat
 
-    def _bigram_sq(self, first: str) -> np.ndarray:
-        arr = self._bigram_sq_cache.get(first)
-        if arr is None:
-            arr = np.full(len(self.vocab), self._default_sq)
-            for j, value in self._bigram_by_first.get(first, ()):
-                arr[j] = value * value
-            self._bigram_sq_cache[first] = arr
-        return arr
+    def _continuations(self, contexts: list[tuple[str, ...]]):
+        """(row, vocabulary position, score) of every vocabulary word
+        attested after each context of one length, as arrays.
 
-    def _src_bi(self, first: str) -> np.ndarray:
-        arr = self._src_bi_cache.get(first)
-        if arr is None:
-            arr = np.zeros(len(self.vocab))
-            for j, contrib in self._src_bi_by_first.get(first, ()):
-                arr[j] = contrib
-            self._src_bi_cache[first] = arr
-        return arr
+        The score is the model's log ratio plus log(alpha) once for each
+        context token the full LM context has beyond these: the value
+        token_logscore reaches for that word, added in the same order.
+        """
+        index = self.model.continuation_index
+        rows, entries = _expand(*index.spans(contexts))
+        pos = self._model_pos[index.ids[entries]]
+        hit = pos >= 0
+        logs = index.logs[entries[hit]]
+        for _ in range(self.model.order - 1 - len(contexts[0])):
+            logs = self._log_alpha + logs
+        return rows[hit], pos[hit], logs
 
-    def _banned(self, tokens: tuple[str, ...]) -> list[int]:
+    def _repeat_bans(self, history: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(beam, token) pairs that would repeat an n-gram of the beam.
+
+        A token is banned when the beam's last n-1 tokens already occurred
+        followed by it.
+        """
         n = self.cfg.no_repeat_ngram
-        if len(tokens) < n - 1:
-            return []
-        prefix = tokens[-(n - 1):]
-        banned = []
-        for i in range(len(tokens) - n + 1):
-            if tokens[i:i + n - 1] == prefix:
-                banned.append(self.index[tokens[i + n - 1]])
-        return banned
+        length = history.shape[1]
+        if length < n:
+            return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+        starts = length - n + 1
+        match = np.ones((len(history), starts), dtype=bool)
+        for k in range(n - 1):
+            match &= history[:, k:starts + k] == history[:, starts + k, None]
+        beams, at = np.nonzero(match)
+        return beams, history[beams, at + n - 1]
+
+    def _follower_counts(self, history: np.ndarray):
+        """Each beam's bigrams (last token, w) so far, as the arrays beam,
+        w and count."""
+        n_vocab = len(self.vocab)
+        beams, at = np.nonzero(history[:, :-1] == history[:, -1:])
+        keys, counts = np.unique(
+            beams * n_vocab + history[beams, at + 1], return_counts=True
+        )
+        return keys // n_vocab, keys % n_vocab, counts
 
     def run(self, rng: np.random.Generator | None = None) -> list[Hypothesis]:
         cfg = self.cfg
@@ -316,95 +405,66 @@ class _BeamEngine:
             )
 
         beam_tokens: list[tuple[str, ...]] = [()]
-        beam_lm = [0.0]
-        beam_dot = [0.0]
-        beam_ssq = [0.0]
-        beam_uni_tf: list[dict[str, int]] = [{}]
-        beam_bi_tf: list[dict[tuple[str, str], int]] = [{}]
+        history = np.empty((1, 0), dtype=np.intp)  # vocab positions
+        beam_lm = beam_dot = beam_ssq = np.zeros(1)
+        uni_tf = np.zeros((1, n_vocab), dtype=np.intp)
         pool: list[Hypothesis] = []
 
         for step in range(1, self.max_len + 1):
-            n_beams = len(beam_tokens)
-            lm_mat = np.empty((n_beams, n_vocab))
-            dot_mat = np.empty((n_beams, n_vocab))
-            ssq_mat = np.empty((n_beams, n_vocab))
-            for b, tokens in enumerate(beam_tokens):
-                lm_mat[b] = beam_lm[b] + self._lm_vec(self._context(tokens))
-                if tokens:
-                    last = tokens[-1]
-                    dot_mat[b] = beam_dot[b] + self._src_uni + self._src_bi(last)
-                    ssq_row = beam_ssq[b] + self._idf_uni_sq + self._bigram_sq(last)
-                else:
-                    last = None
-                    dot_mat[b] = beam_dot[b] + self._src_uni
-                    ssq_row = beam_ssq[b] + self._idf_uni_sq
-                # Repeated-feature corrections: tf goes k -> k+1, adding
-                # idf^2 * 2k on top of the fresh-feature idf^2 baseline.
-                for word, count in beam_uni_tf[b].items():
-                    j = self.index[word]
-                    ssq_row[j] += self._idf_uni_sq[j] * (2 * count)
-                if last is not None:
-                    bigram_sq = self._bigram_sq(last)
-                    for (first, second), count in beam_bi_tf[b].items():
-                        if first == last:
-                            j = self.index[second]
-                            ssq_row[j] += bigram_sq[j] * (2 * count)
-                ssq_mat[b] = ssq_row
+            last = history[:, -1] if step > 1 else np.array([n_vocab])
+            lm_mat = self._lm_rows(beam_tokens, last)
+            lm_mat += beam_lm[:, None]
+            dot_mat = beam_dot[:, None] + self._src_uni
+            ssq_mat = beam_ssq[:, None] + self._idf_uni_sq
+            if step > 1:
+                bigram_sq = np.full_like(ssq_mat, self._default_sq)
+                rows, seconds, values = self._bigram_sq.pairs(last)
+                bigram_sq[rows, seconds] = values
+                ssq_mat += bigram_sq
+                # Source bigrams are sparse; everywhere else the term is 0.
+                rows, seconds, values = self._src_bi.pairs(last)
+                dot_mat[rows, seconds] += values
+            # Repeated-feature corrections: tf goes k -> k+1, adding
+            # idf^2 * 2k on top of the fresh-feature idf^2 baseline.
+            ssq_mat += self._idf_uni_sq * (2 * uni_tf)
+            if step > 1:
+                beams, words, counts = self._follower_counts(history)
+                ssq_mat[beams, words] += bigram_sq[beams, words] * (2 * counts)
 
-            sim_mat = np.clip(dot_mat / np.sqrt(ssq_mat), 0.0, 1.0)
+            sim_mat = np.sqrt(ssq_mat)
+            np.divide(dot_mat, sim_mat, out=sim_mat)
+            np.clip(sim_mat, 0.0, 1.0, out=sim_mat)
             comb_mat = cfg.lambda_lm * lm_mat + cfg.lambda_sim * sim_mat
-            for b, tokens in enumerate(beam_tokens):
-                banned = self._banned(tokens)
-                if banned:
-                    comb_mat[b, banned] = -np.inf
+            comb_mat[self._repeat_bans(history)] = -np.inf
 
             if rng is None:
                 rank = comb_mat.ravel()
             else:
                 rank = (comb_mat / cfg.temperature).ravel()
                 rank = rank + rng.gumbel(size=rank.shape)
-            flat_comb = comb_mat.ravel()
-            order = np.argsort(-rank, kind="stable")
-
-            picks = []
-            for flat_idx in order:
-                if len(picks) == cfg.beam_width:
-                    break
-                if not np.isfinite(flat_comb[flat_idx]):
-                    break
-                picks.append(int(flat_idx))
-            if not picks:
+            picks = top_k(rank, cfg.beam_width)
+            if not len(picks):
                 break
 
-            next_tokens = []
-            next_lm, next_dot, next_ssq = [], [], []
-            next_uni, next_bi = [], []
-            record = step >= self.min_len
-            for flat_idx in picks:
-                b, t = divmod(flat_idx, n_vocab)
-                word = self.vocab[t]
-                tokens = beam_tokens[b] + (word,)
-                lm = float(lm_mat[b, t])
-                sim = float(sim_mat[b, t])
-                comb = float(comb_mat[b, t])
-                next_tokens.append(tokens)
-                next_lm.append(lm)
-                next_dot.append(float(dot_mat[b, t]))
-                next_ssq.append(float(ssq_mat[b, t]))
-                uni_tf = dict(beam_uni_tf[b])
-                uni_tf[word] = uni_tf.get(word, 0) + 1
-                next_uni.append(uni_tf)
-                bi_tf = dict(beam_bi_tf[b])
-                if beam_tokens[b]:
-                    key = (beam_tokens[b][-1], word)
-                    bi_tf[key] = bi_tf.get(key, 0) + 1
-                next_bi.append(bi_tf)
-                if record:
-                    pool.append(Hypothesis(tokens, lm, sim, comb))
-
-            beam_tokens = next_tokens
-            beam_lm, beam_dot, beam_ssq = next_lm, next_dot, next_ssq
-            beam_uni_tf, beam_bi_tf = next_uni, next_bi
+            beams, words = np.divmod(picks, n_vocab)
+            beam_tokens = [
+                beam_tokens[b] + (self.vocab[t],)
+                for b, t in zip(beams.tolist(), words.tolist())
+            ]
+            history = np.column_stack((history[beams], words))
+            beam_lm = lm_mat[beams, words]
+            beam_dot = dot_mat[beams, words]
+            beam_ssq = ssq_mat[beams, words]
+            uni_tf = uni_tf[beams]
+            uni_tf[np.arange(len(picks)), words] += 1
+            if step >= self.min_len:
+                pool.extend(map(
+                    Hypothesis,
+                    beam_tokens,
+                    beam_lm.tolist(),
+                    sim_mat[beams, words].tolist(),
+                    comb_mat[beams, words].tolist(),
+                ))
 
         if not pool:
             raise DecodeFailure(
@@ -412,6 +472,22 @@ class _BeamEngine:
             )
         pool.sort(key=lambda h: (-h.combined, h.tokens))
         return pool
+
+
+def _positions(words: Sequence[str], ids: Mapping[str, int]) -> np.ndarray:
+    """Each word's id in ``ids``, -1 when absent."""
+    return np.array([ids.get(w, -1) for w in words], dtype=np.intp)
+
+
+def _inverse(word_ids: np.ndarray, n_ids: int) -> np.ndarray:
+    """Map from id to vocabulary position, -1 for ids outside the vocabulary.
+
+    It has one extra trailing -1, so an id of -1 maps to -1 as well.
+    """
+    pos = np.full(n_ids + 1, -1, dtype=np.intp)
+    known = word_ids >= 0
+    pos[word_ids[known]] = np.flatnonzero(known)
+    return pos
 
 
 def beam_search(

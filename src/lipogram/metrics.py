@@ -17,7 +17,10 @@ import urllib.error
 import urllib.request
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .textcore import ConstraintSet, canonical, tokenize, violates
 
@@ -46,6 +49,46 @@ class IdfTable:
 
     def value(self, feature: Feature) -> float:
         return self.values.get(feature, self.default)
+
+    @cached_property
+    def index(self) -> "IdfIndex":
+        """The features as arrays over word ids, built once per table."""
+        unigrams = [f for f in self.values if " " not in f]
+        word_ids = {word: i for i, word in enumerate(unigrams)}
+        firsts, seconds, values = [], [], []
+        for feat, value in self.values.items():
+            first, sep, second = feat.partition(" ")
+            if sep:
+                firsts.append(word_ids.setdefault(first, len(word_ids)))
+                seconds.append(word_ids.setdefault(second, len(word_ids)))
+                values.append(value)
+        word_values = np.full(len(word_ids), self.default)
+        word_values[: len(unigrams)] = [self.values[w] for w in unigrams]
+        return IdfIndex(
+            word_ids,
+            word_values,
+            np.array(firsts, dtype=np.intp),
+            np.array(seconds, dtype=np.intp),
+            np.array(values, dtype=float),
+        )
+
+
+@dataclass(frozen=True)
+class IdfIndex:
+    """An IdfTable's features as arrays over word ids.
+
+    ``word_ids`` numbers every word that is a unigram feature or part of a
+    bigram feature, and ``word_values[i]`` is word i's own idf (the table
+    default for a word seen only in bigrams). Entry j of the bigram arrays
+    is the feature ``"first second"`` with first word ``bigram_firsts[j]``,
+    second word ``bigram_seconds[j]`` and idf ``bigram_values[j]``.
+    """
+
+    word_ids: Mapping[str, int]
+    word_values: np.ndarray
+    bigram_firsts: np.ndarray
+    bigram_seconds: np.ndarray
+    bigram_values: np.ndarray
 
 
 def build_idf(documents: Iterable[str]) -> IdfTable:

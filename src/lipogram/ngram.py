@@ -20,6 +20,8 @@ from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .textcore import canonical, split_paragraphs, tokenize
 
 BOS = "<s>"
@@ -50,12 +52,62 @@ class NGramModel:
         return sum(self.tables[0].values())
 
     @cached_property
-    def _continuations(self) -> dict[tuple[str, ...], dict[str, int]]:
-        index: dict[tuple[str, ...], dict[str, int]] = {}
-        for table in self.tables[1:]:
-            for gram, count in table.items():
-                index.setdefault(gram[:-1], {})[gram[-1]] = count
-        return index
+    def ranked_words(self) -> tuple[str, ...]:
+        """Unigram words by count desc, then alphabetically; no BOS/EOS."""
+        uni = self.tables[0]
+        return tuple(
+            word
+            for _, word in sorted(
+                (-count, word)
+                for (word,), count in uni.items()
+                if word not in (BOS, EOS)
+            )
+        )
+
+    @cached_property
+    def tokens(self) -> tuple[str, ...]:
+        """Every vocabulary token once: ``ranked_words``, then the rest
+        (BOS, EOS) sorted. A token's position here is its id."""
+        rest = self.vocabulary.difference(self.ranked_words)
+        return self.ranked_words + tuple(sorted(rest))
+
+    @cached_property
+    def token_ids(self) -> dict[str, int]:
+        return {token: i for i, token in enumerate(self.tokens)}
+
+    @cached_property
+    def unigram_logscores(self) -> np.ndarray:
+        """``token_logscore((), t)`` for every token t, in id order."""
+        return np.array([self._score((), t) for t in self.tokens])
+
+    @cached_property
+    def continuation_index(self) -> "ContinuationIndex":
+        """The continuations of every attested context, as flat arrays."""
+        size = sum(len(table) for table in self.tables[1:])
+        ids = np.empty(size, dtype=np.intp)
+        logs = np.empty(size)
+        rows: dict[tuple[str, ...], int] = {}
+        starts = [0]
+        n = 0
+        for k in range(2, self.order + 1):
+            table, prefixes = self.tables[k - 1], self.tables[k - 2]
+            grams = sorted(table)
+            i = 0
+            for ctx in sorted(prefixes):
+                while i < len(grams) and grams[i][:-1] < ctx:
+                    i += 1
+                c_ctx = prefixes[ctx]
+                start = n
+                while c_ctx and i < len(grams) and grams[i][:-1] == ctx:
+                    ids[n] = self.token_ids.get(grams[i][-1], -1)
+                    logs[n] = math.log(table[grams[i]] / c_ctx)
+                    n += 1
+                    i += 1
+                if n > start:
+                    rows[ctx] = len(starts) - 1
+                    starts.append(n)
+        starts.append(n)  # the empty row of every unattested context
+        return ContinuationIndex(rows, np.array(starts), ids[:n], logs[:n])
 
     def count(self, gram: Sequence[str]) -> int:
         key = tuple(gram)
@@ -66,7 +118,14 @@ class NGramModel:
     def continuations(self, context: Sequence[str]) -> Mapping[str, int]:
         """All attested next tokens after ``context`` with their full-gram
         counts. Empty mapping when the context itself is unattested."""
-        return self._continuations.get(tuple(context), {})
+        key = tuple(context)
+        index = self.continuation_index
+        (lo,), (hi,) = index.spans([key])
+        return {
+            self.tokens[i]: self.tables[len(key)][key + (self.tokens[i],)]
+            for i in index.ids[lo:hi]
+            if i >= 0
+        }
 
     def token_logscore(self, context: Sequence[str], token: str) -> float:
         """Stupid-backoff log score of ``token`` after ``context``.
@@ -112,6 +171,30 @@ class NGramModel:
             if k < self.order:
                 lines.append("")
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@dataclass(frozen=True)
+class ContinuationIndex:
+    """Attested continuations of every context of length 1..order-1.
+
+    The tokens seen after a context are entries ``starts[r]:starts[r + 1]``
+    of ``ids`` (token ids, -1 outside the vocabulary) and ``logs``
+    (log(c(context + t) / c(context)), the model's exact score for t),
+    where ``r = rows[context]``. The keys of ``rows`` are the count
+    tables' own tuples, so the index adds one int per context.
+    """
+
+    rows: Mapping[tuple[str, ...], int]
+    starts: np.ndarray
+    ids: np.ndarray
+    logs: np.ndarray
+
+    def spans(self, contexts: Sequence[tuple[str, ...]]) -> tuple[np.ndarray, np.ndarray]:
+        """Start and end entry of each context's continuations; an
+        unattested context gets an empty span."""
+        empty = len(self.starts) - 2
+        r = np.array([self.rows.get(ctx, empty) for ctx in contexts], dtype=np.intp)
+        return self.starts[r], self.starts[r + 1]
 
 
 def train(corpus: str, order: int = DEFAULT_ORDER, alpha: float = DEFAULT_ALPHA) -> NGramModel:

@@ -19,13 +19,13 @@ from typing import Sequence
 from .decoder import DecoderConfig
 from .pipeline import Pipeline
 from .textcore import (
+    ALPHABET,
     ConstraintSet,
     exclusion_fraction,
     letter_frequencies,
     split_paragraphs,
 )
 
-ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 VOWELS = "aeiou"
 
 CSV_COLUMNS = (

@@ -10,12 +10,14 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lipogram.decoder import (
     DecodeFailure,
+    _BeamEngine,
     DecoderConfig,
     EmptyVocabulary,
     Hypothesis,
@@ -23,11 +25,12 @@ from lipogram.decoder import (
     build_candidate_vocab,
     multiselect,
     parse_config_file,
+    top_k,
 )
 from lipogram.lexicon import Lexicon, LexiconEntry
 from lipogram.metrics import TfidfEmbedder, build_idf, cosine_similarity, embed
-from lipogram.ngram import train
-from lipogram.textcore import ConstraintSet, violates
+from lipogram.ngram import BOS, EOS, train
+from lipogram.textcore import ALPHABET, ConstraintSet, violates
 
 EMPTY_LEX = Lexicon({}, set())
 NO_CONSTRAINT = ConstraintSet()
@@ -217,6 +220,129 @@ class TestBuildCandidateVocab:
             )
 
 
+def full_sort_vocab(source, c, lex, model, M):
+    """The candidate vocabulary as first defined: the legal unigram table
+    sorted in full by (count desc, word), cut at M after filtering."""
+    from lipogram.lexicon import constraint_free_synonyms
+    from lipogram.textcore import canonical, tokenize
+
+    ordered = []
+    for word in dict.fromkeys(canonical(w) for w in tokenize(source).words()):
+        if not violates(word, c) and word not in ordered:
+            ordered.append(word)
+    for word in dict.fromkeys(canonical(w) for w in tokenize(source).words()):
+        for synonym in constraint_free_synonyms(word, c, lex):
+            if canonical(synonym) not in ordered:
+                ordered.append(canonical(synonym))
+    legal = sorted(
+        (-count, word)
+        for (word,), count in model.tables[0].items()
+        if word not in (BOS, EOS) and not violates(word, c)
+    )
+    for _, word in legal[:M]:
+        if word not in ordered:
+            ordered.append(word)
+    return ordered
+
+
+class TestEarlyStoppingVocab:
+    """The ranked-list scan that stops after M legal words gives exactly
+    the list of the full sort."""
+
+    MODEL = train(
+        "the cat sat on the mat and the dog sat by the door\n\n"
+        "a quick brown fox jumps over my lazy dog\n\n"
+        "by my rhythm shy gypsy lynx fly dry nymphs cry\n\n"
+        "we ate it all at noon and so it was"
+    )
+    SOURCES = ["the cat sat", "my shy dog ran by", "a fox", "zzz the quick"]
+
+    @given(
+        letters=st.one_of(
+            st.just("aeiou"),
+            st.sets(st.sampled_from(ALPHABET), max_size=6).map("".join),
+        ),
+        M=st.one_of(st.just(0), st.integers(0, 60)),
+        source=st.sampled_from(SOURCES),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_full_sort(self, letters, M, source):
+        c = ConstraintSet.from_string(letters)
+        lex = toy_lexicon()
+        try:
+            got = build_candidate_vocab(source, c, lex, self.MODEL, M)
+        except EmptyVocabulary:
+            got = []
+        assert got == full_sort_vocab(source, c, lex, self.MODEL, M)
+
+    def test_m_beyond_legal_count_takes_every_legal_word(self):
+        c = ConstraintSet.from_string("aeiou")
+        vocab = build_candidate_vocab("my shy", c, EMPTY_LEX, self.MODEL, 10_000)
+        legal = [w for (w,) in self.MODEL.tables[0] if w not in (BOS, EOS)
+                 and not violates(w, c)]
+        assert sorted(vocab) == sorted(set(legal) | {"my", "shy"})
+
+    def test_ranked_words_order(self):
+        uni = self.MODEL.tables[0]
+        ranked = self.MODEL.ranked_words
+        assert BOS not in ranked and EOS not in ranked
+        assert list(ranked) == sorted(ranked, key=lambda w: (-uni[(w,)], w))
+
+
+def argsort_picks(rank, k):
+    """The selection as first written: a full stable argsort of -rank,
+    cut after k entries and at the first non-finite one."""
+    picks = []
+    for i in np.argsort(-rank, kind="stable"):
+        if len(picks) == k or not np.isfinite(rank[i]):
+            break
+        picks.append(int(i))
+    return picks
+
+
+# Few distinct levels, so exact ties across the k boundary are common.
+TIED = st.sampled_from([-np.inf, -2.5, -1.0, -1.0 + 2**-40, 0.0, 0.75, 3.0])
+
+
+class TestTopK:
+    @given(
+        values=st.lists(TIED, min_size=0, max_size=80),
+        k=st.integers(1, 40),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_ties_and_bans_match_stable_argsort(self, values, k):
+        rank = np.array(values, dtype=float)
+        assert top_k(rank, k).tolist() == argsort_picks(rank, k)
+
+    @given(
+        values=st.lists(TIED, min_size=1, max_size=60),
+        k=st.integers(1, 20),
+        seed=st.integers(0, 2**32 - 1),
+        temperature=st.sampled_from([0.9, 1.0, 0.25]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_gumbel_ranks_match_stable_argsort(self, values, k, seed, temperature):
+        comb = np.array(values, dtype=float)
+        rng = np.random.default_rng(seed)
+        rank = comb / temperature + rng.gumbel(size=comb.shape)
+        assert top_k(rank, k).tolist() == argsort_picks(rank, k)
+
+    @given(
+        finite=st.integers(0, 10),
+        k=st.integers(11, 30),
+    )
+    def test_fewer_finite_entries_than_k(self, finite, k):
+        rank = np.full(25, -np.inf)
+        rank[:finite] = 1.0
+        assert top_k(rank, k).tolist() == list(range(finite))
+
+    def test_non_finite_ranks(self):
+        rank = np.array([1.0, np.nan, 2.0, -np.inf, 2.0])
+        assert top_k(rank, 5).tolist() == argsort_picks(rank, 5) == [2, 4, 0]
+        rank = np.array([1.0, np.inf, 2.0])
+        assert top_k(rank, 2).tolist() == argsort_picks(rank, 2) == []
+
+
 class TestOracleEquivalence:
     def test_beam_matches_exhaustive_optimum_exactly(self):
         """With lambda_sim=0 and a huge beam, top score == true optimum."""
@@ -304,6 +430,36 @@ class TestScoringInvariants:
         hyps, _, _ = self.decode(no_repeat_ngram=2)
         for h in hyps:
             assert not has_repeated_ngram(h.tokens, 2)
+
+
+class TestPoolScores:
+    """Every pooled hypothesis, not only the returned top ones, carries the
+    scores a full recomputation from its tokens gives: the LM score bit for
+    bit and the similarity to 1e-9, including hypotheses that repeat words
+    and bigrams, where the tf > 1 sum-of-squares corrections apply."""
+
+    def test_every_pooled_hypothesis_rescored(self):
+        repeated_bigrams = 0
+        for i in range(20):
+            rng = random.Random(2000 + i)
+            words = POOL[: rng.randint(2, 4)]
+            paras = [
+                " ".join(rng.choice(words) for _ in range(rng.randint(3, 8)))
+                for _ in range(3)
+            ]
+            model = train("\n\n".join(paras), order=rng.choice([2, 3, 4]))
+            idf = build_idf(paras)
+            source = " ".join(rng.choice(words) for _ in range(rng.randint(3, 7)))
+            cfg = DecoderConfig(beam_width=12, candidates_k=1, no_repeat_ngram=6)
+            vocab = build_candidate_vocab(source, NO_CONSTRAINT, EMPTY_LEX, model, 10)
+            pool = _BeamEngine(source, vocab, cfg, model, idf).run()
+            source_vec = embed(source, idf)
+            for h in pool:
+                assert h.lm_score == model.sequence_logscore(list(h.tokens))
+                full = cosine_similarity(source_vec, embed(h.text(), idf))
+                assert abs(h.sim_score - full) < 1e-9, (i, h.tokens)
+                repeated_bigrams += has_repeated_ngram(h.tokens, 2)
+        assert repeated_bigrams > 0
 
 
 class TestLengthBounds:

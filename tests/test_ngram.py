@@ -165,6 +165,35 @@ class TestContinuations:
         m = train("a b a b", order=2)
         assert dict(m.continuations(("nope",))) == {}
 
+    @given(
+        words=st.lists(st.sampled_from("abcde"), min_size=1, max_size=30),
+        order=st.integers(1, 4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_index_matches_tables_and_scores(self, words, order):
+        m = train(" ".join(words), order=order)
+        index = m.continuation_index
+        for k in range(2, order + 1):
+            contexts = {gram[:-1] for gram in m.tables[k - 1]}
+            (lo,), (hi,) = index.spans([("zz",) * (k - 1)])
+            assert lo == hi
+            for ctx in contexts:
+                cont = {
+                    gram[-1]: count
+                    for gram, count in m.tables[k - 1].items()
+                    if gram[:-1] == ctx
+                }
+                assert dict(m.continuations(ctx)) == cont
+                (lo,), (hi,) = index.spans([ctx])
+                scores = dict(zip(
+                    (m.tokens[i] for i in index.ids[lo:hi]), index.logs[lo:hi]
+                ))
+                assert scores == {t: m.token_logscore(ctx, t) for t in cont}
+        uni = [m.token_logscore((), t) for t in m.tokens]
+        assert m.unigram_logscores.tolist() == uni
+        assert set(m.tokens) == m.vocabulary
+        assert all(m.token_ids[t] == i for i, t in enumerate(m.tokens))
+
 
 class TestSerialization:
     def test_header_and_sections(self, tmp_path):
