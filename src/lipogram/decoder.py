@@ -521,13 +521,12 @@ def beam_search(
         return pool[: cfg.candidates_k]
 
     winners = []
-    failures = 0
     for i in range(cfg.candidates_k):
         rng = np.random.default_rng([cfg.seed, i])
         try:
             winners.append(engine.run(rng)[0])
         except DecodeFailure:
-            failures += 1
+            pass
     if not winners:
         raise DecodeFailure(
             f"all {cfg.candidates_k} sampled runs failed to complete"

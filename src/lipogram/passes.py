@@ -3,9 +3,11 @@
 Named entities are detected heuristically (capitalization plus honorifics)
 and mapped to constraint-free aliases that stay identical across the whole
 document; pronouns are resolved only when a single antecedent is in range,
-because a wrong name is worse than a pronoun. The remaining passes clean
-punctuation, cut hallucinated suffixes, and apply grammar suggestions that
-do not break the letter constraint.
+because a wrong name is worse than a pronoun. The other passes cut
+hallucinated suffixes and apply grammar suggestions that do not break the
+letter constraint. The beam pipeline skips `apply_entity_map`,
+`drop_term_runs` and `normalize_punctuation`, which never change its
+unpunctuated lowercase output; `perfbench/tracer.py` wraps them by name.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 from .metrics import cosine_similarity
-from .textcore import ConstraintSet, strip_letters, tokenize
+from .textcore import WORD_RE, ConstraintSet, strip_letters, tokenize
 
 log = logging.getLogger(__name__)
 
@@ -43,7 +45,6 @@ class EntityMap:
     """
 
     aliases: dict[str, str] = field(default_factory=dict)
-    window_size: int = DEFAULT_WINDOW
 
     def __len__(self) -> int:
         return len(self.aliases)
@@ -55,6 +56,8 @@ def _entity_spans(paragraph: str) -> list[str]:
     An entity is a maximal run of capitalized words that does not start a
     sentence, or an honorific (Mr/Mrs/Miss/Dr, optional period) followed
     by capitalized words; the run's exact source substring is returned.
+    A sentence starts the paragraph, follows . ! or ?, or opens a quote
+    (a lone " at the paragraph start or after a space).
     """
     tokens = tokenize(paragraph).tokens
     offsets = []
@@ -78,6 +81,8 @@ def _entity_spans(paragraph: str) -> list[str]:
         tok = tokens[i]
         if tok.kind != "word":
             if tok.kind == "punct" and any(ch in ".!?" for ch in tok.text):
+                sentence_start = True
+            elif tok.text == '"' and (i == 0 or tokens[i - 1].kind == "space"):
                 sentence_start = True
             i += 1
             continue
@@ -114,16 +119,20 @@ def _entity_spans(paragraph: str) -> list[str]:
 def build_entity_table(paragraphs: Sequence[str], c: ConstraintSet) -> EntityMap:
     """Detect entities document-wide and assign stable aliases.
 
-    The alias is the entity with forbidden letters stripped; colliding or
-    empty aliases get a numeric suffix ("2", "3", ...) in first-seen order.
+    A single capitalized word that the document also uses in lowercase
+    ("Why", "You") is an ordinary word, not an entity. The alias is the
+    entity with forbidden letters stripped; colliding or empty aliases get
+    a numeric suffix ("2", "3", ...) in first-seen order.
     """
+    words = {w for paragraph in paragraphs for w in WORD_RE.findall(paragraph)}
     surfaces: list[str] = []
     seen: set[str] = set()
     for paragraph in paragraphs:
         for surface in _entity_spans(paragraph):
             if surface not in seen:
                 seen.add(surface)
-                surfaces.append(surface)
+                if not (WORD_RE.fullmatch(surface) and surface.lower() in words):
+                    surfaces.append(surface)
 
     aliases: dict[str, str] = {}
     used: set[str] = set()
@@ -163,18 +172,15 @@ def _word_forms(emap: EntityMap) -> dict[str, list[tuple[str, ...]]]:
     return forms
 
 
-def resolve_pronouns(
-    text: str, emap: EntityMap, window_size: int | None = None
-) -> str:
+def resolve_pronouns(text: str, emap: EntityMap) -> str:
     """Swap a pronoun for an entity alias when the antecedent is unambiguous.
 
     A third-person pronoun is replaced only when exactly one mapped entity
-    is mentioned (by surface or alias) within the preceding window of
+    is mentioned (by surface or alias) within the preceding DEFAULT_WINDOW
     words; any other situation leaves the pronoun alone.
     """
     if not emap.aliases:
         return text
-    window = emap.window_size if window_size is None else window_size
     forms = _word_forms(emap)
     tokens = list(tokenize(text).tokens)
     out: list[str] = []
@@ -186,7 +192,7 @@ def resolve_pronouns(
             continue
         low = tok.text.lower()
         if low in PRONOUNS:
-            recent = words_before[-window:]
+            recent = words_before[-DEFAULT_WINDOW:]
             mentioned = [
                 surface
                 for surface, seqs in forms.items()
@@ -248,7 +254,7 @@ def drop_term_runs(text: str, min_items: int = 8) -> str:
     deleted outright; shorter lists stay. The threshold is a heuristic
     for what counts as a "long list".
     """
-    word = r"[A-Za-z]+(?:['’][A-Za-z]+)*"
+    word = WORD_RE.pattern
     run = re.compile(rf"{word}(?:\s*,\s*{word}){{{min_items - 1},}}")
     cleaned = run.sub("", text)
     return re.sub(r"[ \t]{2,}", " ", cleaned)

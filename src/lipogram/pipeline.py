@@ -1,11 +1,12 @@
 """End-to-end translation pipeline shared by the CLI and the sweep.
 
 The beam method runs the full document flow: build the entity table, decode
-each paragraph, pick the most source-similar candidate, then repair the
-document (entity aliases, pronouns, punctuation, suffix trim, grammar). The
-two baselines translate word by word and skip the document passes. Every
-method returns exactly one output paragraph per input paragraph; a paragraph
-whose decode fails comes back empty rather than crashing the run.
+each paragraph, pick the most source-similar candidate, then repair it:
+sentence-case, resolve pronouns to entity aliases, trim the suffix, close
+with a period, and apply grammar suggestions. The two baselines translate
+word by word and skip the document passes. Every method returns exactly one
+output paragraph per input paragraph; a paragraph whose decode fails comes
+back empty rather than crashing the run.
 """
 
 from __future__ import annotations
@@ -30,11 +31,8 @@ from .metrics import (
 from .ngram import NGramModel
 from .passes import (
     OfflineGrammar,
-    apply_entity_map,
     build_entity_table,
-    drop_term_runs,
     grammar_correct,
-    normalize_punctuation,
     resolve_pronouns,
     trim_suffix,
 )
@@ -103,16 +101,14 @@ class Pipeline:
                 outputs.append("")
                 failures += 1
                 continue
-            text = _render(best.text())
-            text = apply_entity_map(text, emap)
+            # Cased before the pronoun pass, which may insert a lowercase alias.
+            text = best.text()
+            text = text[0].upper() + text[1:]
             text = resolve_pronouns(text, emap)
-            text = normalize_punctuation(drop_term_runs(text))
-            if text:
-                text = trim_suffix(text, source, self.select_embedder)
-                if text[-1] not in ".!?\"":
-                    text += "."
-                text = grammar_correct(text, c, self.grammar)
-            outputs.append(text)
+            text = trim_suffix(text, source, self.select_embedder)
+            if text[-1] not in ".!?\"":
+                text += "."
+            outputs.append(grammar_correct(text, c, self.grammar))
         return outputs, failures
 
     def evaluate(
@@ -130,10 +126,3 @@ class Pipeline:
             self.idf,
             embedder=self.select_embedder,
         )
-
-
-def _render(text: str) -> str:
-    """Sentence-case a decoded token string and close it with a period."""
-    if not text:
-        return text
-    return text[0].upper() + text[1:] + "."

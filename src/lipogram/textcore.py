@@ -23,7 +23,7 @@ _ALPHABET_SET = frozenset(ALPHABET)
 # trailing apostrophe is punctuation.
 WORD_RE = re.compile(r"[A-Za-z]+(?:['’][A-Za-z]+)*")
 _TOKEN_RE = re.compile(
-    r"(?P<word>[A-Za-z]+(?:['’][A-Za-z]+)*)"
+    rf"(?P<word>{WORD_RE.pattern})"
     r"|(?P<space>\s+)"
     r"|(?P<punct>[^A-Za-z\s]+)"
 )
@@ -114,7 +114,7 @@ def canonical(word: str) -> str:
 
 def violates(word: str, c: ConstraintSet) -> bool:
     """True when the word contains any forbidden letter, case-insensitive."""
-    return any(ch in c.letters for ch in word.lower())
+    return not c.letters.isdisjoint(word.lower())
 
 
 def strip_letters(word: str, c: ConstraintSet) -> str:

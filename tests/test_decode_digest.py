@@ -4,8 +4,10 @@ The decoder is an optimisation target, and every speed-up must leave its
 outputs unchanged to the byte. This test translates a handful of short
 bundled paragraphs with the beam method under a few constraint sets and
 decoder modes and compares a SHA-256 over all outputs with a digest pinned
-from the implementation before the decoder was vectorised. A mismatch
-means some output changed; rerun with ``-s`` to print the texts.
+from the implementation before the decoder was vectorised. It was re-pinned
+once, when a word opening quoted speech stopped counting as an entity; that
+changed paragraph 36 under "t". A mismatch means some output changed; rerun
+with ``-s`` to print the texts.
 """
 
 import hashlib
@@ -28,7 +30,7 @@ RUNS = (
     ("aeiou", DecoderConfig()),
     ("e", DecoderConfig(mode="sampled", candidates_k=4, beam_width=8, seed=7)),
 )
-PINNED = "51eb08d2bfbbee3fdf90c80b3a35a7de6d847347390b1f43d8f1137fe6b74363"
+PINNED = "f9cbfc1f533910b84eaabff906bff99a4c68ae5576a36329d0f625f9e834c3b9"
 
 
 @pytest.fixture(scope="module")

@@ -89,15 +89,33 @@ class TestBuildEntityTable:
         for alias in table.aliases.values():
             assert not any(violates(w, E) for w in alias.split())
 
+    def test_quoted_dialogue_opens_a_sentence(self):
+        # Paragraph 36 of the novel: "You" opens quoted speech, so it is
+        # not a name, and a later "he" after "you" must stay a pronoun.
+        paragraph = (
+            "\"How gorgeous! Let's go back, Tom. Tomorrow!\" Then she added "
+            'irrelevantly, "You ought to see the baby."'
+        )
+        table = build_entity_table([paragraph], E)
+        assert table.aliases == {"Tom": "Tom"}
+        text = "you would know what he said"
+        assert resolve_pronouns(text, table) == text
+
+    def test_word_also_used_in_lowercase_is_not_an_entity(self):
+        paragraphs = ["She said, Why not ask Tom?", "Nobody knew why."]
+        assert build_entity_table(paragraphs, E).aliases == {"Tom": "Tom"}
+
+    def test_lowercase_use_does_not_drop_a_multi_word_run(self):
+        paragraphs = ["Later we drove to West Egg.", "It lay west of the egg."]
+        table = build_entity_table(paragraphs, E)
+        assert table.aliases == {"West Egg": "Wst gg"}
+
     def test_same_document_gives_identical_tables(self):
         paragraphs = ["I met Eve and Ev at Mr. Wilson's party."]
         first = build_entity_table(paragraphs, E)
         second = build_entity_table(paragraphs, E)
         assert first.aliases == second.aliases
         assert list(first.aliases) == list(second.aliases)
-
-    def test_default_window_size(self):
-        assert EntityMap().window_size == 25
 
 
 class TestApplyEntityMap:

@@ -5,10 +5,11 @@ implementation (hand segmentation / character filtering / direct counts).
 """
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lipogram.textcore import (
+    ALPHABET,
     ConstraintSet,
     FreqTable,
     canonical,
@@ -100,6 +101,17 @@ class TestViolates:
     def test_case_insensitive(self):
         assert violates("Ever", E) is True
         assert violates("EVER", E) is True
+
+    @given(
+        st.text(max_size=30) | st.text(alphabet="abeEIOUxyZİß’'", max_size=30),
+        st.sets(st.sampled_from(ALPHABET)),
+    )
+    @example("EVER", set())
+    @example("", {"e"})
+    def test_matches_per_character_scan(self, word, letters):
+        # The per-character scan it replaced, kept as the reference.
+        c = ConstraintSet(frozenset(letters))
+        assert violates(word, c) == any(ch in c.letters for ch in word.lower())
 
 
 class TestStripLetters:
