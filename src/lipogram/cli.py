@@ -4,7 +4,8 @@ All commands are deterministic given identical inputs and seed when the
 offline providers are in use. Flags beat environment variables (prefix
 LIPO_), which beat the built-in defaults; the bundled public-domain corpus,
 lexicon, and dictionary serve as defaults so the commands work out of the
-box. Exit codes: 0 success (warnings allowed), 1 usage error, 2 I/O error,
+box. Exit codes: 0 success (warnings allowed), 1 usage error, 2 I/O error
+(including an unreachable or malformed grammar or embedding provider),
 3 every paragraph failed to decode.
 """
 
@@ -19,9 +20,15 @@ from pathlib import Path
 
 from .decoder import DecoderConfig, parse_config_file
 from .lexicon import load_dictionary, load_lexicon
-from .metrics import RemoteEmbedder, build_idf, e_score, report_json
+from .metrics import (
+    EmbedProviderError,
+    RemoteEmbedder,
+    build_idf,
+    e_score,
+    report_json,
+)
 from .ngram import DEFAULT_ORDER, load as load_model, train
-from .passes import make_grammar_provider
+from .passes import GrammarProviderError, make_grammar_provider
 from .pipeline import METHODS, Pipeline
 from .sweep import (
     default_constraint_sets,
@@ -373,7 +380,7 @@ def main(argv=None) -> int:
     except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _IoError as exc:
+    except (_IoError, EmbedProviderError, GrammarProviderError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

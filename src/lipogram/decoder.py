@@ -7,10 +7,15 @@ TF-IDF cosine similarity of the partial hypothesis to the source paragraph;
 the similarity term is maintained incrementally so every candidate token of
 every beam is scored per step without re-embedding.
 
-Hypotheses may terminate cost-free once the minimum length is reached and
-are force-terminated at the maximum length; the returned candidates are the
-top completions of a single run (deterministic mode) or the winners of K
-independently seeded Gumbel-noise runs (sampled mode).
+Hypotheses may terminate cost-free once the minimum length is reached, and
+none runs past the maximum length; the returned candidates are the top
+completions of a single run (deterministic mode) or the winners of K
+independently seeded Gumbel-noise runs (sampled mode). A run stops before
+the maximum length once no longer hypothesis can enter the top completions
+it returns: every step's LM score is <= 0 and the similarity is at most 1,
+so a beam's descendants can never outscore lambda_lm times its LM score
+plus lambda_sim. The stop is exact; the output equals that of a search run
+to the maximum length.
 
 Set-up is done once at the level where its data lives:
 
@@ -35,6 +40,7 @@ full sort.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -253,8 +259,9 @@ class _BeamEngine:
     """Vectorized synchronized-length beam search over a fixed vocabulary.
 
     All beams share a length at every step; ending is cost-free, so every
-    surviving beam of legal length is recorded as a completed hypothesis
-    and the search simply continues to the maximum length.
+    surviving beam of legal length is recorded as a completed hypothesis.
+    The search continues until the maximum length, or until the k-th best
+    completed score beats every score a longer hypothesis could reach.
 
     The engine holds the paragraph-level state only: the vocabulary, the
     source's TF-IDF weights over it, and the maps from vocabulary positions
@@ -396,7 +403,21 @@ class _BeamEngine:
         )
         return keys // n_vocab, keys % n_vocab, counts
 
-    def run(self, rng: np.random.Generator | None = None) -> list[Hypothesis]:
+    def run(
+        self, k: int, rng: np.random.Generator | None = None
+    ) -> list[Hypothesis]:
+        """The k best completed hypotheses, by combined score desc, then
+        tokens; with ``rng``, beams are picked under Gumbel noise.
+
+        The search stops before the maximum length once no later
+        hypothesis can enter the top k. A step's LM row is <= 0 and its
+        similarity is clipped to [0, 1], so every descendant of the
+        surviving beams scores at most lambda_lm * max(beam LM) +
+        lambda_sim, and IEEE rounding keeps that order for the computed
+        values. The stop needs that bound strictly below the k-th best
+        pooled score, so a tie that the token order could still break
+        never ends the search.
+        """
         cfg = self.cfg
         n_vocab = len(self.vocab)
         if self.max_len < self.min_len:
@@ -409,6 +430,7 @@ class _BeamEngine:
         beam_lm = beam_dot = beam_ssq = np.zeros(1)
         uni_tf = np.zeros((1, n_vocab), dtype=np.intp)
         pool: list[Hypothesis] = []
+        top: list[float] = []  # the k best pooled combined scores, desc
 
         for step in range(1, self.max_len + 1):
             last = history[:, -1] if step > 1 else np.array([n_vocab])
@@ -458,20 +480,26 @@ class _BeamEngine:
             uni_tf = uni_tf[beams]
             uni_tf[np.arange(len(picks)), words] += 1
             if step >= self.min_len:
+                combined = comb_mat[beams, words].tolist()
                 pool.extend(map(
                     Hypothesis,
                     beam_tokens,
                     beam_lm.tolist(),
                     sim_mat[beams, words].tolist(),
-                    comb_mat[beams, words].tolist(),
+                    combined,
                 ))
+                top = heapq.nlargest(k, top + combined)
+                if len(top) == k and (
+                    cfg.lambda_lm * beam_lm.max() + cfg.lambda_sim < top[-1]
+                ):
+                    break
 
         if not pool:
             raise DecodeFailure(
                 f"no hypothesis completed (lengths {self.min_len}..{self.max_len})"
             )
         pool.sort(key=lambda h: (-h.combined, h.tokens))
-        return pool
+        return pool[:k]
 
 
 def _positions(words: Sequence[str], ids: Mapping[str, int]) -> np.ndarray:
@@ -517,14 +545,13 @@ def beam_search(
     engine = _BeamEngine(source_paragraph, vocab, cfg, m, embedder.idf)
 
     if cfg.mode == "deterministic":
-        pool = engine.run()
-        return pool[: cfg.candidates_k]
+        return engine.run(cfg.candidates_k)
 
     winners = []
     for i in range(cfg.candidates_k):
         rng = np.random.default_rng([cfg.seed, i])
         try:
-            winners.append(engine.run(rng)[0])
+            winners.append(engine.run(1, rng)[0])
         except DecodeFailure:
             pass
     if not winners:

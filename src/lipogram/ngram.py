@@ -307,7 +307,8 @@ def _check_integrity(
     summed counts of consecutive orders differ by exactly the number of
     paragraphs, which is also the unigram count of the EOS marker. A file
     truncated at a line boundary parses but fails this balance. Every
-    higher-order gram must also have an attested prefix.
+    higher-order gram must also have an attested prefix counted at least as
+    often as the gram itself, which keeps every score <= 0.
     """
     if order < 2:
         return
@@ -321,8 +322,14 @@ def _check_integrity(
                 f"{path}: inconsistent counts between orders {k - 1} and {k} "
                 "(truncated file?)"
             )
-        for gram in tables[k - 1]:
-            if gram[:-1] not in tables[k - 2]:
+        for gram, count in tables[k - 1].items():
+            prefix = tables[k - 2].get(gram[:-1], 0)
+            if not prefix:
                 raise ValueError(
                     f"{path}: {k}-gram {' '.join(gram)!r} lacks an attested prefix"
+                )
+            if count > prefix:
+                raise ValueError(
+                    f"{path}: {k}-gram {' '.join(gram)!r} is counted {count} "
+                    f"times, more than its prefix's {prefix}"
                 )

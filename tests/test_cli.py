@@ -136,6 +136,32 @@ class TestIoErrors:
         assert rc == EXIT_IO
 
 
+class TestProviderErrors:
+    """An unreachable provider is an I/O error: one line, no traceback."""
+
+    def check_clean_io_exit(self, rc, capsys):
+        err = capsys.readouterr().err
+        assert rc == EXIT_IO
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_unreachable_embedder_in_translate(self, mini_corpus, out_dir, capsys):
+        rc = run(
+            ["translate", "--corpus", str(mini_corpus), "--paragraphs", "1",
+             "--embed-endpoint", "http://127.0.0.1:9"],
+            out_dir,
+        )
+        self.check_clean_io_exit(rc, capsys)
+
+    def test_unreachable_grammar_in_evaluate(self, mini_corpus, out_dir, capsys):
+        rc = run(
+            ["evaluate", "--corpus", str(mini_corpus), "--paragraphs", "1",
+             "--grammar-endpoint", "http://127.0.0.1:9"],
+            out_dir,
+        )
+        self.check_clean_io_exit(rc, capsys)
+
+
 class TestTrain:
     def test_writes_model_and_prints_stats(self, mini_corpus, out_dir, capsys):
         rc = run(["train", "--corpus", str(mini_corpus)], out_dir)

@@ -42,6 +42,12 @@ def has_repeated_ngram(seq, n):
     return len(grams) != len(set(grams))
 
 
+def unreachable_k(engine):
+    """A top-k size no pool can reach, so run() never stops early and
+    returns every pooled hypothesis."""
+    return engine.cfg.beam_width * engine.max_len + 1
+
+
 def exhaustive_best(model, vocab, lmin, lmax, n):
     """Highest sequence_logscore over every legal sequence, or None."""
     best = None
@@ -436,7 +442,9 @@ class TestPoolScores:
     """Every pooled hypothesis, not only the returned top ones, carries the
     scores a full recomputation from its tokens gives: the LM score bit for
     bit and the similarity to 1e-9, including hypotheses that repeat words
-    and bigrams, where the tf > 1 sum-of-squares corrections apply."""
+    and bigrams, where the tf > 1 sum-of-squares corrections apply. The
+    engine runs with an unreachable k, so the search goes to the maximum
+    length and every pooled hypothesis comes back."""
 
     def test_every_pooled_hypothesis_rescored(self):
         repeated_bigrams = 0
@@ -452,7 +460,8 @@ class TestPoolScores:
             source = " ".join(rng.choice(words) for _ in range(rng.randint(3, 7)))
             cfg = DecoderConfig(beam_width=12, candidates_k=1, no_repeat_ngram=6)
             vocab = build_candidate_vocab(source, NO_CONSTRAINT, EMPTY_LEX, model, 10)
-            pool = _BeamEngine(source, vocab, cfg, model, idf).run()
+            engine = _BeamEngine(source, vocab, cfg, model, idf)
+            pool = engine.run(unreachable_k(engine))
             source_vec = embed(source, idf)
             for h in pool:
                 assert h.lm_score == model.sequence_logscore(list(h.tokens))
@@ -460,6 +469,107 @@ class TestPoolScores:
                 assert abs(h.sim_score - full) < 1e-9, (i, h.tokens)
                 repeated_bigrams += has_repeated_ngram(h.tokens, 2)
         assert repeated_bigrams > 0
+
+
+def reference_search(source, c, cfg, model, idf):
+    """beam_search as it was without the early stop: every engine run gets
+    an unreachable k and goes to the maximum length."""
+    vocab = build_candidate_vocab(source, c, EMPTY_LEX, model,
+                                  cfg.candidate_vocab_size)
+    engine = _BeamEngine(source, vocab, cfg, model, idf)
+    k = unreachable_k(engine)
+    if cfg.mode == "deterministic":
+        return engine.run(k)[: cfg.candidates_k]
+    winners = []
+    for i in range(cfg.candidates_k):
+        try:
+            winners.append(engine.run(k, np.random.default_rng([cfg.seed, i]))[0])
+        except DecodeFailure:
+            pass
+    if not winners:
+        raise DecodeFailure("every sampled run failed")
+    winners.sort(key=lambda h: (-h.combined, h.tokens))
+    return winners
+
+
+def outcome(search, *args):
+    try:
+        return search(*args)
+    except (EmptyVocabulary, DecodeFailure) as exc:
+        return type(exc)
+
+
+class TestEarlyStop:
+    """The search stops once no later hypothesis can enter the top k. The
+    result must equal a search that runs every beam to the maximum length:
+    the same hypotheses, tokens and all three scores, in the same order."""
+
+    WORDS = ["aa", "ab", "bc", "cd", "de", "ea", "bd", "ce"]
+
+    @given(
+        paras=st.lists(
+            st.lists(st.sampled_from(WORDS), min_size=1, max_size=8),
+            min_size=1, max_size=4,
+        ),
+        source=st.lists(st.sampled_from(WORDS + ["zz"]), min_size=1, max_size=7),
+        letters=st.sets(st.sampled_from("abcde"), max_size=2),
+        order=st.integers(1, 4),
+        alpha=st.sampled_from([0.4, 1.0]),
+        widths=st.integers(1, 6).flatmap(
+            lambda w: st.tuples(st.just(w), st.integers(1, w))
+        ),
+        lambdas=st.sampled_from(
+            [(1.0, 5.0), (1.0, 0.0), (0.0, 1.0), (0.5, 2.0), (0.0, 0.0)]
+        ),
+        no_repeat=st.integers(2, 4),
+        max_ratio=st.sampled_from([1.5, 3.0]),
+        mode=st.sampled_from(["deterministic", "sampled"]),
+        seed=st.integers(0, 3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_search_to_maximum_length(
+        self, paras, source, letters, order, alpha, widths, lambdas,
+        no_repeat, max_ratio, mode, seed,
+    ):
+        texts = [" ".join(p) for p in paras]
+        model = train("\n\n".join(texts), order=order, alpha=alpha)
+        idf = build_idf(texts)
+        beam_width, candidates_k = widths
+        cfg = DecoderConfig(
+            beam_width=beam_width, candidates_k=candidates_k,
+            no_repeat_ngram=no_repeat, max_ratio=max_ratio,
+            lambda_lm=lambdas[0], lambda_sim=lambdas[1],
+            candidate_vocab_size=10, mode=mode, seed=seed,
+        )
+        args = (" ".join(source), ConstraintSet.from_string("".join(letters)),
+                cfg, model)
+        fast = outcome(beam_search, *args, EMPTY_LEX, TfidfEmbedder(idf))
+        assert fast == outcome(reference_search, *args, idf)
+
+    def test_stop_ends_the_search_early(self):
+        """On a long source the top few are settled well before the
+        maximum length, so the stopping search takes fewer steps."""
+        corpus = "aa bb cc dd ee\n\nbb cc aa ee dd\n\ncc dd ee aa bb"
+        model = train(corpus)
+        idf = build_idf(corpus.split("\n\n"))
+        source = " ".join(["aa bb cc dd ee"] * 4)
+        cfg = DecoderConfig(beam_width=8, candidates_k=2)
+        vocab = build_candidate_vocab(source, NO_CONSTRAINT, EMPTY_LEX, model, 10)
+        engine = _BeamEngine(source, vocab, cfg, model, idf)
+        steps = []
+        lm_rows = engine._lm_rows
+
+        def counted_lm_rows(*args):  # called once per search step
+            steps.append(None)
+            return lm_rows(*args)
+
+        engine._lm_rows = counted_lm_rows
+        fast = engine.run(cfg.candidates_k)
+        fast_steps = len(steps)
+        steps.clear()
+        assert fast == engine.run(unreachable_k(engine))[: cfg.candidates_k]
+        assert len(steps) == engine.max_len
+        assert fast_steps < engine.max_len
 
 
 class TestLengthBounds:

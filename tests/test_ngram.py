@@ -194,6 +194,23 @@ class TestContinuations:
         assert set(m.tokens) == m.vocabulary
         assert all(m.token_ids[t] == i for i, t in enumerate(m.tokens))
 
+    @given(
+        paras=st.lists(
+            st.lists(st.sampled_from("abcdef"), min_size=1, max_size=8),
+            min_size=1,
+            max_size=5,
+        ),
+        order=st.integers(1, 5),
+        alpha=st.sampled_from([0.1, 0.4, 1.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_indexed_scores_never_positive(self, paras, order, alpha):
+        # The decoder's early stop relies on every per-step score being <= 0.
+        corpus = "\n\n".join(" ".join(words) for words in paras)
+        m = train(corpus, order=order, alpha=alpha)
+        assert (m.continuation_index.logs <= 0.0).all()
+        assert (m.unigram_logscores <= 0.0).all()
+
 
 class TestSerialization:
     def test_header_and_sections(self, tmp_path):
@@ -269,6 +286,19 @@ class TestSerialization:
             load(path)
         path.write_text("NGRAM-LM v1 order=1 alpha=0.4\n1 a\n")
         with pytest.raises(ValueError, match="malformed"):
+            load(path)
+
+    def test_gram_counted_above_its_prefix_errors(self, tmp_path):
+        # Balanced sums and attested prefixes, but "a b" outnumbers "a":
+        # token_logscore(["a"], "b") would be log 2 > 0.
+        path = tmp_path / "bad.lm"
+        path.write_text(
+            "NGRAM-LM v1 order=2 alpha=0.4\n"
+            "1\t<s>\n1\ta\n2\tb\n1\t</s>\n"
+            "\n"
+            "1\t<s> a\n2\ta b\n1\tb </s>\n"
+        )
+        with pytest.raises(ValueError, match="more than its prefix"):
             load(path)
 
     @given(
