@@ -4,9 +4,14 @@ All commands are deterministic given identical inputs and seed when the
 offline providers are in use. Flags beat environment variables (prefix
 LIPO_), which beat the built-in defaults; the bundled public-domain corpus,
 lexicon, and dictionary serve as defaults so the commands work out of the
-box. Exit codes: 0 success (warnings allowed), 1 usage error, 2 I/O error
-(including an unreachable or malformed grammar or embedding provider),
-3 every paragraph failed to decode.
+box. Only the commands that decode read the n-gram model: `train`,
+`translate --method beam` and `sweep` load `--model` or train one of order
+`--order`; `evaluate` and the two baseline translators never touch it, so a
+missing `--model` file does not fail them. `--order` is still checked on
+every command. Exit codes: 0 success (warnings allowed), 1 usage error,
+2 I/O error (including an unreachable or malformed grammar or embedding
+provider, or an unreadable model on a command that reads it), 3 every
+paragraph failed to decode.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cached_property
 from importlib.resources import as_file, files
 from pathlib import Path
 
@@ -27,7 +33,7 @@ from .metrics import (
     e_score,
     report_json,
 )
-from .ngram import DEFAULT_ORDER, load as load_model, train
+from .ngram import DEFAULT_ORDER, NGramModel, load as load_model, train
 from .passes import GrammarProviderError, make_grammar_provider
 from .pipeline import METHODS, Pipeline
 from .sweep import (
@@ -90,7 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--model",
             default=_env_default("model"),
-            help="saved n-gram model; omitted -> train from --corpus",
+            help="saved n-gram model for train, beam translate and sweep; "
+            "omitted -> train from --corpus",
         )
         p.add_argument(
             "--letters",
@@ -228,15 +235,8 @@ class _Run:
 
         self.paragraphs = split_paragraphs(self.corpus)
         self.idf = build_idf(self.paragraphs)
-        if args.model:
-            try:
-                self.model = load_model(args.model)
-            except OSError as exc:
-                raise _IoError(f"cannot read model {args.model}: {exc}") from exc
-        else:
-            if args.order < 1:
-                raise _UsageError("--order must be >= 1")
-            self.model = train(self.corpus, order=args.order)
+        if not args.model and args.order < 1:
+            raise _UsageError("--order must be >= 1")
 
         self.out_dir = Path(args.out)
         try:
@@ -244,9 +244,20 @@ class _Run:
         except OSError as exc:
             raise _IoError(f"cannot create {self.out_dir}: {exc}") from exc
 
-    def pipeline(self) -> Pipeline:
+    @cached_property
+    def model(self) -> NGramModel:
+        """Loaded or trained on first use, by the commands that decode."""
+        if self.args.model:
+            try:
+                return load_model(self.args.model)
+            except OSError as exc:
+                raise _IoError(f"cannot read model {self.args.model}: {exc}") from exc
+        return train(self.corpus, order=self.args.order)
+
+    def pipeline(self, model: NGramModel | None = None) -> Pipeline:
+        """The shared pipeline; pass the model only when it will decode."""
         return Pipeline(
-            self.model,
+            model,
             self.lexicon,
             self.idf,
             self.dictionary,
@@ -285,7 +296,8 @@ def cmd_translate(run: _Run) -> int:
         if n < 1:
             raise _UsageError("--paragraphs must be >= 1")
         sources = sources[:n]
-    outputs, failures = run.pipeline().translate(
+    model = run.model if args.method == "beam" else None
+    outputs, failures = run.pipeline(model).translate(
         sources, run.constraint, args.method, run.cfg
     )
     document = "\n\n".join(outputs)
@@ -346,7 +358,7 @@ def cmd_sweep(run: _Run) -> int:
         raise _UsageError("--paragraphs must be >= 1")
     sets = default_constraint_sets(run.extras.get("sweep.extras", ""))
     points = run_sweep(
-        run.corpus, sets, args.paragraphs, run.pipeline(), run.cfg
+        run.corpus, sets, args.paragraphs, run.pipeline(run.model), run.cfg
     )
     fit = fit_decay(points) if len({p.exclusion_fraction for p in points}) >= 3 else None
     emit_sweep_csv(points, run.out_dir / "sweep.csv")

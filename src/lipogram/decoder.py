@@ -48,10 +48,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import textcore
 from .lexicon import Lexicon, constraint_free_synonyms
 from .metrics import IdfTable, TfidfEmbedder, cosine_similarity, embed
 from .ngram import BOS, NGramModel
-from .textcore import ConstraintSet, canonical, tokenize, violates
+from .textcore import ConstraintSet, canonical, violates
 
 
 class EmptyVocabulary(RuntimeError):
@@ -184,7 +185,7 @@ def build_candidate_vocab(
             ordered.append(word)
 
     source_words = list(
-        dict.fromkeys(canonical(w) for w in tokenize(source_paragraph).words())
+        dict.fromkeys(canonical(w) for w in textcore.words(source_paragraph))
     )
     for word in source_words:
         if not violates(word, c):
@@ -284,7 +285,7 @@ class _BeamEngine:
         self.index = {w: i for i, w in enumerate(self.vocab)}
         n_vocab = len(self.vocab)
 
-        source_words = [canonical(w) for w in tokenize(source_paragraph).words()]
+        source_words = [canonical(w) for w in textcore.words(source_paragraph)]
         self.source_len = len(source_words)
         self.min_len = math.ceil(cfg.min_ratio * self.source_len)
         self.max_len = math.floor(cfg.max_ratio * self.source_len)
@@ -537,7 +538,7 @@ def beam_search(
             "beam_search requires the built-in TF-IDF embedder; "
             "remote embedders apply only to selection and evaluation"
         )
-    if not tokenize(source_paragraph).words():
+    if not textcore.words(source_paragraph):
         raise ValueError("source paragraph has no words")
     vocab = build_candidate_vocab(
         source_paragraph, c, lex, m, cfg.candidate_vocab_size

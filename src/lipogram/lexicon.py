@@ -11,9 +11,10 @@ for its best constraint-free synonym and falls back to stripping.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
-from .textcore import ConstraintSet, strip_letters, tokenize, violates
+from .textcore import WORD_RE, ConstraintSet, strip_letters, violates
 
 
 @dataclass(frozen=True)
@@ -139,10 +140,7 @@ def _transfer_case(replacement: str, original: str) -> str:
 
 def translate_edelete(paragraph: str, c: ConstraintSet) -> str:
     """Remove every forbidden letter from every word; keep the rest."""
-    out = []
-    for tok in tokenize(paragraph):
-        out.append(strip_letters(tok.text, c) if tok.kind == "word" else tok.text)
-    return "".join(out)
+    return WORD_RE.sub(lambda m: strip_letters(m.group(0), c), paragraph)
 
 
 def translate_synonym(paragraph: str, c: ConstraintSet, lex: Lexicon) -> str:
@@ -151,14 +149,14 @@ def translate_synonym(paragraph: str, c: ConstraintSet, lex: Lexicon) -> str:
     Constraint-free words pass through untouched; words with no usable
     synonym fall back to strip_letters on the original surface form.
     """
-    out = []
-    for tok in tokenize(paragraph):
-        if tok.kind != "word" or not violates(tok.text, c):
-            out.append(tok.text)
-            continue
-        synonyms = constraint_free_synonyms(tok.text, c, lex)
+
+    def replace(match: re.Match) -> str:
+        word = match.group(0)
+        if not violates(word, c):
+            return word
+        synonyms = constraint_free_synonyms(word, c, lex)
         if synonyms:
-            out.append(_transfer_case(synonyms[0], tok.text))
-        else:
-            out.append(strip_letters(tok.text, c))
-    return "".join(out)
+            return _transfer_case(synonyms[0], word)
+        return strip_letters(word, c)
+
+    return WORD_RE.sub(replace, paragraph)

@@ -5,7 +5,9 @@ normalization; it is deterministic and dependency-free, and an optional
 remote provider with the same interface can stand in when configured.
 The remaining metrics: E-score (percent of word tokens touching a forbidden
 letter), OOV rate against a configured dictionary, grammar mistakes via a
-pluggable checker, and Flesch Reading Ease for readability.
+pluggable checker, and Flesch Reading Ease for readability. Each of these
+four takes an optional ``words``, which must be ``textcore.words(text)``,
+so that `evaluate_document` splits each paragraph into words once.
 """
 
 from __future__ import annotations
@@ -22,14 +24,15 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .textcore import ConstraintSet, canonical, tokenize, violates
+from . import textcore
+from .textcore import WORD_RE, ConstraintSet, canonical, violates
 
 Feature = str
 
 
 def text_features(text: str) -> Counter:
     """Term frequencies of canonical word unigrams and adjacent bigrams."""
-    words = [canonical(w) for w in tokenize(text).words()]
+    words = [canonical(w) for w in textcore.words(text)]
     feats = Counter(words)
     feats.update(" ".join(pair) for pair in zip(words, words[1:]))
     return feats
@@ -198,29 +201,38 @@ def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
     return min(1.0, max(0.0, dot))
 
 
-def e_score(text: str, c: ConstraintSet) -> float:
+def e_score(
+    text: str, c: ConstraintSet, *, words: Sequence[str] | None = None
+) -> float:
     """Percent of word tokens containing a forbidden letter; empty -> 0.0."""
-    words = tokenize(text).words()
+    if words is None:
+        words = textcore.words(text)
     if not words:
         return 0.0
     bad = sum(1 for w in words if violates(w, c))
     return bad / len(words) * 100.0
 
 
-def oov_score(text: str, dictionary: set[str]) -> float:
+def oov_score(
+    text: str, dictionary: set[str], *, words: Sequence[str] | None = None
+) -> float:
     """Percent of word tokens absent from the dictionary; empty -> 0.0."""
-    words = tokenize(text).words()
+    if words is None:
+        words = textcore.words(text)
     if not words:
         return 0.0
     missing = sum(1 for w in words if canonical(w) not in dictionary)
     return missing / len(words) * 100.0
 
 
-def grammar_mistakes(text: str, provider) -> dict:
+def grammar_mistakes(
+    text: str, provider, *, words: Sequence[str] | None = None
+) -> dict:
     """Count provider matches; provider failures propagate as errors."""
     matches = provider.check(text)
     count = len(matches)
-    words = tokenize(text).words()
+    if words is None:
+        words = textcore.words(text)
     percent = count / len(words) * 100.0 if words else 0.0
     return {"count": count, "percent_of_words": percent}
 
@@ -233,18 +245,19 @@ def _syllables(word: str) -> int:
     return max(1, len(_SYLLABLE_RE.findall(word.lower())))
 
 
-def readability(text: str) -> float:
+def readability(text: str, *, words: Sequence[str] | None = None) -> float:
     """Flesch Reading Ease from word, sentence, and syllable counts.
 
     Sentences are [.!?]-delimited segments containing at least one word
     (minimum one). Syllables count vowel groups, minimum one per word.
     Raises ValueError on wordless text.
     """
-    words = tokenize(text).words()
+    if words is None:
+        words = textcore.words(text)
     if not words:
         raise ValueError("readability needs at least one word")
     sentences = sum(
-        1 for seg in _SENTENCE_SPLIT_RE.split(text) if tokenize(seg).words()
+        1 for seg in _SENTENCE_SPLIT_RE.split(text) if WORD_RE.search(seg)
     )
     sentences = max(1, sentences)
     syllables = sum(_syllables(w) for w in words)
@@ -307,17 +320,17 @@ def evaluate_document(
     records = []
     for i, (src, out) in enumerate(zip(source_paragraphs, translated_paragraphs)):
         src_vec, out_vec = embedder.embed_many([src, out])
-        grammar = grammar_mistakes(out, provider)
-        has_words = bool(tokenize(out).words())
+        words = textcore.words(out)
+        grammar = grammar_mistakes(out, provider, words=words)
         records.append(
             {
                 "index": i,
                 "similarity": cosine_similarity(src_vec, out_vec),
-                "e_score": e_score(out, c),
-                "oov": oov_score(out, dictionary),
+                "e_score": e_score(out, c, words=words),
+                "oov": oov_score(out, dictionary, words=words),
                 "grammar_count": grammar["count"],
                 "grammar_pct": grammar["percent_of_words"],
-                "readability": readability(out) if has_words else 0.0,
+                "readability": readability(out, words=words) if words else 0.0,
             }
         )
     if records:

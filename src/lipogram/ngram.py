@@ -22,7 +22,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .textcore import canonical, split_paragraphs, tokenize
+from . import textcore
+from .textcore import canonical, split_paragraphs
 
 BOS = "<s>"
 EOS = "</s>"
@@ -214,7 +215,7 @@ def train(corpus: str, order: int = DEFAULT_ORDER, alpha: float = DEFAULT_ALPHA)
     counters = [Counter() for _ in range(order)]
     saw_words = False
     for paragraph in split_paragraphs(corpus):
-        words = [canonical(w) for w in tokenize(paragraph).words()]
+        words = [canonical(w) for w in textcore.words(paragraph)]
         if not words:
             continue
         saw_words = True

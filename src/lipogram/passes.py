@@ -21,6 +21,7 @@ import urllib.request
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
+from . import textcore
 from .metrics import cosine_similarity
 from .textcore import WORD_RE, ConstraintSet, strip_letters, tokenize
 
@@ -124,7 +125,7 @@ def build_entity_table(paragraphs: Sequence[str], c: ConstraintSet) -> EntityMap
     entity with forbidden letters stripped; colliding or empty aliases get
     a numeric suffix ("2", "3", ...) in first-seen order.
     """
-    words = {w for paragraph in paragraphs for w in WORD_RE.findall(paragraph)}
+    words = {w for paragraph in paragraphs for w in textcore.words(paragraph)}
     surfaces: list[str] = []
     seen: set[str] = set()
     for paragraph in paragraphs:
@@ -165,7 +166,7 @@ def _word_forms(emap: EntityMap) -> dict[str, list[tuple[str, ...]]]:
     for surface, alias in emap.aliases.items():
         mentions = []
         for form in (surface, alias):
-            words = tuple(w.lower() for w in tokenize(form).words())
+            words = tuple(w.lower() for w in textcore.words(form))
             if words and words not in mentions:
                 mentions.append(words)
         forms[surface] = mentions
@@ -201,7 +202,7 @@ def resolve_pronouns(text: str, emap: EntityMap) -> str:
             if len(mentioned) == 1:
                 alias = emap.aliases[mentioned[0]]
                 out.append(alias)
-                words_before.extend(w.lower() for w in tokenize(alias).words())
+                words_before.extend(w.lower() for w in textcore.words(alias))
                 continue
         out.append(tok.text)
         words_before.append(low)

@@ -44,11 +44,15 @@ METHODS = ("edelete", "synonym", "beam")
 
 
 class Pipeline:
-    """Holds the trained model and providers for repeated translation runs."""
+    """Holds the trained model and providers for repeated translation runs.
+
+    Only the beam method reads the model; a pipeline that runs only the
+    baselines and evaluation may be built with ``model=None``.
+    """
 
     def __init__(
         self,
-        model: NGramModel,
+        model: NGramModel | None,
         lexicon: Lexicon,
         idf: IdfTable,
         dictionary: set[str],
@@ -79,6 +83,8 @@ class Pipeline:
             return [translate_edelete(p, c) for p in paragraphs], 0
         if method == "synonym":
             return [translate_synonym(p, c, self.lexicon) for p in paragraphs], 0
+        if self.model is None:
+            raise ValueError("the beam method needs an n-gram model")
         return self._translate_beam(paragraphs, c, cfg or DecoderConfig())
 
     def _translate_beam(

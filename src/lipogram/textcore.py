@@ -6,6 +6,10 @@ word tokens are maximal ASCII letter runs glued by internal apostrophes,
 whitespace runs are space tokens, and everything else (digits, dashes,
 non-Latin letters) is punctuation. Tokenization is lossless: concatenating
 the token texts reproduces the input byte for byte.
+
+Callers that only need the word list use `words`, the words-only path: it
+returns the same list as `tokenize(text).words()` without building a token
+per match. `tokenize` is for code that rebuilds text around the words.
 """
 
 from __future__ import annotations
@@ -51,6 +55,11 @@ class TokenSeq:
 
     def __len__(self) -> int:
         return len(self.tokens)
+
+
+def words(text: str) -> list[str]:
+    """The word tokens of text, in order; equals tokenize(text).words()."""
+    return WORD_RE.findall(text)
 
 
 def tokenize(text: str) -> TokenSeq:

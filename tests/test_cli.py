@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+import lipogram.cli
 from lipogram.cli import EXIT_DECODE, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from lipogram.sweep import parse_sweep_csv
 from lipogram.textcore import ConstraintSet, tokenize, violates
@@ -441,6 +442,97 @@ class TestSweep:
         assert run(args, b) == EXIT_OK
         for name in ("sweep.csv", "sweep.svg", "sweep.dat"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+class TestLazyModel:
+    """Only train, beam translate and sweep read (so train or load) a model."""
+
+    @pytest.fixture()
+    def no_training(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("this command must not train a model")
+
+        monkeypatch.setattr(lipogram.cli, "train", refuse)
+
+    @pytest.fixture()
+    def trainings(self, monkeypatch):
+        calls = []
+        real_train = lipogram.cli.train
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(lipogram.cli, "train", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "args, produced",
+        [
+            (["evaluate"], "report.json"),
+            (["translate", "--method", "edelete"], "translation.txt"),
+            (["translate", "--method", "synonym"], "translation.txt"),
+        ],
+    )
+    def test_commands_that_do_not_decode_never_train(
+        self, args, produced, mini_corpus, tmp_path, monkeypatch, no_training
+    ):
+        argv = args + ["--corpus", str(mini_corpus), "--letters", "o"]
+        assert run(argv, tmp_path / "lazy") == EXIT_OK
+        monkeypatch.undo()
+        assert run(argv, tmp_path / "eager") == EXIT_OK
+        assert (tmp_path / "lazy" / produced).read_bytes() == (
+            tmp_path / "eager" / produced
+        ).read_bytes()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["train"],
+            ["translate", "--method", "beam", "--paragraphs", "1"],
+            ["sweep", "--paragraphs", "1"],
+        ],
+    )
+    def test_commands_that_decode_train_once(
+        self, args, mini_corpus, out_dir, trainings
+    ):
+        assert run(args + ["--corpus", str(mini_corpus)], out_dir) == EXIT_OK
+        assert len(trainings) == 1
+
+    def test_evaluate_ignores_missing_model(self, mini_corpus, out_dir, no_training):
+        rc = run(
+            ["evaluate", "--corpus", str(mini_corpus), "--model", "/no/such/model"],
+            out_dir,
+        )
+        assert rc == EXIT_OK
+
+    def test_pipeline_without_model_runs_only_the_baselines(self):
+        from lipogram.lexicon import Lexicon
+        from lipogram.metrics import build_idf
+        from lipogram.pipeline import Pipeline
+
+        pipeline = Pipeline(None, Lexicon({}, set()), build_idf(["a cat"]), set())
+        e = ConstraintSet.from_string("e")
+        assert pipeline.translate(["the cat"], e, "edelete") == (["th cat"], 0)
+        with pytest.raises(ValueError, match="n-gram model"):
+            pipeline.translate(["the cat"], e, "beam")
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["train"],
+            ["translate", "--method", "beam"],
+            ["translate", "--method", "edelete"],
+            ["translate", "--method", "synonym"],
+            ["evaluate"],
+            ["sweep"],
+        ],
+    )
+    def test_order_zero_is_usage_error_everywhere(
+        self, args, mini_corpus, out_dir, no_training
+    ):
+        argv = args + ["--corpus", str(mini_corpus), "--order", "0"]
+        assert run(argv, out_dir) == EXIT_USAGE
 
 
 class TestEnvironmentMirror:

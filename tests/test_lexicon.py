@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 from lipogram.lexicon import (
     Lexicon,
     LexiconEntry,
+    _transfer_case,
     constraint_free_synonyms,
     load_dictionary,
     load_lexicon,
     translate_edelete,
     translate_synonym,
 )
-from lipogram.textcore import ConstraintSet, tokenize, violates
+from lipogram.textcore import ALPHABET, ConstraintSet, strip_letters, tokenize, violates
 
 E = ConstraintSet.from_string("e")
 
@@ -195,3 +196,65 @@ class TestTranslateSynonym:
     def test_output_constraint_free(self, text):
         out = translate_synonym(text, E, self.LEX)
         assert all(not violates(w, E) for w in tokenize(out).words())
+
+
+def edelete_by_tokens(paragraph, c):
+    """The token-walk E-delete, kept as the oracle for the regex rewrite."""
+    out = []
+    for tok in tokenize(paragraph):
+        out.append(strip_letters(tok.text, c) if tok.kind == "word" else tok.text)
+    return "".join(out)
+
+
+def synonym_by_tokens(paragraph, c, lex):
+    """The token-walk synonym baseline, kept as the oracle."""
+    out = []
+    for tok in tokenize(paragraph):
+        if tok.kind != "word" or not violates(tok.text, c):
+            out.append(tok.text)
+            continue
+        synonyms = constraint_free_synonyms(tok.text, c, lex)
+        if synonyms:
+            out.append(_transfer_case(synonyms[0], tok.text))
+        else:
+            out.append(strip_letters(tok.text, c))
+    return "".join(out)
+
+
+class TestRegexRewriteMatchesTokenWalk:
+    # "we've" has a synonym of its own, so splitting it at the apostrophe
+    # would change the output.
+    LEX = make_lex(
+        *TestTranslateSynonym.LEX.entries.values(),
+        LexiconEntry("we've", "we've", ("folks",), 5),
+    )
+    LEX_WORDS = [
+        "advice", "Advice", "ADVICE", "gave", "Give", "people", "we've", "WE’VE",
+    ]
+    # Boundary characters weighted up; any other Unicode character can
+    # still be drawn.
+    PIECE = st.one_of(
+        st.sampled_from(LEX_WORDS),
+        st.text(
+            alphabet=st.one_of(
+                st.sampled_from("aeoxEZ'’ \t\n09-.éжλ中"), st.characters()
+            ),
+            max_size=6,
+        ),
+    )
+    # Any subset of a-z, with "e" and the vowels, which the lexicon words
+    # above violate, drawn more often.
+    CONSTRAINTS = st.one_of(
+        st.sampled_from(["e", "aeiou"]),
+        st.sets(st.sampled_from(ALPHABET)).map("".join),
+    ).map(ConstraintSet.from_string)
+
+    @given(st.lists(PIECE, max_size=12).map("".join), CONSTRAINTS)
+    def test_edelete(self, text, c):
+        assert translate_edelete(text, c) == edelete_by_tokens(text, c)
+
+    @given(st.lists(PIECE, max_size=12).map("".join), CONSTRAINTS)
+    def test_synonym(self, text, c):
+        assert translate_synonym(text, c, self.LEX) == synonym_by_tokens(
+            text, c, self.LEX
+        )

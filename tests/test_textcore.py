@@ -4,6 +4,9 @@ Expected values marked by hand were computed independently before the
 implementation (hand segmentation / character filtering / direct counts).
 """
 
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -19,6 +22,15 @@ from lipogram.textcore import (
     strip_letters,
     tokenize,
     violates,
+    words,
+)
+
+# Characters that sit at word boundaries get extra weight: ASCII letters,
+# both apostrophes, whitespace, digits and non-Latin letters. Any other
+# Unicode character can still be drawn.
+WORDISH = st.one_of(
+    st.sampled_from("abzAMZ'’ \t\n\u00a0\u2028079-.éßжλ中"),
+    st.characters(),
 )
 
 E = ConstraintSet.from_string("e")
@@ -90,6 +102,34 @@ class TestTokenize:
         for w in tokenize(text).words():
             assert all(ch.isascii() and ch.isalpha() or ch in "'’" for ch in w)
             assert w[0] not in "'’" and w[-1] not in "'’"
+
+
+class TestWords:
+    @given(st.text(alphabet=WORDISH, max_size=120))
+    @example("'tis the dogs' day")
+    @example("haven’t''t a’’b café 7a")
+    def test_equals_tokenize_words(self, text):
+        assert words(text) == tokenize(text).words()
+
+    def test_package_splits_words_only_through_words(self):
+        """No module under src/lipogram calls TokenSeq.words().
+
+        `textcore.words` is the one words-only path; `TokenSeq.words()`
+        stays for callers outside the package.
+        """
+        package = Path(__file__).resolve().parents[1] / "src" / "lipogram"
+        offenders = []
+        for path in sorted(package.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "words"
+                    and not node.args
+                    and not node.keywords
+                ):
+                    offenders.append(f"{path.name}:{node.lineno}")
+        assert offenders == []
 
 
 class TestViolates:
