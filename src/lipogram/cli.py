@@ -8,7 +8,8 @@ box. Only the commands that decode read the n-gram model: `train`,
 `translate --method beam` and `sweep` load `--model` or train one of order
 `--order`; `evaluate` and the two baseline translators never touch it, so a
 missing `--model` file does not fail them. `--order` is still checked on
-every command. Exit codes: 0 success (warnings allowed), 1 usage error,
+every command. `train` builds no IDF table; the other commands build one
+from the corpus. Exit codes: 0 success (warnings allowed), 1 usage error,
 2 I/O error (including an unreachable or malformed grammar or embedding
 provider, or an unreadable model on a command that reads it), 3 every
 paragraph failed to decode.
@@ -28,6 +29,7 @@ from .decoder import DecoderConfig, parse_config_file
 from .lexicon import load_dictionary, load_lexicon
 from .metrics import (
     EmbedProviderError,
+    IdfTable,
     RemoteEmbedder,
     build_idf,
     e_score,
@@ -234,7 +236,6 @@ class _Run:
         self.embedder = RemoteEmbedder(embed_endpoint) if embed_endpoint else None
 
         self.paragraphs = split_paragraphs(self.corpus)
-        self.idf = build_idf(self.paragraphs)
         if not args.model and args.order < 1:
             raise _UsageError("--order must be >= 1")
 
@@ -253,6 +254,11 @@ class _Run:
             except OSError as exc:
                 raise _IoError(f"cannot read model {self.args.model}: {exc}") from exc
         return train(self.corpus, order=self.args.order)
+
+    @cached_property
+    def idf(self) -> IdfTable:
+        """Built on first use, by the commands that translate or evaluate."""
+        return build_idf(self.paragraphs)
 
     def pipeline(self, model: NGramModel | None = None) -> Pipeline:
         """The shared pipeline; pass the model only when it will decode."""

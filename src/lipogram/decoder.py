@@ -21,15 +21,19 @@ Set-up is done once at the level where its data lives:
 
 - Corpus: built lazily on first use and cached on the object that owns the
   data. ``NGramModel`` holds the frequency-ranked word list, the unigram
-  log scores and every context's continuations as token ids with their
-  log ratios (``ContinuationIndex``); ``IdfTable`` holds its unigram and
-  bigram features as arrays over word ids (``IdfIndex``).
-- Constraint: ``build_candidate_vocab`` reads the M most frequent legal
-  words off the ranked list, stopping at the M-th.
-- Paragraph: ``_BeamEngine`` keeps only what depends on the source: the
-  vocabulary, the source's TF-IDF weights over it, and maps from
-  vocabulary positions to model and IDF word ids, through which LM and
-  bigram rows are scattered from the corpus-level arrays.
+  log scores, each token's letter mask and every context's continuations
+  as token ids with their log ratios (``ContinuationIndex``); ``IdfTable``
+  holds its unigram and bigram features and each word's letter mask as
+  arrays over word ids (``IdfIndex``).
+- Constraint: ``ConstraintTables``, built once per constraint set and
+  tail size M, holds the tail (the M most frequent legal words) with their
+  ids, backoff LM scores and idf values, and the LM and IDF bigram pair
+  rows among all legal words. ``Pipeline`` builds it once per translate
+  call; ``beam_search`` builds its own when called without it.
+- Paragraph: ``_BeamEngine`` keeps only what depends on the source. It
+  looks up the few vocabulary words outside the tail, gathers its arrays
+  and pair rows from the tables through one map from vocabulary position
+  to table row, and holds the source's TF-IDF weights over the vocabulary.
 
 Each search step works on beams x vocabulary matrices: the LM rows, the
 bigram rows of each beam's last word, a unigram term-count matrix for the
@@ -43,6 +47,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, fields
+from itertools import repeat
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -64,6 +69,12 @@ class DecodeFailure(RuntimeError):
 
 
 MODES = ("deterministic", "sampled")
+
+# One search step allocates about 85 bytes per beam x vocabulary cell at
+# its peak (tracemalloc over whole runs at 200 x 2,007 and 50 x 5,007
+# cells, both modes, numpy 2.4). The cap on beam_width x
+# candidate_vocab_size keeps a step near 256 MiB.
+MAX_BEAM_CELLS = 3_000_000
 
 # Config-file keys that belong to the surrounding tooling, not the decoder.
 RESERVED_CONFIG_KEYS = frozenset(
@@ -100,6 +111,11 @@ class DecoderConfig:
             raise ValueError("lambda weights must be >= 0")
         if self.candidate_vocab_size < 0:
             raise ValueError("candidate_vocab_size must be >= 0")
+        if self.beam_width * self.candidate_vocab_size > MAX_BEAM_CELLS:
+            raise ValueError(
+                f"beam_width x candidate_vocab_size must be <= {MAX_BEAM_CELLS:,}, "
+                f"got {self.beam_width} x {self.candidate_vocab_size}"
+            )
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 
@@ -169,12 +185,15 @@ def build_candidate_vocab(
     lex: Lexicon,
     m: NGramModel,
     M: int,
+    tables: ConstraintTables | None = None,
 ) -> list[str]:
     """Legal words for the search, in deterministic priority order.
 
     Source words that pass the constraint come first (source order), then
     constraint-free synonyms of every source word, then the M most frequent
-    legal model-vocabulary words (count desc, then alphabetical).
+    legal model-vocabulary words (count desc, then alphabetical). Given the
+    ``tables`` of (c, M), those words are their tail, read once per
+    constraint set rather than once per paragraph.
     """
     ordered: list[str] = []
     seen: set[str] = set()
@@ -184,28 +203,121 @@ def build_candidate_vocab(
             seen.add(word)
             ordered.append(word)
 
-    source_words = list(
-        dict.fromkeys(canonical(w) for w in textcore.words(source_paragraph))
-    )
+    source_words = list(dict.fromkeys(textcore.canonical_words(source_paragraph)))
     for word in source_words:
         if not violates(word, c):
             add(word)
     for word in source_words:
         for synonym in constraint_free_synonyms(word, c, lex):
             add(canonical(synonym))
-    taken = 0
-    for word in m.ranked_words:
-        if taken == M:
-            break
-        if not violates(word, c):
-            add(word)
-            taken += 1
+    tail = tables.words if tables is not None else _legal_tail(c, m, M)
+    ordered.extend(word for word in tail if word not in seen)
 
     if not ordered:
         raise EmptyVocabulary(
             f"no legal candidate words under letters {c.as_string()!r}"
         )
     return ordered
+
+
+def _legal_tail(c: ConstraintSet, m: NGramModel, M: int) -> list[str]:
+    """The M most frequent legal model words (all of them when fewer are
+    legal), read off the ranked list by the model's letter masks."""
+    legal = (m.letter_masks[: len(m.ranked_words)] & c.mask) == 0
+    return [m.ranked_words[i] for i in np.flatnonzero(legal)[:M]]
+
+
+class ConstraintTables:
+    """The decoder's tables for one constraint set and tail size M.
+
+    Built once per (constraint set, M) and shared by every paragraph
+    decoded under them:
+
+    - the tail, the M most frequent legal model words, with each word's
+      model and IDF ids (-1 when absent), backoff LM score and idf;
+    - the one-word-context LM continuations, and the squared IDF bigram
+      values, of every pair of legal words, grouped by first word id.
+
+    Every vocabulary word is legal, so these pairs hold every pair any
+    paragraph's vocabulary can need. A paragraph adds only its few words
+    outside the tail (``lookup``) and gathers the rest by position.
+    """
+
+    def __init__(self, c: ConstraintSet, model: NGramModel, idf: IdfTable, M: int):
+        self.constraint = c
+        self.size = M
+        self.model = model
+        self.idf = idf
+        self.words = _legal_tail(c, model, M)
+        self.position = {w: i for i, w in enumerate(self.words)}
+        self.model_ids, self.idf_ids, self.backoff, self.idf_uni = self.lookup(
+            self.words
+        )
+
+        if model.order > 1:
+            index = model.continuation_index
+            n_tokens = len(model.tokens)
+            # The extra trailing False is the entry of token id -1.
+            legal = np.append((model.letter_masks & c.mask) == 0, False)
+            legal[len(model.ranked_words):n_tokens] = False  # BOS and EOS
+            firsts = np.append(np.flatnonzero(legal), model.token_ids[BOS])
+            ctx_rows = index.token_rows[firsts]
+            rows, entries = _expand(
+                index.starts[ctx_rows], index.starts[ctx_rows + 1]
+            )
+            keep = np.flatnonzero(legal[index.ids[entries]])
+            rows, entries = rows[keep], entries[keep]
+            logs = index.logs[entries]
+            for _ in range(model.order - 2):
+                logs = math.log(model.alpha) + logs
+            self.lm_pairs = _PairRows.grouped(
+                n_tokens, firsts[rows], index.ids[entries], logs
+            )
+
+        features = idf.index
+        legal = np.append((features.word_masks & c.mask) == 0, False)
+        inside = np.flatnonzero(
+            legal[features.bigram_firsts] & legal[features.bigram_seconds]
+        )
+        values = features.bigram_values[inside]
+        self.bigram_sq = _PairRows.grouped(
+            len(features.word_ids),
+            features.bigram_firsts[inside],
+            features.bigram_seconds[inside],
+            values * values,
+        )
+
+    def matches(
+        self, c: ConstraintSet, model: NGramModel, idf: IdfTable, M: int
+    ) -> bool:
+        """Whether these are the tables of (c, model, idf, M)."""
+        return (
+            self.constraint == c and self.size == M
+            and self.model is model and self.idf is idf
+        )
+
+    def lookup(self, words: Sequence[str]):
+        """Each word's model id and IDF id (-1 when absent), backoff LM
+        score and idf, as arrays.
+
+        The backoff score is that of a word never seen after the context:
+        its unigram score plus log(alpha) once per context token, added in
+        token_logscore's order, so stacked sums stay bit-identical to it.
+        """
+        model, features = self.model, self.idf.index
+        model_ids = _positions(words, model.token_ids)
+        idf_ids = _positions(words, features.word_ids)
+        backoff = np.full(
+            len(words), math.log(1.0 / (model.total + len(model.vocabulary)))
+        )
+        known = model_ids >= 0
+        backoff[known] = model.unigram_logscores[model_ids[known]]
+        log_alpha = math.log(model.alpha)
+        for _ in range(model.order - 1):
+            backoff = log_alpha + backoff
+        # The appended default is the idf of id -1.
+        idf_uni = np.append(features.word_values, self.idf.default)[idf_ids]
+        return model_ids, idf_ids, backoff, idf_uni
 
 
 def top_k(rank: np.ndarray, k: int) -> np.ndarray:
@@ -230,22 +342,54 @@ def top_k(rank: np.ndarray, k: int) -> np.ndarray:
 
 
 class _PairRows:
-    """Values at (first, second) pairs of small-int keys, grouped by first."""
+    """Values at (first, second) pairs of small-int keys, grouped by first:
+    the pairs of first key f are entries ``starts[f]:starts[f + 1]``."""
 
-    def __init__(self, n_firsts: int, firsts, seconds, values):
+    def __init__(self, starts: np.ndarray, seconds: np.ndarray, values: np.ndarray):
+        self._starts = starts
+        self._seconds = seconds
+        self._values = values
+
+    @classmethod
+    def group(cls, n_firsts: int, firsts, seconds, values) -> "_PairRows":
+        """The pairs (firsts[j], seconds[j]) -> values[j], for first keys
+        0..n_firsts-1; pairs of one first keep their order."""
         firsts = np.asarray(firsts, dtype=np.intp)
         order = np.argsort(firsts, kind="stable")
-        self._starts = np.concatenate(
-            ([0], np.cumsum(np.bincount(firsts, minlength=n_firsts)))
+        return cls.grouped(
+            n_firsts,
+            firsts[order],
+            np.asarray(seconds, dtype=np.intp)[order],
+            np.asarray(values, dtype=float)[order],
         )
-        self._seconds = np.asarray(seconds, dtype=np.intp)[order]
-        self._values = np.asarray(values, dtype=float)[order]
+
+    @classmethod
+    def grouped(
+        cls, n_firsts: int, firsts: np.ndarray, seconds: np.ndarray, values: np.ndarray
+    ) -> "_PairRows":
+        """``group`` for firsts already in ascending order; the arrays are
+        used as they are."""
+        counts = np.bincount(firsts, minlength=n_firsts)
+        return cls(np.concatenate(([0], np.cumsum(counts))), seconds, values)
 
     def pairs(self, firsts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(row, second, value) of every pair of each first key, where row
         is the key's index in ``firsts``."""
         rows, entries = _expand(self._starts[firsts], self._starts[firsts + 1])
         return rows, self._seconds[entries], self._values[entries]
+
+    def gather(self, firsts: np.ndarray, pos_of: np.ndarray) -> "_PairRows":
+        """The pairs of ``firsts[i]`` as those of first key i, with each
+        second mapped through ``pos_of``; a first of -1 has no pairs, and
+        a pair whose second maps to -1 is dropped."""
+        lo = self._starts[firsts]
+        hi = np.where(firsts >= 0, self._starts[firsts + 1], lo)
+        rows, entries = _expand(lo, hi)
+        pos = pos_of[self._seconds[entries]]
+        hit = np.flatnonzero(pos >= 0)  # an index array: faster than a mask here
+        return _PairRows.grouped(
+            len(firsts), rows[hit], pos[hit], self._values[entries[hit]]
+        )
 
 
 def _expand(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -265,9 +409,10 @@ class _BeamEngine:
     completed score beats every score a longer hypothesis could reach.
 
     The engine holds the paragraph-level state only: the vocabulary, the
-    source's TF-IDF weights over it, and the maps from vocabulary positions
-    to the model's and the IDF table's word ids, through which LM rows and
-    bigram rows are scattered from the corpus-level indexes.
+    source's TF-IDF weights over it, and the arrays and pair rows gathered
+    for its words from the ``ConstraintTables``. Every vocabulary word must
+    be legal under the tables' constraint; without tables the engine builds
+    its own for the empty constraint and no tail, which fit any vocabulary.
     """
 
     def __init__(
@@ -277,6 +422,7 @@ class _BeamEngine:
         cfg: DecoderConfig,
         model: NGramModel,
         idf: IdfTable,
+        tables: ConstraintTables | None = None,
     ):
         self.cfg = cfg
         self.model = model
@@ -285,46 +431,46 @@ class _BeamEngine:
         self.index = {w: i for i, w in enumerate(self.vocab)}
         n_vocab = len(self.vocab)
 
-        source_words = [canonical(w) for w in textcore.words(source_paragraph)]
-        self.source_len = len(source_words)
+        self.source_len = len(textcore.words(source_paragraph))
         self.min_len = math.ceil(cfg.min_ratio * self.source_len)
         self.max_len = math.floor(cfg.max_ratio * self.source_len)
 
-        # Unigram LM score vector; the corpus-level scores come from math.log,
-        # so stacked backoff sums stay bit-identical to token_logscore.
-        model_ids = _positions(self.vocab, model.token_ids)
-        known = model_ids >= 0
-        base = np.full(
-            n_vocab, math.log(1.0 / (model.total + len(model.vocabulary)))
+        # Each vocabulary word's row in the tail arrays, or past them in the
+        # arrays of the few words outside the tail, looked up here.
+        if tables is None:
+            tables = ConstraintTables(ConstraintSet(), model, idf, 0)
+        at = _positions(self.vocab, tables.position)
+        outside = np.flatnonzero(at < 0)
+        extra = [self.vocab[i] for i in outside]
+        illegal = [w for w in extra if violates(w, tables.constraint)]
+        if illegal:
+            raise ValueError(
+                f"vocabulary words {illegal!r} break the tables' constraint"
+            )
+        at[outside] = len(tables.words) + np.arange(len(outside))
+        model_ids, idf_ids, backoff, idf_uni = (
+            np.concatenate((whole, part))[at]
+            for whole, part in zip(
+                (tables.model_ids, tables.idf_ids, tables.backoff, tables.idf_uni),
+                tables.lookup(extra),
+            )
         )
-        base[known] = model.unigram_logscores[model_ids[known]]
+
         self._model_pos = _inverse(model_ids, len(model.tokens))
         self._log_alpha = math.log(model.alpha)
-        for _ in range(model.order - 1):
-            base = self._log_alpha + base
-        self._backoff_vec = base  # the score of a word unseen after the context
+        self._backoff_vec = backoff  # the score of a word unseen after the context
         if model.order > 1:
-            self._lm_bigrams = _PairRows(
-                n_vocab + 1, *self._continuations([(w,) for w in self.vocab] + [(BOS,)])
-            )
+            firsts = np.append(model_ids, model.token_ids[BOS])
+            self._lm_bigrams = tables.lm_pairs.gather(firsts, self._model_pos)
 
         # Similarity machinery: the source's normalized TF-IDF weights and
         # per-token idf arrays for incremental dot/sum-of-squares updates.
         self.source_vec = embed(source_paragraph, idf)
         src = self.source_vec.weights
-        features = idf.index
-        idf_ids = _positions(self.vocab, features.word_ids)
-        self._idf_uni = np.where(
-            idf_ids >= 0, features.word_values[idf_ids], idf.default
-        )
+        self._idf_uni = idf_uni
         self._idf_uni_sq = self._idf_uni**2
-        idf_pos = _inverse(idf_ids, len(features.word_ids))
-        firsts = idf_pos[features.bigram_firsts]
-        seconds = idf_pos[features.bigram_seconds]
-        inside = (firsts >= 0) & (seconds >= 0)
-        values = features.bigram_values[inside]
-        self._bigram_sq = _PairRows(
-            n_vocab, firsts[inside], seconds[inside], values * values
+        self._bigram_sq = tables.bigram_sq.gather(
+            idf_ids, _inverse(idf_ids, len(idf.index.word_ids))
         )
         self._default_sq = idf.default**2
         self._src_uni = np.zeros(n_vocab)
@@ -338,7 +484,7 @@ class _BeamEngine:
                 src_firsts.append(self.index[first])
                 src_seconds.append(self.index[second])
                 src_values.append(weight * idf.value(feat))
-        self._src_bi = _PairRows(n_vocab, src_firsts, src_seconds, src_values)
+        self._src_bi = _PairRows.group(n_vocab, src_firsts, src_seconds, src_values)
 
     def _lm_rows(self, beam_tokens: list[tuple[str, ...]], last: np.ndarray) -> np.ndarray:
         """Backoff LM scores of every vocabulary word after each beam.
@@ -505,7 +651,7 @@ class _BeamEngine:
 
 def _positions(words: Sequence[str], ids: Mapping[str, int]) -> np.ndarray:
     """Each word's id in ``ids``, -1 when absent."""
-    return np.array([ids.get(w, -1) for w in words], dtype=np.intp)
+    return np.fromiter(map(ids.get, words, repeat(-1)), dtype=np.intp, count=len(words))
 
 
 def _inverse(word_ids: np.ndarray, n_ids: int) -> np.ndarray:
@@ -526,12 +672,16 @@ def beam_search(
     m: NGramModel,
     lex: Lexicon,
     embedder: TfidfEmbedder,
+    tables: ConstraintTables | None = None,
 ) -> list[Hypothesis]:
     """Decode one paragraph; top candidates sorted by combined score.
 
     The in-search similarity term always uses the built-in TF-IDF embedder
     (it needs feature-level access for incremental updates); a remote
-    embedder belongs in multiselect and evaluation instead.
+    embedder belongs in multiselect and evaluation instead. A caller that
+    decodes many paragraphs under one constraint set passes the
+    ``ConstraintTables`` it built once; without them each call builds its
+    own.
     """
     if not isinstance(embedder, TfidfEmbedder):
         raise TypeError(
@@ -540,10 +690,13 @@ def beam_search(
         )
     if not textcore.words(source_paragraph):
         raise ValueError("source paragraph has no words")
-    vocab = build_candidate_vocab(
-        source_paragraph, c, lex, m, cfg.candidate_vocab_size
-    )
-    engine = _BeamEngine(source_paragraph, vocab, cfg, m, embedder.idf)
+    M = cfg.candidate_vocab_size
+    if tables is None:
+        tables = ConstraintTables(c, m, embedder.idf, M)
+    elif not tables.matches(c, m, embedder.idf, M):
+        raise ValueError("the tables were built for another constraint set or model")
+    vocab = build_candidate_vocab(source_paragraph, c, lex, m, M, tables)
+    engine = _BeamEngine(source_paragraph, vocab, cfg, m, embedder.idf, tables)
 
     if cfg.mode == "deterministic":
         return engine.run(cfg.candidates_k)

@@ -32,7 +32,7 @@ Feature = str
 
 def text_features(text: str) -> Counter:
     """Term frequencies of canonical word unigrams and adjacent bigrams."""
-    words = [canonical(w) for w in textcore.words(text)]
+    words = textcore.canonical_words(text)
     feats = Counter(words)
     feats.update(" ".join(pair) for pair in zip(words, words[1:]))
     return feats
@@ -67,12 +67,15 @@ class IdfTable:
                 values.append(value)
         word_values = np.full(len(word_ids), self.default)
         word_values[: len(unigrams)] = [self.values[w] for w in unigrams]
+        firsts = np.array(firsts, dtype=np.intp)
+        order = np.argsort(firsts, kind="stable")
         return IdfIndex(
             word_ids,
             word_values,
-            np.array(firsts, dtype=np.intp),
-            np.array(seconds, dtype=np.intp),
-            np.array(values, dtype=float),
+            textcore.letter_masks(word_ids),
+            firsts[order],
+            np.array(seconds, dtype=np.intp)[order],
+            np.array(values, dtype=float)[order],
         )
 
 
@@ -82,13 +85,16 @@ class IdfIndex:
 
     ``word_ids`` numbers every word that is a unigram feature or part of a
     bigram feature, and ``word_values[i]`` is word i's own idf (the table
-    default for a word seen only in bigrams). Entry j of the bigram arrays
-    is the feature ``"first second"`` with first word ``bigram_firsts[j]``,
-    second word ``bigram_seconds[j]`` and idf ``bigram_values[j]``.
+    default for a word seen only in bigrams) and ``word_masks[i]`` its
+    ``textcore.letter_masks`` entry. Entry j of the bigram arrays is the
+    feature ``"first second"`` with first word ``bigram_firsts[j]``, second
+    word ``bigram_seconds[j]`` and idf ``bigram_values[j]``, sorted by
+    first word id.
     """
 
     word_ids: Mapping[str, int]
     word_values: np.ndarray
+    word_masks: np.ndarray
     bigram_firsts: np.ndarray
     bigram_seconds: np.ndarray
     bigram_values: np.ndarray
@@ -123,7 +129,8 @@ def embed(text: str, idf: IdfTable) -> EmbeddingVector:
     feats = text_features(text)
     if not feats:
         return EmbeddingVector({}, 0.0)
-    raw = {feat: tf * idf.value(feat) for feat, tf in feats.items()}
+    value, default = idf.values.get, idf.default
+    raw = {feat: tf * value(feat, default) for feat, tf in feats.items()}
     norm = math.sqrt(sum(w * w for w in raw.values()))
     return EmbeddingVector({f: w / norm for f, w in raw.items()}, 1.0)
 

@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import textcore
-from .textcore import canonical, split_paragraphs
+from .textcore import split_paragraphs
 
 BOS = "<s>"
 EOS = "</s>"
@@ -77,6 +77,11 @@ class NGramModel:
         return {token: i for i, token in enumerate(self.tokens)}
 
     @cached_property
+    def letter_masks(self) -> np.ndarray:
+        """``textcore.letter_masks`` of every token, in id order."""
+        return textcore.letter_masks(self.tokens)
+
+    @cached_property
     def unigram_logscores(self) -> np.ndarray:
         """``token_logscore((), t)`` for every token t, in id order."""
         return np.array([self._score((), t) for t in self.tokens])
@@ -90,6 +95,7 @@ class NGramModel:
         rows: dict[tuple[str, ...], int] = {}
         starts = [0]
         n = 0
+        token_rows = np.full(len(self.tokens), -1, dtype=np.intp)
         for k in range(2, self.order + 1):
             table, prefixes = self.tables[k - 1], self.tables[k - 2]
             grams = sorted(table)
@@ -106,9 +112,14 @@ class NGramModel:
                     i += 1
                 if n > start:
                     rows[ctx] = len(starts) - 1
+                    if k == 2:
+                        token_rows[self.token_ids[ctx[0]]] = len(starts) - 1
                     starts.append(n)
         starts.append(n)  # the empty row of every unattested context
-        return ContinuationIndex(rows, np.array(starts), ids[:n], logs[:n])
+        token_rows[token_rows < 0] = len(starts) - 2
+        return ContinuationIndex(
+            rows, np.array(starts), ids[:n], logs[:n], token_rows
+        )
 
     def count(self, gram: Sequence[str]) -> int:
         key = tuple(gram)
@@ -183,12 +194,14 @@ class ContinuationIndex:
     (log(c(context + t) / c(context)), the model's exact score for t),
     where ``r = rows[context]``. The keys of ``rows`` are the count
     tables' own tuples, so the index adds one int per context.
+    ``token_rows[i]`` is the row of the one-token context of token id i.
     """
 
     rows: Mapping[tuple[str, ...], int]
     starts: np.ndarray
     ids: np.ndarray
     logs: np.ndarray
+    token_rows: np.ndarray
 
     def spans(self, contexts: Sequence[tuple[str, ...]]) -> tuple[np.ndarray, np.ndarray]:
         """Start and end entry of each context's continuations; an
@@ -215,7 +228,7 @@ def train(corpus: str, order: int = DEFAULT_ORDER, alpha: float = DEFAULT_ALPHA)
     counters = [Counter() for _ in range(order)]
     saw_words = False
     for paragraph in split_paragraphs(corpus):
-        words = [canonical(w) for w in textcore.words(paragraph)]
+        words = textcore.canonical_words(paragraph)
         if not words:
             continue
         saw_words = True

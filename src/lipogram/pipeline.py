@@ -15,6 +15,7 @@ import logging
 from typing import Sequence
 
 from .decoder import (
+    ConstraintTables,
     DecodeFailure,
     DecoderConfig,
     EmptyVocabulary,
@@ -94,12 +95,13 @@ class Pipeline:
         cfg: DecoderConfig,
     ) -> tuple[list[str], int]:
         emap = build_entity_table(paragraphs, c)
+        tables = ConstraintTables(c, self.model, self.idf, cfg.candidate_vocab_size)
         outputs = []
         failures = 0
         for i, source in enumerate(paragraphs):
             try:
                 candidates = beam_search(
-                    source, c, cfg, self.model, self.lexicon, self.tfidf
+                    source, c, cfg, self.model, self.lexicon, self.tfidf, tables
                 )
                 best = multiselect(candidates, source, self.select_embedder)
             except (EmptyVocabulary, DecodeFailure, ValueError) as exc:

@@ -9,7 +9,8 @@ the token texts reproduces the input byte for byte.
 
 Callers that only need the word list use `words`, the words-only path: it
 returns the same list as `tokenize(text).words()` without building a token
-per match. `tokenize` is for code that rebuilds text around the words.
+per match, and `canonical_words` returns their canonical forms. `tokenize`
+is for code that rebuilds text around the words.
 """
 
 from __future__ import annotations
@@ -17,10 +18,13 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 _ALPHABET_SET = frozenset(ALPHABET)
+_LETTER_BITS = {letter: 1 << i for i, letter in enumerate(ALPHABET)}
 
 # Word = letter run, optionally continued by apostrophe + letter run.
 # Both the ASCII apostrophe and U+2019 are word-internal; a leading or
@@ -98,6 +102,11 @@ class ConstraintSet:
     def as_string(self) -> str:
         return "".join(sorted(self.letters))
 
+    @property
+    def mask(self) -> int:
+        """The letters as a bit mask, bit i for ALPHABET[i] (see letter_masks)."""
+        return sum(_LETTER_BITS[letter] for letter in self.letters)
+
     def __contains__(self, ch: str) -> bool:
         return ch.lower() in self.letters
 
@@ -121,9 +130,33 @@ def canonical(word: str) -> str:
     return word.lower().replace("’", "'")
 
 
+def canonical_words(text: str) -> list[str]:
+    """The canonical forms of the word tokens of text, in order; equals
+    [canonical(w) for w in words(text)].
+
+    ASCII text is lowercased whole, in one pass. Other text is not, since
+    str.lower() maps some non-ASCII letters to ASCII ones (the Kelvin sign
+    to "k", a dotted capital I to "i" and a combining dot) and so would
+    make new words; its words are canonicalized one by one.
+    """
+    if text.isascii():
+        return WORD_RE.findall(text.lower())
+    return [canonical(w) for w in WORD_RE.findall(text)]
+
+
 def violates(word: str, c: ConstraintSet) -> bool:
     """True when the word contains any forbidden letter, case-insensitive."""
     return not c.letters.isdisjoint(word.lower())
+
+
+def letter_masks(words: Iterable[str]) -> np.ndarray:
+    """Each word's a-z letters as a bit mask, bit i for ALPHABET[i], read
+    from ``word.lower()`` as in violates: a word violates c exactly when
+    its mask and ``c.mask`` share a bit."""
+    return np.array(
+        [sum(_LETTER_BITS.get(ch, 0) for ch in set(w.lower())) for w in words],
+        dtype=np.int64,
+    )
 
 
 def strip_letters(word: str, c: ConstraintSet) -> str:

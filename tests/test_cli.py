@@ -445,7 +445,8 @@ class TestSweep:
 
 
 class TestLazyModel:
-    """Only train, beam translate and sweep read (so train or load) a model."""
+    """Only train, beam translate and sweep read (so train or load) a model,
+    and train builds no IDF table."""
 
     @pytest.fixture()
     def no_training(self, monkeypatch):
@@ -498,6 +499,18 @@ class TestLazyModel:
     ):
         assert run(args + ["--corpus", str(mini_corpus)], out_dir) == EXIT_OK
         assert len(trainings) == 1
+
+    def test_train_never_builds_an_idf_table(self, mini_corpus, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("train must not build an IDF table")
+
+        argv = ["train", "--corpus", str(mini_corpus)]
+        assert run(argv, tmp_path / "eager") == EXIT_OK
+        monkeypatch.setattr(lipogram.cli, "build_idf", refuse)
+        assert run(argv, tmp_path / "lazy") == EXIT_OK
+        assert (tmp_path / "lazy" / "model.ngram").read_bytes() == (
+            tmp_path / "eager" / "model.ngram"
+        ).read_bytes()
 
     def test_evaluate_ignores_missing_model(self, mini_corpus, out_dir, no_training):
         rc = run(

@@ -16,6 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lipogram.decoder import (
+    MAX_BEAM_CELLS,
+    ConstraintTables,
     DecodeFailure,
     _BeamEngine,
     DecoderConfig,
@@ -792,3 +794,212 @@ class TestDecodeFuzz:
             assert not any(violates(t, c) for t in h.tokens)
             assert not has_repeated_ngram(h.tokens, 3)
         assert sorted(hyps, key=lambda h: -h.combined) == hyps
+
+
+def per_paragraph_build(source, vocab, model, idf):
+    """The engine set-up built for one paragraph straight from the
+    model's counts and the IDF table's values, with no shared tables: the
+    oracle for the arrays gathered from ConstraintTables. Returns the LM-bigram rows (one per
+    vocabulary word, then BOS) and the IDF-bigram-square rows as dense
+    matrices with NaN where no pair is stored, the backoff vector, the
+    unigram idf vector, and the source's unigram and bigram weights."""
+    n = len(vocab)
+    index = {w: i for i, w in enumerate(vocab)}
+    log_alpha = math.log(model.alpha)
+    backoff = []
+    for w in vocab:
+        score = model._score((), w)
+        for _ in range(model.order - 1):
+            score = log_alpha + score
+        backoff.append(score)
+    lm = np.full((n + 1, n), np.nan)
+    if model.order > 1:
+        for row, first in enumerate(list(vocab) + [BOS]):
+            for second, count in model.continuations((first,)).items():
+                if second in index:
+                    score = math.log(count / model.count((first,)))
+                    for _ in range(model.order - 2):
+                        score = log_alpha + score
+                    lm[row, index[second]] = score
+    bigram_sq = np.full((n, n), np.nan)
+    for feat, value in idf.values.items():
+        first, sep, second = feat.partition(" ")
+        if sep and first in index and second in index:
+            bigram_sq[index[first], index[second]] = value * value
+    src_uni = np.zeros(n)
+    src_bi = np.full((n, n), np.nan)
+    for feat, weight in embed(source, idf).weights.items():
+        first, sep, second = feat.partition(" ")
+        if not sep:
+            if feat in index:
+                src_uni[index[feat]] = weight * idf.value(feat)
+        elif first in index and second in index:
+            src_bi[index[first], index[second]] = weight * idf.value(feat)
+    idf_uni = np.array([idf.value(w) for w in vocab])
+    return lm, bigram_sq, np.array(backoff), idf_uni, src_uni, src_bi
+
+
+def dense(pair_rows, n_rows, n_cols):
+    out = np.full((n_rows, n_cols), np.nan)
+    rows, seconds, values = pair_rows.pairs(np.arange(n_rows))
+    out[rows, seconds] = values
+    return out
+
+
+def engine_arrays(engine):
+    n = len(engine.vocab)
+    lm = (dense(engine._lm_bigrams, n + 1, n) if engine.model.order > 1
+          else np.full((n + 1, n), np.nan))
+    return (
+        lm,
+        dense(engine._bigram_sq, n, n),
+        engine._backoff_vec,
+        engine._idf_uni,
+        engine._src_uni,
+        dense(engine._src_bi, n, n),
+    )
+
+
+class TestConstraintTables:
+    """The engine arrays gathered from ConstraintTables equal the
+    per-paragraph build bit for bit, as dense matrices."""
+
+    # Words with and without each vowel, so constraints leave tails of
+    # every size; "kitty", "hound" and "zyzzyva" are unknown to the model,
+    # "qi" and "pup" appear only in the IDF documents.
+    MODEL_WORDS = ["the", "cat", "sat", "on", "my", "shy", "dog", "fly",
+                   "by", "it's", "rhythm", "a", "tomcat", "sky"]
+    IDF_WORDS = MODEL_WORDS + ["qi", "pup"]
+    SOURCE_WORDS = MODEL_WORDS + ["qi", "pup", "kitty", "hound", "zyzzyva"]
+
+    @given(
+        paras=st.lists(
+            st.lists(st.sampled_from(MODEL_WORDS), min_size=1, max_size=8),
+            min_size=1, max_size=5,
+        ),
+        docs=st.lists(
+            st.lists(st.sampled_from(IDF_WORDS), min_size=0, max_size=6),
+            min_size=1, max_size=5,
+        ),
+        source=st.lists(st.sampled_from(SOURCE_WORDS), min_size=1, max_size=8),
+        letters=st.one_of(
+            st.sampled_from(["", "aeiou", "aeiouy", "t"]),
+            st.sets(st.sampled_from("aeiosty"), max_size=3).map("".join),
+        ),
+        M=st.one_of(st.just(0), st.integers(1, 20)),
+        order=st.integers(1, 4),
+        alpha=st.sampled_from([0.4, 1.0]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_gathered_arrays_equal_per_paragraph_build(
+        self, paras, docs, source, letters, M, order, alpha
+    ):
+        model = train("\n\n".join(" ".join(p) for p in paras), order=order,
+                      alpha=alpha)
+        idf = build_idf([" ".join(d) for d in docs])
+        c = ConstraintSet.from_string(letters)
+        source = " ".join(source)
+        lex = toy_lexicon()
+        tables = ConstraintTables(c, model, idf, M)
+        try:
+            vocab = build_candidate_vocab(source, c, lex, model, M, tables)
+        except EmptyVocabulary:
+            return
+        assert vocab == build_candidate_vocab(source, c, lex, model, M)
+        cfg = DecoderConfig(candidate_vocab_size=M)
+        expected = per_paragraph_build(source, vocab, model, idf)
+        for engine in (
+            _BeamEngine(source, vocab, cfg, model, idf, tables),
+            _BeamEngine(source, vocab, cfg, model, idf),
+        ):
+            for got, want in zip(engine_arrays(engine), expected):
+                assert np.array_equal(got, want, equal_nan=True)
+
+    def test_fewer_legal_words_than_m_take_them_all(self):
+        model = train("my shy sky\n\nby my fly\n\nthe cat sat")
+        tables = ConstraintTables(
+            ConstraintSet.from_string("aeiou"), model, build_idf(["my"]), 50
+        )
+        assert sorted(tables.words) == ["by", "fly", "my", "shy", "sky"]
+
+    def test_vocabulary_must_be_legal_under_the_tables(self):
+        model = train("the cat sat\n\nmy shy sky")
+        idf = build_idf(["the cat"])
+        tables = ConstraintTables(ConstraintSet.from_string("e"), model, idf, 5)
+        with pytest.raises(ValueError, match="constraint"):
+            _BeamEngine("the cat", ["the", "cat"], DecoderConfig(), model, idf,
+                        tables)
+
+    def test_beam_search_rejects_tables_of_another_set(self):
+        model = train("the cat sat\n\nmy shy sky")
+        embedder = TfidfEmbedder(build_idf(["the cat"]))
+        tables = ConstraintTables(ConstraintSet.from_string("e"), model,
+                                  embedder.idf, 500)
+        with pytest.raises(ValueError, match="tables"):
+            beam_search("the cat", ConstraintSet.from_string("t"),
+                        DecoderConfig(), model, EMPTY_LEX, embedder, tables)
+
+
+class TestSetUpLevel:
+    """ConstraintTables are built once per constraint set, whatever the
+    number of paragraphs decoded under it."""
+
+    CORPUS = "\n\n".join([
+        "the cat sat on the mat by the door",
+        "my shy dog ran by the big old barn",
+        "a quick brown fox jumps over the lazy dog",
+        "we ate it all at noon and so it was good",
+        "the dog and the cat sat in the sun all day",
+    ])
+
+    @pytest.fixture()
+    def builds(self, monkeypatch):
+        calls = []
+        real_init = ConstraintTables.__init__
+
+        def counting(self, c, *args):
+            calls.append(c.as_string())
+            real_init(self, c, *args)
+
+        monkeypatch.setattr(ConstraintTables, "__init__", counting)
+        return calls
+
+    def pipeline(self):
+        from lipogram.pipeline import Pipeline
+
+        paras = self.CORPUS.split("\n\n")
+        return Pipeline(train(self.CORPUS), EMPTY_LEX, build_idf(paras), set())
+
+    @pytest.mark.parametrize("n_paragraphs", [1, 3, 5])
+    def test_one_build_per_translate_call(self, builds, n_paragraphs):
+        pipeline = self.pipeline()
+        paras = self.CORPUS.split("\n\n")[:n_paragraphs]
+        c = ConstraintSet.from_string("e")
+        outputs, _ = pipeline.translate(paras, c, "beam")
+        assert len(outputs) == n_paragraphs
+        assert builds == ["e"]
+        pipeline.translate(paras, ConstraintSet.from_string("o"), "beam")
+        assert builds == ["e", "o"]
+
+    @pytest.mark.parametrize("n_paragraphs", [1, 4])
+    def test_one_build_per_sweep_set(self, builds, n_paragraphs):
+        from lipogram.sweep import default_constraint_sets, run_sweep
+
+        sets = default_constraint_sets()[:3] + default_constraint_sets()[-1:]
+        points = run_sweep(self.CORPUS, sets, n_paragraphs, self.pipeline())
+        assert len(points) == len(sets)
+        assert builds == [c.as_string() for _, c in sets]
+
+
+class TestBeamCellCap:
+    def test_at_the_cap(self):
+        cfg = DecoderConfig(beam_width=MAX_BEAM_CELLS // 1000,
+                            candidate_vocab_size=1000)
+        assert cfg.beam_width * cfg.candidate_vocab_size == MAX_BEAM_CELLS
+
+    def test_past_the_cap_names_both_fields(self):
+        with pytest.raises(ValueError) as err:
+            DecoderConfig(beam_width=MAX_BEAM_CELLS // 1000,
+                          candidate_vocab_size=1001)
+        assert "beam_width" in str(err.value)
+        assert "candidate_vocab_size" in str(err.value)

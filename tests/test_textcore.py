@@ -16,8 +16,10 @@ from lipogram.textcore import (
     ConstraintSet,
     FreqTable,
     canonical,
+    canonical_words,
     exclusion_fraction,
     letter_frequencies,
+    letter_masks,
     split_paragraphs,
     strip_letters,
     tokenize,
@@ -154,6 +156,21 @@ class TestViolates:
         assert violates(word, c) == any(ch in c.letters for ch in word.lower())
 
 
+class TestLetterMasks:
+    @given(
+        st.lists(
+            st.text(max_size=20) | st.text(alphabet="abeEIOUxyZKİß’'", max_size=20),
+            max_size=8,
+        ),
+        st.sets(st.sampled_from(ALPHABET)),
+    )
+    @example(["EVER", "\u212a", "İ", ""], {"e", "k", "i"})
+    def test_mask_meets_constraint_iff_violates(self, word_list, letters):
+        c = ConstraintSet(frozenset(letters))
+        legal = (letter_masks(word_list) & c.mask) == 0
+        assert legal.tolist() == [not violates(w, c) for w in word_list]
+
+
 class TestStripLetters:
     def test_table_row_word(self):
         assert strip_letters("younger", E) == "youngr"
@@ -254,3 +271,11 @@ class TestCanonical:
     @given(st.text(alphabet="abcdefghij'", max_size=12))
     def test_idempotent(self, s):
         assert canonical(canonical(s)) == canonical(s)
+
+
+class TestCanonicalWords:
+    @given(st.text(alphabet=WORDISH, max_size=120) | st.text(max_size=60))
+    @example("I’ve SEEN Gatsby's dog")
+    @example("\u212aelvin \u0130stanbul")  # Kelvin sign and dotted I lower to ASCII
+    def test_equals_canonical_of_each_word(self, text):
+        assert canonical_words(text) == [canonical(w) for w in words(text)]
