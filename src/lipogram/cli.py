@@ -18,7 +18,6 @@ paragraph failed to decode.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from functools import cached_property

@@ -29,7 +29,7 @@ Set-up is done once at the level where its data lives:
   tail size M, holds the tail (the M most frequent legal words) with their
   ids, backoff LM scores and idf values, and the LM and IDF bigram pair
   rows among all legal words. ``Pipeline`` builds it once per translate
-  call; ``beam_search`` builds its own when called without it.
+  call, and every search reads its constraint, model and IDF table from it.
 - Paragraph: ``_BeamEngine`` keeps only what depends on the source. It
   looks up the few vocabulary words outside the tail, gathers its arrays
   and pair rows from the tables through one map from vocabulary position
@@ -55,7 +55,7 @@ import numpy as np
 
 from . import textcore
 from .lexicon import Lexicon, constraint_free_synonyms
-from .metrics import IdfTable, TfidfEmbedder, cosine_similarity, embed
+from .metrics import IdfTable, cosine_similarity, embed
 from .ngram import BOS, NGramModel
 from .textcore import ConstraintSet, canonical, violates
 
@@ -180,21 +180,16 @@ class Hypothesis:
 
 
 def build_candidate_vocab(
-    source_paragraph: str,
-    c: ConstraintSet,
-    lex: Lexicon,
-    m: NGramModel,
-    M: int,
-    tables: ConstraintTables | None = None,
+    source_paragraph: str, tables: ConstraintTables, lex: Lexicon
 ) -> list[str]:
     """Legal words for the search, in deterministic priority order.
 
-    Source words that pass the constraint come first (source order), then
-    constraint-free synonyms of every source word, then the M most frequent
-    legal model-vocabulary words (count desc, then alphabetical). Given the
-    ``tables`` of (c, M), those words are their tail, read once per
-    constraint set rather than once per paragraph.
+    Source words that pass the tables' constraint come first (source
+    order), then constraint-free synonyms of every source word, then the
+    tables' tail: the M most frequent legal model-vocabulary words (count
+    desc, then alphabetical).
     """
+    c = tables.constraint
     ordered: list[str] = []
     seen: set[str] = set()
 
@@ -210,21 +205,13 @@ def build_candidate_vocab(
     for word in source_words:
         for synonym in constraint_free_synonyms(word, c, lex):
             add(canonical(synonym))
-    tail = tables.words if tables is not None else _legal_tail(c, m, M)
-    ordered.extend(word for word in tail if word not in seen)
+    ordered.extend(word for word in tables.words if word not in seen)
 
     if not ordered:
         raise EmptyVocabulary(
             f"no legal candidate words under letters {c.as_string()!r}"
         )
     return ordered
-
-
-def _legal_tail(c: ConstraintSet, m: NGramModel, M: int) -> list[str]:
-    """The M most frequent legal model words (all of them when fewer are
-    legal), read off the ranked list by the model's letter masks."""
-    legal = (m.letter_masks[: len(m.ranked_words)] & c.mask) == 0
-    return [m.ranked_words[i] for i in np.flatnonzero(legal)[:M]]
 
 
 class ConstraintTables:
@@ -248,7 +235,10 @@ class ConstraintTables:
         self.size = M
         self.model = model
         self.idf = idf
-        self.words = _legal_tail(c, model, M)
+        # The M most frequent legal model words (all of them when fewer are
+        # legal), read off the ranked list by the model's letter masks.
+        legal = (model.letter_masks[: len(model.ranked_words)] & c.mask) == 0
+        self.words = [model.ranked_words[i] for i in np.flatnonzero(legal)[:M]]
         self.position = {w: i for i, w in enumerate(self.words)}
         self.model_ids, self.idf_ids, self.backoff, self.idf_uni = self.lookup(
             self.words
@@ -285,15 +275,6 @@ class ConstraintTables:
             features.bigram_firsts[inside],
             features.bigram_seconds[inside],
             values * values,
-        )
-
-    def matches(
-        self, c: ConstraintSet, model: NGramModel, idf: IdfTable, M: int
-    ) -> bool:
-        """Whether these are the tables of (c, model, idf, M)."""
-        return (
-            self.constraint == c and self.size == M
-            and self.model is model and self.idf is idf
         )
 
     def lookup(self, words: Sequence[str]):
@@ -410,9 +391,9 @@ class _BeamEngine:
 
     The engine holds the paragraph-level state only: the vocabulary, the
     source's TF-IDF weights over it, and the arrays and pair rows gathered
-    for its words from the ``ConstraintTables``. Every vocabulary word must
-    be legal under the tables' constraint; without tables the engine builds
-    its own for the empty constraint and no tail, which fit any vocabulary.
+    for its words from the ``ConstraintTables``, which also give the model
+    and the IDF table. Every vocabulary word must be legal under the
+    tables' constraint.
     """
 
     def __init__(
@@ -420,13 +401,11 @@ class _BeamEngine:
         source_paragraph: str,
         vocab: Sequence[str],
         cfg: DecoderConfig,
-        model: NGramModel,
-        idf: IdfTable,
-        tables: ConstraintTables | None = None,
+        tables: ConstraintTables,
     ):
+        model, idf = tables.model, tables.idf
         self.cfg = cfg
         self.model = model
-        self.idf = idf
         self.vocab = list(vocab)
         self.index = {w: i for i, w in enumerate(self.vocab)}
         n_vocab = len(self.vocab)
@@ -437,8 +416,6 @@ class _BeamEngine:
 
         # Each vocabulary word's row in the tail arrays, or past them in the
         # arrays of the few words outside the tail, looked up here.
-        if tables is None:
-            tables = ConstraintTables(ConstraintSet(), model, idf, 0)
         at = _positions(self.vocab, tables.position)
         outside = np.flatnonzero(at < 0)
         extra = [self.vocab[i] for i in outside]
@@ -667,36 +644,27 @@ def _inverse(word_ids: np.ndarray, n_ids: int) -> np.ndarray:
 
 def beam_search(
     source_paragraph: str,
-    c: ConstraintSet,
+    tables: ConstraintTables,
     cfg: DecoderConfig,
-    m: NGramModel,
     lex: Lexicon,
-    embedder: TfidfEmbedder,
-    tables: ConstraintTables | None = None,
 ) -> list[Hypothesis]:
     """Decode one paragraph; top candidates sorted by combined score.
 
-    The in-search similarity term always uses the built-in TF-IDF embedder
-    (it needs feature-level access for incremental updates); a remote
-    embedder belongs in multiselect and evaluation instead. A caller that
-    decodes many paragraphs under one constraint set passes the
-    ``ConstraintTables`` it built once; without them each call builds its
-    own.
+    The constraint, the model and the IDF table come from ``tables``, built
+    once per constraint set with tail size ``cfg.candidate_vocab_size``. The
+    in-search similarity term always uses the built-in TF-IDF features of
+    that IDF table (it needs feature-level access for incremental updates);
+    a remote embedder belongs in multiselect and evaluation instead.
     """
-    if not isinstance(embedder, TfidfEmbedder):
-        raise TypeError(
-            "beam_search requires the built-in TF-IDF embedder; "
-            "remote embedders apply only to selection and evaluation"
-        )
     if not textcore.words(source_paragraph):
         raise ValueError("source paragraph has no words")
-    M = cfg.candidate_vocab_size
-    if tables is None:
-        tables = ConstraintTables(c, m, embedder.idf, M)
-    elif not tables.matches(c, m, embedder.idf, M):
-        raise ValueError("the tables were built for another constraint set or model")
-    vocab = build_candidate_vocab(source_paragraph, c, lex, m, M, tables)
-    engine = _BeamEngine(source_paragraph, vocab, cfg, m, embedder.idf, tables)
+    if tables.size != cfg.candidate_vocab_size:
+        raise ValueError(
+            f"the tables were built for a tail of M = {tables.size} words, "
+            f"but candidate_vocab_size is {cfg.candidate_vocab_size}"
+        )
+    vocab = build_candidate_vocab(source_paragraph, tables, lex)
+    engine = _BeamEngine(source_paragraph, vocab, cfg, tables)
 
     if cfg.mode == "deterministic":
         return engine.run(cfg.candidates_k)

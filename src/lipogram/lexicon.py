@@ -30,7 +30,6 @@ class Lexicon:
     """Immutable after load; lookup is case-insensitive."""
 
     entries: dict[str, LexiconEntry] = field(default_factory=dict)
-    dictionary: set[str] = field(default_factory=set)
 
     def lookup(self, word: str) -> LexiconEntry | None:
         return self.entries.get(word.lower())
@@ -46,12 +45,10 @@ class Lexicon:
 def load_lexicon(path) -> Lexicon:
     """Parse the TSV; duplicate words keep the first occurrence.
 
-    The lexicon's dictionary defaults to every surface word, lemma, and
-    synonym in the file; OOV checks may use a separate word list instead
-    (see load_dictionary).
+    Words and lemmas are lowercased; synonyms keep their case. The OOV
+    metric's word list is a separate file (see load_dictionary).
     """
     entries: dict[str, LexiconEntry] = {}
-    dictionary: set[str] = set()
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -86,10 +83,7 @@ def load_lexicon(path) -> Lexicon:
                 raise ValueError(f"{path}: line {lineno}: negative frequency")
             if word not in entries:
                 entries[word] = LexiconEntry(word, lemma, synonyms, freq)
-            dictionary.add(word)
-            dictionary.add(lemma)
-            dictionary.update(s.lower() for s in synonyms)
-    return Lexicon(entries, dictionary)
+    return Lexicon(entries)
 
 
 def load_dictionary(path) -> set[str]:

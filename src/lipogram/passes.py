@@ -339,8 +339,9 @@ def grammar_correct(text: str, c: ConstraintSet, provider) -> str:
     """Apply constraint-safe grammar suggestions; never fail hard.
 
     Suggestions that would introduce a forbidden letter are skipped, as
-    are overlapping ones after an earlier suggestion was applied. An
-    unreachable provider logs a warning and returns the text unchanged.
+    are overlapping ones after an earlier suggestion was applied and ones
+    whose span is negative or runs past the text. An unreachable provider
+    logs a warning and returns the text unchanged.
     """
     try:
         matches = provider.check(text)
@@ -352,7 +353,7 @@ def grammar_correct(text: str, c: ConstraintSet, provider) -> str:
     for m in sorted(matches, key=lambda m: (m.offset, m.length)):
         if m.replacement is None or m.offset < cursor:
             continue
-        if m.offset + m.length > len(text):
+        if m.length < 0 or m.offset + m.length > len(text):
             continue
         if any(ch in c for ch in m.replacement if ch.isalpha()):
             continue

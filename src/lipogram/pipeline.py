@@ -64,10 +64,9 @@ class Pipeline:
         self.lexicon = lexicon
         self.idf = idf
         self.dictionary = dictionary
-        self.tfidf = TfidfEmbedder(idf)
         # Candidate selection, trimming, and evaluation may use a remote
         # embedder; the in-search similarity always uses the built-in one.
-        self.select_embedder = select_embedder or self.tfidf
+        self.select_embedder = select_embedder or TfidfEmbedder(idf)
         self.grammar = grammar or OfflineGrammar()
 
     def translate(
@@ -100,9 +99,7 @@ class Pipeline:
         failures = 0
         for i, source in enumerate(paragraphs):
             try:
-                candidates = beam_search(
-                    source, c, cfg, self.model, self.lexicon, self.tfidf, tables
-                )
+                candidates = beam_search(source, tables, cfg, self.lexicon)
                 best = multiselect(candidates, source, self.select_embedder)
             except (EmptyVocabulary, DecodeFailure, ValueError) as exc:
                 log.warning("paragraph %d left empty: %s", i, exc)

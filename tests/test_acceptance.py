@@ -24,6 +24,7 @@ from scipy.stats import spearmanr
 
 from lipogram.cli import main as cli_main
 from lipogram.decoder import (
+    ConstraintTables,
     DecodeFailure,
     DecoderConfig,
     EmptyVocabulary,
@@ -185,12 +186,12 @@ def test_criterion_07_beam_oracle_equivalence():
             lambda_sim=0.0,
             no_repeat_ngram=rng.choice([2, 3]),
         )
-        lexicon = Lexicon({}, set())
-        embedder = TfidfEmbedder(build_idf(paras))
-        candidates = beam_search(source, c, cfg, model, lexicon, embedder)
+        lexicon = Lexicon({})
+        tables = ConstraintTables(c, model, build_idf(paras), cfg.candidate_vocab_size)
+        candidates = beam_search(source, tables, cfg, lexicon)
         assert candidates, (i, source)
 
-        vocab = build_candidate_vocab(source, c, lexicon, model, cfg.candidate_vocab_size)
+        vocab = build_candidate_vocab(source, tables, lexicon)
         s = len(tokenize(source).words())
         n_min = math.ceil(cfg.min_ratio * s)
         n_max = math.floor(cfg.max_ratio * s)
@@ -303,7 +304,7 @@ def test_criterion_12_length_bounds():
     rng = random.Random(1212)
     cfg = DecoderConfig(beam_width=4, candidates_k=3, candidate_vocab_size=30)
     assert cfg.min_ratio == 0.5 and cfg.max_ratio == 1.5
-    lexicon = Lexicon({}, set())
+    lexicon = Lexicon({})
     checked = 0
     attempts = 0
     while checked < 1000 and attempts < 3000:
@@ -314,13 +315,14 @@ def test_criterion_12_length_bounds():
             for _ in range(2)
         ]
         model = train("\n\n".join(paras), order=2)
-        embedder = TfidfEmbedder(build_idf(paras))
+        idf = build_idf(paras)
         source = " ".join(rng.choice(vocab_words) for _ in range(rng.randint(1, 6)))
         letters = rng.choice(["", "z", "q", rng.choice(ALPHABET)])
         c = ConstraintSet.from_string(letters)
         s = len(tokenize(source).words())
         try:
-            candidates = beam_search(source, c, cfg, model, lexicon, embedder)
+            tables = ConstraintTables(c, model, idf, cfg.candidate_vocab_size)
+            candidates = beam_search(source, tables, cfg, lexicon)
         except (DecodeFailure, EmptyVocabulary, ValueError):
             continue
         lo, hi = math.ceil(0.5 * s), math.floor(1.5 * s)

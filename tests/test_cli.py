@@ -524,7 +524,7 @@ class TestLazyModel:
         from lipogram.metrics import build_idf
         from lipogram.pipeline import Pipeline
 
-        pipeline = Pipeline(None, Lexicon({}, set()), build_idf(["a cat"]), set())
+        pipeline = Pipeline(None, Lexicon({}), build_idf(["a cat"]), set())
         e = ConstraintSet.from_string("e")
         assert pipeline.translate(["the cat"], e, "edelete") == (["th cat"], 0)
         with pytest.raises(ValueError, match="n-gram model"):

@@ -34,9 +34,30 @@ from lipogram.metrics import TfidfEmbedder, build_idf, cosine_similarity, embed
 from lipogram.ngram import BOS, EOS, train
 from lipogram.textcore import ALPHABET, ConstraintSet, violates
 
-EMPTY_LEX = Lexicon({}, set())
+EMPTY_LEX = Lexicon({})
 NO_CONSTRAINT = ConstraintSet()
+NO_DOCS = build_idf([])  # for tests that read only the tail and the vocabulary
 POOL = ["aa", "bb", "cc", "dd", "ee", "ff", "gg", "hh"]
+
+
+def vocab_of(source, c, lex, model, M, idf=NO_DOCS):
+    """build_candidate_vocab under the ConstraintTables of (c, model, idf, M)."""
+    return build_candidate_vocab(source, ConstraintTables(c, model, idf, M), lex)
+
+
+def search(source, c, cfg, model, idf, lex=EMPTY_LEX):
+    """beam_search under the ConstraintTables of (c, model, idf) and the
+    tail size cfg.candidate_vocab_size."""
+    tables = ConstraintTables(c, model, idf, cfg.candidate_vocab_size)
+    return beam_search(source, tables, cfg, lex)
+
+
+def engine_of(source, c, cfg, model, idf, M):
+    """The engine for source over its vocabulary under the tables of
+    (c, model, idf, M)."""
+    tables = ConstraintTables(c, model, idf, M)
+    vocab = build_candidate_vocab(source, tables, EMPTY_LEX)
+    return _BeamEngine(source, vocab, cfg, tables)
 
 
 def has_repeated_ngram(seq, n):
@@ -68,7 +89,7 @@ def toy_lexicon():
         "cat": LexiconEntry("cat", "cat", ("kitty", "tomcat"), 5),
         "dog": LexiconEntry("dog", "dog", ("hound", "pup"), 4),
     }
-    return Lexicon(entries, {"cat", "dog", "kitty", "tomcat", "hound", "pup"})
+    return Lexicon(entries)
 
 
 class TestDecoderConfig:
@@ -183,39 +204,31 @@ class TestBuildCandidateVocab:
 
     def test_source_words_first_in_order(self):
         model = train(self.CORPUS)
-        vocab = build_candidate_vocab(
-            "the cat sat", NO_CONSTRAINT, EMPTY_LEX, model, 0
-        )
+        vocab = vocab_of("the cat sat", NO_CONSTRAINT, EMPTY_LEX, model, 0)
         assert vocab == ["the", "cat", "sat"]
 
     def test_constraint_filters_source_words(self):
         model = train(self.CORPUS)
-        vocab = build_candidate_vocab(
+        vocab = vocab_of(
             "the cat sat", ConstraintSet.from_string("h"), EMPTY_LEX, model, 0
         )
         assert vocab == ["cat", "sat"]
 
     def test_synonyms_follow_source_words(self):
         model = train(self.CORPUS)
-        vocab = build_candidate_vocab(
-            "a cat ran", NO_CONSTRAINT, toy_lexicon(), model, 0
-        )
+        vocab = vocab_of("a cat ran", NO_CONSTRAINT, toy_lexicon(), model, 0)
         assert vocab == ["a", "cat", "ran", "kitty", "tomcat"]
 
     def test_model_words_fill_by_frequency_then_alpha(self):
         model = train(self.CORPUS)
-        vocab = build_candidate_vocab(
-            "a cat", NO_CONSTRAINT, EMPTY_LEX, model, 3
-        )
+        vocab = vocab_of("a cat", NO_CONSTRAINT, EMPTY_LEX, model, 3)
         # Top 3 by count then alphabet: the=4, then cat, on (sat is cut
         # by the cap); "cat" then collapses into the source words.
         assert vocab == ["a", "cat", "the", "on"]
 
     def test_model_word_cap_applies_before_dedupe(self):
         model = train(self.CORPUS)
-        everything = build_candidate_vocab(
-            "a cat", NO_CONSTRAINT, EMPTY_LEX, model, 100
-        )
+        everything = vocab_of("a cat", NO_CONSTRAINT, EMPTY_LEX, model, 100)
         assert set(everything) == {
             "a", "cat", "the", "on", "sat", "mat", "dog", "rug", "ran"
         }
@@ -223,7 +236,7 @@ class TestBuildCandidateVocab:
     def test_empty_vocabulary_raises(self):
         model = train(self.CORPUS)
         with pytest.raises(EmptyVocabulary):
-            build_candidate_vocab(
+            vocab_of(
                 "a cat", ConstraintSet.from_string("aeiou"), EMPTY_LEX, model, 100
             )
 
@@ -278,14 +291,14 @@ class TestEarlyStoppingVocab:
         c = ConstraintSet.from_string(letters)
         lex = toy_lexicon()
         try:
-            got = build_candidate_vocab(source, c, lex, self.MODEL, M)
+            got = vocab_of(source, c, lex, self.MODEL, M)
         except EmptyVocabulary:
             got = []
         assert got == full_sort_vocab(source, c, lex, self.MODEL, M)
 
     def test_m_beyond_legal_count_takes_every_legal_word(self):
         c = ConstraintSet.from_string("aeiou")
-        vocab = build_candidate_vocab("my shy", c, EMPTY_LEX, self.MODEL, 10_000)
+        vocab = vocab_of("my shy", c, EMPTY_LEX, self.MODEL, 10_000)
         legal = [w for (w,) in self.MODEL.tables[0] if w not in (BOS, EOS)
                  and not violates(w, c)]
         assert sorted(vocab) == sorted(set(legal) | {"my", "shy"})
@@ -372,15 +385,13 @@ class TestOracleEquivalence:
                 lambda_sim=0.0,
                 candidate_vocab_size=50,
             )
-            embedder = TfidfEmbedder(build_idf(paras))
+            idf = build_idf(paras)
             source_len = len(source.split())
             lmin = math.ceil(0.5 * source_len)
             lmax = math.floor(1.5 * source_len)
             oracle = exhaustive_best(model, vocab, lmin, lmax, n)
             try:
-                top = beam_search(
-                    source, NO_CONSTRAINT, cfg, model, EMPTY_LEX, embedder
-                )[0]
+                top = search(source, NO_CONSTRAINT, cfg, model, idf)[0]
             except DecodeFailure:
                 assert oracle is None, f"instance {i}: beam failed, oracle {oracle}"
                 continue
@@ -399,9 +410,7 @@ class TestScoringInvariants:
         params = {"beam_width": 16, "candidates_k": 8, "candidate_vocab_size": 20}
         params.update(overrides)
         cfg = DecoderConfig(**params)
-        hyps = beam_search(
-            "big cat sat on a mat", NO_CONSTRAINT, cfg, model, EMPTY_LEX, embedder
-        )
+        hyps = search("big cat sat on a mat", NO_CONSTRAINT, cfg, model, embedder.idf)
         return hyps, model, embedder
 
     def test_combined_is_weighted_sum(self):
@@ -461,8 +470,7 @@ class TestPoolScores:
             idf = build_idf(paras)
             source = " ".join(rng.choice(words) for _ in range(rng.randint(3, 7)))
             cfg = DecoderConfig(beam_width=12, candidates_k=1, no_repeat_ngram=6)
-            vocab = build_candidate_vocab(source, NO_CONSTRAINT, EMPTY_LEX, model, 10)
-            engine = _BeamEngine(source, vocab, cfg, model, idf)
+            engine = engine_of(source, NO_CONSTRAINT, cfg, model, idf, 10)
             pool = engine.run(unreachable_k(engine))
             source_vec = embed(source, idf)
             for h in pool:
@@ -476,9 +484,7 @@ class TestPoolScores:
 def reference_search(source, c, cfg, model, idf):
     """beam_search as it was without the early stop: every engine run gets
     an unreachable k and goes to the maximum length."""
-    vocab = build_candidate_vocab(source, c, EMPTY_LEX, model,
-                                  cfg.candidate_vocab_size)
-    engine = _BeamEngine(source, vocab, cfg, model, idf)
+    engine = engine_of(source, c, cfg, model, idf, cfg.candidate_vocab_size)
     k = unreachable_k(engine)
     if cfg.mode == "deterministic":
         return engine.run(k)[: cfg.candidates_k]
@@ -544,9 +550,8 @@ class TestEarlyStop:
             candidate_vocab_size=10, mode=mode, seed=seed,
         )
         args = (" ".join(source), ConstraintSet.from_string("".join(letters)),
-                cfg, model)
-        fast = outcome(beam_search, *args, EMPTY_LEX, TfidfEmbedder(idf))
-        assert fast == outcome(reference_search, *args, idf)
+                cfg, model, idf)
+        assert outcome(search, *args) == outcome(reference_search, *args)
 
     def test_stop_ends_the_search_early(self):
         """On a long source the top few are settled well before the
@@ -556,8 +561,7 @@ class TestEarlyStop:
         idf = build_idf(corpus.split("\n\n"))
         source = " ".join(["aa bb cc dd ee"] * 4)
         cfg = DecoderConfig(beam_width=8, candidates_k=2)
-        vocab = build_candidate_vocab(source, NO_CONSTRAINT, EMPTY_LEX, model, 10)
-        engine = _BeamEngine(source, vocab, cfg, model, idf)
+        engine = engine_of(source, NO_CONSTRAINT, cfg, model, idf, 10)
         steps = []
         lm_rows = engine._lm_rows
 
@@ -578,40 +582,39 @@ class TestLengthBounds:
     def test_fractional_ratios_round_inward(self):
         corpus = "aa bb cc\n\nbb cc aa\n\ncc aa bb"
         model = train(corpus)
-        embedder = TfidfEmbedder(build_idf(corpus.split("\n\n")))
+        idf = build_idf(corpus.split("\n\n"))
         cfg = DecoderConfig(
             beam_width=8, candidates_k=4, min_ratio=0.7, max_ratio=1.2,
             candidate_vocab_size=10,
         )
-        hyps = beam_search("aa bb cc", NO_CONSTRAINT, cfg, model, EMPTY_LEX, embedder)
+        hyps = search("aa bb cc", NO_CONSTRAINT, cfg, model, idf)
         # ceil(0.7*3)=3 and floor(1.2*3)=3: every output has exactly 3 tokens.
         assert hyps and all(len(h.tokens) == 3 for h in hyps)
 
     def test_impossible_window_is_a_decode_failure(self):
         corpus = "aa bb cc\n\nbb cc aa"
         model = train(corpus)
-        embedder = TfidfEmbedder(build_idf(corpus.split("\n\n")))
+        idf = build_idf(corpus.split("\n\n"))
         cfg = DecoderConfig(
             beam_width=4, candidates_k=2, min_ratio=0.5, max_ratio=0.55,
             candidate_vocab_size=10,
         )
         # ceil(0.5*3)=2 > floor(0.55*3)=1: no legal length exists.
         with pytest.raises(DecodeFailure):
-            beam_search("aa bb cc", NO_CONSTRAINT, cfg, model, EMPTY_LEX, embedder)
+            search("aa bb cc", NO_CONSTRAINT, cfg, model, idf)
 
     def test_strangled_search_is_a_decode_failure(self):
         # One word and bigram no-repeat: "aa aa aa" needs (aa, aa) twice,
         # so no beam ever reaches the minimum length of 3.
         corpus = "aa aa aa aa aa"
         model = train(corpus)
-        embedder = TfidfEmbedder(build_idf([corpus]))
+        idf = build_idf([corpus])
         cfg = DecoderConfig(
             beam_width=4, candidates_k=2, no_repeat_ngram=2,
             candidate_vocab_size=5,
         )
         with pytest.raises(DecodeFailure):
-            beam_search("aa aa aa aa aa", NO_CONSTRAINT, cfg, model,
-                        EMPTY_LEX, embedder)
+            search("aa aa aa aa aa", NO_CONSTRAINT, cfg, model, idf)
 
 
 class TestDeterminismAndSampling:
@@ -619,14 +622,12 @@ class TestDeterminismAndSampling:
 
     def run_once(self, mode="deterministic", seed=0):
         model = train(self.CORPUS)
-        embedder = TfidfEmbedder(build_idf(self.CORPUS.split("\n\n")))
+        idf = build_idf(self.CORPUS.split("\n\n"))
         cfg = DecoderConfig(
             beam_width=8, candidates_k=4, candidate_vocab_size=10,
             mode=mode, seed=seed,
         )
-        return beam_search(
-            "the cat sat", NO_CONSTRAINT, cfg, model, EMPTY_LEX, embedder
-        )
+        return search("the cat sat", NO_CONSTRAINT, cfg, model, idf)
 
     def test_deterministic_mode_is_repeatable(self):
         assert self.run_once() == self.run_once()
@@ -658,7 +659,7 @@ class TestBeamWidthMonotonicity:
             source = " ".join(rng.choice(vocab) for _ in range(rng.randint(2, 4)))
             lam_sim = rng.choice([0.0, 1.0, 5.0])
             n = rng.choice([2, 3])
-            embedder = TfidfEmbedder(build_idf(paras))
+            idf = build_idf(paras)
             previous = None
             for width in (1, 2, 4, 8, 16):
                 cfg = DecoderConfig(
@@ -666,9 +667,7 @@ class TestBeamWidthMonotonicity:
                     lambda_sim=lam_sim, candidate_vocab_size=50,
                 )
                 try:
-                    score = beam_search(
-                        source, NO_CONSTRAINT, cfg, model, EMPTY_LEX, embedder
-                    )[0].combined
+                    score = search(source, NO_CONSTRAINT, cfg, model, idf)[0].combined
                 except DecodeFailure:
                     continue
                 if previous is not None:
@@ -679,31 +678,18 @@ class TestBeamWidthMonotonicity:
 class TestBeamSearchGuards:
     CORPUS = "the cat sat\n\nthe dog ran"
 
-    def test_requires_builtin_embedder(self):
-        model = train(self.CORPUS)
-        with pytest.raises(TypeError, match="TF-IDF"):
-            beam_search(
-                "the cat", NO_CONSTRAINT, DecoderConfig(), model,
-                EMPTY_LEX, object(),
-            )
-
     def test_wordless_source_rejected(self):
         model = train(self.CORPUS)
-        embedder = TfidfEmbedder(build_idf(self.CORPUS.split("\n\n")))
+        idf = build_idf(self.CORPUS.split("\n\n"))
         with pytest.raises(ValueError, match="no words"):
-            beam_search(
-                "1234 !!", NO_CONSTRAINT, DecoderConfig(), model,
-                EMPTY_LEX, embedder,
-            )
+            search("1234 !!", NO_CONSTRAINT, DecoderConfig(), model, idf)
 
     def test_empty_vocabulary_propagates(self):
         model = train(self.CORPUS)
-        embedder = TfidfEmbedder(build_idf(self.CORPUS.split("\n\n")))
+        idf = build_idf(self.CORPUS.split("\n\n"))
         with pytest.raises(EmptyVocabulary):
-            beam_search(
-                "the cat", ConstraintSet.from_string("aeiou"),
-                DecoderConfig(), model, EMPTY_LEX, embedder,
-            )
+            search("the cat", ConstraintSet.from_string("aeiou"),
+                   DecoderConfig(), model, idf)
 
 
 class TestMultiselect:
@@ -775,14 +761,14 @@ class TestDecodeFuzz:
     @settings(max_examples=25, deadline=None)
     def test_outputs_respect_constraint_lengths_and_order(self, source_ix, letters):
         model = train(self.CORPUS)
-        embedder = TfidfEmbedder(build_idf(self.CORPUS.split("\n\n")))
+        idf = build_idf(self.CORPUS.split("\n\n"))
         source = " ".join(self.WORDS[i] for i in source_ix)
         c = ConstraintSet.from_string("".join(letters))
         cfg = DecoderConfig(
             beam_width=6, candidates_k=3, candidate_vocab_size=10
         )
         try:
-            hyps = beam_search(source, c, cfg, model, EMPTY_LEX, embedder)
+            hyps = search(source, c, cfg, model, idf)
         except (EmptyVocabulary, DecodeFailure):
             return
         source_len = len(source_ix)
@@ -902,15 +888,17 @@ class TestConstraintTables:
         lex = toy_lexicon()
         tables = ConstraintTables(c, model, idf, M)
         try:
-            vocab = build_candidate_vocab(source, c, lex, model, M, tables)
+            vocab = build_candidate_vocab(source, tables, lex)
         except EmptyVocabulary:
             return
-        assert vocab == build_candidate_vocab(source, c, lex, model, M)
         cfg = DecoderConfig(candidate_vocab_size=M)
         expected = per_paragraph_build(source, vocab, model, idf)
+        # Under the empty constraint and no tail, every vocabulary word is
+        # looked up outside the tail.
         for engine in (
-            _BeamEngine(source, vocab, cfg, model, idf, tables),
-            _BeamEngine(source, vocab, cfg, model, idf),
+            _BeamEngine(source, vocab, cfg, tables),
+            _BeamEngine(source, vocab, cfg,
+                        ConstraintTables(NO_CONSTRAINT, model, idf, 0)),
         ):
             for got, want in zip(engine_arrays(engine), expected):
                 assert np.array_equal(got, want, equal_nan=True)
@@ -927,17 +915,14 @@ class TestConstraintTables:
         idf = build_idf(["the cat"])
         tables = ConstraintTables(ConstraintSet.from_string("e"), model, idf, 5)
         with pytest.raises(ValueError, match="constraint"):
-            _BeamEngine("the cat", ["the", "cat"], DecoderConfig(), model, idf,
-                        tables)
+            _BeamEngine("the cat", ["the", "cat"], DecoderConfig(), tables)
 
-    def test_beam_search_rejects_tables_of_another_set(self):
+    def test_beam_search_rejects_tables_of_another_tail_size(self):
         model = train("the cat sat\n\nmy shy sky")
-        embedder = TfidfEmbedder(build_idf(["the cat"]))
         tables = ConstraintTables(ConstraintSet.from_string("e"), model,
-                                  embedder.idf, 500)
-        with pytest.raises(ValueError, match="tables"):
-            beam_search("the cat", ConstraintSet.from_string("t"),
-                        DecoderConfig(), model, EMPTY_LEX, embedder, tables)
+                                  build_idf(["the cat"]), 499)
+        with pytest.raises(ValueError, match="candidate_vocab_size"):
+            beam_search("a cat sat", tables, DecoderConfig(), EMPTY_LEX)
 
 
 class TestSetUpLevel:

@@ -80,12 +80,6 @@ class TestLoadLexicon:
         with pytest.raises(ValueError, match="line 1"):
             load_lexicon(p)
 
-    def test_dictionary_collects_all_forms(self, tmp_path):
-        lex = load_lexicon(
-            write_lexicon(tmp_path, "gave\tgive\tgrant\t5\n")
-        )
-        assert {"gave", "give", "grant"} <= lex.dictionary
-
 
 class TestLoadDictionary:
     def test_basic(self, tmp_path):
@@ -95,7 +89,7 @@ class TestLoadDictionary:
 
 
 def make_lex(*entries):
-    return Lexicon({e.word: e for e in entries}, set())
+    return Lexicon({e.word: e for e in entries})
 
 
 class TestConstraintFreeSynonyms:

@@ -7,7 +7,7 @@ import threading
 import urllib.parse
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lipogram.metrics import TfidfEmbedder, build_idf, cosine_similarity
@@ -351,6 +351,29 @@ class TestGrammarCorrect:
             out = grammar_correct("still still here", E, FailingGrammar())
         assert out == "still still here"
         assert any("grammar" in rec.message for rec in caplog.records)
+
+    @given(
+        text=st.sampled_from(["a cat sat", "the cat sat", "my dog and my cat sit"]),
+        offset=st.integers(-12, 12),
+        length=st.integers(-12, 12),
+        replacement=st.text(alphabet="xyz ", max_size=4),
+    )
+    @example(text="a cat sat", offset=2, length=-1, replacement="X")
+    @example(text="the cat sat", offset=4, length=-2, replacement="dog")
+    @example(text="the cat sat", offset=-1, length=2, replacement="a")
+    @settings(max_examples=200, deadline=None)
+    def test_applied_suggestion_replaces_exactly_its_span(
+        self, text, offset, length, replacement
+    ):
+        """A suggestion replaces text[offset:offset + length]; one whose
+        span is negative or runs past the text is skipped."""
+        out = grammar_correct(
+            text, NONE, StubGrammar([GrammarMatch(offset, length, replacement)])
+        )
+        if 0 <= offset and 0 <= length and offset + length <= len(text):
+            assert out == text[:offset] + replacement + text[offset + length:]
+        else:
+            assert out == text
 
     @given(
         replacement=st.text(alphabet="aerst ", min_size=1, max_size=8),

@@ -207,7 +207,7 @@ class TestRunSweep:
         paragraphs = split_paragraphs(self.CORPUS)
         idf = build_idf(paragraphs)
         dictionary = {w for p in paragraphs for w in p.split()}
-        return Pipeline(model, Lexicon({}, set()), idf, dictionary)
+        return Pipeline(model, Lexicon({}), idf, dictionary)
 
     def cfg(self):
         return DecoderConfig(beam_width=6, candidates_k=3, candidate_vocab_size=20)

@@ -134,6 +134,41 @@ class TestWords:
         assert offenders == []
 
 
+def test_package_has_no_unused_imports():
+    """Every name a module under src/lipogram imports is read in it.
+
+    ``__init__.py`` re-exports what it imports, and ``__future__``
+    imports are directives, so both are exempt. A quoted annotation
+    counts as a read of the names in it.
+    """
+    package = Path(__file__).resolve().parents[1] / "src" / "lipogram"
+    unused = []
+    for path in sorted(package.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        imported = {}
+        used = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            for attr in ("annotation", "returns"):
+                ann = getattr(node, attr, None)
+                if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                    quoted = ast.walk(ast.parse(ann.value, mode="eval"))
+                    used |= {n.id for n in quoted if isinstance(n, ast.Name)}
+        unused += [
+            f"{path.name}:{line} {name}"
+            for name, line in imported.items() if name not in used
+        ]
+    assert unused == []
+
+
 class TestViolates:
     def test_spec_cases(self):
         assert violates("remember", E) is True
