@@ -22,30 +22,52 @@ Set-up is done once at the level where its data lives:
 - Corpus: built lazily on first use and cached on the object that owns the
   data. ``NGramModel`` holds the frequency-ranked word list, the unigram
   log scores, each token's letter mask and every context's continuations
-  as token ids with their log ratios (``ContinuationIndex``); ``IdfTable``
+  as token ids with their log ratios (``ContinuationIndex``, which finds a
+  context from its token ids through sorted int64 keys); ``IdfTable``
   holds its unigram and bigram features and each word's letter mask as
   arrays over word ids (``IdfIndex``).
 - Constraint: ``ConstraintTables``, built once per constraint set and
   tail size M, holds the tail (the M most frequent legal words) with their
   ids, backoff LM scores and idf values, and the LM and IDF bigram pair
   rows among all legal words. ``Pipeline`` builds it once per translate
-  call, and every search reads its constraint, model and IDF table from it.
-- Paragraph: ``_BeamEngine`` keeps only what depends on the source. It
-  looks up the few vocabulary words outside the tail, gathers its arrays
-  and pair rows from the tables through one map from vocabulary position
-  to table row, and holds the source's TF-IDF weights over the vocabulary.
+  call, and every search reads its constraint, model and IDF table from
+  it.
+- Paragraph: ``_Paragraph`` keeps only what depends on the source. It
+  looks up the few vocabulary words outside the tail, gathers its
+  per-word arrays from the tables through one map from vocabulary
+  position to table row, and holds the source's TF-IDF weights over the
+  vocabulary.
 
-Each search step works on beams x vocabulary matrices: the LM rows, the
-bigram rows of each beam's last word, a unigram term-count matrix for the
-sum-of-squares correction, the n-gram repeat bans read off the beams'
-token-id history, and a partition-based top-k whose order equals a stable
-full sort.
+``beam_search`` decodes all the paragraphs of a call together. Each search
+is a lane: a paragraph in deterministic mode, or one (paragraph, run i)
+pair in sampled mode, drawing its noise from its own
+``default_rng([seed, i])`` at the shape of a lone search. Lanes are
+admitted to a batch in call order while lanes x beam_width x the batch's
+widest vocabulary stays within ``MAX_LOCKSTEP_CELLS`` (at least one lane
+per batch); the bound was sized by peak-RSS measurements. All lanes of a
+batch take the same step together, and a lane leaves the batch when it
+stops: at its own maximum length, at its own exact early stop, or when no
+beam survives.
+
+A step stacks the lanes' beams as rows of (rows, V) matrices, where V is
+the batch's widest vocabulary; a lane's cells past its own vocabulary and
+its rows without a beam rank at -inf. It computes the backoff LM rows
+(pair rows of every lane in one key space, then the longer contexts
+looked up by model ids), the incremental similarity (a sparse
+term-count correction read off each beam's history), the n-gram repeat
+bans, and a row-wise top-k whose order within a lane equals a stable
+full sort of that lane's beams x vocabulary block, so the tie rule is
+that of a lone search. Every real cell goes through the same elementwise
+operations in the same order as in a lone search, so no lane's result
+depends on its batch. The step keeps each pick's back-pointer, word and
+scores in arrays, and builds ``Hypothesis`` objects only for a lane's
+returned top k.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
+import mmap
 from dataclasses import dataclass, fields
 from itertools import repeat
 from pathlib import Path
@@ -75,6 +97,16 @@ MODES = ("deterministic", "sampled")
 # cells, both modes, numpy 2.4). The cap on beam_width x
 # candidate_vocab_size keeps a step near 256 MiB.
 MAX_BEAM_CELLS = 3_000_000
+
+# A lockstep batch admits lanes, in call order, while lanes x beam_width x
+# its widest vocabulary stays within this many cells, and always admits
+# one lane. A deterministic step keeps four float64 matrices of that many
+# cells (sampled mode five), and a batch also holds its lanes' pair rows.
+# Measured with perfbench (seed 0, --seconds 30; 2-CPU x86 host, Python
+# 3.11, numpy 2.4), sweep-short's peak RSS rose over the per-paragraph
+# search by 0.6%, 1.3%, 2.4% and 5.8% at 40k, 50k, 60k and 80k cells, and
+# translate-e's by 1.4% at 60k.
+MAX_LOCKSTEP_CELLS = 60_000
 
 # Config-file keys that belong to the surrounding tooling, not the decoder.
 RESERVED_CONFIG_KEYS = frozenset(
@@ -301,25 +333,37 @@ class ConstraintTables:
         return model_ids, idf_ids, backoff, idf_uni
 
 
-def top_k(rank: np.ndarray, k: int) -> np.ndarray:
-    """Flat indices of the k >= 1 highest entries of ``rank``, best first.
+def top_k(rank: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k >= 1 highest entries of each lane's block of the 3-D ``rank``
+    (lanes, rows, columns), as (lane, row * columns + column) arrays
+    grouped by lane, best first within a lane.
 
-    Equal to ``np.argsort(-rank, kind="stable")`` cut after k entries and
-    at the first non-finite one: ties keep index order. A partition finds
-    the k-th best value, every entry that ties it is kept, and only that
-    slice is sorted.
+    A lane's entries equal ``np.argsort(-rank[lane].ravel(), kind="stable")``
+    cut after k entries and at the first non-finite one: ties keep flat
+    order. Every row's maximum is an entry of its own, so when a lane has
+    at least k rows, at least k of its entries reach its k-th highest row
+    maximum. Only the entries at or above that bound (or, with fewer rows,
+    above -inf) are sorted; NaN and -inf entries never lead a cut
+    prefix, so dropping them changes nothing.
     """
-    neg = -rank
-    order = None
-    if k < len(neg):
-        kth = np.partition(neg, k - 1)[k - 1]
-        if not np.isnan(kth):  # NaN only when fewer than k entries are not NaN
-            keep = np.flatnonzero(neg <= kth)
-            order = keep[np.argsort(neg[keep], kind="stable")][:k]
-    if order is None:
-        order = np.argsort(neg, kind="stable")[:k]
-    finite = np.isfinite(rank[order])
-    return order if finite.all() else order[: finite.argmin()]
+    n_lanes, n_rows, n_cols = rank.shape
+    bound = np.full(n_lanes, -np.finfo(float).max)
+    if n_rows >= k:
+        best = rank.max(axis=2)
+        best[np.isnan(best)] = -np.inf
+        best.partition(n_rows - k, axis=1)
+        np.maximum(best[:, n_rows - k], bound, out=bound)
+    found = np.flatnonzero(rank >= bound[:, None, None])
+    lanes, at = np.divmod(found, n_rows * n_cols)
+    neg = -rank.ravel()[found]
+    order = np.lexsort((neg, lanes))  # stable: ties keep flat order
+    lanes, at, neg = lanes[order], at[order], neg[order]
+    counts = np.bincount(lanes, minlength=n_lanes)
+    first = np.cumsum(counts) - counts
+    # The only non-finite entries left are +inf ranks, which come first.
+    cut = np.bincount(lanes[np.isinf(neg)], minlength=n_lanes) > 0
+    keep = (np.arange(len(lanes)) - first[lanes] < k) & ~cut[lanes]
+    return lanes[keep], at[keep]
 
 
 class _PairRows:
@@ -353,10 +397,32 @@ class _PairRows:
         counts = np.bincount(firsts, minlength=n_firsts)
         return cls(np.concatenate(([0], np.cumsum(counts))), seconds, values)
 
-    def pairs(self, firsts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(row, second, value) of every pair of each first key, where row
-        is the key's index in ``firsts``."""
-        rows, entries = _expand(self._starts[firsts], self._starts[firsts + 1])
+    @classmethod
+    def stack(cls, parts: Sequence["_PairRows"], n_keys: Sequence[int]) -> "_PairRows":
+        """Every part's pairs under one key space: part i's first key f
+        becomes key ``sum(n_keys[:i]) + f``. ``n_keys[i]`` may exceed part
+        i's own key count; the keys past it, and one last key after every
+        part, have no pairs."""
+        starts, offset = [], 0
+        for part, n in zip(parts, n_keys):
+            own = part._starts[:-1] + offset
+            offset += part._starts[-1]
+            starts += [own, np.full(n - len(own), offset)]
+        starts.append(np.array([offset, offset]))
+        return cls(
+            np.concatenate(starts),
+            np.concatenate([part._seconds for part in parts]),
+            np.concatenate([part._values for part in parts]),
+        )
+
+    def pairs(
+        self, firsts: np.ndarray, scale: int = 1
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(row * scale, second, value) of every pair of each first key,
+        where row is the key's index in ``firsts``. With the width of a
+        matrix of one row per key as the scale, row + second is a pair's
+        flat cell."""
+        rows, entries = _expand(self._starts[firsts], self._starts[firsts + 1], scale)
         return rows, self._seconds[entries], self._values[entries]
 
     def gather(self, firsts: np.ndarray, pos_of: np.ndarray) -> "_PairRows":
@@ -373,27 +439,22 @@ class _PairRows:
         )
 
 
-def _expand(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For every index in each range lo[i]:hi[i], the pair (i, index)."""
+def _expand(
+    lo: np.ndarray, hi: np.ndarray, scale: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
+    """For every index in each range lo[i]:hi[i], the pair (i * scale, index)."""
     counts = hi - lo
-    rows = np.repeat(np.arange(len(lo)), counts)
+    rows = np.repeat(np.arange(0, len(lo) * scale, scale), counts)
     offsets = np.repeat(lo - np.cumsum(counts) + counts, counts)
     return rows, offsets + np.arange(len(rows))
 
 
-class _BeamEngine:
-    """Vectorized synchronized-length beam search over a fixed vocabulary.
-
-    All beams share a length at every step; ending is cost-free, so every
-    surviving beam of legal length is recorded as a completed hypothesis.
-    The search continues until the maximum length, or until the k-th best
-    completed score beats every score a longer hypothesis could reach.
-
-    The engine holds the paragraph-level state only: the vocabulary, the
-    source's TF-IDF weights over it, and the arrays and pair rows gathered
-    for its words from the ``ConstraintTables``, which also give the model
-    and the IDF table. Every vocabulary word must be legal under the
-    tables' constraint.
+class _Paragraph:
+    """The paragraph-level state of one search: the vocabulary, its length
+    bounds, the source's TF-IDF weights over the vocabulary, and the
+    per-word arrays gathered for its words from the ``ConstraintTables``
+    (its pair rows are gathered when its batch starts). Every vocabulary
+    word must be legal under the tables' constraint.
     """
 
     def __init__(
@@ -403,16 +464,13 @@ class _BeamEngine:
         cfg: DecoderConfig,
         tables: ConstraintTables,
     ):
-        model, idf = tables.model, tables.idf
-        self.cfg = cfg
-        self.model = model
+        idf = tables.idf
         self.vocab = list(vocab)
-        self.index = {w: i for i, w in enumerate(self.vocab)}
         n_vocab = len(self.vocab)
 
-        self.source_len = len(textcore.words(source_paragraph))
-        self.min_len = math.ceil(cfg.min_ratio * self.source_len)
-        self.max_len = math.floor(cfg.max_ratio * self.source_len)
+        source_len = len(textcore.words(source_paragraph))
+        self.min_len = math.ceil(cfg.min_ratio * source_len)
+        self.max_len = math.floor(cfg.max_ratio * source_len)
 
         # Each vocabulary word's row in the tail arrays, or past them in the
         # arrays of the few words outside the tail, looked up here.
@@ -425,7 +483,7 @@ class _BeamEngine:
                 f"vocabulary words {illegal!r} break the tables' constraint"
             )
         at[outside] = len(tables.words) + np.arange(len(outside))
-        model_ids, idf_ids, backoff, idf_uni = (
+        self.model_ids, self.idf_ids, self.backoff, self.idf_uni = (
             np.concatenate((whole, part))[at]
             for whole, part in zip(
                 (tables.model_ids, tables.idf_ids, tables.backoff, tables.idf_uni),
@@ -433,75 +491,386 @@ class _BeamEngine:
             )
         )
 
-        self._model_pos = _inverse(model_ids, len(model.tokens))
-        self._log_alpha = math.log(model.alpha)
-        self._backoff_vec = backoff  # the score of a word unseen after the context
-        if model.order > 1:
-            firsts = np.append(model_ids, model.token_ids[BOS])
-            self._lm_bigrams = tables.lm_pairs.gather(firsts, self._model_pos)
-
         # Similarity machinery: the source's normalized TF-IDF weights and
         # per-token idf arrays for incremental dot/sum-of-squares updates.
-        self.source_vec = embed(source_paragraph, idf)
-        src = self.source_vec.weights
-        self._idf_uni = idf_uni
-        self._idf_uni_sq = self._idf_uni**2
-        self._bigram_sq = tables.bigram_sq.gather(
-            idf_ids, _inverse(idf_ids, len(idf.index.word_ids))
+        self.idf_uni_sq = self.idf_uni**2
+        # A feature word's vocabulary position: through its tail row, or
+        # among the words outside the tail; -1 for neither.
+        tail_pos = np.full(len(tables.words) + 1, -1, dtype=np.intp)
+        in_tail = at < len(tables.words)
+        tail_pos[at[in_tail]] = np.flatnonzero(in_tail)
+        extra_pos = dict(zip(extra, outside.tolist()))
+
+        def place(words: list[str]) -> np.ndarray:
+            rows = _positions(words, tables.position)
+            return np.where(
+                rows >= 0, tail_pos[rows], _positions(words, extra_pos)
+            )
+
+        weights = embed(source_paragraph, idf).weights
+        parts = [feat.partition(" ") for feat in weights]
+        firsts = place([first for first, _, _ in parts])
+        seconds = place([second for _, _, second in parts])
+        bigram = np.array([bool(sep) for _, sep, _ in parts], dtype=bool)
+        values = np.array([w * idf.value(f) for f, w in weights.items()])
+        uni = ~bigram & (firsts >= 0)
+        self.src_uni = np.zeros(n_vocab)
+        self.src_uni[firsts[uni]] = values[uni]
+        bi = bigram & (firsts >= 0) & (seconds >= 0)
+        self.src_bi = _PairRows.group(n_vocab, firsts[bi], seconds[bi], values[bi])
+
+
+class _BeamEngine:
+    """Vectorized synchronized-length beam searches over fixed
+    vocabularies, run in lockstep.
+
+    Set-up keeps one ``_Paragraph`` per source. A search is a lane: one
+    paragraph, with a random generator in sampled mode. ``run`` splits the
+    lanes, in order, into batches of at most ``MAX_LOCKSTEP_CELLS``
+    step cells, and steps every lane of a batch together: all beams of a
+    lane share a length, and all lanes share the step. Ending is
+    cost-free, so every surviving beam of legal length is pooled as a
+    completed hypothesis. A lane leaves its batch at its maximum length,
+    when no beam survives, or once the k-th best pooled score beats every
+    score a longer hypothesis could reach.
+
+    The step works on one (lanes x beam_width, V) matrix per quantity,
+    where V is the batch's widest vocabulary. A lane owns beam_width rows
+    (its live beams first), and its cells past its own vocabulary, like
+    the rows of beams it does not have, rank at -inf. Every real cell gets
+    the same elementwise operations, in the same order, as in a search of
+    its lane alone, so no lane's result depends on its batch.
+    """
+
+    def __init__(
+        self,
+        sources: Sequence[str],
+        vocabs: Sequence[Sequence[str]],
+        cfg: DecoderConfig,
+        tables: ConstraintTables,
+    ):
+        self.cfg = cfg
+        self.tables = tables
+        self.model = tables.model
+        self.paragraphs = [
+            _Paragraph(source, vocab, cfg, tables)
+            for source, vocab in zip(sources, vocabs)
+        ]
+        self._log_alpha = math.log(self.model.alpha)
+        self._default_sq = tables.idf.default**2
+
+    def run(
+        self,
+        k: int,
+        lanes: Sequence[tuple[int, np.random.Generator | None]] | None = None,
+    ) -> list[list[Hypothesis] | DecodeFailure]:
+        """For each lane, its k best completed hypotheses, by combined
+        score desc, then tokens; or the DecodeFailure of a lane that
+        completes none.
+
+        A lane is (paragraph index, generator); a lane with a generator
+        picks its beams under Gumbel noise from it. Either every lane has
+        one or none has. By default each paragraph is one lane without.
+
+        A lane stops before its maximum length once no later hypothesis
+        can enter its top k. A step's LM row is <= 0 and its similarity is
+        clipped to [0, 1], so every descendant of the surviving beams
+        scores at most lambda_lm * max(beam LM) + lambda_sim, and IEEE
+        rounding keeps that order for the computed values. The stop needs
+        that bound strictly below the k-th best pooled score, so a tie
+        that the token order could still break never ends the search.
+        """
+        if lanes is None:
+            lanes = [(p, None) for p in range(len(self.paragraphs))]
+        results: list = [None] * len(lanes)
+        ready = []
+        for i, (p, _) in enumerate(lanes):
+            para = self.paragraphs[p]
+            if para.max_len < para.min_len:
+                results[i] = DecodeFailure(
+                    f"no legal output length: min {para.min_len} > max {para.max_len}"
+                )
+            else:
+                ready.append(i)
+        widths = [len(self.paragraphs[lanes[i][0]].vocab) for i in ready]
+        batches = _lockstep_batches(widths, self.cfg.beam_width)
+        # One buffer serves the step matrices of every batch. It is an
+        # anonymous memory map, not a heap block: its pages go back to the
+        # system when the run ends and leave no hole in the heap. (With a
+        # heap block, sweep-short's peak RSS was about 1 MB higher.)
+        cells = max(
+            (len(b) * self.cfg.beam_width * max(widths[j] for j in b) for b in batches),
+            default=0,
         )
-        self._default_sq = idf.default**2
-        self._src_uni = np.zeros(n_vocab)
-        src_firsts, src_seconds, src_values = [], [], []
-        for feat, weight in src.items():
-            first, sep, second = feat.partition(" ")
-            if not sep:
-                if feat in self.index:
-                    self._src_uni[self.index[feat]] = weight * idf.value(feat)
-            elif first in self.index and second in self.index:
-                src_firsts.append(self.index[first])
-                src_seconds.append(self.index[second])
-                src_values.append(weight * idf.value(feat))
-        self._src_bi = _PairRows.group(n_vocab, src_firsts, src_seconds, src_values)
+        planes = 5 if lanes and lanes[0][1] is not None else 4
+        buffer = np.frombuffer(mmap.mmap(-1, max(8, 8 * planes * cells)))
+        for batch in batches:
+            ids = [ready[j] for j in batch]
+            found = self._run_batch([lanes[i] for i in ids], k, buffer)
+            for i, result in zip(ids, found):
+                results[i] = result
+        return results
 
-    def _lm_rows(self, beam_tokens: list[tuple[str, ...]], last: np.ndarray) -> np.ndarray:
-        """Backoff LM scores of every vocabulary word after each beam.
+    def _run_batch(self, lanes, k: int, buffer: np.ndarray) -> list:
+        """``run`` for one batch of lanes, with its step matrices in
+        ``buffer``."""
+        cfg, model = self.cfg, self.model
+        W = cfg.beam_width
+        span = model.order - 1
+        paras = [self.paragraphs[p] for p, _ in lanes]
+        rngs = [rng for _, rng in lanes]
+        sampled = rngs[0] is not None
+        widths = np.array([len(para.vocab) for para in paras])
+        n_lanes, V = len(lanes), int(widths.max())
 
-        ``last`` holds each beam's last vocabulary position, or n_vocab for
-        an empty beam. Every score starts as the unigram fallback; then the
-        words attested after each longer suffix of the context overwrite
-        it, the one-word suffix from the table built at set-up.
+        # The pair rows of the batch's distinct paragraphs, in one key space.
+        shared = list(dict.fromkeys(p for p, _ in lanes))
+        lane_para = np.array([shared.index(p) for p, _ in lanes])
+        shared = [self.paragraphs[p] for p in shared]
+        offsets, lm_pairs, bigram_pairs, source_pairs, model_pos = _batch_pair_rows(
+            shared, self.tables
+        )
+        no_beam = offsets[-1]
+        lane_keys = offsets[lane_para]
+
+        def stacked(name, fill, dtype=float):
+            out = np.full((n_lanes, V), fill, dtype=dtype)
+            for row, para in zip(out, paras):
+                values = getattr(para, name)
+                row[: len(values)] = values
+            return out
+
+        # Cells past a lane's vocabulary get a 0 LM and similarity (an
+        # idf^2 of 1 keeps 0/0 away) and then rank at -inf.
+        backoff = stacked("backoff", 0.0)
+        src_uni = stacked("src_uni", 0.0)
+        idf_sq = stacked("idf_uni_sq", 1.0)
+        model_ids = stacked("model_ids", -1, np.intp)
+        padded = (np.arange(V) >= widths[:, None])[:, None, :]
+        min_len = np.array([para.min_len for para in paras])
+        max_len = np.array([para.max_len for para in paras])
+
+        # The first step has one row per lane, its empty beam. Later, row r
+        # belongs to lane r // W, whose live beams take its first rows. Per
+        # row: the beam's LM, dot and sum-of-squares scores so far, whether
+        # it holds a beam, its vocabulary positions with twice the count of
+        # each in it, its last span model ids (BOS-padded), and the pair
+        # key of its last word (BOS before the first).
+        n_rows = n_lanes * W
+        row_cells = np.arange(n_rows) * V
+        lane_cells = np.arange(n_rows) // W * V
+        lane_ids = np.arange(n_lanes)  # the lane of each block of W rows
+        n_beams = np.ones(n_lanes, dtype=np.intp)
+        live = np.ones(n_lanes, dtype=bool)
+        beam = np.zeros((3, n_lanes))
+        history = np.empty((n_lanes, 0), dtype=np.intp)
+        tf2 = np.empty((n_lanes, 0), dtype=np.intp)
+        contexts = np.full((n_lanes, span), model.token_ids[BOS], dtype=np.intp)
+        keys = lane_keys + widths
+        top = np.full((n_lanes, k), -np.inf)  # each lane's k best pooled scores
+
+        # Every pick by (step, lane * W + slot): its LM, similarity and
+        # combined score (-inf outside the pool), and its parent slot and
+        # word. Only the pages of the steps taken are touched.
+        n_steps = int(max_len.max())
+        scores = np.empty((3, n_steps, n_rows))
+        scores[2] = -np.inf
+        links = np.empty((2, n_steps, n_rows), dtype=np.intp)
+
+        # The step's matrices, reused from step to step: the LM, dot and
+        # sum-of-squares scores, the combined score (and rank), and in
+        # sampled mode the Gumbel noise, zero (finite) wherever it is not
+        # drawn. The combined matrix holds the bigram squares and the
+        # square roots first, and the dot matrix ends up holding the
+        # weighted similarity; a pick's dot, similarity and combined score
+        # are recomputed by the same elementwise operations.
+        planes = 5 if sampled else 4
+        mats = buffer[: planes * n_rows * V].reshape(planes, n_rows, V)
+        if sampled:
+            mats[4] = 0.0
+
+        results: list = [None] * n_lanes
+        for step in range(1, n_steps + 1):
+            L = len(lane_ids)
+            B = 1 if step == 1 else W  # rows per lane this step
+            R = L * B
+            lm, dot, ssq, comb, *noise = mats[:, :R]
+
+            self._lm_rows(lm, backoff, keys, contexts, lane_para, lm_pairs, model_pos)
+            lm += beam[0, :, None]
+            np.copyto(dot.reshape(L, B, V), src_uni[:, None])
+            dot += beam[1, :, None]
+            np.copyto(ssq.reshape(L, B, V), idf_sq[:, None])
+            ssq += beam[2, :, None]
+            if step > 1:
+                bigram_sq = comb
+                bigram_sq.fill(self._default_sq)
+                rows, seconds, values = bigram_pairs.pairs(keys, V)
+                bigram_sq.ravel()[rows + seconds] = values
+                ssq += bigram_sq
+                # Source bigrams are sparse; everywhere else the term is 0.
+                rows, seconds, values = source_pairs.pairs(keys, V)
+                dot.ravel()[rows + seconds] += values
+                followed, counts = self._follower_cells(history, V)
+                follower_sq = bigram_sq.ravel()[followed]
+                # Repeated-feature corrections: tf goes k -> k+1, adding
+                # idf^2 * 2k on top of the fresh-feature idf^2 baseline
+                # (0 for the words a beam does not hold).
+                ssq.ravel()[row_cells[:R, None] + history] += (
+                    idf_sq.ravel()[lane_cells[:R, None] + history] * tf2
+                )
+                ssq.ravel()[followed] += follower_sq * (2 * counts)
+
+            sim = np.divide(dot, np.sqrt(ssq, out=comb), out=dot)
+            np.clip(sim, 0.0, 1.0, out=sim)
+            np.multiply(lm, cfg.lambda_lm, out=comb)
+            sim *= cfg.lambda_sim
+            comb += sim
+            comb.ravel()[self._repeat_bans(history, V)] = -np.inf
+            np.copyto(comb.reshape(L, B, V), -np.inf, where=padded)
+            comb[~live] = -np.inf
+
+            rank = comb
+            if sampled:
+                rank /= cfg.temperature
+                drawn = noise[0].reshape(L, B, V)
+                for i, (rng, n, width) in enumerate(zip(rngs, n_beams, widths)):
+                    drawn[i, :n, :width] = rng.gumbel(size=n * width).reshape(n, width)
+                rank += noise[0]
+            lane, picks = top_k(rank.reshape(L, B, V), W)
+
+            n_beams = np.bincount(lane, minlength=L)
+            slots = np.arange(len(lane)) - (np.cumsum(n_beams) - n_beams)[lane]
+            parents, words = np.divmod(picks, V)
+            src = lane * B + parents
+            dst = lane * W + slots
+            cells = lane * (B * V) + picks
+            picked = np.stack((lm.ravel()[cells], beam[1, src], ssq.ravel()[cells]))
+            picked[1] += src_uni[lane, words]
+            if step > 1:
+                rows, seconds, values = source_pairs.pairs(keys[src])
+                hit = seconds == words[rows]
+                picked[1, rows[hit]] += values[hit]
+            pick_sim = np.clip(picked[1] / np.sqrt(picked[2]), 0.0, 1.0)
+            pooled = cfg.lambda_lm * picked[0] + cfg.lambda_sim * pick_sim
+            pooled[step < min_len[lane]] = -np.inf
+            at = lane_ids[lane] * W + slots
+            scores[0, step - 1, at] = picked[0]
+            scores[1, step - 1, at] = pick_sim
+            scores[2, step - 1, at] = pooled
+            links[0, step - 1, at] = parents
+            links[1, step - 1, at] = words
+
+            R = L * W  # the rows of the next step
+            per_slot = np.full((2, R), -np.inf)
+            per_slot[0, dst] = pooled
+            per_slot[1, dst] = picked[0]
+            top = np.concatenate((top, per_slot[0].reshape(L, W)), axis=1)
+            top.partition(W, axis=1)
+            top = top[:, W:]
+            best_lm = per_slot[1].reshape(L, W).max(axis=1)
+            best_lm[n_beams == 0] = 0.0  # those lanes stop anyway
+            stop = (
+                (n_beams == 0)
+                | (step >= max_len)
+                | (cfg.lambda_lm * best_lm + cfg.lambda_sim < top[:, 0])
+            )
+
+            if stop.any():
+                for i in np.flatnonzero(stop):
+                    lane_rows = slice(lane_ids[i] * W, (lane_ids[i] + 1) * W)
+                    results[lane_ids[i]] = self._collect(
+                        paras[lane_ids[i]],
+                        scores[:, :step, lane_rows],
+                        links[:, :step, lane_rows],
+                        top[i, 0],
+                        k,
+                    )
+                keep = np.flatnonzero(~stop)
+                if not len(keep):
+                    break
+                moved = np.full(L, -1)
+                moved[keep] = np.arange(len(keep))
+                kept = ~stop[lane]
+                lane, src, words, slots = moved[lane[kept]], src[kept], words[kept], slots[kept]
+                picked = picked[:, kept]
+                dst = lane * W + slots
+                lane_ids, lane_para = lane_ids[keep], lane_para[keep]
+                lane_keys, widths = lane_keys[keep], widths[keep]
+                backoff, src_uni, idf_sq = backoff[keep], src_uni[keep], idf_sq[keep]
+                model_ids, padded = model_ids[keep], padded[keep]
+                min_len, max_len = min_len[keep], max_len[keep]
+                rngs = [rngs[i] for i in keep]
+                n_beams, top = n_beams[keep], top[keep]
+                R = len(keep) * W
+
+            # The next step's rows: lane i's picks, best first, in its rows;
+            # rows past them hold no beam.
+            live = np.zeros(R, dtype=bool)
+            live[dst] = True
+            beam = np.zeros((3, R))
+            beam[:, dst] = picked[:3]
+            source = np.zeros(R, dtype=np.intp)
+            source[dst] = src
+            grown = np.empty((R, step), dtype=np.intp)
+            np.take(history, source, axis=0, out=grown[:, :-1], mode="clip")
+            grown[:, -1] = 0
+            grown[dst, -1] = words
+            history = grown
+            same = history[:, :-1] == history[:, -1:]
+            grown = np.empty((R, step), dtype=np.intp)
+            np.take(tf2, source, axis=0, out=grown[:, :-1], mode="clip")
+            grown[:, :-1] += 2 * same
+            grown[:, -1] = 2 * same.sum(axis=1) + 2
+            tf2 = grown
+            shifted = np.full((R, span), -1, dtype=np.intp)
+            if span:
+                shifted[dst, :-1] = contexts[src, 1:]
+                shifted[dst, -1] = model_ids[lane, words]
+            contexts = shifted
+            keys = np.full(R, no_beam)
+            keys[dst] = lane_keys[lane] + words
+        return results
+
+    def _lm_rows(
+        self, out, backoff, keys, contexts, lane_para, lm_pairs, model_pos
+    ) -> None:
+        """Backoff LM scores of every vocabulary position after each row's
+        beam, written to ``out``.
+
+        Every score starts as the unigram fallback of the row's lane; then
+        the words attested after each longer suffix of the context
+        overwrite it, the one-word suffix from the paragraphs' pair rows.
         """
-        mat = np.repeat(self._backoff_vec[None, :], len(last), axis=0)
-        if self.model.order > 1:
-            rows, pos, logs = self._lm_bigrams.pairs(last)
-            mat[rows, pos] = logs
-        span = self.model.order - 1
-        pad = (BOS,) * max(0, span - len(beam_tokens[0]))
-        for j in range(2, span + 1):
-            contexts = [(pad + tokens)[-j:] for tokens in beam_tokens]
-            rows, pos, logs = self._continuations(contexts)
-            mat[rows, pos] = logs
-        return mat
+        n_lanes, width = backoff.shape
+        np.copyto(out.reshape(n_lanes, -1, width), backoff[:, None])
+        model = self.model
+        if model.order > 1:
+            rows, seconds, logs = lm_pairs.pairs(keys, width)
+            out.ravel()[rows + seconds] = logs
+        beams = len(keys) // n_lanes
+        n_ids = len(model.tokens) + 1
+        index = model.continuation_index
+        for j in range(2, model.order):
+            # The tokens attested after each row's last j words, with the
+            # score token_logscore reaches for them: the log ratio plus
+            # log(alpha) once per context token beyond these j, added in
+            # its order.
+            rows, entries = _expand(*index.spans(contexts[:, -j:]))
+            logs = index.logs[entries]
+            for _ in range(model.order - 1 - j):
+                logs = self._log_alpha + logs
+            # Each paragraph's row of model_pos ends with the entry of id
+            # -1, so a flat index one before a row still finds -1.
+            pos = model_pos.ravel()[
+                lane_para[rows // beams] * n_ids + index.ids[entries]
+            ]
+            hit = pos >= 0
+            out.ravel()[rows[hit] * width + pos[hit]] = logs[hit]
 
-    def _continuations(self, contexts: list[tuple[str, ...]]):
-        """(row, vocabulary position, score) of every vocabulary word
-        attested after each context of one length, as arrays.
-
-        The score is the model's log ratio plus log(alpha) once for each
-        context token the full LM context has beyond these: the value
-        token_logscore reaches for that word, added in the same order.
-        """
-        index = self.model.continuation_index
-        rows, entries = _expand(*index.spans(contexts))
-        pos = self._model_pos[index.ids[entries]]
-        hit = pos >= 0
-        logs = index.logs[entries[hit]]
-        for _ in range(self.model.order - 1 - len(contexts[0])):
-            logs = self._log_alpha + logs
-        return rows[hit], pos[hit], logs
-
-    def _repeat_bans(self, history: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(beam, token) pairs that would repeat an n-gram of the beam.
+    def _repeat_bans(self, history: np.ndarray, width: int) -> np.ndarray:
+        """Cells (row * width + token) whose token would repeat an n-gram
+        of the row's beam.
 
         A token is banned when the beam's last n-1 tokens already occurred
         followed by it.
@@ -509,121 +878,106 @@ class _BeamEngine:
         n = self.cfg.no_repeat_ngram
         length = history.shape[1]
         if length < n:
-            return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+            return np.empty(0, dtype=np.intp)
         starts = length - n + 1
         match = np.ones((len(history), starts), dtype=bool)
         for k in range(n - 1):
             match &= history[:, k:starts + k] == history[:, starts + k, None]
-        beams, at = np.nonzero(match)
-        return beams, history[beams, at + n - 1]
+        beams, at = np.divmod(np.flatnonzero(match), starts)
+        return beams * width + history[beams, at + n - 1]
 
-    def _follower_counts(self, history: np.ndarray):
-        """Each beam's bigrams (last token, w) so far, as the arrays beam,
-        w and count."""
-        n_vocab = len(self.vocab)
-        beams, at = np.nonzero(history[:, :-1] == history[:, -1:])
-        keys, counts = np.unique(
-            beams * n_vocab + history[beams, at + 1], return_counts=True
+    @staticmethod
+    def _follower_cells(history: np.ndarray, width: int):
+        """Each beam's bigrams (last token, w) so far, as the cells
+        row * width + w, ascending, and their counts."""
+        length = history.shape[1] - 1
+        beams, at = np.divmod(
+            np.flatnonzero(history[:, :-1] == history[:, -1:]), length
         )
-        return keys // n_vocab, keys % n_vocab, counts
+        cells = np.sort(beams * width + history[beams, at + 1])
+        new = np.ones(len(cells), dtype=bool)
+        np.not_equal(cells[1:], cells[:-1], out=new[1:])
+        return cells[new], np.bincount(np.cumsum(new) - 1)
 
-    def run(
-        self, k: int, rng: np.random.Generator | None = None
-    ) -> list[Hypothesis]:
-        """The k best completed hypotheses, by combined score desc, then
-        tokens; with ``rng``, beams are picked under Gumbel noise.
-
-        The search stops before the maximum length once no later
-        hypothesis can enter the top k. A step's LM row is <= 0 and its
-        similarity is clipped to [0, 1], so every descendant of the
-        surviving beams scores at most lambda_lm * max(beam LM) +
-        lambda_sim, and IEEE rounding keeps that order for the computed
-        values. The stop needs that bound strictly below the k-th best
-        pooled score, so a tie that the token order could still break
-        never ends the search.
-        """
-        cfg = self.cfg
-        n_vocab = len(self.vocab)
-        if self.max_len < self.min_len:
-            raise DecodeFailure(
-                f"no legal output length: min {self.min_len} > max {self.max_len}"
+    @staticmethod
+    def _collect(para: _Paragraph, scores, links, kth: float, k: int):
+        """A lane's k best pooled hypotheses, by combined score desc, then
+        tokens, from its records by (step, slot); ``kth`` is its k-th best
+        pooled score, -inf when fewer are pooled. Only hypotheses scoring
+        at least that get their tokens built."""
+        combined = scores[2]
+        steps, slots = np.nonzero((combined > -np.inf) & (combined >= kth))
+        if not len(steps):
+            return DecodeFailure(
+                f"no hypothesis completed (lengths {para.min_len}..{para.max_len})"
             )
-
-        beam_tokens: list[tuple[str, ...]] = [()]
-        history = np.empty((1, 0), dtype=np.intp)  # vocab positions
-        beam_lm = beam_dot = beam_ssq = np.zeros(1)
-        uni_tf = np.zeros((1, n_vocab), dtype=np.intp)
-        pool: list[Hypothesis] = []
-        top: list[float] = []  # the k best pooled combined scores, desc
-
-        for step in range(1, self.max_len + 1):
-            last = history[:, -1] if step > 1 else np.array([n_vocab])
-            lm_mat = self._lm_rows(beam_tokens, last)
-            lm_mat += beam_lm[:, None]
-            dot_mat = beam_dot[:, None] + self._src_uni
-            ssq_mat = beam_ssq[:, None] + self._idf_uni_sq
-            if step > 1:
-                bigram_sq = np.full_like(ssq_mat, self._default_sq)
-                rows, seconds, values = self._bigram_sq.pairs(last)
-                bigram_sq[rows, seconds] = values
-                ssq_mat += bigram_sq
-                # Source bigrams are sparse; everywhere else the term is 0.
-                rows, seconds, values = self._src_bi.pairs(last)
-                dot_mat[rows, seconds] += values
-            # Repeated-feature corrections: tf goes k -> k+1, adding
-            # idf^2 * 2k on top of the fresh-feature idf^2 baseline.
-            ssq_mat += self._idf_uni_sq * (2 * uni_tf)
-            if step > 1:
-                beams, words, counts = self._follower_counts(history)
-                ssq_mat[beams, words] += bigram_sq[beams, words] * (2 * counts)
-
-            sim_mat = np.sqrt(ssq_mat)
-            np.divide(dot_mat, sim_mat, out=sim_mat)
-            np.clip(sim_mat, 0.0, 1.0, out=sim_mat)
-            comb_mat = cfg.lambda_lm * lm_mat + cfg.lambda_sim * sim_mat
-            comb_mat[self._repeat_bans(history)] = -np.inf
-
-            if rng is None:
-                rank = comb_mat.ravel()
-            else:
-                rank = (comb_mat / cfg.temperature).ravel()
-                rank = rank + rng.gumbel(size=rank.shape)
-            picks = top_k(rank, cfg.beam_width)
-            if not len(picks):
-                break
-
-            beams, words = np.divmod(picks, n_vocab)
-            beam_tokens = [
-                beam_tokens[b] + (self.vocab[t],)
-                for b, t in zip(beams.tolist(), words.tolist())
-            ]
-            history = np.column_stack((history[beams], words))
-            beam_lm = lm_mat[beams, words]
-            beam_dot = dot_mat[beams, words]
-            beam_ssq = ssq_mat[beams, words]
-            uni_tf = uni_tf[beams]
-            uni_tf[np.arange(len(picks)), words] += 1
-            if step >= self.min_len:
-                combined = comb_mat[beams, words].tolist()
-                pool.extend(map(
-                    Hypothesis,
-                    beam_tokens,
-                    beam_lm.tolist(),
-                    sim_mat[beams, words].tolist(),
-                    combined,
-                ))
-                top = heapq.nlargest(k, top + combined)
-                if len(top) == k and (
-                    cfg.lambda_lm * beam_lm.max() + cfg.lambda_sim < top[-1]
-                ):
-                    break
-
-        if not pool:
-            raise DecodeFailure(
-                f"no hypothesis completed (lengths {self.min_len}..{self.max_len})"
-            )
+        parents, words = links[0].tolist(), links[1].tolist()
+        pool = []
+        for step, slot, lm, sim, comb in zip(
+            steps.tolist(),
+            slots.tolist(),
+            scores[0, steps, slots].tolist(),
+            scores[1, steps, slots].tolist(),
+            combined[steps, slots].tolist(),
+        ):
+            tokens = []
+            for s in range(step, -1, -1):
+                tokens.append(para.vocab[words[s][slot]])
+                slot = parents[s][slot]
+            pool.append(Hypothesis(tuple(reversed(tokens)), lm, sim, comb))
         pool.sort(key=lambda h: (-h.combined, h.tokens))
         return pool[:k]
+
+
+def _batch_pair_rows(paras: Sequence[_Paragraph], tables: ConstraintTables):
+    """The LM, IDF-bigram-square and source-bigram pair rows of a batch's
+    paragraphs, gathered from the tables in one key space.
+
+    Paragraph i's keys are its vocabulary positions and then BOS, from
+    ``offsets[i]`` on; the last key, ``offsets[-1]``, has no pairs. Also
+    returns each paragraph's map from model token id to vocabulary
+    position (-1 outside it), one row each with a last entry for id -1.
+    The LM pair rows are None for a unigram model. Each paragraph is
+    gathered on its own, which keeps the gather's scratch arrays small.
+    """
+    model = tables.model
+    n_keys = [len(para.vocab) + 1 for para in paras]
+    model_pos = np.stack([_inverse(p.model_ids, len(model.tokens)) for p in paras])
+    lm_pairs = None
+    if model.order > 1:
+        bos = model.token_ids[BOS]
+        lm_pairs = _PairRows.stack(
+            [
+                tables.lm_pairs.gather(np.append(p.model_ids, bos), pos)
+                for p, pos in zip(paras, model_pos)
+            ],
+            n_keys,
+        )
+    n_idf = len(tables.idf.index.word_ids)
+    bigram_pairs = _PairRows.stack(
+        [tables.bigram_sq.gather(p.idf_ids, _inverse(p.idf_ids, n_idf)) for p in paras],
+        n_keys,
+    )
+    source_pairs = _PairRows.stack([p.src_bi for p in paras], n_keys)
+    return np.cumsum([0] + n_keys), lm_pairs, bigram_pairs, source_pairs, model_pos
+
+
+def _lockstep_batches(widths: Sequence[int], beam_width: int) -> list[range]:
+    """Consecutive runs of lanes, in order, one per lockstep batch, given
+    each lane's vocabulary size. A batch takes lanes while lanes x
+    beam_width x its widest vocabulary stays within MAX_LOCKSTEP_CELLS,
+    and always takes one."""
+    batches: list[range] = []
+    start, widest = 0, 0
+    for i, width in enumerate(widths):
+        wider = max(widest, width)
+        if i > start and (i - start + 1) * beam_width * wider > MAX_LOCKSTEP_CELLS:
+            batches.append(range(start, i))
+            start, wider = i, width
+        widest = wider
+    if widths:
+        batches.append(range(start, len(widths)))
+    return batches
 
 
 def _positions(words: Sequence[str], ids: Mapping[str, int]) -> np.ndarray:
@@ -634,54 +988,78 @@ def _positions(words: Sequence[str], ids: Mapping[str, int]) -> np.ndarray:
 def _inverse(word_ids: np.ndarray, n_ids: int) -> np.ndarray:
     """Map from id to vocabulary position, -1 for ids outside the vocabulary.
 
-    It has one extra trailing -1, so an id of -1 maps to -1 as well.
+    It has one extra trailing -1, so an id of -1 maps to -1 as well. The
+    positions are int32, which halves the batch's pair rows and maps.
     """
-    pos = np.full(n_ids + 1, -1, dtype=np.intp)
+    pos = np.full(n_ids + 1, -1, dtype=np.int32)
     known = word_ids >= 0
     pos[word_ids[known]] = np.flatnonzero(known)
     return pos
 
 
 def beam_search(
-    source_paragraph: str,
+    sources: Sequence[str],
     tables: ConstraintTables,
     cfg: DecoderConfig,
     lex: Lexicon,
-) -> list[Hypothesis]:
-    """Decode one paragraph; top candidates sorted by combined score.
+) -> list[list[Hypothesis] | Exception]:
+    """Decode paragraphs in lockstep. Per source, in order: its top
+    candidates sorted by combined score, or the exception a decode of it
+    alone raises (a ValueError for a source with no words, EmptyVocabulary,
+    DecodeFailure). Batching never changes a source's result.
 
     The constraint, the model and the IDF table come from ``tables``, built
     once per constraint set with tail size ``cfg.candidate_vocab_size``. The
     in-search similarity term always uses the built-in TF-IDF features of
     that IDF table (it needs feature-level access for incremental updates);
-    a remote embedder belongs in multiselect and evaluation instead.
+    a remote embedder belongs in multiselect and evaluation instead. In
+    sampled mode each source has ``candidates_k`` lanes, run i drawing its
+    noise from ``default_rng([seed, i])``, and returns their winners.
     """
-    if not textcore.words(source_paragraph):
-        raise ValueError("source paragraph has no words")
+    if isinstance(sources, str):
+        raise TypeError("beam_search takes a sequence of source paragraphs")
     if tables.size != cfg.candidate_vocab_size:
         raise ValueError(
             f"the tables were built for a tail of M = {tables.size} words, "
             f"but candidate_vocab_size is {cfg.candidate_vocab_size}"
         )
-    vocab = build_candidate_vocab(source_paragraph, tables, lex)
-    engine = _BeamEngine(source_paragraph, vocab, cfg, tables)
+    results: list = [None] * len(sources)
+    decoded, vocabs = [], []
+    for i, source in enumerate(sources):
+        if not textcore.words(source):
+            results[i] = ValueError("source paragraph has no words")
+            continue
+        try:
+            vocabs.append(build_candidate_vocab(source, tables, lex))
+        except EmptyVocabulary as exc:
+            results[i] = exc
+            continue
+        decoded.append(i)
+    engine = _BeamEngine([sources[i] for i in decoded], vocabs, cfg, tables)
 
     if cfg.mode == "deterministic":
-        return engine.run(cfg.candidates_k)
+        for i, found in zip(decoded, engine.run(cfg.candidates_k)):
+            results[i] = found
+        return results
 
-    winners = []
-    for i in range(cfg.candidates_k):
-        rng = np.random.default_rng([cfg.seed, i])
-        try:
-            winners.append(engine.run(1, rng)[0])
-        except DecodeFailure:
-            pass
-    if not winners:
-        raise DecodeFailure(
-            f"all {cfg.candidates_k} sampled runs failed to complete"
+    runs = cfg.candidates_k
+    lanes = [
+        (p, np.random.default_rng([cfg.seed, r]))
+        for p in range(len(decoded))
+        for r in range(runs)
+    ]
+    outcomes = engine.run(1, lanes)
+    for p, i in enumerate(decoded):
+        winners = [
+            found[0]
+            for found in outcomes[p * runs:(p + 1) * runs]
+            if not isinstance(found, DecodeFailure)
+        ]
+        winners.sort(key=lambda h: (-h.combined, h.tokens))
+        results[i] = winners or DecodeFailure(
+            f"all {runs} sampled runs failed to complete"
         )
-    winners.sort(key=lambda h: (-h.combined, h.tokens))
-    return winners
+    return results
 
 
 def multiselect(candidates: Sequence[Hypothesis], source: str, embedder) -> Hypothesis:

@@ -176,14 +176,23 @@ class RemoteEmbedder:
             raise EmbedProviderError(
                 f"embedding endpoint {self.endpoint!r} failed: {exc}"
             ) from exc
-        vectors = body.get("vectors")
-        if not isinstance(vectors, list) or len(vectors) != len(texts):
+        vectors = body.get("vectors") if isinstance(body, dict) else None
+        if (
+            not isinstance(vectors, list)
+            or len(vectors) != len(texts)
+            or not all(map(_is_finite_vector, vectors))
+        ):
             raise EmbedProviderError(
                 f"embedding endpoint {self.endpoint!r} returned a malformed response"
             )
         out = []
         for dense in vectors:
             norm = math.sqrt(sum(x * x for x in dense))
+            if not math.isfinite(norm):
+                raise EmbedProviderError(
+                    f"embedding endpoint {self.endpoint!r} returned a vector "
+                    "too long to normalize"
+                )
             if norm == 0.0:
                 out.append(EmbeddingVector({}, 0.0))
             else:
@@ -192,6 +201,19 @@ class RemoteEmbedder:
                 }
                 out.append(EmbeddingVector(weights, 1.0))
         return out
+
+
+def _is_finite_vector(value) -> bool:
+    """A JSON list of finite numbers (booleans excluded)."""
+    if not isinstance(value, list):
+        return False
+    try:
+        return all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+            for x in value
+        )
+    except OverflowError:  # an integer beyond float range
+        return False
 
 
 class EmbedProviderError(RuntimeError):

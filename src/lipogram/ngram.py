@@ -92,10 +92,13 @@ class NGramModel:
         size = sum(len(table) for table in self.tables[1:])
         ids = np.empty(size, dtype=np.intp)
         logs = np.empty(size)
-        rows: dict[tuple[str, ...], int] = {}
+        rows: dict[tuple[str, ...], int] = {}  # only while building
+        radix = len(self.tokens) + 1
+        keys: list[list[int]] = [[] for _ in range(self.order - 2)]
+        key_rows: list[list[int]] = [[] for _ in range(self.order - 2)]
         starts = [0]
         n = 0
-        token_rows = np.full(len(self.tokens), -1, dtype=np.intp)
+        token_rows = np.full(len(self.tokens) + 1, -1, dtype=np.intp)
         for k in range(2, self.order + 1):
             table, prefixes = self.tables[k - 1], self.tables[k - 2]
             grams = sorted(table)
@@ -111,14 +114,30 @@ class NGramModel:
                     n += 1
                     i += 1
                 if n > start:
-                    rows[ctx] = len(starts) - 1
+                    row = len(starts) - 1
+                    rows[ctx] = row
                     if k == 2:
-                        token_rows[self.token_ids[ctx[0]]] = len(starts) - 1
+                        token_rows[self.token_ids[ctx[0]]] = row
+                    else:
+                        keys[k - 3].append(
+                            rows[ctx[:-1]] * radix + self.token_ids.get(ctx[-1], -1) + 1
+                        )
+                        key_rows[k - 3].append(row)
                     starts.append(n)
         starts.append(n)  # the empty row of every unattested context
-        token_rows[token_rows < 0] = len(starts) - 2
+        empty = len(starts) - 2
+        token_rows[token_rows < 0] = empty
+        key_tables = []
+        for j_keys, j_rows in zip(keys, key_rows):
+            j_keys = np.array(j_keys, dtype=np.int64)
+            by_key = np.argsort(j_keys)
+            # A sentinel above every key keeps searchsorted in range.
+            key_tables.append((
+                np.append(j_keys[by_key], np.iinfo(np.int64).max),
+                np.append(np.array(j_rows, dtype=np.intp)[by_key], empty),
+            ))
         return ContinuationIndex(
-            rows, np.array(starts), ids[:n], logs[:n], token_rows
+            np.array(starts), ids[:n], logs[:n], token_rows, tuple(key_tables)
         )
 
     def count(self, gram: Sequence[str]) -> int:
@@ -131,13 +150,23 @@ class NGramModel:
         """All attested next tokens after ``context`` with their full-gram
         counts. Empty mapping when the context itself is unattested."""
         key = tuple(context)
+        if not 1 <= len(key) < self.order:
+            return {}
         index = self.continuation_index
-        (lo,), (hi,) = index.spans([key])
+        (lo,), (hi,) = index.spans(self.context_ids([key]))
         return {
             self.tokens[i]: self.tables[len(key)][key + (self.tokens[i],)]
             for i in index.ids[lo:hi]
             if i >= 0
         }
+
+    def context_ids(self, contexts: Sequence[Sequence[str]]) -> np.ndarray:
+        """Token ids of equal-length contexts, one row each; -1 for a
+        token outside the vocabulary."""
+        get = self.token_ids.get
+        return np.array(
+            [[get(t, -1) for t in ctx] for ctx in contexts], dtype=np.intp
+        ).reshape(len(contexts), -1)
 
     def token_logscore(self, context: Sequence[str], token: str) -> float:
         """Stupid-backoff log score of ``token`` after ``context``.
@@ -192,23 +221,42 @@ class ContinuationIndex:
     The tokens seen after a context are entries ``starts[r]:starts[r + 1]``
     of ``ids`` (token ids, -1 outside the vocabulary) and ``logs``
     (log(c(context + t) / c(context)), the model's exact score for t),
-    where ``r = rows[context]``. The keys of ``rows`` are the count
-    tables' own tuples, so the index adds one int per context.
-    ``token_rows[i]`` is the row of the one-token context of token id i.
+    where r is the context's row. Row ``len(starts) - 2`` is empty and
+    stands for every unattested context.
+
+    Contexts are found by token id. ``token_rows[i]`` is the row of the
+    one-token context of token id i; its last entry, the row of id -1, is
+    the empty one. A longer context is keyed by its prefix's row and its
+    last token: ``keys[j - 2]`` holds the sorted int64 keys
+    ``row(prefix) * (len(tokens) + 1) + id(last) + 1`` of every attested
+    context of length j, then a sentinel, and ``key_rows[j - 2]`` their
+    rows. The prefix of an attested context is attested, so one
+    ``searchsorted`` per extra token finds any context.
     """
 
-    rows: Mapping[tuple[str, ...], int]
     starts: np.ndarray
     ids: np.ndarray
     logs: np.ndarray
     token_rows: np.ndarray
+    key_tables: tuple[tuple[np.ndarray, np.ndarray], ...]
 
-    def spans(self, contexts: Sequence[tuple[str, ...]]) -> tuple[np.ndarray, np.ndarray]:
-        """Start and end entry of each context's continuations; an
-        unattested context gets an empty span."""
-        empty = len(self.starts) - 2
-        r = np.array([self.rows.get(ctx, empty) for ctx in contexts], dtype=np.intp)
-        return self.starts[r], self.starts[r + 1]
+    def context_rows(self, contexts: np.ndarray) -> np.ndarray:
+        """The row of each context, given as one row of token ids each
+        (-1 outside the vocabulary); unattested contexts get the empty row."""
+        rows = self.token_rows[contexts[:, 0]]
+        radix = len(self.token_rows)
+        for j in range(1, contexts.shape[1]):
+            keys, key_rows = self.key_tables[j - 1]
+            wanted = rows * radix + (contexts[:, j] + 1)
+            at = np.searchsorted(keys, wanted)
+            rows = np.where(keys[at] == wanted, key_rows[at], len(self.starts) - 2)
+        return rows
+
+    def spans(self, contexts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Start and end entry of each context's continuations (contexts
+        as in ``context_rows``); an unattested context gets an empty span."""
+        rows = self.context_rows(contexts)
+        return self.starts[rows], self.starts[rows + 1]
 
 
 def train(corpus: str, order: int = DEFAULT_ORDER, alpha: float = DEFAULT_ALPHA) -> NGramModel:

@@ -317,17 +317,34 @@ class LanguageToolClient:
         )
         try:
             with urllib.request.urlopen(request, timeout=self.timeout) as resp:
-                body = json.loads(resp.read().decode("utf-8"))
-            matches = []
-            for m in body["matches"]:
-                replacements = m.get("replacements") or []
-                value = replacements[0].get("value") if replacements else None
-                matches.append(GrammarMatch(int(m["offset"]), int(m["length"]), value))
-            return matches
-        except (urllib.error.URLError, OSError, ValueError, KeyError, TypeError) as exc:
+                return _parse_matches(json.loads(resp.read().decode("utf-8")))
+        except (urllib.error.URLError, OSError, ValueError) as exc:
             raise GrammarProviderError(
                 f"grammar check via {self.endpoint} failed: {exc}"
             ) from exc
+
+
+def _parse_matches(body) -> list[GrammarMatch]:
+    """The matches of a LanguageTool v2 response; ValueError for any other
+    shape. A match keeps its first replacement, or None without one."""
+    matches = body.get("matches") if isinstance(body, dict) else None
+    if not isinstance(matches, list):
+        raise ValueError("response has no list of matches")
+    out = []
+    for m in matches:
+        if not isinstance(m, dict):
+            raise ValueError(f"match {m!r} is not an object")
+        offset, length = m.get("offset"), m.get("length")
+        if not all(type(v) is int for v in (offset, length)):
+            raise ValueError(f"match {m!r} lacks an integer offset and length")
+        replacements = m.get("replacements") or []
+        if not isinstance(replacements, list) or not all(
+            isinstance(r, dict) and isinstance(r.get("value"), str) for r in replacements
+        ):
+            raise ValueError(f"match {m!r} has malformed replacements")
+        value = replacements[0]["value"] if replacements else None
+        out.append(GrammarMatch(offset, length, value))
+    return out
 
 
 def make_grammar_provider(endpoint: str | None):

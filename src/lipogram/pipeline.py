@@ -14,14 +14,7 @@ from __future__ import annotations
 import logging
 from typing import Sequence
 
-from .decoder import (
-    ConstraintTables,
-    DecodeFailure,
-    DecoderConfig,
-    EmptyVocabulary,
-    beam_search,
-    multiselect,
-)
+from .decoder import ConstraintTables, DecoderConfig, beam_search, multiselect
 from .lexicon import Lexicon, translate_edelete, translate_synonym
 from .metrics import (
     EvaluationReport,
@@ -95,17 +88,16 @@ class Pipeline:
     ) -> tuple[list[str], int]:
         emap = build_entity_table(paragraphs, c)
         tables = ConstraintTables(c, self.model, self.idf, cfg.candidate_vocab_size)
+        decoded = beam_search(tuple(paragraphs), tables, cfg, self.lexicon)
         outputs = []
         failures = 0
-        for i, source in enumerate(paragraphs):
-            try:
-                candidates = beam_search(source, tables, cfg, self.lexicon)
-                best = multiselect(candidates, source, self.select_embedder)
-            except (EmptyVocabulary, DecodeFailure, ValueError) as exc:
-                log.warning("paragraph %d left empty: %s", i, exc)
+        for i, (source, candidates) in enumerate(zip(paragraphs, decoded)):
+            if isinstance(candidates, Exception):
+                log.warning("paragraph %d left empty: %s", i, candidates)
                 outputs.append("")
                 failures += 1
                 continue
+            best = multiselect(candidates, source, self.select_embedder)
             # Cased before the pronoun pass, which may insert a lowercase alias.
             text = best.text()
             text = text[0].upper() + text[1:]

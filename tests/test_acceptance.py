@@ -188,7 +188,9 @@ def test_criterion_07_beam_oracle_equivalence():
         )
         lexicon = Lexicon({})
         tables = ConstraintTables(c, model, build_idf(paras), cfg.candidate_vocab_size)
-        candidates = beam_search(source, tables, cfg, lexicon)
+        [candidates] = beam_search((source,), tables, cfg, lexicon)
+        if isinstance(candidates, Exception):
+            raise candidates
         assert candidates, (i, source)
 
         vocab = build_candidate_vocab(source, tables, lexicon)
@@ -322,7 +324,9 @@ def test_criterion_12_length_bounds():
         s = len(tokenize(source).words())
         try:
             tables = ConstraintTables(c, model, idf, cfg.candidate_vocab_size)
-            candidates = beam_search(source, tables, cfg, lexicon)
+            [candidates] = beam_search((source,), tables, cfg, lexicon)
+            if isinstance(candidates, Exception):
+                raise candidates
         except (DecodeFailure, EmptyVocabulary, ValueError):
             continue
         lo, hi = math.ceil(0.5 * s), math.floor(1.5 * s)

@@ -5,8 +5,10 @@ is only used where defaults are the point, since training on it takes a
 noticeable fraction of a second.
 """
 
+import http.server
 import json
 import random
+import threading
 
 import pytest
 
@@ -152,6 +154,34 @@ class TestProviderErrors:
              "--embed-endpoint", "http://127.0.0.1:9"],
             out_dir,
         )
+        self.check_clean_io_exit(rc, capsys)
+
+    def test_malformed_embedder_reply_in_translate(self, mini_corpus, out_dir, capsys):
+        class Handler(http.server.BaseHTTPRequestHandler):
+            def do_POST(self):
+                texts = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+                # Well-formed JSON, one entry per text, but no vectors.
+                reply = json.dumps({"vectors": [None] * len(texts["texts"])}).encode()
+                self.send_response(200)
+                self.send_header("Content-Length", str(len(reply)))
+                self.end_headers()
+                self.wfile.write(reply)
+
+            def log_message(self, *args):
+                pass
+
+        server = http.server.HTTPServer(("127.0.0.1", 0), Handler)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            rc = run(
+                ["translate", "--corpus", str(mini_corpus), "--paragraphs", "1",
+                 "--embed-endpoint", f"http://127.0.0.1:{server.server_port}"],
+                out_dir,
+            )
+        finally:
+            server.shutdown()
+            thread.join()
         self.check_clean_io_exit(rc, capsys)
 
     def test_unreachable_grammar_in_evaluate(self, mini_corpus, out_dir, capsys):

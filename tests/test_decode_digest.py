@@ -47,14 +47,37 @@ def setup():
     return pipeline, [paragraphs[i] for i in PARAGRAPHS]
 
 
-def test_beam_outputs_match_pinned_digest(setup):
-    pipeline, sources = setup
+def digest_of(pipeline, sources, call_size):
+    """The digest of every RUNS entry's outputs, translating the sources
+    in calls of ``call_size`` paragraphs."""
     digest = hashlib.sha256()
     for letters, cfg in RUNS:
-        outputs, failures = pipeline.translate(
-            sources, ConstraintSet.from_string(letters), "beam", cfg
-        )
+        outputs, failures = [], 0
+        for start in range(0, len(sources), call_size):
+            out, failed = pipeline.translate(
+                sources[start:start + call_size],
+                ConstraintSet.from_string(letters),
+                "beam",
+                cfg,
+            )
+            outputs += out
+            failures += failed
         print(letters, cfg.mode, failures, outputs)
         digest.update(f"{letters}|{cfg.mode}|{failures}\n".encode())
         digest.update("\x00".join(outputs).encode("utf-8"))
-    assert digest.hexdigest() == PINNED
+    return digest.hexdigest()
+
+
+def test_beam_outputs_match_pinned_digest(setup):
+    pipeline, sources = setup
+    assert digest_of(pipeline, sources, len(sources)) == PINNED
+
+
+@pytest.mark.parametrize("call_size", [1, 2])
+def test_call_size_never_changes_the_digest(setup, call_size):
+    """A call's paragraphs are decoded in lockstep; calls of one or two
+    paragraphs must give the digest of one call of all six. The entity
+    table is built per call, and no entity of these paragraphs changes its
+    alias with the call's other paragraphs."""
+    pipeline, sources = setup
+    assert digest_of(pipeline, sources, call_size) == PINNED

@@ -9,17 +9,23 @@ the model's arithmetic bit for bit.
 import itertools
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lipogram import decoder
 from lipogram.decoder import (
     MAX_BEAM_CELLS,
+    MAX_LOCKSTEP_CELLS,
     ConstraintTables,
     DecodeFailure,
     _BeamEngine,
+    _Paragraph,
+    _batch_pair_rows,
+    _lockstep_batches,
     DecoderConfig,
     EmptyVocabulary,
     Hypothesis,
@@ -46,18 +52,21 @@ def vocab_of(source, c, lex, model, M, idf=NO_DOCS):
 
 
 def search(source, c, cfg, model, idf, lex=EMPTY_LEX):
-    """beam_search under the ConstraintTables of (c, model, idf) and the
-    tail size cfg.candidate_vocab_size."""
+    """beam_search of source alone under the ConstraintTables of (c, model,
+    idf) and the tail size cfg.candidate_vocab_size; a failure is raised."""
     tables = ConstraintTables(c, model, idf, cfg.candidate_vocab_size)
-    return beam_search(source, tables, cfg, lex)
+    [found] = beam_search((source,), tables, cfg, lex)
+    if isinstance(found, Exception):
+        raise found
+    return found
 
 
-def engine_of(source, c, cfg, model, idf, M):
-    """The engine for source over its vocabulary under the tables of
-    (c, model, idf, M)."""
+def engine_of(sources, c, cfg, model, idf, M):
+    """The engine for the sources, each over its vocabulary, under the
+    tables of (c, model, idf, M)."""
     tables = ConstraintTables(c, model, idf, M)
-    vocab = build_candidate_vocab(source, tables, EMPTY_LEX)
-    return _BeamEngine(source, vocab, cfg, tables)
+    vocabs = [build_candidate_vocab(source, tables, EMPTY_LEX) for source in sources]
+    return _BeamEngine(sources, vocabs, cfg, tables)
 
 
 def has_repeated_ngram(seq, n):
@@ -68,7 +77,7 @@ def has_repeated_ngram(seq, n):
 def unreachable_k(engine):
     """A top-k size no pool can reach, so run() never stops early and
     returns every pooled hypothesis."""
-    return engine.cfg.beam_width * engine.max_len + 1
+    return engine.cfg.beam_width * max(p.max_len for p in engine.paragraphs) + 1
 
 
 def exhaustive_best(model, vocab, lmin, lmax, n):
@@ -321,47 +330,102 @@ def argsort_picks(rank, k):
     return picks
 
 
+def lane_picks(rank, k):
+    """argsort_picks of each lane's flattened block of a 3-D rank, as
+    (lane, index) lists."""
+    lanes, picks = [], []
+    for lane, block in enumerate(rank):
+        got = argsort_picks(block.ravel(), k)
+        lanes += [lane] * len(got)
+        picks += got
+    return lanes, picks
+
+
+def top_k_lists(rank, k):
+    lanes, picks = top_k(rank, k)
+    return lanes.tolist(), picks.tolist()
+
+
 # Few distinct levels, so exact ties across the k boundary are common.
 TIED = st.sampled_from([-np.inf, -2.5, -1.0, -1.0 + 2**-40, 0.0, 0.75, 3.0])
 
 
-class TestTopK:
-    @given(
-        values=st.lists(TIED, min_size=0, max_size=80),
-        k=st.integers(1, 40),
+def blocks(values, max_lanes=4, max_rows=6, max_cols=8):
+    """3-D (lanes, rows, columns) arrays of the given values."""
+    return st.tuples(
+        st.integers(1, max_lanes), st.integers(1, max_rows), st.integers(1, max_cols)
+    ).flatmap(
+        lambda shape: st.lists(
+            values, min_size=math.prod(shape), max_size=math.prod(shape)
+        ).map(lambda v: np.array(v, dtype=float).reshape(shape))
     )
+
+
+class TestTopK:
+    """top_k picks each lane's entries as a stable argsort of its
+    flattened block would, cut after k and at the first non-finite one."""
+
+    @given(rank=blocks(TIED), k=st.integers(1, 40))
     @settings(max_examples=400, deadline=None)
-    def test_ties_and_bans_match_stable_argsort(self, values, k):
-        rank = np.array(values, dtype=float)
-        assert top_k(rank, k).tolist() == argsort_picks(rank, k)
+    def test_ties_and_bans_match_stable_argsort(self, rank, k):
+        assert top_k_lists(rank, k) == lane_picks(rank, k)
 
     @given(
-        values=st.lists(TIED, min_size=1, max_size=60),
+        comb=blocks(TIED),
         k=st.integers(1, 20),
         seed=st.integers(0, 2**32 - 1),
         temperature=st.sampled_from([0.9, 1.0, 0.25]),
     )
     @settings(max_examples=300, deadline=None)
-    def test_gumbel_ranks_match_stable_argsort(self, values, k, seed, temperature):
-        comb = np.array(values, dtype=float)
+    def test_gumbel_ranks_match_stable_argsort(self, comb, k, seed, temperature):
         rng = np.random.default_rng(seed)
         rank = comb / temperature + rng.gumbel(size=comb.shape)
-        assert top_k(rank, k).tolist() == argsort_picks(rank, k)
+        assert top_k_lists(rank, k) == lane_picks(rank, k)
 
     @given(
-        finite=st.integers(0, 10),
+        finite=st.lists(st.integers(0, 10), min_size=1, max_size=4),
         k=st.integers(11, 30),
     )
     def test_fewer_finite_entries_than_k(self, finite, k):
-        rank = np.full(25, -np.inf)
-        rank[:finite] = 1.0
-        assert top_k(rank, k).tolist() == list(range(finite))
+        rank = np.full((len(finite), 5, 5), -np.inf)
+        for lane, n in enumerate(finite):
+            rank[lane].ravel()[:n] = 1.0
+        assert top_k_lists(rank, k) == (
+            [lane for lane, n in enumerate(finite) for _ in range(n)],
+            [i for n in finite for i in range(n)],
+        )
 
     def test_non_finite_ranks(self):
-        rank = np.array([1.0, np.nan, 2.0, -np.inf, 2.0])
-        assert top_k(rank, 5).tolist() == argsort_picks(rank, 5) == [2, 4, 0]
-        rank = np.array([1.0, np.inf, 2.0])
-        assert top_k(rank, 2).tolist() == argsort_picks(rank, 2) == []
+        rank = np.array([[[1.0, np.nan, 2.0, -np.inf, 2.0]]])
+        assert top_k_lists(rank, 5) == lane_picks(rank, 5) == ([0, 0, 0], [2, 4, 0])
+        rank = np.array([[[1.0, np.inf, 2.0]], [[1.0, 0.5, 2.0]]])
+        assert top_k_lists(rank, 2) == lane_picks(rank, 2) == ([1, 1], [2, 0])
+        rank = np.array([[[np.nan, 1.0], [0.5, np.nan], [np.inf, 0.0]]])
+        assert top_k_lists(rank, 2) == lane_picks(rank, 2) == ([], [])
+        rank = np.array([[[np.nan, 1.0], [0.5, np.nan], [-np.inf, 0.0]]])
+        assert top_k_lists(rank, 2) == lane_picks(rank, 2) == ([0, 0], [1, 2])
+
+    @given(
+        blocks_=st.lists(blocks(TIED, max_lanes=1, max_cols=10), min_size=1, max_size=4),
+        rows=st.integers(1, 6),
+        k=st.integers(1, 12),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_padded_lanes_pick_as_alone(self, blocks_, rows, k):
+        """Lanes padded to a common (rows, columns) shape with -inf, as the
+        engine stacks them, pick exactly what each picks alone, with each
+        index mapped from its own width to the padded one."""
+        width = max(b.shape[2] for b in blocks_)
+        rows = max(rows, max(b.shape[1] for b in blocks_))
+        rank = np.full((len(blocks_), rows, width), -np.inf)
+        want_lanes, want_picks = [], []
+        for lane, block in enumerate(blocks_):
+            _, n_rows, n_cols = block.shape
+            rank[lane, :n_rows, :n_cols] = block[0]
+            for pick in top_k_lists(block, k)[1]:
+                want_lanes.append(lane)
+                want_picks.append(pick // n_cols * width + pick % n_cols)
+        assert top_k_lists(rank, k) == (want_lanes, want_picks)
 
 
 class TestOracleEquivalence:
@@ -454,8 +518,9 @@ class TestPoolScores:
     scores a full recomputation from its tokens gives: the LM score bit for
     bit and the similarity to 1e-9, including hypotheses that repeat words
     and bigrams, where the tf > 1 sum-of-squares corrections apply. The
-    engine runs with an unreachable k, so the search goes to the maximum
-    length and every pooled hypothesis comes back."""
+    engine runs three sources in one batch with an unreachable k, so every
+    lane goes to its maximum length and every pooled hypothesis comes
+    back."""
 
     def test_every_pooled_hypothesis_rescored(self):
         repeated_bigrams = 0
@@ -468,32 +533,37 @@ class TestPoolScores:
             ]
             model = train("\n\n".join(paras), order=rng.choice([2, 3, 4]))
             idf = build_idf(paras)
-            source = " ".join(rng.choice(words) for _ in range(rng.randint(3, 7)))
+            sources = [
+                " ".join(rng.choice(words) for _ in range(rng.randint(3, 7)))
+                for _ in range(3)
+            ]
             cfg = DecoderConfig(beam_width=12, candidates_k=1, no_repeat_ngram=6)
-            engine = engine_of(source, NO_CONSTRAINT, cfg, model, idf, 10)
-            pool = engine.run(unreachable_k(engine))
-            source_vec = embed(source, idf)
-            for h in pool:
-                assert h.lm_score == model.sequence_logscore(list(h.tokens))
-                full = cosine_similarity(source_vec, embed(h.text(), idf))
-                assert abs(h.sim_score - full) < 1e-9, (i, h.tokens)
-                repeated_bigrams += has_repeated_ngram(h.tokens, 2)
+            engine = engine_of(sources, NO_CONSTRAINT, cfg, model, idf, 10)
+            for source, pool in zip(sources, engine.run(unreachable_k(engine))):
+                source_vec = embed(source, idf)
+                for h in pool:
+                    assert h.lm_score == model.sequence_logscore(list(h.tokens))
+                    full = cosine_similarity(source_vec, embed(h.text(), idf))
+                    assert abs(h.sim_score - full) < 1e-9, (i, h.tokens)
+                    repeated_bigrams += has_repeated_ngram(h.tokens, 2)
         assert repeated_bigrams > 0
 
 
 def reference_search(source, c, cfg, model, idf):
-    """beam_search as it was without the early stop: every engine run gets
-    an unreachable k and goes to the maximum length."""
-    engine = engine_of(source, c, cfg, model, idf, cfg.candidate_vocab_size)
+    """beam_search of one source as it was without the early stop: every
+    engine run gets an unreachable k and goes to the maximum length."""
+    engine = engine_of([source], c, cfg, model, idf, cfg.candidate_vocab_size)
     k = unreachable_k(engine)
     if cfg.mode == "deterministic":
-        return engine.run(k)[: cfg.candidates_k]
+        [found] = engine.run(k)
+        if isinstance(found, DecodeFailure):
+            raise found
+        return found[: cfg.candidates_k]
     winners = []
     for i in range(cfg.candidates_k):
-        try:
-            winners.append(engine.run(k, np.random.default_rng([cfg.seed, i]))[0])
-        except DecodeFailure:
-            pass
+        [found] = engine.run(k, [(0, np.random.default_rng([cfg.seed, i]))])
+        if not isinstance(found, DecodeFailure):
+            winners.append(found[0])
     if not winners:
         raise DecodeFailure("every sampled run failed")
     winners.sort(key=lambda h: (-h.combined, h.tokens))
@@ -510,7 +580,9 @@ def outcome(search, *args):
 class TestEarlyStop:
     """The search stops once no later hypothesis can enter the top k. The
     result must equal a search that runs every beam to the maximum length:
-    the same hypotheses, tokens and all three scores, in the same order."""
+    the same hypotheses, tokens and all three scores, in the same order.
+    Up to three sources run in one batch, sometimes under a cell budget
+    that splits them into batches of one."""
 
     WORDS = ["aa", "ab", "bc", "cd", "de", "ea", "bd", "ce"]
 
@@ -519,7 +591,10 @@ class TestEarlyStop:
             st.lists(st.sampled_from(WORDS), min_size=1, max_size=8),
             min_size=1, max_size=4,
         ),
-        source=st.lists(st.sampled_from(WORDS + ["zz"]), min_size=1, max_size=7),
+        sources=st.lists(
+            st.lists(st.sampled_from(WORDS + ["zz"]), min_size=1, max_size=7),
+            min_size=1, max_size=3,
+        ),
         letters=st.sets(st.sampled_from("abcde"), max_size=2),
         order=st.integers(1, 4),
         alpha=st.sampled_from([0.4, 1.0]),
@@ -533,11 +608,12 @@ class TestEarlyStop:
         max_ratio=st.sampled_from([1.5, 3.0]),
         mode=st.sampled_from(["deterministic", "sampled"]),
         seed=st.integers(0, 3),
+        budget=st.sampled_from([MAX_LOCKSTEP_CELLS, 1]),
     )
     @settings(max_examples=300, deadline=None)
     def test_matches_search_to_maximum_length(
-        self, paras, source, letters, order, alpha, widths, lambdas,
-        no_repeat, max_ratio, mode, seed,
+        self, paras, sources, letters, order, alpha, widths, lambdas,
+        no_repeat, max_ratio, mode, seed, budget,
     ):
         texts = [" ".join(p) for p in paras]
         model = train("\n\n".join(texts), order=order, alpha=alpha)
@@ -549,9 +625,14 @@ class TestEarlyStop:
             lambda_lm=lambdas[0], lambda_sim=lambdas[1],
             candidate_vocab_size=10, mode=mode, seed=seed,
         )
-        args = (" ".join(source), ConstraintSet.from_string("".join(letters)),
-                cfg, model, idf)
-        assert outcome(search, *args) == outcome(reference_search, *args)
+        c = ConstraintSet.from_string("".join(letters))
+        sources = [" ".join(s) for s in sources]
+        tables = ConstraintTables(c, model, idf, cfg.candidate_vocab_size)
+        with mock.patch.object(decoder, "MAX_LOCKSTEP_CELLS", budget):
+            batched = beam_search(tuple(sources), tables, cfg, EMPTY_LEX)
+        for source, found in zip(sources, batched):
+            got = type(found) if isinstance(found, Exception) else found
+            assert got == outcome(reference_search, source, c, cfg, model, idf)
 
     def test_stop_ends_the_search_early(self):
         """On a long source the top few are settled well before the
@@ -561,21 +642,23 @@ class TestEarlyStop:
         idf = build_idf(corpus.split("\n\n"))
         source = " ".join(["aa bb cc dd ee"] * 4)
         cfg = DecoderConfig(beam_width=8, candidates_k=2)
-        engine = engine_of(source, NO_CONSTRAINT, cfg, model, idf, 10)
+        engine = engine_of([source], NO_CONSTRAINT, cfg, model, idf, 10)
+        max_len = engine.paragraphs[0].max_len
         steps = []
         lm_rows = engine._lm_rows
 
-        def counted_lm_rows(*args):  # called once per search step
+        def counted_lm_rows(*args):  # called once per lockstep step
             steps.append(None)
             return lm_rows(*args)
 
         engine._lm_rows = counted_lm_rows
-        fast = engine.run(cfg.candidates_k)
+        [fast] = engine.run(cfg.candidates_k)
         fast_steps = len(steps)
         steps.clear()
-        assert fast == engine.run(unreachable_k(engine))[: cfg.candidates_k]
-        assert len(steps) == engine.max_len
-        assert fast_steps < engine.max_len
+        [full] = engine.run(unreachable_k(engine))
+        assert fast == full[: cfg.candidates_k]
+        assert len(steps) == max_len
+        assert fast_steps < max_len
 
 
 class TestLengthBounds:
@@ -832,22 +915,23 @@ def dense(pair_rows, n_rows, n_cols):
     return out
 
 
-def engine_arrays(engine):
-    n = len(engine.vocab)
-    lm = (dense(engine._lm_bigrams, n + 1, n) if engine.model.order > 1
+def paragraph_arrays(para, tables):
+    _, lm_pairs, bigram_sq, src_bi, _ = _batch_pair_rows([para], tables)
+    n = len(para.vocab)
+    lm = (dense(lm_pairs, n + 1, n) if tables.model.order > 1
           else np.full((n + 1, n), np.nan))
     return (
         lm,
-        dense(engine._bigram_sq, n, n),
-        engine._backoff_vec,
-        engine._idf_uni,
-        engine._src_uni,
-        dense(engine._src_bi, n, n),
+        dense(bigram_sq, n, n),
+        para.backoff,
+        para.idf_uni,
+        para.src_uni,
+        dense(src_bi, n, n),
     )
 
 
 class TestConstraintTables:
-    """The engine arrays gathered from ConstraintTables equal the
+    """The paragraph arrays gathered from ConstraintTables equal the
     per-paragraph build bit for bit, as dense matrices."""
 
     # Words with and without each vowel, so constraints leave tails of
@@ -895,12 +979,9 @@ class TestConstraintTables:
         expected = per_paragraph_build(source, vocab, model, idf)
         # Under the empty constraint and no tail, every vocabulary word is
         # looked up outside the tail.
-        for engine in (
-            _BeamEngine(source, vocab, cfg, tables),
-            _BeamEngine(source, vocab, cfg,
-                        ConstraintTables(NO_CONSTRAINT, model, idf, 0)),
-        ):
-            for got, want in zip(engine_arrays(engine), expected):
+        for built in (tables, ConstraintTables(NO_CONSTRAINT, model, idf, 0)):
+            para = _Paragraph(source, vocab, cfg, built)
+            for got, want in zip(paragraph_arrays(para, built), expected):
                 assert np.array_equal(got, want, equal_nan=True)
 
     def test_fewer_legal_words_than_m_take_them_all(self):
@@ -915,14 +996,190 @@ class TestConstraintTables:
         idf = build_idf(["the cat"])
         tables = ConstraintTables(ConstraintSet.from_string("e"), model, idf, 5)
         with pytest.raises(ValueError, match="constraint"):
-            _BeamEngine("the cat", ["the", "cat"], DecoderConfig(), tables)
+            _Paragraph("the cat", ["the", "cat"], DecoderConfig(), tables)
 
     def test_beam_search_rejects_tables_of_another_tail_size(self):
         model = train("the cat sat\n\nmy shy sky")
         tables = ConstraintTables(ConstraintSet.from_string("e"), model,
                                   build_idf(["the cat"]), 499)
         with pytest.raises(ValueError, match="candidate_vocab_size"):
-            beam_search("a cat sat", tables, DecoderConfig(), EMPTY_LEX)
+            beam_search(("a cat sat",), tables, DecoderConfig(), EMPTY_LEX)
+
+
+class TestLockstep:
+    """A call's sources are decoded in lockstep batches. Whatever the batch
+    (its size, its other lanes, their vocabulary sizes and failures), each
+    source's result equals its decode as a batch of one."""
+
+    WORDS = ["aa", "ab", "bc", "cd", "de", "ea", "bd", "ce", "by", "dy"]
+    LEX = Lexicon({
+        "aa": LexiconEntry("aa", "aa", ("yy", "dd"), 3),
+        "cd": LexiconEntry("cd", "cd", ("cy",), 2),
+    })
+
+    @given(
+        paras=st.lists(
+            st.lists(st.sampled_from(WORDS), min_size=1, max_size=8),
+            min_size=1, max_size=4,
+        ),
+        sources=st.lists(
+            st.one_of(
+                st.lists(st.sampled_from(WORDS + ["zz", "yy"]), min_size=1, max_size=12)
+                .map(" ".join),
+                st.just("12 !!"),  # no words
+            ),
+            min_size=1, max_size=6,
+        ),
+        letters=st.sampled_from(["", "e", "a", "aeiou"]),
+        order=st.integers(1, 4),
+        M=st.integers(0, 12),
+        widths=st.integers(1, 6).flatmap(
+            lambda w: st.tuples(st.just(w), st.integers(1, w))
+        ),
+        ratios=st.sampled_from([(0.5, 1.5), (0.5, 0.55), (1.0, 3.0)]),
+        no_repeat=st.integers(2, 3),
+        mode=st.sampled_from(["deterministic", "sampled"]),
+        budget=st.sampled_from([1, 40, 150, MAX_LOCKSTEP_CELLS]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_every_lane_equals_its_lone_decode(
+        self, paras, sources, letters, order, M, widths, ratios, no_repeat,
+        mode, budget,
+    ):
+        texts = [" ".join(p) for p in paras]
+        model = train("\n\n".join(texts), order=order)
+        beam_width, candidates_k = widths
+        cfg = DecoderConfig(
+            beam_width=beam_width, candidates_k=candidates_k,
+            min_ratio=ratios[0], max_ratio=ratios[1], no_repeat_ngram=no_repeat,
+            candidate_vocab_size=M, mode=mode, seed=len(sources),
+        )
+        tables = ConstraintTables(
+            ConstraintSet.from_string(letters), model, build_idf(texts), M
+        )
+
+        def shown(found):
+            return (type(found), str(found)) if isinstance(found, Exception) else found
+
+        with mock.patch.object(decoder, "MAX_LOCKSTEP_CELLS", budget):
+            batched = beam_search(tuple(sources), tables, cfg, self.LEX)
+        alone = [beam_search((s,), tables, cfg, self.LEX)[0] for s in sources]
+        assert len(batched) == len(sources)
+        assert [shown(f) for f in batched] == [shown(f) for f in alone]
+
+    def test_failures_are_returned_in_place(self):
+        model = train("aa bb cc dd\n\nbb cc dd aa")
+        tables = ConstraintTables(ConstraintSet.from_string("a"), model,
+                                  build_idf(["aa bb"]), 0)
+        cfg = DecoderConfig(beam_width=4, candidates_k=2, candidate_vocab_size=0,
+                            min_ratio=0.5, max_ratio=0.55)
+        found = beam_search(
+            ("bb cc dd bb cc dd", "!!", "aa", "bb cc dd", "cc dd bb cc dd bb"),
+            tables, cfg, EMPTY_LEX,
+        )
+        assert isinstance(found[1], ValueError)  # no words
+        assert isinstance(found[2], EmptyVocabulary)
+        assert isinstance(found[3], DecodeFailure)  # lengths 2..1: none
+        assert all(isinstance(h, Hypothesis) for i in (0, 4) for h in found[i])
+
+    def test_a_string_is_not_a_batch(self):
+        model = train("aa bb")
+        tables = ConstraintTables(NO_CONSTRAINT, model, NO_DOCS, 10)
+        with pytest.raises(TypeError):
+            beam_search("aa bb", tables, DecoderConfig(candidate_vocab_size=10),
+                        EMPTY_LEX)
+
+
+class TestLockstepBatches:
+    @given(
+        widths=st.lists(st.integers(1, 600), max_size=30),
+        beam_width=st.integers(1, 40),
+        budget=st.integers(1, 100_000),
+    )
+    def test_batches_stay_within_the_cell_budget(self, widths, beam_width, budget):
+        with mock.patch.object(decoder, "MAX_LOCKSTEP_CELLS", budget):
+            batches = _lockstep_batches(widths, beam_width)
+        # Every lane once, in order, in consecutive runs.
+        assert [i for b in batches for i in b] == list(range(len(widths)))
+        for b in batches:
+            assert len(b) >= 1
+            cells = len(b) * beam_width * max(widths[i] for i in b)
+            assert len(b) == 1 or cells <= budget
+        # A batch stops only when the next lane would break the budget.
+        for b, after in zip(batches, batches[1:]):
+            grown = list(b) + [after[0]]
+            assert len(grown) * beam_width * max(widths[i] for i in grown) > budget
+
+    def test_the_engine_runs_those_batches(self):
+        model = train("aa bb cc dd ee\n\nbb cc dd ee aa")
+        tables = ConstraintTables(NO_CONSTRAINT, model, NO_DOCS, 10)
+        cfg = DecoderConfig(beam_width=4, candidates_k=2, candidate_vocab_size=10)
+        sources = ["aa bb cc", "bb cc dd ee", "cc", "dd ee aa bb", "ee aa"]
+        vocabs = [build_candidate_vocab(s, tables, EMPTY_LEX) for s in sources]
+        sizes = []
+        real = _BeamEngine._run_batch
+
+        def recording(self, lanes, k, buffer):
+            sizes.append(len(lanes))
+            assert len(lanes) * cfg.beam_width * max(
+                len(vocabs[p]) for p, _ in lanes
+            ) <= decoder.MAX_LOCKSTEP_CELLS or len(lanes) == 1
+            return real(self, lanes, k, buffer)
+
+        with mock.patch.object(_BeamEngine, "_run_batch", recording):
+            for budget in (1, 2 * 4 * 5, MAX_LOCKSTEP_CELLS):
+                with mock.patch.object(decoder, "MAX_LOCKSTEP_CELLS", budget):
+                    _BeamEngine(sources, vocabs, cfg, tables).run(2)
+        assert sizes == [1] * 5 + [2, 2, 1] + [5]
+
+
+class TestTranslateFailures:
+    """Pipeline.translate empties exactly the paragraphs beam_search
+    reports as failed, and lets any other exception through."""
+
+    CORPUS = "\n\n".join([
+        "the cat sat on the mat by the door",
+        "my shy dog ran by the big old barn",
+        "a quick brown fox jumps over the lazy dog",
+    ])
+
+    def pipeline(self):
+        from lipogram.pipeline import Pipeline
+
+        paras = self.CORPUS.split("\n\n")
+        return Pipeline(train(self.CORPUS), EMPTY_LEX, build_idf(paras), set())
+
+    def test_empties_land_where_the_decodes_failed(self):
+        pipeline = self.pipeline()
+        c = ConstraintSet.from_string("e")
+        # Lengths ceil(0.5 n)..floor(0.55 n): none for three words, one
+        # for eleven or twelve.
+        cfg = DecoderConfig(beam_width=6, candidates_k=3, min_ratio=0.5,
+                            max_ratio=0.55, candidate_vocab_size=30)
+        paragraphs = [
+            "my shy dog ran by the big old barn and on",
+            "1923 -- !!",
+            "a cat sat",
+            "my dog ran by a big old barn that day in fog",
+        ]
+        outputs, failures = pipeline.translate(paragraphs, c, "beam", cfg)
+        assert failures == 2
+        assert outputs[1] == outputs[2] == ""
+        for i in (0, 3):
+            assert outputs[i]
+            assert outputs[i] == pipeline.translate([paragraphs[i]], c, "beam", cfg)[0][0]
+
+    def test_other_errors_propagate(self, monkeypatch):
+        import lipogram.pipeline
+
+        def broken(*args):
+            raise ValueError("a bug, not a failed decode")
+
+        monkeypatch.setattr(lipogram.pipeline, "multiselect", broken)
+        with pytest.raises(ValueError, match="a bug"):
+            self.pipeline().translate(
+                ["the cat sat on the mat"], ConstraintSet.from_string("e"), "beam"
+            )
 
 
 class TestSetUpLevel:

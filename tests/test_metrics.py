@@ -342,6 +342,7 @@ class TestEvaluateDocument:
 class _EmbedHandler(http.server.BaseHTTPRequestHandler):
     vectors = [[3.0, 4.0], [0.0, 0.0]]
     fail = False
+    raw = None  # a reply body sent as it is, when set
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
@@ -350,7 +351,7 @@ class _EmbedHandler(http.server.BaseHTTPRequestHandler):
             self.send_response(500)
             self.end_headers()
             return
-        reply = json.dumps(
+        reply = self.raw or json.dumps(
             {"vectors": self.vectors[: len(body["texts"])]}
         ).encode()
         self.send_response(200)
@@ -399,6 +400,31 @@ class TestRemoteEmbedder:
                 RemoteEmbedder(embed_server).embed("text")
         finally:
             _EmbedHandler.fail = False
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"[1, 2]",
+            b'"vectors"',
+            b'{"vectors": [null]}',
+            b'{"vectors": [["a"]]}',
+            b'{"vectors": [[NaN]]}',
+            b'{"vectors": [[Infinity, 1.0]]}',
+            b'{"vectors": [[1e400]]}',
+            b'{"vectors": [[' + b"9" * 400 + b']]}',
+            b'{"vectors": [[true]]}',
+            b'{"vectors": [{"0": 1.0}]}',
+            b'{"vectors": [[1e200, 1e200]]}',
+            b'{"vectors": []}',
+        ],
+    )
+    def test_malformed_response_raises_provider_error(self, embed_server, raw):
+        _EmbedHandler.raw = raw
+        try:
+            with pytest.raises(EmbedProviderError):
+                RemoteEmbedder(embed_server).embed_many(["text"])
+        finally:
+            _EmbedHandler.raw = None
 
 
 class TestEmbedderInterfaces:

@@ -175,7 +175,7 @@ class TestContinuations:
         index = m.continuation_index
         for k in range(2, order + 1):
             contexts = {gram[:-1] for gram in m.tables[k - 1]}
-            (lo,), (hi,) = index.spans([("zz",) * (k - 1)])
+            (lo,), (hi,) = index.spans(m.context_ids([("zz",) * (k - 1)]))
             assert lo == hi
             for ctx in contexts:
                 cont = {
@@ -184,7 +184,7 @@ class TestContinuations:
                     if gram[:-1] == ctx
                 }
                 assert dict(m.continuations(ctx)) == cont
-                (lo,), (hi,) = index.spans([ctx])
+                (lo,), (hi,) = index.spans(m.context_ids([ctx]))
                 scores = dict(zip(
                     (m.tokens[i] for i in index.ids[lo:hi]), index.logs[lo:hi]
                 ))

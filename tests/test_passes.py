@@ -391,6 +391,7 @@ class TestGrammarCorrect:
 class _GrammarHandler(http.server.BaseHTTPRequestHandler):
     captured = {}
     status = 200
+    raw = None  # a reply body sent as it is, when set
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
@@ -399,7 +400,7 @@ class _GrammarHandler(http.server.BaseHTTPRequestHandler):
         if self.status != 200:
             self.send_error(self.status)
             return
-        body = json.dumps(
+        body = self.raw or json.dumps(
             {
                 "matches": [
                     {
@@ -427,7 +428,9 @@ def grammar_server():
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     _GrammarHandler.status = 200
+    _GrammarHandler.raw = None
     yield f"http://127.0.0.1:{server.server_port}"
+    _GrammarHandler.raw = None
     server.shutdown()
     thread.join()
 
@@ -448,6 +451,28 @@ class TestLanguageToolClient:
         _GrammarHandler.status = 500
         with pytest.raises(GrammarProviderError):
             LanguageToolClient(grammar_server).check("text")
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"[]",
+            b'{"matches": ["x"]}',
+            b'{"matches": {"offset": 0}}',
+            b'{"matches": [{"offset": 0, "length": 1, "replacements": ["an"]}]}',
+            b'{"matches": [{"offset": 0, "length": 1, "replacements": "an"}]}',
+            b'{"matches": [{"offset": 0, "length": 1, "replacements": [{"value": 5}]}]}',
+            b'{"matches": [{"offset": "0", "length": 1}]}',
+            b'{"matches": [{"offset": 0}]}',
+            b'{"matches": [{"offset": 0, "length": null}]}',
+        ],
+    )
+    def test_malformed_response_raises_provider_error(self, grammar_server, raw):
+        _GrammarHandler.raw = raw
+        with pytest.raises(GrammarProviderError):
+            LanguageToolClient(grammar_server).check("text")
+        # grammar_correct keeps the text instead of failing the run.
+        client = LanguageToolClient(grammar_server)
+        assert grammar_correct("a apple", E, client) == "a apple"
 
     def test_unreachable_raises_provider_error(self):
         with pytest.raises(GrammarProviderError):
