@@ -20,10 +20,12 @@ to the maximum length.
 Set-up is done once at the level where its data lives:
 
 - Corpus: built lazily on first use and cached on the object that owns the
-  data. ``NGramModel`` holds the frequency-ranked word list, the unigram
-  log scores, each token's letter mask and every context's continuations
-  as token ids with their log ratios (``ContinuationIndex``, which finds a
-  context from its token ids through sorted int64 keys); ``IdfTable``
+  data. ``NGramModel`` holds the frequency-ranked word list, each token's
+  letter mask, each token's score after an unseen context
+  (``backoff_logscores``) and every context's continuations as token ids
+  with their scores (``ContinuationIndex``, which finds a context from its
+  token ids through sorted int64 keys). Both scores already carry their
+  backoff penalties, so the decoder never applies one itself. ``IdfTable``
   holds its unigram and bigram features and each word's letter mask as
   arrays over word ids (``IdfIndex``).
 - Constraint: ``ConstraintTables``, built once per constraint set and
@@ -54,12 +56,13 @@ the batch's widest vocabulary; a lane's cells past its own vocabulary and
 its rows without a beam rank at -inf. It computes the backoff LM rows
 (pair rows of every lane in one key space, then the longer contexts
 looked up by model ids), the incremental similarity (a sparse
-term-count correction read off each beam's history), the n-gram repeat
-bans, and a row-wise top-k whose order within a lane equals a stable
-full sort of that lane's beams x vocabulary block, so the tie rule is
-that of a lone search. Every real cell goes through the same elementwise
-operations in the same order as in a lone search, so no lane's result
-depends on its batch. The step keeps each pick's back-pointer, word and
+term-count correction) and the n-gram repeat bans, both read off one
+scan of each beam's history, and a row-wise top-k whose order within a
+lane equals a stable full sort of that lane's beams x vocabulary block,
+so the tie rule is that of a lone search. Every real cell goes through
+the same elementwise operations in the same order as in a lone search,
+so no lane's result depends on its batch. A pick's scores are read from
+the step's matrices; the step keeps each pick's back-pointer, word and
 scores in arrays, and builds ``Hypothesis`` objects only for a lane's
 returned top k.
 """
@@ -92,20 +95,22 @@ class DecodeFailure(RuntimeError):
 
 MODES = ("deterministic", "sampled")
 
-# One search step allocates about 85 bytes per beam x vocabulary cell at
-# its peak (tracemalloc over whole runs at 200 x 2,007 and 50 x 5,007
-# cells, both modes, numpy 2.4). The cap on beam_width x
-# candidate_vocab_size keeps a step near 256 MiB.
+# A search peaks at about 52-57 bytes per beam x vocabulary cell in
+# deterministic mode and 103-111 in sampled mode, whose noisy ranks leave
+# top_k more entries to sort (tracemalloc over whole runs at 200 x 2,006
+# and 50 x 5,007 cells, plus the 48 bytes of its six mapped step planes;
+# numpy 2.4). The cap on beam_width x candidate_vocab_size keeps a search
+# near 330 MB.
 MAX_BEAM_CELLS = 3_000_000
 
 # A lockstep batch admits lanes, in call order, while lanes x beam_width x
 # its widest vocabulary stays within this many cells, and always admits
-# one lane. A deterministic step keeps four float64 matrices of that many
-# cells (sampled mode five), and a batch also holds its lanes' pair rows.
-# Measured with perfbench (seed 0, --seconds 30; 2-CPU x86 host, Python
-# 3.11, numpy 2.4), sweep-short's peak RSS rose over the per-paragraph
-# search by 0.6%, 1.3%, 2.4% and 5.8% at 40k, 50k, 60k and 80k cells, and
-# translate-e's by 1.4% at 60k.
+# one lane. A step keeps six float64 matrices of that many cells, and a
+# batch also holds its lanes' pair rows. Measured with perfbench (seed 0,
+# --seconds 30; 2-CPU x86 host, Python 3.11, numpy 2.4) when a step kept
+# four matrices (five in sampled mode), sweep-short's peak RSS rose over
+# the per-paragraph search by 0.6%, 1.3%, 2.4% and 5.8% at 40k, 50k, 60k
+# and 80k cells, and translate-e's by 1.4% at 60k.
 MAX_LOCKSTEP_CELLS = 60_000
 
 # Config-file keys that belong to the surrounding tooling, not the decoder.
@@ -129,6 +134,9 @@ class DecoderConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("min_ratio", "max_ratio", "temperature", "lambda_lm", "lambda_sim"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.candidates_k < 1:
             raise ValueError("candidates_k must be >= 1")
         if self.beam_width < self.candidates_k:
@@ -267,34 +275,27 @@ class ConstraintTables:
         self.size = M
         self.model = model
         self.idf = idf
-        # The M most frequent legal model words (all of them when fewer are
-        # legal), read off the ranked list by the model's letter masks.
-        legal = (model.letter_masks[: len(model.ranked_words)] & c.mask) == 0
-        self.words = [model.ranked_words[i] for i in np.flatnonzero(legal)[:M]]
+        # Which model tokens are legal words, by the letter masks; BOS, EOS
+        # and the trailing entry of token id -1 are not.
+        legal = np.append((model.letter_masks & c.mask) == 0, False)
+        legal[len(model.ranked_words):-1] = False
+        # The M most frequent legal words (all of them when fewer are legal):
+        # the ranked words come first in id order.
+        self.words = [model.tokens[i] for i in np.flatnonzero(legal)[:M]]
         self.position = {w: i for i, w in enumerate(self.words)}
         self.model_ids, self.idf_ids, self.backoff, self.idf_uni = self.lookup(
             self.words
         )
 
-        if model.order > 1:
-            index = model.continuation_index
-            n_tokens = len(model.tokens)
-            # The extra trailing False is the entry of token id -1.
-            legal = np.append((model.letter_masks & c.mask) == 0, False)
-            legal[len(model.ranked_words):n_tokens] = False  # BOS and EOS
-            firsts = np.append(np.flatnonzero(legal), model.token_ids[BOS])
-            ctx_rows = index.token_rows[firsts]
-            rows, entries = _expand(
-                index.starts[ctx_rows], index.starts[ctx_rows + 1]
-            )
-            keep = np.flatnonzero(legal[index.ids[entries]])
-            rows, entries = rows[keep], entries[keep]
-            logs = index.logs[entries]
-            for _ in range(model.order - 2):
-                logs = math.log(model.alpha) + logs
-            self.lm_pairs = _PairRows.grouped(
-                n_tokens, firsts[rows], index.ids[entries], logs
-            )
+        index = model.continuation_index
+        firsts = np.append(np.flatnonzero(legal), model.token_ids[BOS])
+        ctx_rows = index.token_rows[firsts]
+        rows, entries = _expand(index.starts[ctx_rows], index.starts[ctx_rows + 1])
+        keep = np.flatnonzero(legal[index.ids[entries]])
+        rows, entries = rows[keep], entries[keep]
+        self.lm_pairs = _PairRows.grouped(
+            len(model.tokens), firsts[rows], index.ids[entries], index.logs[entries]
+        )
 
         features = idf.index
         legal = np.append((features.word_masks & c.mask) == 0, False)
@@ -311,25 +312,13 @@ class ConstraintTables:
 
     def lookup(self, words: Sequence[str]):
         """Each word's model id and IDF id (-1 when absent), backoff LM
-        score and idf, as arrays.
-
-        The backoff score is that of a word never seen after the context:
-        its unigram score plus log(alpha) once per context token, added in
-        token_logscore's order, so stacked sums stay bit-identical to it.
-        """
-        model, features = self.model, self.idf.index
-        model_ids = _positions(words, model.token_ids)
-        idf_ids = _positions(words, features.word_ids)
-        backoff = np.full(
-            len(words), math.log(1.0 / (model.total + len(model.vocabulary)))
-        )
-        known = model_ids >= 0
-        backoff[known] = model.unigram_logscores[model_ids[known]]
-        log_alpha = math.log(model.alpha)
-        for _ in range(model.order - 1):
-            backoff = log_alpha + backoff
-        # The appended default is the idf of id -1.
-        idf_uni = np.append(features.word_values, self.idf.default)[idf_ids]
+        score and idf, as arrays. The backoff score is that of a word
+        never seen after the context (``NGramModel.backoff_logscores``)."""
+        model_ids = _positions(words, self.model.token_ids)
+        idf_ids = _positions(words, self.idf.index.word_ids)
+        # Both tables end with the entry of id -1.
+        backoff = self.model.backoff_logscores[model_ids]
+        idf_uni = np.append(self.idf.index.word_values, self.idf.default)[idf_ids]
         return model_ids, idf_ids, backoff, idf_uni
 
 
@@ -534,8 +523,9 @@ class _BeamEngine:
     when no beam survives, or once the k-th best pooled score beats every
     score a longer hypothesis could reach.
 
-    The step works on one (lanes x beam_width, V) matrix per quantity,
-    where V is the batch's widest vocabulary. A lane owns beam_width rows
+    The step works on one (lanes x beam_width, V) matrix per score, where
+    V is the batch's widest vocabulary, and reads each pick's scores back
+    from them. A lane owns beam_width rows
     (its live beams first), and its cells past its own vocabulary, like
     the rows of beams it does not have, rank at -inf. Every real cell gets
     the same elementwise operations, in the same order, as in a search of
@@ -556,7 +546,6 @@ class _BeamEngine:
             _Paragraph(source, vocab, cfg, tables)
             for source, vocab in zip(sources, vocabs)
         ]
-        self._log_alpha = math.log(self.model.alpha)
         self._default_sq = tables.idf.default**2
 
     def run(
@@ -594,16 +583,15 @@ class _BeamEngine:
                 ready.append(i)
         widths = [len(self.paragraphs[lanes[i][0]].vocab) for i in ready]
         batches = _lockstep_batches(widths, self.cfg.beam_width)
-        # One buffer serves the step matrices of every batch. It is an
-        # anonymous memory map, not a heap block: its pages go back to the
-        # system when the run ends and leave no hole in the heap. (With a
-        # heap block, sweep-short's peak RSS was about 1 MB higher.)
+        # One buffer of six planes serves the step matrices of every batch.
+        # It is an anonymous memory map, not a heap block: its pages go back
+        # to the system when the run ends and leave no hole in the heap.
+        # (With a heap block, sweep-short's peak RSS was about 1 MB higher.)
         cells = max(
             (len(b) * self.cfg.beam_width * max(widths[j] for j in b) for b in batches),
-            default=0,
+            default=1,
         )
-        planes = 5 if lanes and lanes[0][1] is not None else 4
-        buffer = np.frombuffer(mmap.mmap(-1, max(8, 8 * planes * cells)))
+        buffer = np.frombuffer(mmap.mmap(-1, 6 * 8 * cells)).reshape(6, cells)
         for batch in batches:
             ids = [ready[j] for j in batch]
             found = self._run_batch([lanes[i] for i in ids], k, buffer)
@@ -612,8 +600,8 @@ class _BeamEngine:
         return results
 
     def _run_batch(self, lanes, k: int, buffer: np.ndarray) -> list:
-        """``run`` for one batch of lanes, with its step matrices in
-        ``buffer``."""
+        """``run`` for one batch of lanes, with its step matrices in the
+        planes of ``buffer``."""
         cfg, model = self.cfg, self.model
         W = cfg.beam_width
         span = model.order - 1
@@ -654,8 +642,9 @@ class _BeamEngine:
         # belongs to lane r // W, whose live beams take its first rows. Per
         # row: the beam's LM, dot and sum-of-squares scores so far, whether
         # it holds a beam, its vocabulary positions with twice the count of
-        # each in it, its last span model ids (BOS-padded), and the pair
-        # key of its last word (BOS before the first).
+        # each in it, which earlier positions hold its last word, its last
+        # span model ids (BOS-padded), and the pair key of its last word (BOS
+        # before the first).
         n_rows = n_lanes * W
         row_cells = np.arange(n_rows) * V
         lane_cells = np.arange(n_rows) // W * V
@@ -665,6 +654,7 @@ class _BeamEngine:
         beam = np.zeros((3, n_lanes))
         history = np.empty((n_lanes, 0), dtype=np.intp)
         tf2 = np.empty((n_lanes, 0), dtype=np.intp)
+        repeats = np.empty((n_lanes, 0), dtype=bool)
         contexts = np.full((n_lanes, span), model.token_ids[BOS], dtype=np.intp)
         keys = lane_keys + widths
         top = np.full((n_lanes, k), -np.inf)  # each lane's k best pooled scores
@@ -677,25 +667,23 @@ class _BeamEngine:
         scores[2] = -np.inf
         links = np.empty((2, n_steps, n_rows), dtype=np.intp)
 
-        # The step's matrices, reused from step to step: the LM, dot and
-        # sum-of-squares scores, the combined score (and rank), and in
-        # sampled mode the Gumbel noise, zero (finite) wherever it is not
-        # drawn. The combined matrix holds the bigram squares and the
-        # square roots first, and the dot matrix ends up holding the
-        # weighted similarity; a pick's dot, similarity and combined score
-        # are recomputed by the same elementwise operations.
-        planes = 5 if sampled else 4
-        mats = buffer[: planes * n_rows * V].reshape(planes, n_rows, V)
-        if sampled:
-            mats[4] = 0.0
+        # The step's matrices, reused from step to step: the LM, dot,
+        # sum-of-squares, similarity and combined scores, which a pick's
+        # scores are read from, and a scratch matrix. The similarity matrix
+        # holds the bigram squares first; the scratch one holds the square
+        # roots, then the weighted similarity, then in sampled mode the rank.
+        mats = buffer[:, : n_rows * V].reshape(-1, n_rows, V)
 
         results: list = [None] * n_lanes
         for step in range(1, n_steps + 1):
             L = len(lane_ids)
             B = 1 if step == 1 else W  # rows per lane this step
             R = L * B
-            lm, dot, ssq, comb, *noise = mats[:, :R]
+            lm, dot, ssq, sim, comb, rank = mats[:, :R]
 
+            followed, counts, bans = _history_cells(
+                history, repeats, V, cfg.no_repeat_ngram
+            )
             self._lm_rows(lm, backoff, keys, contexts, lane_para, lm_pairs, model_pos)
             lm += beam[0, :, None]
             np.copyto(dot.reshape(L, B, V), src_uni[:, None])
@@ -703,7 +691,7 @@ class _BeamEngine:
             np.copyto(ssq.reshape(L, B, V), idf_sq[:, None])
             ssq += beam[2, :, None]
             if step > 1:
-                bigram_sq = comb
+                bigram_sq = sim
                 bigram_sq.fill(self._default_sq)
                 rows, seconds, values = bigram_pairs.pairs(keys, V)
                 bigram_sq.ravel()[rows + seconds] = values
@@ -711,7 +699,6 @@ class _BeamEngine:
                 # Source bigrams are sparse; everywhere else the term is 0.
                 rows, seconds, values = source_pairs.pairs(keys, V)
                 dot.ravel()[rows + seconds] += values
-                followed, counts = self._follower_cells(history, V)
                 follower_sq = bigram_sq.ravel()[followed]
                 # Repeated-feature corrections: tf goes k -> k+1, adding
                 # idf^2 * 2k on top of the fresh-feature idf^2 baseline
@@ -721,22 +708,23 @@ class _BeamEngine:
                 )
                 ssq.ravel()[followed] += follower_sq * (2 * counts)
 
-            sim = np.divide(dot, np.sqrt(ssq, out=comb), out=dot)
+            np.divide(dot, np.sqrt(ssq, out=rank), out=sim)
             np.clip(sim, 0.0, 1.0, out=sim)
             np.multiply(lm, cfg.lambda_lm, out=comb)
-            sim *= cfg.lambda_sim
-            comb += sim
-            comb.ravel()[self._repeat_bans(history, V)] = -np.inf
+            comb += np.multiply(sim, cfg.lambda_sim, out=rank)
+            comb.ravel()[bans] = -np.inf
             np.copyto(comb.reshape(L, B, V), -np.inf, where=padded)
             comb[~live] = -np.inf
 
-            rank = comb
             if sampled:
-                rank /= cfg.temperature
-                drawn = noise[0].reshape(L, B, V)
+                # Gumbel noise is drawn only for a lane's real cells; every
+                # other cell ranks at -inf already.
+                np.divide(comb, cfg.temperature, out=rank)
+                drawn = rank.reshape(L, B, V)
                 for i, (rng, n, width) in enumerate(zip(rngs, n_beams, widths)):
-                    drawn[i, :n, :width] = rng.gumbel(size=n * width).reshape(n, width)
-                rank += noise[0]
+                    drawn[i, :n, :width] += rng.gumbel(size=n * width).reshape(n, width)
+            else:
+                rank = comb
             lane, picks = top_k(rank.reshape(L, B, V), W)
 
             n_beams = np.bincount(lane, minlength=L)
@@ -744,19 +732,14 @@ class _BeamEngine:
             parents, words = np.divmod(picks, V)
             src = lane * B + parents
             dst = lane * W + slots
-            cells = lane * (B * V) + picks
-            picked = np.stack((lm.ravel()[cells], beam[1, src], ssq.ravel()[cells]))
-            picked[1] += src_uni[lane, words]
-            if step > 1:
-                rows, seconds, values = source_pairs.pairs(keys[src])
-                hit = seconds == words[rows]
-                picked[1, rows[hit]] += values[hit]
-            pick_sim = np.clip(picked[1] / np.sqrt(picked[2]), 0.0, 1.0)
-            pooled = cfg.lambda_lm * picked[0] + cfg.lambda_sim * pick_sim
+            # Each pick's LM, dot, sum-of-squares, similarity and combined
+            # scores; only those of a legal length are pooled.
+            picked = mats[:5, :R].reshape(5, R * V)[:, lane * (B * V) + picks]
+            pooled = picked[4]
             pooled[step < min_len[lane]] = -np.inf
             at = lane_ids[lane] * W + slots
             scores[0, step - 1, at] = picked[0]
-            scores[1, step - 1, at] = pick_sim
+            scores[1, step - 1, at] = picked[3]
             scores[2, step - 1, at] = pooled
             links[0, step - 1, at] = parents
             links[1, step - 1, at] = words
@@ -817,11 +800,11 @@ class _BeamEngine:
             grown[:, -1] = 0
             grown[dst, -1] = words
             history = grown
-            same = history[:, :-1] == history[:, -1:]
+            repeats = history[:, :-1] == history[:, -1:]
             grown = np.empty((R, step), dtype=np.intp)
             np.take(tf2, source, axis=0, out=grown[:, :-1], mode="clip")
-            grown[:, :-1] += 2 * same
-            grown[:, -1] = 2 * same.sum(axis=1) + 2
+            grown[:, :-1] += 2 * repeats
+            grown[:, -1] = 2 * repeats.sum(axis=1) + 2
             tf2 = grown
             shifted = np.full((R, span), -1, dtype=np.intp)
             if span:
@@ -838,66 +821,30 @@ class _BeamEngine:
         """Backoff LM scores of every vocabulary position after each row's
         beam, written to ``out``.
 
-        Every score starts as the unigram fallback of the row's lane; then
-        the words attested after each longer suffix of the context
-        overwrite it, the one-word suffix from the paragraphs' pair rows.
+        Every score starts as the backoff score of the row's lane, that of
+        a context never seen; then the words attested after each longer
+        suffix of the context overwrite it, the one-word suffix from the
+        paragraphs' pair rows. The model's scores carry their backoff
+        penalties, so each is written as it is.
         """
         n_lanes, width = backoff.shape
         np.copyto(out.reshape(n_lanes, -1, width), backoff[:, None])
-        model = self.model
-        if model.order > 1:
-            rows, seconds, logs = lm_pairs.pairs(keys, width)
-            out.ravel()[rows + seconds] = logs
+        rows, seconds, logs = lm_pairs.pairs(keys, width)
+        out.ravel()[rows + seconds] = logs
         beams = len(keys) // n_lanes
-        n_ids = len(model.tokens) + 1
-        index = model.continuation_index
-        for j in range(2, model.order):
+        n_ids = len(self.model.tokens) + 1
+        index = self.model.continuation_index
+        for j in range(2, self.model.order):
             # The tokens attested after each row's last j words, with the
-            # score token_logscore reaches for them: the log ratio plus
-            # log(alpha) once per context token beyond these j, added in
-            # its order.
+            # score token_logscore reaches for them.
             rows, entries = _expand(*index.spans(contexts[:, -j:]))
-            logs = index.logs[entries]
-            for _ in range(model.order - 1 - j):
-                logs = self._log_alpha + logs
             # Each paragraph's row of model_pos ends with the entry of id
             # -1, so a flat index one before a row still finds -1.
             pos = model_pos.ravel()[
                 lane_para[rows // beams] * n_ids + index.ids[entries]
             ]
             hit = pos >= 0
-            out.ravel()[rows[hit] * width + pos[hit]] = logs[hit]
-
-    def _repeat_bans(self, history: np.ndarray, width: int) -> np.ndarray:
-        """Cells (row * width + token) whose token would repeat an n-gram
-        of the row's beam.
-
-        A token is banned when the beam's last n-1 tokens already occurred
-        followed by it.
-        """
-        n = self.cfg.no_repeat_ngram
-        length = history.shape[1]
-        if length < n:
-            return np.empty(0, dtype=np.intp)
-        starts = length - n + 1
-        match = np.ones((len(history), starts), dtype=bool)
-        for k in range(n - 1):
-            match &= history[:, k:starts + k] == history[:, starts + k, None]
-        beams, at = np.divmod(np.flatnonzero(match), starts)
-        return beams * width + history[beams, at + n - 1]
-
-    @staticmethod
-    def _follower_cells(history: np.ndarray, width: int):
-        """Each beam's bigrams (last token, w) so far, as the cells
-        row * width + w, ascending, and their counts."""
-        length = history.shape[1] - 1
-        beams, at = np.divmod(
-            np.flatnonzero(history[:, :-1] == history[:, -1:]), length
-        )
-        cells = np.sort(beams * width + history[beams, at + 1])
-        new = np.ones(len(cells), dtype=bool)
-        np.not_equal(cells[1:], cells[:-1], out=new[1:])
-        return cells[new], np.bincount(np.cumsum(new) - 1)
+            out.ravel()[rows[hit] * width + pos[hit]] = index.logs[entries[hit]]
 
     @staticmethod
     def _collect(para: _Paragraph, scores, links, kth: float, k: int):
@@ -937,22 +884,20 @@ def _batch_pair_rows(paras: Sequence[_Paragraph], tables: ConstraintTables):
     ``offsets[i]`` on; the last key, ``offsets[-1]``, has no pairs. Also
     returns each paragraph's map from model token id to vocabulary
     position (-1 outside it), one row each with a last entry for id -1.
-    The LM pair rows are None for a unigram model. Each paragraph is
-    gathered on its own, which keeps the gather's scratch arrays small.
+    Each paragraph is gathered on its own, which keeps the gather's
+    scratch arrays small.
     """
     model = tables.model
     n_keys = [len(para.vocab) + 1 for para in paras]
     model_pos = np.stack([_inverse(p.model_ids, len(model.tokens)) for p in paras])
-    lm_pairs = None
-    if model.order > 1:
-        bos = model.token_ids[BOS]
-        lm_pairs = _PairRows.stack(
-            [
-                tables.lm_pairs.gather(np.append(p.model_ids, bos), pos)
-                for p, pos in zip(paras, model_pos)
-            ],
-            n_keys,
-        )
+    bos = model.token_ids[BOS]
+    lm_pairs = _PairRows.stack(
+        [
+            tables.lm_pairs.gather(np.append(p.model_ids, bos), pos)
+            for p, pos in zip(paras, model_pos)
+        ],
+        n_keys,
+    )
     n_idf = len(tables.idf.index.word_ids)
     bigram_pairs = _PairRows.stack(
         [tables.bigram_sq.gather(p.idf_ids, _inverse(p.idf_ids, n_idf)) for p in paras],
@@ -960,6 +905,32 @@ def _batch_pair_rows(paras: Sequence[_Paragraph], tables: ConstraintTables):
     )
     source_pairs = _PairRows.stack([p.src_bi for p in paras], n_keys)
     return np.cumsum([0] + n_keys), lm_pairs, bigram_pairs, source_pairs, model_pos
+
+
+def _history_cells(history: np.ndarray, repeats: np.ndarray, width: int, n: int):
+    """What each row's history gives its next step, read off one scan of
+    it (``repeats``): the cells ``row * width + w`` of its bigrams (last token, w) so far,
+    ascending and once each, with their counts; and the cells whose token
+    would repeat an n-gram of the row (in any order, maybe twice).
+
+    ``repeats[row, p]`` tells whether position p, before the last, holds
+    the row's last token; ``history[row, p + 1]`` followed it there. That
+    follower is banned when the n - 2 positions before p also hold the
+    n - 2 tokens before the last one: it would end a second copy of the
+    n-gram starting at p - n + 2.
+    """
+    beams, at = np.nonzero(repeats)
+    cells = beams * width + history[beams, at + 1]
+    keep = np.flatnonzero(at >= n - 2)
+    gap = history.shape[1] - 1 - at  # from each match to the last token
+    for k in range(1, n - 1):
+        b, q = beams[keep], at[keep] - k
+        keep = keep[history[b, q] == history[b, q + gap[keep]]]
+    bans = cells[keep]
+    cells = np.sort(cells)
+    new = np.ones(len(cells), dtype=bool)
+    np.not_equal(cells[1:], cells[:-1], out=new[1:])
+    return cells[new], np.bincount(np.cumsum(new) - 1), bans
 
 
 def _lockstep_batches(widths: Sequence[int], beam_width: int) -> list[range]:

@@ -82,9 +82,13 @@ class NGramModel:
         return textcore.letter_masks(self.tokens)
 
     @cached_property
-    def unigram_logscores(self) -> np.ndarray:
-        """``token_logscore((), t)`` for every token t, in id order."""
-        return np.array([self._score((), t) for t in self.tokens])
+    def backoff_logscores(self) -> np.ndarray:
+        """``token_logscore`` of every token after a full context that was
+        never seen, in id order, then that of a token outside the
+        vocabulary (the entry of id -1). The empty string is neither a
+        token nor part of any gram, so it stands for both unseen words."""
+        unseen = ("",) * (self.order - 1)
+        return np.array([self._score(unseen, t) for t in self.tokens + ("",)])
 
     @cached_property
     def continuation_index(self) -> "ContinuationIndex":
@@ -99,6 +103,7 @@ class NGramModel:
         starts = [0]
         n = 0
         token_rows = np.full(len(self.tokens) + 1, -1, dtype=np.intp)
+        log_alpha = math.log(self.alpha)
         for k in range(2, self.order + 1):
             table, prefixes = self.tables[k - 1], self.tables[k - 2]
             grams = sorted(table)
@@ -110,7 +115,10 @@ class NGramModel:
                 start = n
                 while c_ctx and i < len(grams) and grams[i][:-1] == ctx:
                     ids[n] = self.token_ids.get(grams[i][-1], -1)
-                    logs[n] = math.log(table[grams[i]] / c_ctx)
+                    score = math.log(table[grams[i]] / c_ctx)
+                    for _ in range(self.order - k):
+                        score = log_alpha + score
+                    logs[n] = score
                     n += 1
                     i += 1
                 if n > start:
@@ -219,10 +227,13 @@ class ContinuationIndex:
     """Attested continuations of every context of length 1..order-1.
 
     The tokens seen after a context are entries ``starts[r]:starts[r + 1]``
-    of ``ids`` (token ids, -1 outside the vocabulary) and ``logs``
-    (log(c(context + t) / c(context)), the model's exact score for t),
-    where r is the context's row. Row ``len(starts) - 2`` is empty and
-    stands for every unattested context.
+    of ``ids`` (token ids, -1 outside the vocabulary) and ``logs``, where
+    r is the context's row. A log is the score ``token_logscore`` gives t
+    after a full (order - 1 token) context whose longest suffix seen
+    before t is this context: log(c(context + t) / c(context)) plus
+    log(alpha) once per context token beyond it, added in its order, so
+    the stored value is bit-identical to that score. Row ``len(starts) - 2`` is
+    empty and stands for every unattested context.
 
     Contexts are found by token id. ``token_rows[i]`` is the row of the
     one-token context of token id i; its last entry, the row of id -1, is

@@ -269,13 +269,7 @@ def trim_suffix(text: str, source: str, embedder) -> str:
     """
     if not text:
         raise ValueError("cannot trim an empty text")
-    ends = []
-    pos = 0
-    for tok in tokenize(text):
-        pos += len(tok.text)
-        if tok.kind == "word":
-            ends.append(pos)
-    candidates = [text[:end] for end in ends]
+    candidates = [text[: m.end()] for m in WORD_RE.finditer(text)]
     if not candidates or candidates[-1] != text:
         candidates.append(text)
     vectors = embedder.embed_many([source] + candidates)

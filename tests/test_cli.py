@@ -107,6 +107,18 @@ class TestUsageErrors:
         )
         assert rc == EXIT_USAGE
 
+    def test_infinite_config_value(self, mini_corpus, out_dir, tmp_path, capsys):
+        cfg = tmp_path / "inf.cfg"
+        cfg.write_text("max_ratio = inf\n", encoding="utf-8")
+        rc = run(
+            ["translate", "--corpus", str(mini_corpus), "--method", "beam",
+             "--config", str(cfg)],
+            out_dir,
+        )
+        assert rc == EXIT_USAGE
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and "max_ratio must be finite" in line
+
 
 class TestIoErrors:
     def test_missing_corpus(self, out_dir):

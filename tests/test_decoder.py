@@ -25,6 +25,7 @@ from lipogram.decoder import (
     _BeamEngine,
     _Paragraph,
     _batch_pair_rows,
+    _history_cells,
     _lockstep_batches,
     DecoderConfig,
     EmptyVocabulary,
@@ -134,6 +135,15 @@ class TestDecoderConfig:
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             DecoderConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "field",
+        ["min_ratio", "max_ratio", "temperature", "lambda_lm", "lambda_sim"],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            DecoderConfig(**{field: value})
 
     def test_from_mapping_coerces_types(self):
         cfg = DecoderConfig.from_mapping(
@@ -918,10 +928,8 @@ def dense(pair_rows, n_rows, n_cols):
 def paragraph_arrays(para, tables):
     _, lm_pairs, bigram_sq, src_bi, _ = _batch_pair_rows([para], tables)
     n = len(para.vocab)
-    lm = (dense(lm_pairs, n + 1, n) if tables.model.order > 1
-          else np.full((n + 1, n), np.nan))
     return (
-        lm,
+        dense(lm_pairs, n + 1, n),
         dense(bigram_sq, n, n),
         para.backoff,
         para.idf_uni,
@@ -1180,6 +1188,45 @@ class TestTranslateFailures:
             self.pipeline().translate(
                 ["the cat sat on the mat"], ConstraintSet.from_string("e"), "beam"
             )
+
+
+class TestHistoryCells:
+    """The one scan of each row's history gives the follower cells and
+    their counts, and the repeat bans, of a brute-force walk over it."""
+
+    @given(
+        rows=st.integers(0, 4).flatmap(
+            lambda length: st.lists(
+                st.lists(st.integers(0, 3), min_size=length, max_size=length),
+                min_size=1, max_size=5,
+            )
+        ),
+        padded=st.integers(0, 2),
+        n=st.integers(2, 6),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_brute_force(self, rows, padded, n):
+        # A row without a beam holds the first row's history, ending in 0;
+        # before the first step, every history is empty.
+        rows = rows + [rows[0][:-1] + [0] if rows[0] else []] * padded
+        width = 5
+        history = np.array(rows, dtype=np.intp)
+        repeats = history[:, :-1] == history[:, -1:]
+        followed, counts, bans = _history_cells(history, repeats, width, n)
+
+        followers, banned = {}, set()
+        for r, row in enumerate(rows):
+            for p in range(len(row) - 1):
+                if row[p] == row[-1]:
+                    cell = r * width + row[p + 1]
+                    followers[cell] = followers.get(cell, 0) + 1
+            grams = {tuple(row[i:i + n]) for i in range(len(row) - n + 1)}
+            for token in range(width):
+                if n <= len(row) and tuple(row[1 - n:]) + (token,) in grams:
+                    banned.add(r * width + token)
+        assert followed.tolist() == sorted(followers)
+        assert counts.tolist() == [followers[c] for c in sorted(followers)]
+        assert set(bans.tolist()) == banned
 
 
 class TestSetUpLevel:

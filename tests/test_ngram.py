@@ -188,9 +188,12 @@ class TestContinuations:
                 scores = dict(zip(
                     (m.tokens[i] for i in index.ids[lo:hi]), index.logs[lo:hi]
                 ))
-                assert scores == {t: m.token_logscore(ctx, t) for t in cont}
-        uni = [m.token_logscore((), t) for t in m.tokens]
-        assert m.unigram_logscores.tolist() == uni
+                # A full context whose longest attested suffix is ctx.
+                full = ("zz",) * (order - k) + ctx
+                assert scores == {t: m.token_logscore(full, t) for t in cont}
+        unseen = ("zz",) * (order - 1)
+        backoff = [m.token_logscore(unseen, t) for t in m.tokens + ("qq",)]
+        assert m.backoff_logscores.tolist() == backoff
         assert set(m.tokens) == m.vocabulary
         assert all(m.token_ids[t] == i for i, t in enumerate(m.tokens))
 
@@ -209,7 +212,7 @@ class TestContinuations:
         corpus = "\n\n".join(" ".join(words) for words in paras)
         m = train(corpus, order=order, alpha=alpha)
         assert (m.continuation_index.logs <= 0.0).all()
-        assert (m.unigram_logscores <= 0.0).all()
+        assert (m.backoff_logscores <= 0.0).all()
 
 
 class TestSerialization:

@@ -26,7 +26,7 @@ from lipogram.passes import (
     resolve_pronouns,
     trim_suffix,
 )
-from lipogram.textcore import ConstraintSet, violates
+from lipogram.textcore import ConstraintSet, tokenize, violates
 
 E = ConstraintSet.from_string("e")
 NONE = ConstraintSet()
@@ -299,6 +299,39 @@ class TestTrimSuffix:
                 if best_key is None or key > best_key:
                     best, best_key = prefix, key
             assert got == best
+
+    @given(
+        text=st.text(alphabet="ab Z'’-.,é1\n", min_size=1, max_size=40),
+        source=st.sampled_from(["the cat sat", "a dog", "ab b"]),
+    )
+    @example("a'b'' c’d -e. 'f", "a dog")
+    @settings(max_examples=200, deadline=None)
+    def test_candidates_end_where_tokenize_words_end(self, text, source):
+        # The token walk trim_suffix used before reading match ends.
+        ends, pos = [], 0
+        for tok in tokenize(text):
+            pos += len(tok.text)
+            if tok.kind == "word":
+                ends.append(pos)
+        expected = [text[:end] for end in ends]
+        if not expected or expected[-1] != text:
+            expected.append(text)
+
+        seen = []
+        embedder = self.embedder()
+
+        class Recording:
+            def embed_many(self, texts):
+                seen.append(list(texts))
+                return embedder.embed_many(texts)
+
+        got = trim_suffix(text, source, Recording())
+        assert seen == [[source] + expected]
+        sims = [
+            cosine_similarity(embedder.embed(source), embedder.embed(c))
+            for c in expected
+        ]
+        assert got == max(zip(sims, map(len, expected), expected))[2]
 
     def test_never_less_similar_than_full_text(self):
         embedder = self.embedder()

@@ -169,6 +169,22 @@ def test_package_has_no_unused_imports():
     assert unused == []
 
 
+def test_only_ngram_reads_the_backoff_weight():
+    """No module under src/lipogram but ``ngram.py`` reads an ``.alpha``
+    attribute: the backoff arithmetic lives in the model, and the decoder
+    reads its scores (``ContinuationIndex.logs``, ``backoff_logscores``)
+    with the backoff already applied."""
+    package = Path(__file__).resolve().parents[1] / "src" / "lipogram"
+    readers = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.rglob("*.py"))
+        if path.name != "ngram.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "alpha"
+    ]
+    assert readers == []
+
+
 class TestViolates:
     def test_spec_cases(self):
         assert violates("remember", E) is True
