@@ -29,16 +29,14 @@ Set-up is done once at the level where its data lives:
   holds its unigram and bigram features and each word's letter mask as
   arrays over word ids (``IdfIndex``).
 - Constraint: ``ConstraintTables``, built once per constraint set and
-  tail size M, holds the tail (the M most frequent legal words) with their
-  ids, backoff LM scores and idf values, and the LM and IDF bigram pair
-  rows among all legal words. ``Pipeline`` builds it once per translate
-  call, and every search reads its constraint, model and IDF table from
-  it.
+  tail size M, holds the tail (the M most frequent legal words) and the
+  LM and IDF bigram pair rows among all legal words, keyed by first
+  word id. ``Pipeline`` builds it once per translate call, and every
+  search reads its constraint, model and IDF table from it.
 - Paragraph: ``_Paragraph`` keeps only what depends on the source. It
-  looks up the few vocabulary words outside the tail, gathers its
-  per-word arrays from the tables through one map from vocabulary
-  position to table row, and holds the source's TF-IDF weights over the
-  vocabulary.
+  reads its per-word arrays with one ``ConstraintTables.lookup`` of its
+  vocabulary, and holds the source's TF-IDF weights over the
+  vocabulary, placed through one map from word to vocabulary position.
 
 ``beam_search`` decodes all the paragraphs of a call together. Each search
 is a lane: a paragraph in deterministic mode, or one (paragraph, run i)
@@ -158,6 +156,8 @@ class DecoderConfig:
             )
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @classmethod
     def from_mapping(cls, pairs: Mapping[str, str]) -> "DecoderConfig":
@@ -260,14 +260,15 @@ class ConstraintTables:
     Built once per (constraint set, M) and shared by every paragraph
     decoded under them:
 
-    - the tail, the M most frequent legal model words, with each word's
-      model and IDF ids (-1 when absent), backoff LM score and idf;
+    - which model tokens are legal words (``legal``, by token id, with
+      a last False entry for id -1) and the tail, the M most frequent
+      of them;
     - the one-word-context LM continuations, and the squared IDF bigram
       values, of every pair of legal words, grouped by first word id.
 
     Every vocabulary word is legal, so these pairs hold every pair any
-    paragraph's vocabulary can need. A paragraph adds only its few words
-    outside the tail (``lookup``) and gathers the rest by position.
+    paragraph's vocabulary can need. A paragraph reads its per-word
+    arrays with ``lookup`` and gathers its pairs by word id.
     """
 
     def __init__(self, c: ConstraintSet, model: NGramModel, idf: IdfTable, M: int):
@@ -277,24 +278,23 @@ class ConstraintTables:
         self.idf = idf
         # Which model tokens are legal words, by the letter masks; BOS, EOS
         # and the trailing entry of token id -1 are not.
-        legal = np.append((model.letter_masks & c.mask) == 0, False)
+        self.legal = legal = np.append((model.letter_masks & c.mask) == 0, False)
         legal[len(model.ranked_words):-1] = False
         # The M most frequent legal words (all of them when fewer are legal):
         # the ranked words come first in id order.
         self.words = [model.tokens[i] for i in np.flatnonzero(legal)[:M]]
-        self.position = {w: i for i, w in enumerate(self.words)}
-        self.model_ids, self.idf_ids, self.backoff, self.idf_uni = self.lookup(
-            self.words
-        )
+        # Each IDF id's value, then the default as the entry of id -1.
+        self._idf_values = np.append(idf.index.word_values, idf.default)
 
+        # The continuations after each legal word and BOS that are legal
+        # words, keyed by token id.
         index = model.continuation_index
-        firsts = np.append(np.flatnonzero(legal), model.token_ids[BOS])
-        ctx_rows = index.token_rows[firsts]
-        rows, entries = _expand(index.starts[ctx_rows], index.starts[ctx_rows + 1])
-        keep = np.flatnonzero(legal[index.ids[entries]])
-        rows, entries = rows[keep], entries[keep]
-        self.lm_pairs = _PairRows.grouped(
-            len(model.tokens), firsts[rows], index.ids[entries], index.logs[entries]
+        legal_ids = np.where(legal, np.arange(len(legal)), -1)
+        firsts = np.where(legal, index.token_rows, -1)[:-1]
+        bos = model.token_ids[BOS]
+        firsts[bos] = index.token_rows[bos]
+        self.lm_pairs = _PairRows(index.starts, index.ids, index.logs).gather(
+            firsts, legal_ids
         )
 
         features = idf.index
@@ -318,8 +318,7 @@ class ConstraintTables:
         idf_ids = _positions(words, self.idf.index.word_ids)
         # Both tables end with the entry of id -1.
         backoff = self.model.backoff_logscores[model_ids]
-        idf_uni = np.append(self.idf.index.word_values, self.idf.default)[idf_ids]
-        return model_ids, idf_ids, backoff, idf_uni
+        return model_ids, idf_ids, backoff, self._idf_values[idf_ids]
 
 
 def top_k(rank: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -440,10 +439,10 @@ def _expand(
 
 class _Paragraph:
     """The paragraph-level state of one search: the vocabulary, its length
-    bounds, the source's TF-IDF weights over the vocabulary, and the
-    per-word arrays gathered for its words from the ``ConstraintTables``
-    (its pair rows are gathered when its batch starts). Every vocabulary
-    word must be legal under the tables' constraint.
+    bounds, each word's arrays from ``ConstraintTables.lookup``, and the
+    source's TF-IDF weights over the vocabulary (its pair rows are
+    gathered when its batch starts). Every vocabulary word must be legal
+    under the tables' constraint.
     """
 
     def __init__(
@@ -461,45 +460,27 @@ class _Paragraph:
         self.min_len = math.ceil(cfg.min_ratio * source_len)
         self.max_len = math.floor(cfg.max_ratio * source_len)
 
-        # Each vocabulary word's row in the tail arrays, or past them in the
-        # arrays of the few words outside the tail, looked up here.
-        at = _positions(self.vocab, tables.position)
-        outside = np.flatnonzero(at < 0)
-        extra = [self.vocab[i] for i in outside]
-        illegal = [w for w in extra if violates(w, tables.constraint)]
+        self.model_ids, self.idf_ids, self.backoff, self.idf_uni = tables.lookup(
+            self.vocab
+        )
+        # A legal model word is legal by its id; only the others are checked.
+        illegal = [
+            self.vocab[i] for i in np.flatnonzero(~tables.legal[self.model_ids])
+            if violates(self.vocab[i], tables.constraint)
+        ]
         if illegal:
             raise ValueError(
                 f"vocabulary words {illegal!r} break the tables' constraint"
             )
-        at[outside] = len(tables.words) + np.arange(len(outside))
-        self.model_ids, self.idf_ids, self.backoff, self.idf_uni = (
-            np.concatenate((whole, part))[at]
-            for whole, part in zip(
-                (tables.model_ids, tables.idf_ids, tables.backoff, tables.idf_uni),
-                tables.lookup(extra),
-            )
-        )
 
         # Similarity machinery: the source's normalized TF-IDF weights and
         # per-token idf arrays for incremental dot/sum-of-squares updates.
         self.idf_uni_sq = self.idf_uni**2
-        # A feature word's vocabulary position: through its tail row, or
-        # among the words outside the tail; -1 for neither.
-        tail_pos = np.full(len(tables.words) + 1, -1, dtype=np.intp)
-        in_tail = at < len(tables.words)
-        tail_pos[at[in_tail]] = np.flatnonzero(in_tail)
-        extra_pos = dict(zip(extra, outside.tolist()))
-
-        def place(words: list[str]) -> np.ndarray:
-            rows = _positions(words, tables.position)
-            return np.where(
-                rows >= 0, tail_pos[rows], _positions(words, extra_pos)
-            )
-
+        position = dict(zip(self.vocab, range(n_vocab)))
         weights = embed(source_paragraph, idf).weights
         parts = [feat.partition(" ") for feat in weights]
-        firsts = place([first for first, _, _ in parts])
-        seconds = place([second for _, _, second in parts])
+        firsts = _positions([first for first, _, _ in parts], position)
+        seconds = _positions([second for _, _, second in parts], position)
         bigram = np.array([bool(sep) for _, sep, _ in parts], dtype=bool)
         values = np.array([w * idf.value(f) for f, w in weights.items()])
         uni = ~bigram & (firsts >= 0)

@@ -100,30 +100,22 @@ class NGramModel:
         radix = len(self.tokens) + 1
         keys: list[list[int]] = [[] for _ in range(self.order - 2)]
         key_rows: list[list[int]] = [[] for _ in range(self.order - 2)]
-        starts = [0]
+        starts: list[int] = []  # each row's first entry
         n = 0
         token_rows = np.full(len(self.tokens) + 1, -1, dtype=np.intp)
         log_alpha = math.log(self.alpha)
         for k in range(2, self.order + 1):
             table, prefixes = self.tables[k - 1], self.tables[k - 2]
-            grams = sorted(table)
-            i = 0
-            for ctx in sorted(prefixes):
-                while i < len(grams) and grams[i][:-1] < ctx:
-                    i += 1
-                c_ctx = prefixes[ctx]
-                start = n
-                while c_ctx and i < len(grams) and grams[i][:-1] == ctx:
-                    ids[n] = self.token_ids.get(grams[i][-1], -1)
-                    score = math.log(table[grams[i]] / c_ctx)
-                    for _ in range(self.order - k):
-                        score = log_alpha + score
-                    logs[n] = score
-                    n += 1
-                    i += 1
-                if n > start:
-                    row = len(starts) - 1
-                    rows[ctx] = row
+            # Sorted grams come grouped by context, in context order. Every
+            # gram's context is attested with a positive count (``train``
+            # and ``load`` guarantee it), so each group opens a row.
+            ctx = None
+            for gram in sorted(table):
+                if gram[:-1] != ctx:
+                    ctx = gram[:-1]
+                    c_ctx = prefixes[ctx]
+                    row = rows[ctx] = len(starts)
+                    starts.append(n)
                     if k == 2:
                         token_rows[self.token_ids[ctx[0]]] = row
                     else:
@@ -131,8 +123,13 @@ class NGramModel:
                             rows[ctx[:-1]] * radix + self.token_ids.get(ctx[-1], -1) + 1
                         )
                         key_rows[k - 3].append(row)
-                    starts.append(n)
-        starts.append(n)  # the empty row of every unattested context
+                ids[n] = self.token_ids.get(gram[-1], -1)
+                score = math.log(table[gram] / c_ctx)
+                for _ in range(self.order - k):
+                    score = log_alpha + score
+                logs[n] = score
+                n += 1
+        starts += [n, n]  # the end of the last row, and the empty row
         empty = len(starts) - 2
         token_rows[token_rows < 0] = empty
         key_tables = []
@@ -145,7 +142,7 @@ class NGramModel:
                 np.append(np.array(j_rows, dtype=np.intp)[by_key], empty),
             ))
         return ContinuationIndex(
-            np.array(starts), ids[:n], logs[:n], token_rows, tuple(key_tables)
+            np.array(starts), ids, logs, token_rows, tuple(key_tables)
         )
 
     def count(self, gram: Sequence[str]) -> int:
@@ -232,8 +229,11 @@ class ContinuationIndex:
     after a full (order - 1 token) context whose longest suffix seen
     before t is this context: log(c(context + t) / c(context)) plus
     log(alpha) once per context token beyond it, added in its order, so
-    the stored value is bit-identical to that score. Row ``len(starts) - 2`` is
-    empty and stands for every unattested context.
+    the stored value is bit-identical to that score. Rows are ordered by
+    context length, then context; each attested context with a
+    continuation has one, built in one pass over the sorted grams of its
+    order. Row ``len(starts) - 2`` is empty and stands for every
+    unattested context.
 
     Contexts are found by token id. ``token_rows[i]`` is the row of the
     one-token context of token id i; its last entry, the row of id -1, is

@@ -119,6 +119,16 @@ class TestUsageErrors:
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith("error: ") and "max_ratio must be finite" in line
 
+    def test_negative_seed(self, mini_corpus, out_dir, capsys):
+        rc = run(
+            ["translate", "--corpus", str(mini_corpus), "--method", "edelete",
+             "--seed", "-1"],
+            out_dir,
+        )
+        assert rc == EXIT_USAGE
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and "seed" in line
+
 
 class TestIoErrors:
     def test_missing_corpus(self, out_dir):

@@ -130,6 +130,7 @@ class TestDecoderConfig:
             {"lambda_sim": -1.0},
             {"candidate_vocab_size": -1},
             {"mode": "greedy"},
+            {"seed": -1},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -918,24 +919,34 @@ def per_paragraph_build(source, vocab, model, idf):
     return lm, bigram_sq, np.array(backoff), idf_uni, src_uni, src_bi
 
 
-def dense(pair_rows, n_rows, n_cols):
-    out = np.full((n_rows, n_cols), np.nan)
-    rows, seconds, values = pair_rows.pairs(np.arange(n_rows))
+def dense(pair_rows, keys, n_cols):
+    out = np.full((len(keys), n_cols), np.nan)
+    rows, seconds, values = pair_rows.pairs(keys)
     out[rows, seconds] = values
     return out
 
 
-def paragraph_arrays(para, tables):
-    _, lm_pairs, bigram_sq, src_bi, _ = _batch_pair_rows([para], tables)
-    n = len(para.vocab)
-    return (
-        dense(lm_pairs, n + 1, n),
-        dense(bigram_sq, n, n),
-        para.backoff,
-        para.idf_uni,
-        para.src_uni,
-        dense(src_bi, n, n),
-    )
+def paragraph_arrays(paras, tables):
+    """Each paragraph's arrays as the per-paragraph build returns them,
+    its pair rows read at its own keys of one gather of the whole batch.
+    The key past every paragraph must have no pairs."""
+    offsets, *pair_rows, _ = _batch_pair_rows(paras, tables)
+    for rows in pair_rows:
+        assert len(rows.pairs(offsets[-1:])[0]) == 0
+    lm_pairs, bigram_sq, src_bi = pair_rows
+    arrays = []
+    for para, first in zip(paras, offsets):
+        n = len(para.vocab)
+        keys = first + np.arange(n + 1)  # the vocabulary, then BOS
+        arrays.append((
+            dense(lm_pairs, keys, n),
+            dense(bigram_sq, keys[:-1], n),
+            para.backoff,
+            para.idf_uni,
+            para.src_uni,
+            dense(src_bi, keys[:-1], n),
+        ))
+    return arrays
 
 
 class TestConstraintTables:
@@ -959,7 +970,10 @@ class TestConstraintTables:
             st.lists(st.sampled_from(IDF_WORDS), min_size=0, max_size=6),
             min_size=1, max_size=5,
         ),
-        source=st.lists(st.sampled_from(SOURCE_WORDS), min_size=1, max_size=8),
+        sources=st.lists(
+            st.lists(st.sampled_from(SOURCE_WORDS), min_size=1, max_size=8),
+            min_size=1, max_size=3,
+        ),
         letters=st.one_of(
             st.sampled_from(["", "aeiou", "aeiouy", "t"]),
             st.sets(st.sampled_from("aeiosty"), max_size=3).map("".join),
@@ -970,27 +984,32 @@ class TestConstraintTables:
     )
     @settings(max_examples=300, deadline=None)
     def test_gathered_arrays_equal_per_paragraph_build(
-        self, paras, docs, source, letters, M, order, alpha
+        self, paras, docs, sources, letters, M, order, alpha
     ):
         model = train("\n\n".join(" ".join(p) for p in paras), order=order,
                       alpha=alpha)
         idf = build_idf([" ".join(d) for d in docs])
         c = ConstraintSet.from_string(letters)
-        source = " ".join(source)
+        sources = [" ".join(source) for source in sources]
         lex = toy_lexicon()
         tables = ConstraintTables(c, model, idf, M)
-        try:
-            vocab = build_candidate_vocab(source, tables, lex)
-        except EmptyVocabulary:
+        decoded = []  # (source, vocabulary) of the sources with one
+        for s in sources:
+            try:
+                decoded.append((s, build_candidate_vocab(s, tables, lex)))
+            except EmptyVocabulary:
+                pass
+        if not decoded:
             return
         cfg = DecoderConfig(candidate_vocab_size=M)
-        expected = per_paragraph_build(source, vocab, model, idf)
-        # Under the empty constraint and no tail, every vocabulary word is
-        # looked up outside the tail.
+        expected = [per_paragraph_build(s, v, model, idf) for s, v in decoded]
+        # Tables of another constraint and M (none, and no tail) give the
+        # same arrays.
         for built in (tables, ConstraintTables(NO_CONSTRAINT, model, idf, 0)):
-            para = _Paragraph(source, vocab, cfg, built)
-            for got, want in zip(paragraph_arrays(para, built), expected):
-                assert np.array_equal(got, want, equal_nan=True)
+            batch = [_Paragraph(s, v, cfg, built) for s, v in decoded]
+            for arrays, want in zip(paragraph_arrays(batch, built), expected):
+                for got, value in zip(arrays, want):
+                    assert np.array_equal(got, value, equal_nan=True)
 
     def test_fewer_legal_words_than_m_take_them_all(self):
         model = train("my shy sky\n\nby my fly\n\nthe cat sat")
@@ -1188,6 +1207,49 @@ class TestTranslateFailures:
             self.pipeline().translate(
                 ["the cat sat on the mat"], ConstraintSet.from_string("e"), "beam"
             )
+
+
+class TestTranslateProperty:
+    """Pipeline.translate, whatever the method, mode, paragraphs and
+    constraint, returns one output per input, each free of the forbidden
+    letters, and raises nothing."""
+
+    CORPUS = TestTranslateFailures.CORPUS
+    WORDS = CORPUS.split() + ["kitty", "hound", "pup"]
+
+    def pipeline(self):
+        from lipogram.pipeline import Pipeline
+
+        paras = self.CORPUS.split("\n\n")
+        return Pipeline(train(self.CORPUS), toy_lexicon(), build_idf(paras), set())
+
+    @given(
+        paragraphs=st.lists(
+            st.one_of(
+                st.text(max_size=30),
+                st.lists(st.sampled_from(WORDS), max_size=8).map(" ".join),
+            ),
+            min_size=1, max_size=4,
+        ),
+        letters=st.sets(st.sampled_from(ALPHABET), max_size=6).map("".join),
+        method=st.sampled_from(["edelete", "synonym", "beam"]),
+        mode=st.sampled_from(["deterministic", "sampled"]),
+        seed=st.integers(0, 3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_one_legal_output_per_paragraph(
+        self, paragraphs, letters, method, mode, seed
+    ):
+        from lipogram.metrics import e_score
+
+        c = ConstraintSet.from_string(letters)
+        cfg = DecoderConfig(beam_width=4, candidates_k=2, candidate_vocab_size=8,
+                            mode=mode, seed=seed)
+        outputs, failures = self.pipeline().translate(paragraphs, c, method, cfg)
+        assert len(outputs) == len(paragraphs)
+        assert 0 <= failures <= len(paragraphs)
+        for output in outputs:
+            assert e_score(output, c) == 0.0
 
 
 class TestHistoryCells:

@@ -3,6 +3,7 @@
 import http.server
 import json
 import math
+import socket
 import threading
 
 import pytest
@@ -392,6 +393,14 @@ class TestRemoteEmbedder:
         client = RemoteEmbedder("http://127.0.0.1:1", timeout=0.5)
         with pytest.raises(EmbedProviderError):
             client.embed("text")
+
+    def test_silent_provider_times_out(self):
+        # The listening socket completes the connection but is never
+        # accepted, so no answer ever comes.
+        with socket.create_server(("127.0.0.1", 0)) as server:
+            url = f"http://127.0.0.1:{server.getsockname()[1]}"
+            with pytest.raises(EmbedProviderError):
+                RemoteEmbedder(url, timeout=0.5).embed_many(["text"])
 
     def test_server_error_raises(self, embed_server):
         _EmbedHandler.fail = True

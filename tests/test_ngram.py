@@ -304,6 +304,19 @@ class TestSerialization:
         with pytest.raises(ValueError, match="more than its prefix"):
             load(path)
 
+    def test_gram_without_attested_prefix_errors(self, tmp_path):
+        # Balanced sums, but no "x" unigram for "x y": the continuation
+        # index opens a row only under an attested context.
+        path = tmp_path / "orphan.lm"
+        path.write_text(
+            "NGRAM-LM v1 order=2 alpha=0.4\n"
+            "1\t<s>\n1\ta\n1\t</s>\n"
+            "\n"
+            "1\t<s> a\n1\tx y\n"
+        )
+        with pytest.raises(ValueError, match="lacks an attested prefix"):
+            load(path)
+
     @given(
         paras=st.lists(
             st.lists(st.sampled_from("abcdef"), min_size=1, max_size=5),

@@ -3,6 +3,7 @@
 import http.server
 import json
 import logging
+import socket
 import threading
 import urllib.parse
 
@@ -510,6 +511,16 @@ class TestLanguageToolClient:
     def test_unreachable_raises_provider_error(self):
         with pytest.raises(GrammarProviderError):
             LanguageToolClient("http://127.0.0.1:9").check("text")
+
+    def test_silent_provider_times_out(self):
+        # The listening socket completes the connection but is never
+        # accepted, so no answer ever comes.
+        with socket.create_server(("127.0.0.1", 0)) as server:
+            url = f"http://127.0.0.1:{server.getsockname()[1]}"
+            client = LanguageToolClient(url, timeout=0.5)
+            with pytest.raises(GrammarProviderError):
+                client.check("text")
+            assert grammar_correct("a apple", E, client) == "a apple"
 
     def test_factory_selects_provider(self, grammar_server):
         assert isinstance(make_grammar_provider(""), OfflineGrammar)
