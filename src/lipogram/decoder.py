@@ -78,7 +78,7 @@ import numpy as np
 
 from . import textcore
 from .lexicon import Lexicon, constraint_free_synonyms
-from .metrics import IdfTable, cosine_similarity, embed
+from .metrics import IdfTable, embed, similarities
 from .ngram import BOS, NGramModel
 from .textcore import ConstraintSet, canonical, violates
 
@@ -477,7 +477,7 @@ class _Paragraph:
         # per-token idf arrays for incremental dot/sum-of-squares updates.
         self.idf_uni_sq = self.idf_uni**2
         position = dict(zip(self.vocab, range(n_vocab)))
-        weights = embed(source_paragraph, idf).weights
+        weights = embed(source_paragraph, idf)
         parts = [feat.partition(" ") for feat in weights]
         firsts = _positions([first for first, _, _ in parts], position)
         seconds = _positions([second for _, _, second in parts], position)
@@ -964,7 +964,7 @@ def beam_search(
     once per constraint set with tail size ``cfg.candidate_vocab_size``. The
     in-search similarity term always uses the built-in TF-IDF features of
     that IDF table (it needs feature-level access for incremental updates);
-    a remote embedder belongs in multiselect and evaluation instead. In
+    a remote embedder belongs in multiselect, trimming and evaluation. In
     sampled mode each source has ``candidates_k`` lanes, run i drawing its
     noise from ``default_rng([seed, i])``, and returns their winners.
     """
@@ -1018,13 +1018,5 @@ def multiselect(candidates: Sequence[Hypothesis], source: str, embedder) -> Hypo
     """The candidate most similar to the source; ties keep the earliest."""
     if not candidates:
         raise ValueError("multiselect needs at least one candidate")
-    vectors = embedder.embed_many([source] + [h.text() for h in candidates])
-    source_vec = vectors[0]
-    best = None
-    best_sim = -1.0
-    for candidate, vec in zip(candidates, vectors[1:]):
-        sim = cosine_similarity(source_vec, vec)
-        if sim > best_sim:
-            best_sim = sim
-            best = candidate
-    return best
+    sims = similarities(embedder, source, [h.text() for h in candidates])
+    return candidates[sims.index(max(sims))]

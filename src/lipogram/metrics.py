@@ -3,6 +3,9 @@
 Similarity uses a TF-IDF embedding over word unigrams and bigrams with L2
 normalization; it is deterministic and dependency-free, and an optional
 remote provider with the same interface can stand in when configured.
+An embedding is a plain dict of feature -> weight with unit L2 norm, and
+``{}`` is the zero vector. `similarities` is the one scorer of texts
+against a source: candidate selection, trimming and evaluation all call it.
 The remaining metrics: E-score (percent of word tokens touching a forbidden
 letter), OOV rate against a configured dictionary, grammar mistakes via a
 pluggable checker, and Flesch Reading Ease for readability. Each of these
@@ -18,7 +21,7 @@ import re
 import urllib.error
 import urllib.request
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -113,26 +116,13 @@ def build_idf(documents: Iterable[str]) -> IdfTable:
     return IdfTable(values, n, math.log(n + 1) + 1.0)
 
 
-@dataclass(frozen=True)
-class EmbeddingVector:
-    """Sparse L2-normalized feature weights; norm is 1.0, or 0.0 when empty."""
-
-    weights: Mapping[Feature, float]
-    norm: float = field(default=1.0)
-
-    def is_zero(self) -> bool:
-        return self.norm == 0.0
-
-
-def embed(text: str, idf: IdfTable) -> EmbeddingVector:
+def embed(text: str, idf: IdfTable) -> dict[Feature, float]:
     """TF-IDF embedding of the text; no word tokens gives the zero vector."""
     feats = text_features(text)
-    if not feats:
-        return EmbeddingVector({}, 0.0)
     value, default = idf.values.get, idf.default
     raw = {feat: tf * value(feat, default) for feat, tf in feats.items()}
     norm = math.sqrt(sum(w * w for w in raw.values()))
-    return EmbeddingVector({f: w / norm for f, w in raw.items()}, 1.0)
+    return {f: w / norm for f, w in raw.items()}
 
 
 class TfidfEmbedder:
@@ -141,28 +131,29 @@ class TfidfEmbedder:
     def __init__(self, idf: IdfTable):
         self.idf = idf
 
-    def embed(self, text: str) -> EmbeddingVector:
+    def embed(self, text: str) -> dict[Feature, float]:
         return embed(text, self.idf)
 
-    def embed_many(self, texts: Sequence[str]) -> list[EmbeddingVector]:
+    def embed_many(self, texts: Sequence[str]) -> list[dict[Feature, float]]:
         return [self.embed(t) for t in texts]
 
 
 class RemoteEmbedder:
     """HTTP embedding provider: POST /embed {"texts": [...]} -> vectors.
 
-    Dense responses are converted to sparse vectors keyed by dimension
-    index and L2-normalized, so cosine_similarity works unchanged.
+    Dense responses, all of one length, are converted to sparse vectors
+    keyed by dimension index and L2-normalized, so cosine_similarity works
+    unchanged.
     """
 
     def __init__(self, endpoint: str, timeout: float = 30.0):
         self.endpoint = endpoint.rstrip("/")
         self.timeout = timeout
 
-    def embed(self, text: str) -> EmbeddingVector:
+    def embed(self, text: str) -> dict[Feature, float]:
         return self.embed_many([text])[0]
 
-    def embed_many(self, texts: Sequence[str]) -> list[EmbeddingVector]:
+    def embed_many(self, texts: Sequence[str]) -> list[dict[Feature, float]]:
         payload = json.dumps({"texts": list(texts)}).encode("utf-8")
         request = urllib.request.Request(
             self.endpoint + "/embed",
@@ -181,6 +172,7 @@ class RemoteEmbedder:
             not isinstance(vectors, list)
             or len(vectors) != len(texts)
             or not all(map(_is_finite_vector, vectors))
+            or len({len(v) for v in vectors}) > 1
         ):
             raise EmbedProviderError(
                 f"embedding endpoint {self.endpoint!r} returned a malformed response"
@@ -193,13 +185,11 @@ class RemoteEmbedder:
                     f"embedding endpoint {self.endpoint!r} returned a vector "
                     "too long to normalize"
                 )
-            if norm == 0.0:
-                out.append(EmbeddingVector({}, 0.0))
-            else:
-                weights = {
-                    str(i): x / norm for i, x in enumerate(dense) if x != 0.0
-                }
-                out.append(EmbeddingVector(weights, 1.0))
+            out.append(
+                {str(i): x / norm for i, x in enumerate(dense) if x != 0.0}
+                if norm
+                else {}
+            )
         return out
 
 
@@ -220,14 +210,22 @@ class EmbedProviderError(RuntimeError):
     """The remote embedding endpoint could not be used."""
 
 
-def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
+def cosine_similarity(a: dict[Feature, float], b: dict[Feature, float]) -> float:
     """Dot product of normalized vectors, clamped to [0, 1]; zero -> 0.0."""
-    if a.is_zero() or b.is_zero():
-        return 0.0
-    if len(b.weights) < len(a.weights):
+    if len(b) < len(a):
         a, b = b, a
-    dot = sum(w * b.weights.get(f, 0.0) for f, w in a.weights.items())
+    dot = sum(w * b.get(f, 0.0) for f, w in a.items())
     return min(1.0, max(0.0, dot))
+
+
+def similarities(embedder, source: str, texts: Sequence[str]) -> list[float]:
+    """Cosine similarity of each text to the source.
+
+    One ``embed_many([source, *texts])`` call, so a remote provider pays
+    one round trip per scored source.
+    """
+    source_vec, *vectors = embedder.embed_many([source, *texts])
+    return [cosine_similarity(source_vec, v) for v in vectors]
 
 
 def e_score(
@@ -328,33 +326,30 @@ def evaluate_document(
     c: ConstraintSet,
     dictionary: set[str],
     provider,
-    idf: IdfTable,
-    *,
-    embedder=None,
+    embedder,
 ) -> EvaluationReport:
     """Score each translated paragraph against its source.
 
-    Similarity compares embeddings of source and translation; the other
-    metrics are computed on the translation alone. Wordless translations
-    get readability 0.0 rather than an error, since strong constraints
-    legitimately produce empty output.
+    Similarity compares the embedder's vectors of source and translation
+    (see `similarities`); the other metrics are computed on the
+    translation alone. Wordless translations get readability 0.0 rather
+    than an error, since strong constraints legitimately produce empty
+    output.
     """
     if len(source_paragraphs) != len(translated_paragraphs):
         raise ValueError(
             f"paragraph count mismatch: {len(source_paragraphs)} source vs "
             f"{len(translated_paragraphs)} translated"
         )
-    if embedder is None:
-        embedder = TfidfEmbedder(idf)
     records = []
     for i, (src, out) in enumerate(zip(source_paragraphs, translated_paragraphs)):
-        src_vec, out_vec = embedder.embed_many([src, out])
+        (similarity,) = similarities(embedder, src, [out])
         words = textcore.words(out)
         grammar = grammar_mistakes(out, provider, words=words)
         records.append(
             {
                 "index": i,
-                "similarity": cosine_similarity(src_vec, out_vec),
+                "similarity": similarity,
                 "e_score": e_score(out, c, words=words),
                 "oov": oov_score(out, dictionary, words=words),
                 "grammar_count": grammar["count"],

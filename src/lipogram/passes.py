@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 from . import textcore
-from .metrics import cosine_similarity
+from .metrics import similarities
 from .textcore import WORD_RE, ConstraintSet, strip_letters, tokenize
 
 log = logging.getLogger(__name__)
@@ -272,8 +272,7 @@ def trim_suffix(text: str, source: str, embedder) -> str:
     candidates = [text[: m.end()] for m in WORD_RE.finditer(text)]
     if not candidates or candidates[-1] != text:
         candidates.append(text)
-    vectors = embedder.embed_many([source] + candidates)
-    sims = [cosine_similarity(vectors[0], vec) for vec in vectors[1:]]
+    sims = similarities(embedder, source, candidates)
     best = max(range(len(candidates)), key=lambda i: (sims[i], len(candidates[i])))
     return candidates[best]
 

@@ -120,6 +120,5 @@ class Pipeline:
             c,
             self.dictionary,
             self.grammar,
-            self.idf,
-            embedder=self.select_embedder,
+            self.select_embedder,
         )

@@ -9,6 +9,7 @@ the model's arithmetic bit for bit.
 import itertools
 import math
 import random
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -217,6 +218,16 @@ class TestParseConfigFile:
         path.write_text("min_ratio = soon\n", encoding="utf-8")
         with pytest.raises(ValueError, match="invalid value"):
             parse_config_file(path)
+
+    def test_readme_example_parses_to_defaults(self, tmp_path):
+        # The example under "Configuration" lists every default, so it
+        # must be a file the parser accepts and that changes nothing.
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        section = readme.read_text(encoding="utf-8").split("## Configuration")[1]
+        example = section.split("```")[1]
+        path = tmp_path / "decoder.cfg"
+        path.write_text(example, encoding="utf-8")
+        assert parse_config_file(path) == (DecoderConfig(), {})
 
 
 class TestBuildCandidateVocab:
@@ -836,6 +847,20 @@ class TestMultiselect:
         with pytest.raises(ValueError):
             multiselect([], "the cat", self.embedder())
 
+    def test_one_embed_call_source_first(self):
+        # A remote provider pays one round trip per call.
+        candidates = [self.hyp(d) for d in self.DOCS]
+        seen = []
+        embedder = self.embedder()
+
+        class Recording:
+            def embed_many(self, texts):
+                seen.append(list(texts))
+                return embedder.embed_many(texts)
+
+        multiselect(candidates, "the dog ran far away", Recording())
+        assert seen == [["the dog ran far away", *self.DOCS]]
+
 
 class TestDecodeFuzz:
     WORDS = ["cat", "dog", "cot", "tad", "god", "act"]
@@ -908,7 +933,7 @@ def per_paragraph_build(source, vocab, model, idf):
             bigram_sq[index[first], index[second]] = value * value
     src_uni = np.zeros(n)
     src_bi = np.full((n, n), np.nan)
-    for feat, weight in embed(source, idf).weights.items():
+    for feat, weight in embed(source, idf).items():
         first, sep, second = feat.partition(" ")
         if not sep:
             if feat in index:

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lipogram.metrics import (
-    EmbeddingVector,
     EmbedProviderError,
     IdfTable,
     RemoteEmbedder,
@@ -25,6 +24,7 @@ from lipogram.metrics import (
     oov_score,
     readability,
     report_json,
+    similarities,
     text_features,
 )
 from lipogram.textcore import ConstraintSet, strip_letters, tokenize
@@ -35,6 +35,7 @@ NONE = ConstraintSet()
 # Three-document fixture corpus for all IDF hand computations.
 DOCS = ["the cat sat", "the dog sat", "a bird"]
 IDF = build_idf(DOCS)
+EMBEDDER = TfidfEmbedder(IDF)
 
 IDF_DF2 = math.log(4 / 3) + 1.0  # df=2 ("the", "sat")
 IDF_DF1 = math.log(4 / 2) + 1.0  # df=1 (everything else attested)
@@ -52,6 +53,17 @@ class StubGrammar:
 class FailingGrammar:
     def check(self, text):
         raise RuntimeError("provider unreachable")
+
+
+class Recording:
+    """The fixture embedder, keeping the texts of each embed_many call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def embed_many(self, texts):
+        self.calls.append(list(texts))
+        return EMBEDDER.embed_many(texts)
 
 
 class TestFeatures:
@@ -101,36 +113,34 @@ class TestEmbed:
         v = embed("cat sat", IDF)
         raw = {"cat": IDF_DF1, "sat": IDF_DF2, "cat sat": IDF_DF1}
         norm = math.sqrt(sum(w * w for w in raw.values()))
-        assert set(v.weights) == set(raw)
+        assert set(v) == set(raw)
         for feat, w in raw.items():
-            assert v.weights[feat] == w / norm
-        assert v.norm == 1.0
+            assert v[feat] == w / norm
 
     def test_bigram_feature_present(self):
         v = embed("cat sat", IDF)
-        assert v.weights["cat sat"] > 0
+        assert v["cat sat"] > 0
 
     def test_stored_norm_matches_computed(self):
         v = embed("the cat sat on the mat", IDF)
-        computed = math.sqrt(sum(w * w for w in v.weights.values()))
-        assert abs(computed - v.norm) < 1e-9
+        computed = math.sqrt(sum(w * w for w in v.values()))
+        assert abs(computed - 1.0) < 1e-9
 
     def test_wordless_text_is_zero_vector(self):
-        v = embed("", IDF)
-        assert v.is_zero() and v.weights == {}
-        assert embed("12 ... !", IDF).is_zero()
+        assert embed("", IDF) == {}
+        assert embed("12 ... !", IDF) == {}
 
     def test_identical_texts_identical_vectors(self):
         a = embed("the cat sat", IDF)
         b = embed("the cat sat", IDF)
-        assert a.weights == b.weights and a.norm == b.norm
+        assert a == b
 
     def test_term_frequency_scales(self):
         v = embed("cat cat", IDF)
         # tf=2 unigram and tf=1 bigram "cat cat", both idf df1/df0.
         raw = {"cat": 2 * IDF_DF1, "cat cat": IDF_DF0}
         norm = math.sqrt(sum(w * w for w in raw.values()))
-        assert v.weights["cat"] == raw["cat"] / norm
+        assert v["cat"] == raw["cat"] / norm
 
 
 class TestCosine:
@@ -145,14 +155,14 @@ class TestCosine:
         assert cosine_similarity(a, b) == 0.0
 
     def test_hand_two_feature_case(self):
-        a = EmbeddingVector({"x": 1.0}, 1.0)
+        a = {"x": 1.0}
         r = math.sqrt(0.5)
-        b = EmbeddingVector({"x": r, "y": r}, 1.0)
+        b = {"x": r, "y": r}
         assert cosine_similarity(a, b) == r
         assert abs(cosine_similarity(a, b) - 0.7071) < 5e-5
 
     def test_zero_vector_convention(self):
-        z = EmbeddingVector({}, 0.0)
+        z = {}
         v = embed("cat", IDF)
         assert cosine_similarity(z, v) == 0.0
         assert cosine_similarity(v, z) == 0.0
@@ -169,6 +179,16 @@ class TestCosine:
         s1, s2 = cosine_similarity(a, b), cosine_similarity(b, a)
         assert abs(s1 - s2) < 1e-12
         assert 0.0 <= s1 <= 1.0
+
+
+class TestSimilarities:
+    def test_one_call_source_first(self):
+        texts = ["the cat sat", "a bird", "", "the dog sat"]
+        embedder = Recording()
+        got = similarities(embedder, "the cat sat", texts)
+        assert embedder.calls == [["the cat sat", *texts]]
+        source_vec = embed("the cat sat", IDF)
+        assert got == [cosine_similarity(source_vec, embed(t, IDF)) for t in texts]
 
 
 class TestEScore:
@@ -282,26 +302,26 @@ class TestEvaluateDocument:
     def test_self_evaluation_similarity_one(self):
         paras = DOCS
         report = evaluate_document(
-            paras, paras, NONE, {"any"}, StubGrammar([]), IDF
+            paras, paras, NONE, {"any"}, StubGrammar([]), EMBEDDER
         )
         for rec in report.paragraphs:
             assert rec["similarity"] >= 1.0 - 1e-9
             assert rec["e_score"] == 0.0
 
     def test_empty_document(self):
-        report = evaluate_document([], [], E, set(), StubGrammar([]), IDF)
+        report = evaluate_document([], [], E, set(), StubGrammar([]), EMBEDDER)
         assert report.paragraphs == [] and report.aggregates == {}
 
     def test_count_mismatch_errors(self):
         with pytest.raises(ValueError, match="mismatch"):
-            evaluate_document(["a"], [], E, set(), StubGrammar([]), IDF)
+            evaluate_document(["a"], [], E, set(), StubGrammar([]), EMBEDDER)
 
     def test_two_paragraph_fixture(self):
         source = ["the cat sat", "the dog sat"]
         translated = ["that cat sat", ""]
         dictionary = {"that", "sat", "dog"}
         report = evaluate_document(
-            source, translated, E, dictionary, StubGrammar([object()]), IDF
+            source, translated, E, dictionary, StubGrammar([object()]), EMBEDDER
         )
         first, second = report.paragraphs
         assert first["index"] == 0 and second["index"] == 1
@@ -325,10 +345,18 @@ class TestEvaluateDocument:
             mean = (first[key] + second[key]) / 2
             assert abs(report.aggregates[key] - mean) < 1e-9
 
+    def test_one_embed_call_per_paragraph(self):
+        # A remote provider pays one round trip per call.
+        source = ["the cat sat", "the dog sat", "a bird"]
+        translated = ["that cat sat", "", "a bird"]
+        embedder = Recording()
+        evaluate_document(source, translated, E, set(), StubGrammar([]), embedder)
+        assert embedder.calls == [list(pair) for pair in zip(source, translated)]
+
     def test_report_json_schema(self):
         report = evaluate_document(
             ["the cat sat"], ["the cat sat"], NONE, {"the", "cat", "sat"},
-            StubGrammar([]), IDF,
+            StubGrammar([]), EMBEDDER,
         )
         data = json.loads(report_json(report, {"letters": ""}))
         assert set(data) == {"paragraphs", "aggregates", "config_echo"}
@@ -380,14 +408,22 @@ class TestRemoteEmbedder:
         _EmbedHandler.fail = False
         client = RemoteEmbedder(embed_server)
         v = client.embed("anything")
-        assert v.weights == {"0": 0.6, "1": 0.8}
-        assert v.norm == 1.0
+        assert v == {"0": 0.6, "1": 0.8}
 
     def test_zero_vector_from_remote(self, embed_server):
         _EmbedHandler.fail = False
         vs = RemoteEmbedder(embed_server).embed_many(["a", "b"])
-        assert vs[1].is_zero()
+        assert vs[1] == {}
         assert cosine_similarity(vs[0], vs[1]) == 0.0
+
+    def test_vectors_of_unequal_length_raise(self, embed_server):
+        # Read position by position, these two would score a cosine of 1.0.
+        _EmbedHandler.raw = b'{"vectors": [[1, 0, 0], [1]]}'
+        try:
+            with pytest.raises(EmbedProviderError, match="malformed"):
+                RemoteEmbedder(embed_server).embed_many(["a", "b"])
+        finally:
+            _EmbedHandler.raw = None
 
     def test_unreachable_raises(self):
         client = RemoteEmbedder("http://127.0.0.1:1", timeout=0.5)
@@ -441,4 +477,4 @@ class TestEmbedderInterfaces:
         embedder = TfidfEmbedder(IDF)
         singles = [embedder.embed(d) for d in DOCS]
         batch = embedder.embed_many(DOCS)
-        assert [v.weights for v in batch] == [v.weights for v in singles]
+        assert batch == singles

@@ -185,6 +185,24 @@ def test_only_ngram_reads_the_backoff_weight():
     assert readers == []
 
 
+def test_only_metrics_scores_similarity():
+    """No module under src/lipogram but ``metrics.py`` calls
+    ``cosine_similarity`` or an ``.embed_many`` method: candidate
+    selection, trimming and evaluation all score texts against their
+    source through ``metrics.similarities``."""
+    package = Path(__file__).resolve().parents[1] / "src" / "lipogram"
+    callers = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.rglob("*.py"))
+        if path.name != "metrics.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None))
+        in ("cosine_similarity", "embed_many")
+    ]
+    assert callers == []
+
+
 class TestViolates:
     def test_spec_cases(self):
         assert violates("remember", E) is True
