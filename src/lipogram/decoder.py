@@ -103,13 +103,17 @@ MAX_BEAM_CELLS = 3_000_000
 
 # A lockstep batch admits lanes, in call order, while lanes x beam_width x
 # its widest vocabulary stays within this many cells, and always admits
-# one lane. A step keeps six float64 matrices of that many cells, and a
-# batch also holds its lanes' pair rows. Measured with perfbench (seed 0,
-# --seconds 30; 2-CPU x86 host, Python 3.11, numpy 2.4) when a step kept
-# four matrices (five in sampled mode), sweep-short's peak RSS rose over
-# the per-paragraph search by 0.6%, 1.3%, 2.4% and 5.8% at 40k, 50k, 60k
-# and 80k cells, and translate-e's by 1.4% at 60k.
-MAX_LOCKSTEP_CELLS = 60_000
+# one lane. Sampled mode admits a quarter of it: its dense step keeps six
+# float64 planes of every cell, where the sparse step of deterministic
+# mode keeps a byte and an int32 per cell and its special cells. A batch
+# also holds its lanes' pair rows. The step's cost follows its calls more
+# than its cells, so the sparse step gains from wide batches. Measured
+# in-process (seed 0; 2-CPU x86 host, Python 3.11, numpy 2.4), the peak
+# RSS after one pass was, at 60k, 120k and 240k cells, 65.4, 67.6 and
+# 71.0 MB on translate-e and 66.1, 71.5 and 70.4 MB on sweep-short,
+# against 66.7 and 68.3 MB for the dense step at 60k.
+MAX_LOCKSTEP_CELLS = 240_000
+_SAMPLED_SHARE = 4
 
 # Config-file keys that belong to the surrounding tooling, not the decoder.
 RESERVED_CONFIG_KEYS = frozenset(
@@ -321,37 +325,50 @@ class ConstraintTables:
         return model_ids, idf_ids, backoff, self._idf_values[idf_ids]
 
 
-def top_k(rank: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k >= 1 highest entries of each lane's block of the 3-D ``rank``
-    (lanes, rows, columns), as (lane, row * columns + column) arrays
-    grouped by lane, best first within a lane.
+def top_k(lanes: np.ndarray, at: np.ndarray, rank: np.ndarray, k: int) -> np.ndarray:
+    """Which entries (lanes[j], at[j]) with rank[j] each lane keeps: the
+    indexes j of its k >= 1 best, grouped by lane, best first.
 
-    A lane's entries equal ``np.argsort(-rank[lane].ravel(), kind="stable")``
-    cut after k entries and at the first non-finite one: ties keep flat
-    order. Every row's maximum is an entry of its own, so when a lane has
-    at least k rows, at least k of its entries reach its k-th highest row
-    maximum. Only the entries at or above that bound (or, with fewer rows,
-    above -inf) are sorted; NaN and -inf entries never lead a cut
-    prefix, so dropping them changes nothing.
+    A lane's entries are ordered by rank, descending, then by ``at``, and
+    cut after k and at the first +inf one. Given every entry above -inf of
+    a lane's block, with ``at`` its flat index, this equals
+    ``np.argsort(-block.ravel(), kind="stable")`` cut after k entries and
+    at the first non-finite one; given only the entries that reach the
+    lane's k-th highest rank, it picks the same. No rank may be -inf or
+    NaN: they never lead a cut prefix, so callers drop them.
     """
-    n_lanes, n_rows, n_cols = rank.shape
-    bound = np.full(n_lanes, -np.finfo(float).max)
-    if n_rows >= k:
-        best = rank.max(axis=2)
-        best[np.isnan(best)] = -np.inf
-        best.partition(n_rows - k, axis=1)
-        np.maximum(best[:, n_rows - k], bound, out=bound)
-    found = np.flatnonzero(rank >= bound[:, None, None])
-    lanes, at = np.divmod(found, n_rows * n_cols)
-    neg = -rank.ravel()[found]
-    order = np.lexsort((neg, lanes))  # stable: ties keep flat order
-    lanes, at, neg = lanes[order], at[order], neg[order]
-    counts = np.bincount(lanes, minlength=n_lanes)
+    neg = -rank
+    order = np.lexsort((at, neg, lanes))
+    lanes, neg = lanes[order], neg[order]
+    counts = np.bincount(lanes)
     first = np.cumsum(counts) - counts
-    # The only non-finite entries left are +inf ranks, which come first.
-    cut = np.bincount(lanes[np.isinf(neg)], minlength=n_lanes) > 0
+    cut = np.bincount(lanes[np.isinf(neg)], minlength=len(counts)) > 0
     keep = (np.arange(len(lanes)) - first[lanes] < k) & ~cut[lanes]
-    return lanes[keep], at[keep]
+    return order[keep]
+
+
+def reaching(rank: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entries of the 3-D ``rank`` (lanes, rows, columns) at or above
+    their lane's k-th highest rank and above -inf, as (lane, row * columns
+    + column, rank) arrays in flat order: all that ``top_k`` needs to pick
+    each lane's k best."""
+    n_lanes = len(rank)
+    found = np.flatnonzero(rank >= _kth_values(rank.reshape(n_lanes, -1), k)[:, None, None])
+    lanes, at = np.divmod(found, rank[0].size)
+    return lanes, at, rank.ravel()[found]
+
+
+def _kth_values(block: np.ndarray, k: int) -> np.ndarray:
+    """Each row's k-th highest entry, found with one partition of a copy,
+    NaN counting as -inf; at least ``-finfo.max``, so that no -inf entry
+    ever reaches it."""
+    block = np.fmax(block, -np.inf)  # a copy, with NaN as -inf
+    bound = np.full(len(block), -np.finfo(float).max)
+    n = block.shape[1]
+    if n >= k:
+        block.partition(n - k, axis=1)
+        np.maximum(block[:, n - k], bound, out=bound)
+    return bound
 
 
 class _PairRows:
@@ -390,7 +407,7 @@ class _PairRows:
         """Every part's pairs under one key space: part i's first key f
         becomes key ``sum(n_keys[:i]) + f``. ``n_keys[i]`` may exceed part
         i's own key count; the keys past it, and one last key after every
-        part, have no pairs."""
+        part, have no pairs. The seconds are stored as int32."""
         starts, offset = [], 0
         for part, n in zip(parts, n_keys):
             own = part._starts[:-1] + offset
@@ -399,7 +416,7 @@ class _PairRows:
         starts.append(np.array([offset, offset]))
         return cls(
             np.concatenate(starts),
-            np.concatenate([part._seconds for part in parts]),
+            np.concatenate([part._seconds for part in parts], dtype=np.int32),
             np.concatenate([part._values for part in parts]),
         )
 
@@ -488,6 +505,98 @@ class _Paragraph:
         self.src_uni[firsts[uni]] = values[uni]
         bi = bigram & (firsts >= 0) & (seconds >= 0)
         self.src_bi = _PairRows.group(n_vocab, firsts[bi], seconds[bi], values[bi])
+        # The words outside the source, by backoff score desc, ties by
+        # position: the order in which the sparse step bounds them.
+        generic = np.flatnonzero(self.src_uni == 0)
+        self.generic = generic[np.argsort(-self.backoff[generic], kind="stable")]
+
+
+class _Scratch:
+    """Step planes shared by the batches of one run, each mapped on first
+    use with room for ``cells`` cells.
+
+    They are anonymous memory maps, not heap blocks: their pages go back to
+    the system when the run ends and leave no hole in the heap (with a heap
+    block, sweep-short's peak RSS was about 1 MB higher), and only the
+    pages that a step touches are ever backed.
+    """
+
+    def __init__(self, cells: int):
+        self.cells = cells
+        self._planes: dict = {}
+
+    def planes(self, n: int, dtype) -> np.ndarray:
+        """n planes of ``dtype``, as an (n, cells) array."""
+        dtype = np.dtype(dtype)
+        if (n, dtype) not in self._planes:
+            raw = mmap.mmap(-1, n * dtype.itemsize * self.cells)
+            self._planes[n, dtype] = np.frombuffer(raw, dtype).reshape(n, self.cells)
+        return self._planes[n, dtype]
+
+
+@dataclass
+class _Lanes:
+    """The arrays of a lockstep batch's running lanes, entry i for the
+    i-th; vocabulary arrays are padded to the batch's widest vocabulary.
+    Cells past a lane's vocabulary get a 0 LM and similarity (an idf^2 of 1
+    keeps 0/0 away) and then rank at -inf."""
+
+    ids: np.ndarray  # the lane's index in the batch
+    para: np.ndarray  # its paragraph's index among the batch's paragraphs
+    keys: np.ndarray  # its paragraph's first pair key
+    widths: np.ndarray
+    min_len: np.ndarray
+    max_len: np.ndarray
+    rngs: np.ndarray  # its generator, or None (an object array)
+    backoff: np.ndarray  # (lanes, V) from here on
+    src_uni: np.ndarray
+    idf_sq: np.ndarray
+    model_ids: np.ndarray
+    generic: np.ndarray  # (lanes, G): ``_Paragraph.generic``, padded
+    generic_backoff: np.ndarray  # their backoff scores
+    n_generic: np.ndarray
+    min_generic_sq: np.ndarray  # the least idf^2 among them
+
+    def take(self, keep: np.ndarray) -> "_Lanes":
+        return _Lanes(*(getattr(self, f.name)[keep] for f in fields(self)))
+
+
+@dataclass
+class _Batch:
+    """What every step of a lockstep batch reads: its running lanes, its
+    widest vocabulary V, the pair rows of its paragraphs with the size K of
+    each block of keys (``_batch_pair_rows``; key K - 1 has no pairs), its
+    map from model id to vocabulary position, its number of paragraphs,
+    and the run's scratch planes."""
+
+    lanes: _Lanes
+    V: int
+    n_keys: int
+    pairs: _PairRows
+    model_pos: np.ndarray
+    n_paras: int
+    scratch: _Scratch
+
+
+@dataclass
+class _Rows:
+    """A step's rows: B per lane, lane i's rows first (i * B on), its live
+    beams first. Per row: its beam's LM, dot and sum-of-squares scores so
+    far, whether it holds a beam, the pair key of its last word (BOS
+    before the first), its last model ids (BOS-padded), its vocabulary
+    positions, and from ``_history_cells`` its followed cells with their
+    counts and its bans; per lane, its live beams."""
+
+    B: int
+    beam: np.ndarray
+    live: np.ndarray
+    keys: np.ndarray
+    contexts: np.ndarray
+    history: np.ndarray
+    followed: np.ndarray
+    counts: np.ndarray
+    bans: np.ndarray
+    n_beams: np.ndarray
 
 
 class _BeamEngine:
@@ -504,13 +613,15 @@ class _BeamEngine:
     when no beam survives, or once the k-th best pooled score beats every
     score a longer hypothesis could reach.
 
-    The step works on one (lanes x beam_width, V) matrix per score, where
-    V is the batch's widest vocabulary, and reads each pick's scores back
-    from them. A lane owns beam_width rows
-    (its live beams first), and its cells past its own vocabulary, like
-    the rows of beams it does not have, rank at -inf. Every real cell gets
-    the same elementwise operations, in the same order, as in a search of
-    its lane alone, so no lane's result depends on its batch.
+    A step's cells are (row, word) pairs over lanes x beam_width rows and
+    the batch's widest vocabulary V. A lane owns beam_width rows (its live
+    beams first), and its cells past its own vocabulary, like the rows of
+    beams it does not have, rank at -inf. A scorer gives each lane's cells
+    that can reach its top beam_width, with their scores: the dense one
+    scores every cell, the sparse one only those. Every scored cell gets
+    the same elementwise operations, in the same order, as in a dense
+    search of its lane alone, so no lane's result depends on its batch or
+    its scorer.
     """
 
     def __init__(
@@ -563,162 +674,119 @@ class _BeamEngine:
             else:
                 ready.append(i)
         widths = [len(self.paragraphs[lanes[i][0]].vocab) for i in ready]
-        batches = _lockstep_batches(widths, self.cfg.beam_width)
-        # One buffer of six planes serves the step matrices of every batch.
-        # It is an anonymous memory map, not a heap block: its pages go back
-        # to the system when the run ends and leave no hole in the heap.
-        # (With a heap block, sweep-short's peak RSS was about 1 MB higher.)
-        cells = max(
+        budget = MAX_LOCKSTEP_CELLS
+        if self.cfg.mode == "sampled":
+            budget //= _SAMPLED_SHARE
+        batches = _lockstep_batches(widths, self.cfg.beam_width, budget)
+        scratch = _Scratch(max(
             (len(b) * self.cfg.beam_width * max(widths[j] for j in b) for b in batches),
             default=1,
-        )
-        buffer = np.frombuffer(mmap.mmap(-1, 6 * 8 * cells)).reshape(6, cells)
+        ))
         for batch in batches:
             ids = [ready[j] for j in batch]
-            found = self._run_batch([lanes[i] for i in ids], k, buffer)
+            found = self._run_batch([lanes[i] for i in ids], k, scratch)
             for i, result in zip(ids, found):
                 results[i] = result
         return results
 
-    def _run_batch(self, lanes, k: int, buffer: np.ndarray) -> list:
-        """``run`` for one batch of lanes, with its step matrices in the
-        planes of ``buffer``."""
+    def _batch(self, lanes, scratch: _Scratch) -> _Batch:
+        """The set-up of one batch of lanes."""
+        paras = [self.paragraphs[p] for p, _ in lanes]
+        shared = list(dict.fromkeys(p for p, _ in lanes))
+        para = np.array([shared.index(p) for p, _ in lanes])
+        shared = [self.paragraphs[p] for p in shared]
+        offsets, pairs, model_pos = _batch_pair_rows(shared, self.tables)
+        widths = np.array([len(p.vocab) for p in paras])
+        V = int(widths.max())
+        G = max(len(p.generic) for p in paras)
+
+        def stacked(rows, fill, width=V, dtype=float):
+            out = np.full((len(rows), width), fill, dtype=dtype)
+            for row, values in zip(out, rows):
+                row[: len(values)] = values
+            return out
+
+        lanes = _Lanes(
+            ids=np.arange(len(lanes)),
+            para=para,
+            keys=offsets[para],
+            widths=widths,
+            min_len=np.array([p.min_len for p in paras]),
+            max_len=np.array([p.max_len for p in paras]),
+            rngs=np.array([rng for _, rng in lanes], dtype=object),
+            backoff=stacked([p.backoff for p in paras], 0.0),
+            src_uni=stacked([p.src_uni for p in paras], 0.0),
+            idf_sq=stacked([p.idf_uni_sq for p in paras], 1.0),
+            model_ids=stacked([p.model_ids for p in paras], -1, dtype=np.intp),
+            generic=stacked([p.generic for p in paras], 0, G, np.intp),
+            generic_backoff=stacked([p.backoff[p.generic] for p in paras], 0.0, G),
+            n_generic=np.array([len(p.generic) for p in paras]),
+            min_generic_sq=np.array(
+                [p.idf_uni_sq[p.generic].min(initial=np.inf) for p in paras]
+            ),
+        )
+        return _Batch(lanes, V, offsets[-1] + 1, pairs, model_pos, len(shared), scratch)
+
+    def _run_batch(self, lanes, k: int, buffer: _Scratch) -> list:
+        """``run`` for one batch of lanes, with its step planes in ``buffer``.
+
+        A step scores, then selects, pools and advances. The scorer, picked
+        by ``cfg.mode``, gives each lane's cells that can reach its top
+        beam_width with their scores. The rest is one code path: ``top_k``
+        keeps each lane's beam_width best cells, those of a legal length
+        are pooled, the lanes that stop leave, and the picks become the
+        next step's rows.
+        """
         cfg, model = self.cfg, self.model
         W = cfg.beam_width
         span = model.order - 1
         paras = [self.paragraphs[p] for p, _ in lanes]
-        rngs = [rng for _, rng in lanes]
-        sampled = rngs[0] is not None
-        widths = np.array([len(para.vocab) for para in paras])
-        n_lanes, V = len(lanes), int(widths.max())
+        batch = self._batch(lanes, buffer)
+        ln, V = batch.lanes, batch.V
+        score = self._dense_scores if cfg.mode == "sampled" else self._sparse_scores
 
-        # The pair rows of the batch's distinct paragraphs, in one key space.
-        shared = list(dict.fromkeys(p for p, _ in lanes))
-        lane_para = np.array([shared.index(p) for p, _ in lanes])
-        shared = [self.paragraphs[p] for p in shared]
-        offsets, lm_pairs, bigram_pairs, source_pairs, model_pos = _batch_pair_rows(
-            shared, self.tables
-        )
-        no_beam = offsets[-1]
-        lane_keys = offsets[lane_para]
-
-        def stacked(name, fill, dtype=float):
-            out = np.full((n_lanes, V), fill, dtype=dtype)
-            for row, para in zip(out, paras):
-                values = getattr(para, name)
-                row[: len(values)] = values
-            return out
-
-        # Cells past a lane's vocabulary get a 0 LM and similarity (an
-        # idf^2 of 1 keeps 0/0 away) and then rank at -inf.
-        backoff = stacked("backoff", 0.0)
-        src_uni = stacked("src_uni", 0.0)
-        idf_sq = stacked("idf_uni_sq", 1.0)
-        model_ids = stacked("model_ids", -1, np.intp)
-        padded = (np.arange(V) >= widths[:, None])[:, None, :]
-        min_len = np.array([para.min_len for para in paras])
-        max_len = np.array([para.max_len for para in paras])
-
-        # The first step has one row per lane, its empty beam. Later, row r
-        # belongs to lane r // W, whose live beams take its first rows. Per
-        # row: the beam's LM, dot and sum-of-squares scores so far, whether
-        # it holds a beam, its vocabulary positions with twice the count of
-        # each in it, which earlier positions hold its last word, its last
-        # span model ids (BOS-padded), and the pair key of its last word (BOS
-        # before the first).
+        # The first step has one row per lane, its empty beam.
+        n_lanes = len(lanes)
         n_rows = n_lanes * W
-        row_cells = np.arange(n_rows) * V
-        lane_cells = np.arange(n_rows) // W * V
-        lane_ids = np.arange(n_lanes)  # the lane of each block of W rows
         n_beams = np.ones(n_lanes, dtype=np.intp)
         live = np.ones(n_lanes, dtype=bool)
         beam = np.zeros((3, n_lanes))
         history = np.empty((n_lanes, 0), dtype=np.intp)
-        tf2 = np.empty((n_lanes, 0), dtype=np.intp)
         repeats = np.empty((n_lanes, 0), dtype=bool)
         contexts = np.full((n_lanes, span), model.token_ids[BOS], dtype=np.intp)
-        keys = lane_keys + widths
+        keys = ln.keys + ln.widths
         top = np.full((n_lanes, k), -np.inf)  # each lane's k best pooled scores
 
         # Every pick by (step, lane * W + slot): its LM, similarity and
         # combined score (-inf outside the pool), and its parent slot and
         # word. Only the pages of the steps taken are touched.
-        n_steps = int(max_len.max())
+        n_steps = int(ln.max_len.max())
         scores = np.empty((3, n_steps, n_rows))
         scores[2] = -np.inf
         links = np.empty((2, n_steps, n_rows), dtype=np.intp)
 
-        # The step's matrices, reused from step to step: the LM, dot,
-        # sum-of-squares, similarity and combined scores, which a pick's
-        # scores are read from, and a scratch matrix. The similarity matrix
-        # holds the bigram squares first; the scratch one holds the square
-        # roots, then the weighted similarity, then in sampled mode the rank.
-        mats = buffer[:, : n_rows * V].reshape(-1, n_rows, V)
-
         results: list = [None] * n_lanes
         for step in range(1, n_steps + 1):
-            L = len(lane_ids)
+            L = len(ln.ids)
             B = 1 if step == 1 else W  # rows per lane this step
-            R = L * B
-            lm, dot, ssq, sim, comb, rank = mats[:, :R]
-
-            followed, counts, bans = _history_cells(
-                history, repeats, V, cfg.no_repeat_ngram
+            rows = _Rows(
+                B, beam, live, keys, contexts, history,
+                *_history_cells(history, repeats, V, cfg.no_repeat_ngram), n_beams,
             )
-            self._lm_rows(lm, backoff, keys, contexts, lane_para, lm_pairs, model_pos)
-            lm += beam[0, :, None]
-            np.copyto(dot.reshape(L, B, V), src_uni[:, None])
-            dot += beam[1, :, None]
-            np.copyto(ssq.reshape(L, B, V), idf_sq[:, None])
-            ssq += beam[2, :, None]
-            if step > 1:
-                bigram_sq = sim
-                bigram_sq.fill(self._default_sq)
-                rows, seconds, values = bigram_pairs.pairs(keys, V)
-                bigram_sq.ravel()[rows + seconds] = values
-                ssq += bigram_sq
-                # Source bigrams are sparse; everywhere else the term is 0.
-                rows, seconds, values = source_pairs.pairs(keys, V)
-                dot.ravel()[rows + seconds] += values
-                follower_sq = bigram_sq.ravel()[followed]
-                # Repeated-feature corrections: tf goes k -> k+1, adding
-                # idf^2 * 2k on top of the fresh-feature idf^2 baseline
-                # (0 for the words a beam does not hold).
-                ssq.ravel()[row_cells[:R, None] + history] += (
-                    idf_sq.ravel()[lane_cells[:R, None] + history] * tf2
-                )
-                ssq.ravel()[followed] += follower_sq * (2 * counts)
-
-            np.divide(dot, np.sqrt(ssq, out=rank), out=sim)
-            np.clip(sim, 0.0, 1.0, out=sim)
-            np.multiply(lm, cfg.lambda_lm, out=comb)
-            comb += np.multiply(sim, cfg.lambda_sim, out=rank)
-            comb.ravel()[bans] = -np.inf
-            np.copyto(comb.reshape(L, B, V), -np.inf, where=padded)
-            comb[~live] = -np.inf
-
-            if sampled:
-                # Gumbel noise is drawn only for a lane's real cells; every
-                # other cell ranks at -inf already.
-                np.divide(comb, cfg.temperature, out=rank)
-                drawn = rank.reshape(L, B, V)
-                for i, (rng, n, width) in enumerate(zip(rngs, n_beams, widths)):
-                    drawn[i, :n, :width] += rng.gumbel(size=n * width).reshape(n, width)
-            else:
-                rank = comb
-            lane, picks = top_k(rank.reshape(L, B, V), W)
+            lane, picks, rank, picked = score(batch, rows, step)
+            chosen = top_k(lane, picks, rank, W)
+            # Each pick's LM, dot, sum-of-squares, similarity and combined
+            # scores; only those of a legal length are pooled.
+            lane, picks, picked = lane[chosen], picks[chosen], picked[:, chosen]
 
             n_beams = np.bincount(lane, minlength=L)
             slots = np.arange(len(lane)) - (np.cumsum(n_beams) - n_beams)[lane]
             parents, words = np.divmod(picks, V)
             src = lane * B + parents
             dst = lane * W + slots
-            # Each pick's LM, dot, sum-of-squares, similarity and combined
-            # scores; only those of a legal length are pooled.
-            picked = mats[:5, :R].reshape(5, R * V)[:, lane * (B * V) + picks]
             pooled = picked[4]
-            pooled[step < min_len[lane]] = -np.inf
-            at = lane_ids[lane] * W + slots
+            pooled[step < ln.min_len[lane]] = -np.inf
+            at = ln.ids[lane] * W + slots
             scores[0, step - 1, at] = picked[0]
             scores[1, step - 1, at] = picked[3]
             scores[2, step - 1, at] = pooled
@@ -736,15 +804,15 @@ class _BeamEngine:
             best_lm[n_beams == 0] = 0.0  # those lanes stop anyway
             stop = (
                 (n_beams == 0)
-                | (step >= max_len)
+                | (step >= ln.max_len)
                 | (cfg.lambda_lm * best_lm + cfg.lambda_sim < top[:, 0])
             )
 
             if stop.any():
                 for i in np.flatnonzero(stop):
-                    lane_rows = slice(lane_ids[i] * W, (lane_ids[i] + 1) * W)
-                    results[lane_ids[i]] = self._collect(
-                        paras[lane_ids[i]],
+                    lane_rows = slice(ln.ids[i] * W, (ln.ids[i] + 1) * W)
+                    results[ln.ids[i]] = self._collect(
+                        paras[ln.ids[i]],
                         scores[:, :step, lane_rows],
                         links[:, :step, lane_rows],
                         top[i, 0],
@@ -759,12 +827,7 @@ class _BeamEngine:
                 lane, src, words, slots = moved[lane[kept]], src[kept], words[kept], slots[kept]
                 picked = picked[:, kept]
                 dst = lane * W + slots
-                lane_ids, lane_para = lane_ids[keep], lane_para[keep]
-                lane_keys, widths = lane_keys[keep], widths[keep]
-                backoff, src_uni, idf_sq = backoff[keep], src_uni[keep], idf_sq[keep]
-                model_ids, padded = model_ids[keep], padded[keep]
-                min_len, max_len = min_len[keep], max_len[keep]
-                rngs = [rngs[i] for i in keep]
+                batch.lanes = ln = ln.take(keep)
                 n_beams, top = n_beams[keep], top[keep]
                 R = len(keep) * W
 
@@ -782,50 +845,281 @@ class _BeamEngine:
             grown[dst, -1] = words
             history = grown
             repeats = history[:, :-1] == history[:, -1:]
-            grown = np.empty((R, step), dtype=np.intp)
-            np.take(tf2, source, axis=0, out=grown[:, :-1], mode="clip")
-            grown[:, :-1] += 2 * repeats
-            grown[:, -1] = 2 * repeats.sum(axis=1) + 2
-            tf2 = grown
             shifted = np.full((R, span), -1, dtype=np.intp)
             if span:
                 shifted[dst, :-1] = contexts[src, 1:]
-                shifted[dst, -1] = model_ids[lane, words]
+                shifted[dst, -1] = ln.model_ids[lane, words]
             contexts = shifted
-            keys = np.full(R, no_beam)
-            keys[dst] = lane_keys[lane] + words
+            keys = np.full(R, batch.n_keys - 1)
+            keys[dst] = ln.keys[lane] + words
         return results
 
-    def _lm_rows(
-        self, out, backoff, keys, contexts, lane_para, lm_pairs, model_pos
-    ) -> None:
-        """Backoff LM scores of every vocabulary position after each row's
-        beam, written to ``out``.
+    def _dense_scores(self, batch: _Batch, rows: _Rows, step: int):
+        """Sampled mode's scorer: every cell of every row, on (rows, V)
+        matrices in the scratch planes, then Gumbel noise on each lane's
+        real cells. Returns the cells that reach their lane's beam_width-th
+        highest rank (``reaching``) as (lane, row-in-lane * V + word, rank)
+        arrays, and their LM, dot, sum-of-squares, similarity and combined
+        scores as a (5, cells) array.
 
-        Every score starts as the backoff score of the row's lane, that of
-        a context never seen; then the words attested after each longer
-        suffix of the context overwrite it, the one-word suffix from the
-        paragraphs' pair rows. The model's scores carry their backoff
-        penalties, so each is written as it is.
+        The similarity matrix holds the bigram squares first; the scratch
+        matrix holds the square roots, then the weighted similarity, then
+        in sampled mode the rank.
         """
-        n_lanes, width = backoff.shape
-        np.copyto(out.reshape(n_lanes, -1, width), backoff[:, None])
-        rows, seconds, logs = lm_pairs.pairs(keys, width)
-        out.ravel()[rows + seconds] = logs
-        beams = len(keys) // n_lanes
+        cfg, ln, V, B = self.cfg, batch.lanes, batch.V, rows.B
+        L = len(ln.ids)
+        R = L * B
+        mats = batch.scratch.planes(6, float)[:, : R * V].reshape(6, R, V)
+        lm, dot, ssq, sim, comb, rank = mats
+        _, (followers, bigrams, source_bigrams) = self._pairs(batch, rows)
+
+        np.copyto(lm.reshape(L, B, V), ln.backoff[:, None])
+        for cells, logs in [followers] + self._context_writes(batch, rows):
+            lm.ravel()[cells] = logs
+        lm += rows.beam[0, :, None]
+        np.copyto(dot.reshape(L, B, V), ln.src_uni[:, None])
+        dot += rows.beam[1, :, None]
+        np.copyto(ssq.reshape(L, B, V), ln.idf_sq[:, None])
+        ssq += rows.beam[2, :, None]
+        if step > 1:
+            bigram_sq = sim
+            bigram_sq.fill(self._default_sq)
+            bigram_sq.ravel()[bigrams[0]] = bigrams[1]
+            ssq += bigram_sq
+            # Source bigrams are sparse; everywhere else the term is 0.
+            dot.ravel()[source_bigrams[0]] += source_bigrams[1]
+            follower_sq = bigram_sq.ravel()[rows.followed]
+            # Repeated-feature corrections: tf goes k -> k+1, adding
+            # idf^2 * 2k on top of the fresh-feature idf^2 baseline
+            # (0 for the words a beam does not hold).
+            held = (np.arange(R) * V)[:, None] + rows.history
+            ssq.ravel()[held] += (
+                ln.idf_sq.ravel()[(np.arange(R) // B * V)[:, None] + rows.history]
+                * (2 * np.bincount(held.ravel(), minlength=R * V)[held])
+            )
+            ssq.ravel()[rows.followed] += follower_sq * (2 * rows.counts)
+
+        self._mix(lm, dot, ssq, sim, comb, rank)
+        comb.ravel()[rows.bans] = -np.inf
+        padded = np.arange(V) >= ln.widths[:, None]
+        np.copyto(comb.reshape(L, B, V), -np.inf, where=padded[:, None])
+        comb[~rows.live] = -np.inf
+
+        if ln.rngs[0] is not None:
+            # Gumbel noise is drawn only for a lane's real cells; every
+            # other cell ranks at -inf already.
+            np.divide(comb, cfg.temperature, out=rank)
+            drawn = rank.reshape(L, B, V)
+            for i, (rng, n, width) in enumerate(zip(ln.rngs, rows.n_beams, ln.widths)):
+                drawn[i, :n, :width] += rng.gumbel(size=n * width).reshape(n, width)
+        else:
+            rank = comb
+        lanes, at, ranked = reaching(rank.reshape(L, B, V), cfg.beam_width)
+        return lanes, at, ranked, mats[:5].reshape(5, -1)[:, lanes * (B * V) + at]
+
+    def _sparse_scores(self, batch: _Batch, rows: _Rows, step: int):
+        """Deterministic mode's scorer: the cells that can reach their
+        lane's top beam_width, scored exactly, returned as
+        ``_dense_scores`` returns them, with the combined score as rank.
+
+        A row's special cells are its LM followers (from the pair rows and
+        the longer contexts), its IDF-bigram and source-bigram pairs, the
+        source words, and its history cells (the tf corrections and the
+        bans). Each is scored with the dense scorer's operations, in their
+        order. Every other cell is generic: its LM score is backoff[w] +
+        the beam's, its dot the beam's, and its sum of squares (idf^2[w] +
+        the beam's) + the default bigram square (none on the first step).
+        So its score is at most the bound lambda_lm * (backoff[w] + beam
+        LM) + lambda_sim * clip(beam dot / sqrt((min idf^2 + beam ssq) +
+        default^2)), min idf^2 being the least among the lane's generic
+        words: the bound takes the score's operations in their order, and
+        IEEE rounding is monotone, so it holds for the computed values, and
+        it falls with backoff[w]. Each lane's threshold is its
+        beam_width-th best special cell; of ``_Paragraph.generic`` only
+        the prefix whose bound is not below it is scored. Every skipped
+        cell is strictly below the threshold, so each lane's top
+        beam_width, and their flat tie order, are the dense scorer's.
+
+        The special cells are merged in a boolean plane, which gives them
+        once each in flat order and is cleared at those cells only; a cell
+        is found in their list through a plane of slots that is never
+        cleared, as it is read only at cells just written.
+        """
+        cfg, ln, V, B = self.cfg, batch.lanes, batch.V, rows.B
+        L, R = len(ln.ids), len(rows.live)
+        mark = batch.scratch.planes(1, bool)[0]
+        slot = batch.scratch.planes(1, np.int32)[0]
+        row_lane = np.arange(R) // B
+
+        # Source-bigram pairs end in a source word, and the followers and
+        # bans are history cells, so those are not marked on their own.
+        paired, (followers, bigrams, source_bigrams, _) = self._pairs(batch, rows, True)
+        lm_writes = [followers] + self._context_writes(batch, rows)
+        special = [paired] + [cells for cells, _ in lm_writes[1:]]
+        if step > 1:
+            live = np.flatnonzero(rows.live)
+            followed, counts, bans = rows.followed, rows.counts, rows.bans
+            if len(live) < R:
+                on = rows.live[followed // V]
+                followed, counts = followed[on], counts[on]
+                bans = bans[rows.live[bans // V]]
+            history = (live * V)[:, None] + rows.history[live]
+            special.append(history)
+        for cells in special:
+            mark[cells] = True
+        cells = np.flatnonzero(mark[: R * V])
+        n = len(cells)
+        slot[cells] = np.arange(n, dtype=np.int32)
+        starts = np.searchsorted(cells, np.arange(0, (R + 1) * V, V))
+        per_row = np.diff(starts)
+        at = cells - np.repeat((np.arange(R) - row_lane) * V, per_row)  # lane * V + w
+        beam = np.repeat(rows.beam, per_row, axis=1)
+
+        # The LM, dot, sum-of-squares, similarity and combined scores.
+        scores = np.empty((5, n))
+        lm, dot, ssq, sim, comb = scores
+        np.take(ln.backoff, at, out=lm)
+        for written, logs in lm_writes:
+            lm[slot[written]] = logs
+        lm += beam[0]
+        np.add(np.take(ln.src_uni, at), beam[1], out=dot)
+        idf_sq = np.take(ln.idf_sq, at)
+        np.add(idf_sq, beam[2], out=ssq)
+        if step > 1:
+            square = np.full(n, self._default_sq)
+            square[slot[bigrams[0]]] = bigrams[1]
+            ssq += square
+            dot[slot[source_bigrams[0]]] += source_bigrams[1]
+            # A word held k times gets idf^2 * 2k, as in the dense scorer,
+            # and every other cell 0.
+            ssq += idf_sq * (2 * np.bincount(slot[history].ravel(), minlength=n))
+            f = slot[followed]
+            ssq[f] += square[f] * (2 * counts)
+        self._mix(lm, dot, ssq, sim, comb, idf_sq)
+        if step > 1:
+            comb[slot[bans]] = -np.inf
+
+        # Each lane's threshold: its beam_width-th best special cell.
+        per_lane = np.diff(starts[::B])
+        width = max(per_lane.max(), cfg.beam_width)
+        block = np.full(L * width, -np.inf)
+        block[np.arange(n) + np.repeat(np.arange(0, L * width, width) - starts[:-1:B], per_lane)] = comb
+        threshold = _kth_values(block.reshape(L, width), cfg.beam_width)
+        found = np.flatnonzero(comb >= np.repeat(threshold, per_lane))
+        lanes = np.searchsorted(starts[::B], found, side="right") - 1
+        picked = (lanes, cells[found] - lanes * (B * V), comb[found], scores[:, found])
+
+        extra = self._generic_cells(batch, rows, step, row_lane, threshold)
+        if len(extra):
+            extra = extra[~mark[extra]]
+        mark[cells] = False
+        if not len(extra):
+            return picked
+        # The generic cells, scored like the special ones without their
+        # pair and history terms.
+        r, words = np.divmod(extra, V)
+        at = row_lane[r] * V + words
+        scores = np.empty((5, len(extra)))
+        lm, dot, ssq, sim, comb = scores
+        np.add(np.take(ln.backoff, at), rows.beam[0, r], out=lm)
+        np.add(np.take(ln.src_uni, at), rows.beam[1, r], out=dot)
+        np.add(np.take(ln.idf_sq, at), rows.beam[2, r], out=ssq)
+        if step > 1:
+            ssq += self._default_sq
+        self._mix(lm, dot, ssq, sim, comb, np.empty(len(extra)))
+        found = np.flatnonzero(comb >= threshold[row_lane[r]])
+        lanes = row_lane[r[found]]
+        return tuple(
+            np.concatenate((old, new), axis=-1)
+            for old, new in zip(
+                picked,
+                (lanes, extra[found] - lanes * (B * V), comb[found], scores[:, found]),
+            )
+        )
+
+    def _generic_cells(self, batch: _Batch, rows: _Rows, step: int, row_lane, threshold):
+        """The cells of each live row's prefix of its lane's generic words
+        whose bound (see ``_sparse_scores``) is not below the lane's
+        threshold; some may be special cells too."""
+        cfg, ln, V = self.cfg, batch.lanes, batch.V
+        den = ln.min_generic_sq[row_lane] + rows.beam[2]
+        if step > 1:
+            den += self._default_sq
+        sim = np.clip(rows.beam[1] / np.sqrt(den), 0.0, 1.0) * cfg.lambda_sim
+        floor = threshold[row_lane]
+
+        def reach(i, n):
+            """How many of the first n generic words of rows i reach."""
+            bound = (ln.generic_backoff[row_lane[i], :n] + rows.beam[0, i, None])
+            bound *= cfg.lambda_lm
+            bound += sim[i, None]
+            real = np.arange(n) < ln.n_generic[row_lane[i], None]
+            return (~(bound < floor[i, None]) & real).sum(axis=1)
+
+        # The bound falls along the order, so the words that reach are a
+        # prefix, and most steps end at the first word.
+        G = ln.generic.shape[1]
+        n = reach(slice(None), min(G, 1)) * rows.live
+        if not n.any():
+            return n[:0]
+        more = np.flatnonzero(n)
+        n[more] = reach(more, G)
+        i, entries = _expand(row_lane * G, row_lane * G + n)
+        return i * V + ln.generic.ravel()[entries]
+
+    def _mix(self, lm, dot, ssq, sim, comb, scratch) -> None:
+        """Each cell's similarity and combined score from its LM, dot and
+        sum-of-squares scores, written to ``sim`` and ``comb``."""
+        np.divide(dot, np.sqrt(ssq, out=scratch), out=sim)
+        np.clip(sim, 0.0, 1.0, out=sim)
+        np.multiply(lm, self.cfg.lambda_lm, out=comb)
+        comb += np.multiply(sim, self.cfg.lambda_sim, out=scratch)
+
+    def _pairs(self, batch: _Batch, rows: _Rows, words: bool = False):
+        """Each row's pairs, as (cells, values) per block of
+        ``_batch_pair_rows``: the words attested after its last word with
+        their LM scores, its IDF bigrams with their squares and its source
+        bigrams with their values, then with ``words`` its paragraph's
+        source words (none for a row without a beam); and all those cells
+        as one array."""
+        K, V, R = batch.n_keys, batch.V, len(rows.keys)
+        queries = [rows.keys, rows.keys + K, rows.keys + 2 * K]
+        if words:
+            para = batch.lanes.para[np.arange(R) // rows.B]
+            queries.append(3 * K + np.where(rows.live, para, batch.n_paras))
+        r, seconds, values = batch.pairs.pairs(np.concatenate(queries), V)
+        cells = r + seconds
+        ends = np.searchsorted(r, np.arange(R, len(queries) * R, R) * V).tolist()
+        blocks = [(cells[: ends[0]], values[: ends[0]])]
+        for i, (start, end) in enumerate(zip(ends, ends[1:] + [len(cells)]), 1):
+            cells[start:end] -= i * R * V
+            blocks.append((cells[start:end], values[start:end]))
+        return cells, blocks
+
+    def _context_writes(self, batch: _Batch, rows: _Rows) -> list:
+        """The LM scores of the words attested after each longer suffix of
+        each row's context, as (cells, logs) arrays, one pair per suffix
+        length, shortest first. Each replaces the score written before it
+        at its cell, beginning with the pair rows' followers. The model's
+        scores carry their backoff penalties, so each is written as it
+        is."""
+        V = batch.V
         n_ids = len(self.model.tokens) + 1
+        # Each row's paragraph's row of model_pos.
+        row_ids = batch.lanes.para[np.arange(len(rows.keys)) // rows.B] * n_ids
         index = self.model.continuation_index
+        writes = []
         for j in range(2, self.model.order):
             # The tokens attested after each row's last j words, with the
             # score token_logscore reaches for them.
-            rows, entries = _expand(*index.spans(contexts[:, -j:]))
+            lo, hi = index.spans(rows.contexts[:, -j:])
+            r, entries = _expand(lo, hi, V)
             # Each paragraph's row of model_pos ends with the entry of id
             # -1, so a flat index one before a row still finds -1.
-            pos = model_pos.ravel()[
-                lane_para[rows // beams] * n_ids + index.ids[entries]
-            ]
-            hit = pos >= 0
-            out.ravel()[rows[hit] * width + pos[hit]] = index.logs[entries[hit]]
+            pos = batch.model_pos.ravel()[np.repeat(row_ids, hi - lo) + index.ids[entries]]
+            hit = np.flatnonzero(pos >= 0)
+            writes.append((r[hit] + pos[hit], index.logs[entries[hit]]))
+        return writes
 
     @staticmethod
     def _collect(para: _Paragraph, scores, links, kth: float, k: int):
@@ -858,34 +1152,41 @@ class _BeamEngine:
 
 
 def _batch_pair_rows(paras: Sequence[_Paragraph], tables: ConstraintTables):
-    """The LM, IDF-bigram-square and source-bigram pair rows of a batch's
-    paragraphs, gathered from the tables in one key space.
+    """The pair rows of a batch's paragraphs in one key space: the LM
+    continuations, the IDF-bigram squares and the source-bigram values of
+    each paragraph's keys, gathered from the tables, and each paragraph's
+    source words with their weights.
 
     Paragraph i's keys are its vocabulary positions and then BOS, from
-    ``offsets[i]`` on; the last key, ``offsets[-1]``, has no pairs. Also
-    returns each paragraph's map from model token id to vocabulary
-    position (-1 outside it), one row each with a last entry for id -1.
-    Each paragraph is gathered on its own, which keeps the gather's
-    scratch arrays small.
+    ``offsets[i]`` on, and the key ``offsets[-1]`` has no pairs. The LM,
+    IDF-bigram and source-bigram blocks of keys are K = offsets[-1] + 1
+    keys apart, in that order; paragraph i's source words are at 3K + i,
+    and the key 3K + len(paras) has none. Also returns each paragraph's
+    map from model token id to vocabulary position (-1 outside it), one
+    row each with a last entry for id -1. Each paragraph is gathered on
+    its own, which keeps the gather's scratch arrays small.
     """
     model = tables.model
     n_keys = [len(para.vocab) + 1 for para in paras]
     model_pos = np.stack([_inverse(p.model_ids, len(model.tokens)) for p in paras])
     bos = model.token_ids[BOS]
-    lm_pairs = _PairRows.stack(
+    n_idf = len(tables.idf.index.word_ids)
+    words = [np.flatnonzero(p.src_uni) for p in paras]
+    empty = _PairRows(np.zeros(2, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0))
+    pairs = _PairRows.stack(
         [
             tables.lm_pairs.gather(np.append(p.model_ids, bos), pos)
             for p, pos in zip(paras, model_pos)
-        ],
-        n_keys,
+        ]
+        + [empty]
+        + [tables.bigram_sq.gather(p.idf_ids, _inverse(p.idf_ids, n_idf)) for p in paras]
+        + [empty]
+        + [p.src_bi for p in paras]
+        + [empty]
+        + [_PairRows(np.array([0, len(w)]), w, p.src_uni[w]) for p, w in zip(paras, words)],
+        (n_keys + [1]) * 3 + [1] * len(paras),
     )
-    n_idf = len(tables.idf.index.word_ids)
-    bigram_pairs = _PairRows.stack(
-        [tables.bigram_sq.gather(p.idf_ids, _inverse(p.idf_ids, n_idf)) for p in paras],
-        n_keys,
-    )
-    source_pairs = _PairRows.stack([p.src_bi for p in paras], n_keys)
-    return np.cumsum([0] + n_keys), lm_pairs, bigram_pairs, source_pairs, model_pos
+    return np.cumsum([0] + n_keys), pairs, model_pos
 
 
 def _history_cells(history: np.ndarray, repeats: np.ndarray, width: int, n: int):
@@ -914,16 +1215,16 @@ def _history_cells(history: np.ndarray, repeats: np.ndarray, width: int, n: int)
     return cells[new], np.bincount(np.cumsum(new) - 1), bans
 
 
-def _lockstep_batches(widths: Sequence[int], beam_width: int) -> list[range]:
+def _lockstep_batches(widths: Sequence[int], beam_width: int, cells: int) -> list[range]:
     """Consecutive runs of lanes, in order, one per lockstep batch, given
     each lane's vocabulary size. A batch takes lanes while lanes x
-    beam_width x its widest vocabulary stays within MAX_LOCKSTEP_CELLS,
-    and always takes one."""
+    beam_width x its widest vocabulary stays within ``cells``, and always
+    takes one."""
     batches: list[range] = []
     start, widest = 0, 0
     for i, width in enumerate(widths):
         wider = max(widest, width)
-        if i > start and (i - start + 1) * beam_width * wider > MAX_LOCKSTEP_CELLS:
+        if i > start and (i - start + 1) * beam_width * wider > cells:
             batches.append(range(start, i))
             start, wider = i, width
         widest = wider

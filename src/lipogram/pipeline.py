@@ -61,6 +61,7 @@ class Pipeline:
         # embedder; the in-search similarity always uses the built-in one.
         self.select_embedder = select_embedder or TfidfEmbedder(idf)
         self.grammar = grammar or OfflineGrammar()
+        self._tables: ConstraintTables | None = None  # the last ones built
 
     def translate(
         self,
@@ -87,8 +88,10 @@ class Pipeline:
         cfg: DecoderConfig,
     ) -> tuple[list[str], int]:
         emap = build_entity_table(paragraphs, c)
-        tables = ConstraintTables(c, self.model, self.idf, cfg.candidate_vocab_size)
-        decoded = beam_search(tuple(paragraphs), tables, cfg, self.lexicon)
+        decoded = beam_search(
+            tuple(paragraphs), self._tables_for(c, cfg.candidate_vocab_size), cfg,
+            self.lexicon,
+        )
         outputs = []
         failures = 0
         for i, (source, candidates) in enumerate(zip(paragraphs, decoded)):
@@ -107,6 +110,20 @@ class Pipeline:
                 text += "."
             outputs.append(grammar_correct(text, c, self.grammar))
         return outputs, failures
+
+    def _tables_for(self, c: ConstraintSet, M: int) -> ConstraintTables:
+        """The ConstraintTables of (c, M) under this pipeline's model and
+        IDF table. The last ones are kept and reused while the constraint,
+        M, the model and the IDF table stay the same; they are released
+        before new ones are built, so no two are ever held."""
+        last = self._tables
+        if not (
+            last is not None and last.constraint == c and last.size == M
+            and last.model is self.model and last.idf is self.idf
+        ):
+            self._tables = None
+            self._tables = ConstraintTables(c, self.model, self.idf, M)
+        return self._tables
 
     def evaluate(
         self,

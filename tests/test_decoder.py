@@ -35,6 +35,7 @@ from lipogram.decoder import (
     build_candidate_vocab,
     multiselect,
     parse_config_file,
+    reaching,
     top_k,
 )
 from lipogram.lexicon import Lexicon, LexiconEntry
@@ -364,8 +365,9 @@ def lane_picks(rank, k):
 
 
 def top_k_lists(rank, k):
-    lanes, picks = top_k(rank, k)
-    return lanes.tolist(), picks.tolist()
+    lanes, picks, values = reaching(rank, k)
+    keep = top_k(lanes, picks, values, k)
+    return lanes[keep].tolist(), picks[keep].tolist()
 
 
 # Few distinct levels, so exact ties across the k boundary are common.
@@ -667,13 +669,13 @@ class TestEarlyStop:
         engine = engine_of([source], NO_CONSTRAINT, cfg, model, idf, 10)
         max_len = engine.paragraphs[0].max_len
         steps = []
-        lm_rows = engine._lm_rows
+        pairs = engine._pairs
 
-        def counted_lm_rows(*args):  # called once per lockstep step
+        def counted_pairs(*args):  # called once per lockstep step
             steps.append(None)
-            return lm_rows(*args)
+            return pairs(*args)
 
-        engine._lm_rows = counted_lm_rows
+        engine._pairs = counted_pairs
         [fast] = engine.run(cfg.candidates_k)
         fast_steps = len(steps)
         steps.clear()
@@ -954,22 +956,28 @@ def dense(pair_rows, keys, n_cols):
 def paragraph_arrays(paras, tables):
     """Each paragraph's arrays as the per-paragraph build returns them,
     its pair rows read at its own keys of one gather of the whole batch.
-    The key past every paragraph must have no pairs."""
-    offsets, *pair_rows, _ = _batch_pair_rows(paras, tables)
-    for rows in pair_rows:
-        assert len(rows.pairs(offsets[-1:])[0]) == 0
-    lm_pairs, bigram_sq, src_bi = pair_rows
+    The key past every paragraph must have no pairs in any block, and a
+    paragraph's source words must be its words of non-zero source weight,
+    with that weight."""
+    offsets, pairs, _ = _batch_pair_rows(paras, tables)
+    K = offsets[-1] + 1  # the keys of each block
+    for block in range(3):
+        assert len(pairs.pairs(offsets[-1:] + block * K)[0]) == 0
+    assert len(pairs.pairs(np.array([3 * K + len(paras)]))[0]) == 0
     arrays = []
-    for para, first in zip(paras, offsets):
+    for i, (para, first) in enumerate(zip(paras, offsets)):
         n = len(para.vocab)
         keys = first + np.arange(n + 1)  # the vocabulary, then BOS
+        _, words, weights = pairs.pairs(np.array([3 * K + i]))
+        assert words.tolist() == np.flatnonzero(para.src_uni).tolist()
+        assert weights.tolist() == para.src_uni[words].tolist()
         arrays.append((
-            dense(lm_pairs, keys, n),
-            dense(bigram_sq, keys[:-1], n),
+            dense(pairs, keys, n),
+            dense(pairs, keys[:-1] + K, n),
             para.backoff,
             para.idf_uni,
             para.src_uni,
-            dense(src_bi, keys[:-1], n),
+            dense(pairs, keys[:-1] + 2 * K, n),
         ))
     return arrays
 
@@ -1149,8 +1157,7 @@ class TestLockstepBatches:
         budget=st.integers(1, 100_000),
     )
     def test_batches_stay_within_the_cell_budget(self, widths, beam_width, budget):
-        with mock.patch.object(decoder, "MAX_LOCKSTEP_CELLS", budget):
-            batches = _lockstep_batches(widths, beam_width)
+        batches = _lockstep_batches(widths, beam_width, budget)
         # Every lane once, in order, in consecutive runs.
         assert [i for b in batches for i in b] == list(range(len(widths)))
         for b in batches:
@@ -1318,7 +1325,7 @@ class TestHistoryCells:
 
 class TestSetUpLevel:
     """ConstraintTables are built once per constraint set, whatever the
-    number of paragraphs decoded under it."""
+    number of paragraphs decoded under it, and kept for the next call."""
 
     CORPUS = "\n\n".join([
         "the cat sat on the mat by the door",
@@ -1356,6 +1363,30 @@ class TestSetUpLevel:
         assert builds == ["e"]
         pipeline.translate(paras, ConstraintSet.from_string("o"), "beam")
         assert builds == ["e", "o"]
+
+    def test_last_tables_are_reused(self, builds):
+        """Calls under one constraint set and M build once; a new set, a
+        new M, a new model or a new IDF table builds anew."""
+        pipeline = self.pipeline()
+        paras = self.CORPUS.split("\n\n")[:2]
+        e, o = ConstraintSet.from_string("e"), ConstraintSet.from_string("o")
+        first, _ = pipeline.translate(paras, e, "beam")
+        again, _ = pipeline.translate(paras, e, "beam")
+        assert first == again
+        assert builds == ["e"]
+        pipeline.translate(paras, o, "beam")
+        pipeline.translate(paras, o, "beam")
+        assert builds == ["e", "o"]
+        pipeline.translate(paras, e, "beam")
+        assert builds == ["e", "o", "e"]
+        pipeline.translate(paras, e, "beam", DecoderConfig(candidate_vocab_size=7))
+        assert builds == ["e", "o", "e", "e"]
+        pipeline.model = train(self.CORPUS)
+        pipeline.translate(paras, e, "beam", DecoderConfig(candidate_vocab_size=7))
+        assert builds == ["e", "o", "e", "e", "e"]
+        pipeline.idf = build_idf(paras)
+        pipeline.translate(paras, e, "beam", DecoderConfig(candidate_vocab_size=7))
+        assert builds == ["e", "o", "e", "e", "e", "e"]
 
     @pytest.mark.parametrize("n_paragraphs", [1, 4])
     def test_one_build_per_sweep_set(self, builds, n_paragraphs):
