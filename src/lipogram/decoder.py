@@ -93,27 +93,29 @@ class DecodeFailure(RuntimeError):
 
 MODES = ("deterministic", "sampled")
 
-# A search peaks at about 52-57 bytes per beam x vocabulary cell in
-# deterministic mode and 103-111 in sampled mode, whose noisy ranks leave
-# top_k more entries to sort (tracemalloc over whole runs at 200 x 2,006
-# and 50 x 5,007 cells, plus the 48 bytes of its six mapped step planes;
-# numpy 2.4). The cap on beam_width x candidate_vocab_size keeps a search
-# near 330 MB.
+# A search peaks at about 29-33 bytes per beam x vocabulary cell in
+# deterministic mode and 70-72 in sampled mode (tracemalloc over whole runs
+# at 200 x 2,000 and 50 x 2,210 cells, plus the 5 bytes of the sparse
+# step's two mapped planes and the 48 of the dense step's six; numpy 2.4).
+# The cap on beam_width x candidate_vocab_size keeps a sampled search near
+# 220 MB.
 MAX_BEAM_CELLS = 3_000_000
 
 # A lockstep batch admits lanes, in call order, while lanes x beam_width x
 # its widest vocabulary stays within this many cells, and always admits
-# one lane. Sampled mode admits a quarter of it: its dense step keeps six
-# float64 planes of every cell, where the sparse step of deterministic
-# mode keeps a byte and an int32 per cell and its special cells. A batch
-# also holds its lanes' pair rows. The step's cost follows its calls more
-# than its cells, so the sparse step gains from wide batches. Measured
-# in-process (seed 0; 2-CPU x86 host, Python 3.11, numpy 2.4), the peak
-# RSS after one pass was, at 60k, 120k and 240k cells, 65.4, 67.6 and
-# 71.0 MB on translate-e and 66.1, 71.5 and 70.4 MB on sweep-short,
-# against 66.7 and 68.3 MB for the dense step at 60k.
-MAX_LOCKSTEP_CELLS = 240_000
-_SAMPLED_SHARE = 4
+# one lane. Sampled mode admits two fifths of that, the 60k it was sized
+# at: its dense step keeps six float64 planes of every cell, where
+# deterministic mode's sparse step keeps a byte and an int32 per cell plus
+# arrays over its special cells. A batch also holds its lanes' pair rows.
+# The sparse step's cost follows its numpy calls more than its cells, so
+# it gains from wide batches; at this size one batch takes most calls of
+# both library workloads. Measured
+# in-process (seed 0, one pass after set-up; 2-CPU x86 host, Python 3.11,
+# numpy 2.4), the peak RSS of translate-e was 65.4, 67.6, 69.4 and
+# 71.4 MB at 60k, 120k, 150k and 240k cells, and of sweep-short 66.1,
+# 71.1, 72.0 and 71.3 MB, against 66.8 and 69.0 MB for the dense step at
+# 60k.
+MAX_LOCKSTEP_CELLS = 150_000
 
 # Config-file keys that belong to the surrounding tooling, not the decoder.
 RESERVED_CONFIG_KEYS = frozenset(
@@ -676,7 +678,7 @@ class _BeamEngine:
         widths = [len(self.paragraphs[lanes[i][0]].vocab) for i in ready]
         budget = MAX_LOCKSTEP_CELLS
         if self.cfg.mode == "sampled":
-            budget //= _SAMPLED_SHARE
+            budget = budget * 2 // 5
         batches = _lockstep_batches(widths, self.cfg.beam_width, budget)
         scratch = _Scratch(max(
             (len(b) * self.cfg.beam_width * max(widths[j] for j in b) for b in batches),
@@ -747,7 +749,6 @@ class _BeamEngine:
 
         # The first step has one row per lane, its empty beam.
         n_lanes = len(lanes)
-        n_rows = n_lanes * W
         n_beams = np.ones(n_lanes, dtype=np.intp)
         live = np.ones(n_lanes, dtype=bool)
         beam = np.zeros((3, n_lanes))
@@ -757,13 +758,15 @@ class _BeamEngine:
         keys = ln.keys + ln.widths
         top = np.full((n_lanes, k), -np.inf)  # each lane's k best pooled scores
 
-        # Every pick by (step, lane * W + slot): its LM, similarity and
-        # combined score (-inf outside the pool), and its parent slot and
-        # word. Only the pages of the steps taken are touched.
+        # Every pick, lane i's at first[i] + (step - 1) * W + slot: its LM,
+        # similarity and combined score (-inf outside the pool, set step by
+        # step), and its parent slot and word. A lane's records are its own
+        # run of max_len x W entries, so only the pages of the steps it
+        # takes are touched.
         n_steps = int(ln.max_len.max())
-        scores = np.empty((3, n_steps, n_rows))
-        scores[2] = -np.inf
-        links = np.empty((2, n_steps, n_rows), dtype=np.intp)
+        first = np.cumsum(ln.max_len * W) - ln.max_len * W
+        scores = np.empty((3, int(ln.max_len.sum()) * W))
+        links = np.empty((2, scores.shape[1]), dtype=np.intp)
 
         results: list = [None] * n_lanes
         for step in range(1, n_steps + 1):
@@ -786,12 +789,14 @@ class _BeamEngine:
             dst = lane * W + slots
             pooled = picked[4]
             pooled[step < ln.min_len[lane]] = -np.inf
-            at = ln.ids[lane] * W + slots
-            scores[0, step - 1, at] = picked[0]
-            scores[1, step - 1, at] = picked[3]
-            scores[2, step - 1, at] = pooled
-            links[0, step - 1, at] = parents
-            links[1, step - 1, at] = words
+            base = first[ln.ids] + (step - 1) * W
+            scores[2, (base[:, None] + np.arange(W)).ravel()] = -np.inf
+            at = base[lane] + slots
+            scores[0, at] = picked[0]
+            scores[1, at] = picked[3]
+            scores[2, at] = pooled
+            links[0, at] = parents
+            links[1, at] = words
 
             R = L * W  # the rows of the next step
             per_slot = np.full((2, R), -np.inf)
@@ -810,11 +815,11 @@ class _BeamEngine:
 
             if stop.any():
                 for i in np.flatnonzero(stop):
-                    lane_rows = slice(ln.ids[i] * W, (ln.ids[i] + 1) * W)
+                    records = slice(first[ln.ids[i]], first[ln.ids[i]] + step * W)
                     results[ln.ids[i]] = self._collect(
                         paras[ln.ids[i]],
-                        scores[:, :step, lane_rows],
-                        links[:, :step, lane_rows],
+                        scores[:, records].reshape(3, step, W),
+                        links[:, records].reshape(2, step, W),
                         top[i, 0],
                         k,
                     )
@@ -999,14 +1004,17 @@ class _BeamEngine:
         if step > 1:
             comb[slot[bans]] = -np.inf
 
-        # Each lane's threshold: its beam_width-th best special cell.
-        per_lane = np.diff(starts[::B])
-        width = max(per_lane.max(), cfg.beam_width)
-        block = np.full(L * width, -np.inf)
-        block[np.arange(n) + np.repeat(np.arange(0, L * width, width) - starts[:-1:B], per_lane)] = comb
-        threshold = _kth_values(block.reshape(L, width), cfg.beam_width)
-        found = np.flatnonzero(comb >= np.repeat(threshold, per_lane))
-        lanes = np.searchsorted(starts[::B], found, side="right") - 1
+        # Each lane's threshold: its beam_width-th best special cell, or
+        # -finfo.max below beam_width finite ones. Its cells are a run.
+        bounds = starts[::B]
+        threshold = np.full(L, -np.finfo(float).max)
+        ranked = np.fmax(comb, -np.inf)  # NaN ranks as -inf
+        for i, (start, end) in enumerate(zip(bounds.tolist(), bounds[1:].tolist())):
+            kth = end - start - cfg.beam_width
+            if kth >= 0:
+                threshold[i] = max(threshold[i], np.partition(ranked[start:end], kth)[kth])
+        found = np.flatnonzero(comb >= np.repeat(threshold, np.diff(bounds)))
+        lanes = np.searchsorted(bounds, found, side="right") - 1
         picked = (lanes, cells[found] - lanes * (B * V), comb[found], scores[:, found])
 
         extra = self._generic_cells(batch, rows, step, row_lane, threshold)

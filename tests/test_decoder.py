@@ -685,6 +685,102 @@ class TestEarlyStop:
         assert fast_steps < max_len
 
 
+class TestSparseStep:
+    """Deterministic mode scores only the cells that can reach a lane's
+    top beam_width. Its searches must equal those with the dense scorer
+    patched in: every pooled hypothesis (an unreachable k keeps them all),
+    with its tokens and all three scores, in the same order."""
+
+    # Two- and three-letter words, so corpora of 40-200 distinct words.
+    POOL = [a + b for a in "bcdfghklmnprst" for b in "aiou"] + [
+        a + b + c for a in "bdgkmpt" for b in "aiou" for c in "nrs"
+    ]
+
+    @staticmethod
+    def corpus(rng, n_words):
+        """Paragraphs over the first n_words of the pool, each word used at
+        least once; most words are rare, so many share a backoff score."""
+        words = TestSparseStep.POOL[:n_words]
+        tokens = words + [rng.choice(words[: max(4, n_words // 8)]) for _ in range(n_words)]
+        tokens += rng.choices(words, k=n_words)
+        rng.shuffle(tokens)
+        cut = sorted(rng.sample(range(1, len(tokens)), 4))
+        return [" ".join(tokens[a:b]) for a, b in zip([0] + cut, cut + [len(tokens)])]
+
+    def test_sparse_scorer_equals_the_dense_one(self):
+        skipped = []
+        real = _BeamEngine._generic_cells
+
+        def counting(engine, batch, rows, step, row_lane, threshold):
+            found = real(engine, batch, rows, step, row_lane, threshold)
+            generic = batch.lanes.n_generic[row_lane][rows.live].sum()
+            skipped.append(int(generic) - len(found))
+            return found
+
+        @given(
+            seed=st.integers(0, 2**32 - 1),
+            n_words=st.integers(40, len(self.POOL)),
+            n_sources=st.integers(1, 3),
+            order=st.integers(1, 4),
+            widths=st.integers(1, 6).flatmap(
+                lambda w: st.tuples(st.just(w), st.integers(1, w))
+            ),
+            lambdas=st.sampled_from([(1.0, 5.0), (1.0, 0.0), (0.0, 1.0), (0.5, 2.0)]),
+            no_repeat=st.integers(2, 4),
+            budget=st.sampled_from([MAX_LOCKSTEP_CELLS, 1]),
+        )
+        @settings(max_examples=120, deadline=None)
+        def check(seed, n_words, n_sources, order, widths, lambdas, no_repeat, budget):
+            rng = random.Random(seed)
+            texts = self.corpus(rng, n_words)
+            model = train("\n\n".join(texts), order=order)
+            idf = build_idf(texts)
+            # Sources repeat words, and reach past the corpus's words.
+            sources = [
+                " ".join(rng.choices(self.POOL[: n_words + 10], k=rng.randint(2, 12)))
+                for _ in range(n_sources)
+            ]
+            beam_width, candidates_k = widths
+            cfg = DecoderConfig(
+                beam_width=beam_width, candidates_k=candidates_k,
+                no_repeat_ngram=no_repeat, lambda_lm=lambdas[0], lambda_sim=lambdas[1],
+                candidate_vocab_size=n_words,
+            )
+            engine = engine_of(sources, NO_CONSTRAINT, cfg, model, idf, n_words)
+            k = unreachable_k(engine)
+            with mock.patch.object(decoder, "MAX_LOCKSTEP_CELLS", budget):
+                with mock.patch.object(_BeamEngine, "_generic_cells", counting):
+                    sparse = engine.run(k)
+                with mock.patch.object(
+                    _BeamEngine, "_sparse_scores", _BeamEngine._dense_scores
+                ):
+                    dense = engine.run(k)
+            assert sparse == dense
+
+        check()
+        assert sum(skipped) > 0
+
+    def test_deterministic_search_never_scores_densely(self):
+        corpus = "aa bb cc dd ee\n\nbb cc aa ee dd\n\ncc dd ee aa bb"
+        model, idf = train(corpus), build_idf(corpus.split("\n\n"))
+        tables = ConstraintTables(NO_CONSTRAINT, model, idf, 10)
+        calls = []
+        real = _BeamEngine._dense_scores
+
+        def recording(engine, *args):
+            calls.append(engine.cfg.mode)
+            return real(engine, *args)
+
+        with mock.patch.object(_BeamEngine, "_dense_scores", recording):
+            for mode in ("deterministic", "sampled"):
+                cfg = DecoderConfig(beam_width=4, candidates_k=2,
+                                    candidate_vocab_size=10, mode=mode)
+                found = beam_search(("aa bb cc dd", "ee dd"), tables, cfg, EMPTY_LEX)
+                assert all(isinstance(h, Hypothesis) for f in found for h in f)
+        # The sampled search shows that the patch is where the step calls.
+        assert calls and set(calls) == {"sampled"}
+
+
 class TestLengthBounds:
     def test_fractional_ratios_round_inward(self):
         corpus = "aa bb cc\n\nbb cc aa\n\ncc aa bb"
