@@ -31,8 +31,9 @@ Set-up is done once at the level where its data lives:
 - Constraint: ``ConstraintTables``, built once per constraint set and
   tail size M, holds the tail (the M most frequent legal words) and the
   LM and IDF bigram pair rows among all legal words, keyed by first
-  word id. ``Pipeline`` builds it once per translate call, and every
-  search reads its constraint, model and IDF table from it.
+  word id. ``Pipeline`` keeps the last one it built and reuses it while
+  the constraint, M, the model and the IDF table stay the same, and
+  every search reads its constraint, model and IDF table from it.
 - Paragraph: ``_Paragraph`` keeps only what depends on the source. It
   reads its per-word arrays with one ``ConstraintTables.lookup`` of its
   vocabulary, and holds the source's TF-IDF weights over the
@@ -43,26 +44,37 @@ is a lane: a paragraph in deterministic mode, or one (paragraph, run i)
 pair in sampled mode, drawing its noise from its own
 ``default_rng([seed, i])`` at the shape of a lone search. Lanes are
 admitted to a batch in call order while lanes x beam_width x the batch's
-widest vocabulary stays within ``MAX_LOCKSTEP_CELLS`` (at least one lane
-per batch); the bound was sized by peak-RSS measurements. All lanes of a
-batch take the same step together, and a lane leaves the batch when it
-stops: at its own maximum length, at its own exact early stop, or when no
-beam survives.
+widest vocabulary stays within ``MAX_LOCKSTEP_CELLS`` (two fifths of it in
+sampled mode; at least one lane per batch); the bounds were sized by
+peak-RSS measurements. All lanes of a batch take the same step together,
+and a lane leaves the batch when it stops: at its own maximum length, at
+its own exact early stop, or when no beam survives.
 
-A step stacks the lanes' beams as rows of (rows, V) matrices, where V is
-the batch's widest vocabulary; a lane's cells past its own vocabulary and
-its rows without a beam rank at -inf. It computes the backoff LM rows
-(pair rows of every lane in one key space, then the longer contexts
-looked up by model ids), the incremental similarity (a sparse
-term-count correction) and the n-gram repeat bans, both read off one
-scan of each beam's history, and a row-wise top-k whose order within a
-lane equals a stable full sort of that lane's beams x vocabulary block,
-so the tie rule is that of a lone search. Every real cell goes through
-the same elementwise operations in the same order as in a lone search,
-so no lane's result depends on its batch. A pick's scores are read from
-the step's matrices; the step keeps each pick's back-pointer, word and
-scores in arrays, and builds ``Hypothesis`` objects only for a lane's
-returned top k.
+A step's cells are (row, word) pairs: each lane owns beam_width rows, its
+live beams first, over the batch's widest vocabulary V, and its cells past
+its own vocabulary and its rows without a beam never win. A scorer gives
+each lane's cells that can reach its top beam_width with their LM, dot,
+sum-of-squares, similarity and combined scores; one shared path then
+keeps each lane's best (``top_k``: score, then flat index, the tie rule of
+a stable full sort of the lane alone), pools them, applies the early stop
+and builds the next rows. ``cfg.mode`` picks the scorer:
+
+- Sampled mode scores every cell on dense (rows, V) planes: the backoff
+  LM rows (pair rows of every lane in one key space, then the longer
+  contexts looked up by model ids), the incremental similarity and the
+  n-gram repeat bans, then the Gumbel noise; it passes on the cells at or
+  above each lane's exact beam_width-th rank.
+- Deterministic mode scores exactly only each row's special cells (LM
+  followers, IDF-bigram and source-bigram pairs, source words and history
+  cells) and, of the generic rest, only the prefix of the words ordered by
+  backoff score whose admissible bound reaches the lane's beam_width-th
+  best special cell (see ``_BeamEngine._sparse_scores``).
+
+Every scored cell goes through the same elementwise operations in the same
+order as in a dense search of its lane alone, so no lane's result depends
+on its batch or its scorer. A pick's scores are those its scorer computed;
+the step keeps each pick's back-pointer, word and scores in arrays, and
+builds ``Hypothesis`` objects only for a lane's returned top k.
 """
 
 from __future__ import annotations
@@ -93,7 +105,7 @@ class DecodeFailure(RuntimeError):
 
 MODES = ("deterministic", "sampled")
 
-# A search peaks at about 29-33 bytes per beam x vocabulary cell in
+# A search peaks at about 28-32 bytes per beam x vocabulary cell in
 # deterministic mode and 70-72 in sampled mode (tracemalloc over whole runs
 # at 200 x 2,000 and 50 x 2,210 cells, plus the 5 bytes of the sparse
 # step's two mapped planes and the 48 of the dense step's six; numpy 2.4).
@@ -353,24 +365,22 @@ def reaching(rank: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     """The entries of the 3-D ``rank`` (lanes, rows, columns) at or above
     their lane's k-th highest rank and above -inf, as (lane, row * columns
     + column, rank) arrays in flat order: all that ``top_k`` needs to pick
-    each lane's k best."""
+    each lane's k best.
+
+    Each lane's k-th highest rank is found with one partition of a copy of
+    its block, NaN counting as -inf; the bound is at least ``-finfo.max``,
+    so no -inf entry ever reaches it.
+    """
     n_lanes = len(rank)
-    found = np.flatnonzero(rank >= _kth_values(rank.reshape(n_lanes, -1), k)[:, None, None])
-    lanes, at = np.divmod(found, rank[0].size)
-    return lanes, at, rank.ravel()[found]
-
-
-def _kth_values(block: np.ndarray, k: int) -> np.ndarray:
-    """Each row's k-th highest entry, found with one partition of a copy,
-    NaN counting as -inf; at least ``-finfo.max``, so that no -inf entry
-    ever reaches it."""
-    block = np.fmax(block, -np.inf)  # a copy, with NaN as -inf
-    bound = np.full(len(block), -np.finfo(float).max)
+    block = np.fmax(rank.reshape(n_lanes, -1), -np.inf)  # a copy, NaN as -inf
+    bound = np.full(n_lanes, -np.finfo(float).max)
     n = block.shape[1]
     if n >= k:
         block.partition(n - k, axis=1)
         np.maximum(block[:, n - k], bound, out=bound)
-    return bound
+    found = np.flatnonzero(rank >= bound[:, None, None])
+    lanes, at = np.divmod(found, n)
+    return lanes, at, rank.ravel()[found]
 
 
 class _PairRows:
@@ -540,8 +550,9 @@ class _Scratch:
 class _Lanes:
     """The arrays of a lockstep batch's running lanes, entry i for the
     i-th; vocabulary arrays are padded to the batch's widest vocabulary.
-    Cells past a lane's vocabulary get a 0 LM and similarity (an idf^2 of 1
-    keeps 0/0 away) and then rank at -inf."""
+    The dense step gives cells past a lane's vocabulary a 0 LM and
+    similarity (an idf^2 of 1 keeps 0/0 away) and then ranks them at -inf;
+    the sparse step never scores them."""
 
     ids: np.ndarray  # the lane's index in the batch
     para: np.ndarray  # its paragraph's index among the batch's paragraphs
@@ -582,7 +593,7 @@ class _Batch:
 
 @dataclass
 class _Rows:
-    """A step's rows: B per lane, lane i's rows first (i * B on), its live
+    """A step's rows: B per lane, lane i's from row i * B on, its live
     beams first. Per row: its beam's LM, dot and sum-of-squares scores so
     far, whether it holds a beam, the pair key of its last word (BOS
     before the first), its last model ids (BOS-padded), its vocabulary
@@ -956,8 +967,8 @@ class _BeamEngine:
         slot = batch.scratch.planes(1, np.int32)[0]
         row_lane = np.arange(R) // B
 
-        # Source-bigram pairs end in a source word, and the followers and
-        # bans are history cells, so those are not marked on their own.
+        # The followed cells and the bans are history cells, so they are
+        # not marked on their own.
         paired, (followers, bigrams, source_bigrams, _) = self._pairs(batch, rows, True)
         lm_writes = [followers] + self._context_writes(batch, rows)
         special = [paired] + [cells for cells, _ in lm_writes[1:]]
@@ -1005,7 +1016,8 @@ class _BeamEngine:
             comb[slot[bans]] = -np.inf
 
         # Each lane's threshold: its beam_width-th best special cell, or
-        # -finfo.max below beam_width finite ones. Its cells are a run.
+        # -finfo.max below beam_width finite ones. A lane's special cells
+        # are one run of ``cells``.
         bounds = starts[::B]
         threshold = np.full(L, -np.finfo(float).max)
         ranked = np.fmax(comb, -np.inf)  # NaN ranks as -inf
