@@ -90,7 +90,7 @@ import numpy as np
 
 from . import textcore
 from .lexicon import Lexicon, constraint_free_synonyms
-from .metrics import IdfTable, embed, similarities
+from .metrics import IdfTable, TfidfEmbedder, embed, most_similar
 from .ngram import BOS, NGramModel
 from .textcore import ConstraintSet, canonical, violates
 
@@ -1335,9 +1335,27 @@ def beam_search(
     return results
 
 
-def multiselect(candidates: Sequence[Hypothesis], source: str, embedder) -> Hypothesis:
-    """The candidate most similar to the source; ties keep the earliest."""
+def multiselect(
+    candidates: Sequence[Hypothesis],
+    source: str,
+    embedder,
+    idf: IdfTable | None = None,
+) -> Hypothesis:
+    """The candidate most similar to the source; ties keep the earliest.
+
+    Similarity is `metrics.similarities` under the embedder, through
+    `metrics.most_similar`. ``idf`` is the IDF table the candidates were
+    searched with (``ConstraintTables.idf``). When the embedder is the
+    built-in ``TfidfEmbedder`` over that same table, each candidate's
+    ``sim_score`` is its similarity to within `metrics.similarity_bound`,
+    and only the candidates near the best are scored again. Any other
+    embedder, a TF-IDF one over another table included, scores every
+    candidate in one ``embed_many`` call.
+    """
     if not candidates:
         raise ValueError("multiselect needs at least one candidate")
-    sims = similarities(embedder, source, [h.text() for h in candidates])
-    return candidates[sims.index(max(sims))]
+    approx = None
+    if type(embedder) is TfidfEmbedder and embedder.idf is idf:
+        approx = [h.sim_score for h in candidates]
+    texts = [h.text() for h in candidates]
+    return candidates[most_similar(embedder, source, texts, approx)]

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 from . import textcore
-from .metrics import similarities
+from .metrics import TfidfEmbedder, most_similar, prefix_similarities
 from .textcore import WORD_RE, ConstraintSet, strip_letters, tokenize
 
 log = logging.getLogger(__name__)
@@ -265,16 +265,24 @@ def trim_suffix(text: str, source: str, embedder) -> str:
     """Cut the text at the word boundary most similar to the source.
 
     Candidates are every prefix ending at a word end plus the full text;
-    the highest cosine similarity wins and ties keep the longest prefix.
+    the highest cosine similarity wins and ties keep the longest prefix
+    (`metrics.most_similar`, which scores with `metrics.similarities`).
+    With the built-in ``TfidfEmbedder``, `metrics.prefix_similarities`
+    scores every prefix in one pass, the full text sharing the last
+    prefix's features, and only the near-best are scored exactly; any
+    other embedder scores every candidate in one ``embed_many`` call.
     """
     if not text:
         raise ValueError("cannot trim an empty text")
     candidates = [text[: m.end()] for m in WORD_RE.finditer(text)]
     if not candidates or candidates[-1] != text:
         candidates.append(text)
-    sims = similarities(embedder, source, candidates)
-    best = max(range(len(candidates)), key=lambda i: (sims[i], len(candidates[i])))
-    return candidates[best]
+    approx = None
+    if type(embedder) is TfidfEmbedder:
+        approx = prefix_similarities(source, text, embedder.idf) or [0.0]
+        approx += approx[-1:] * (len(candidates) - len(approx))
+    # The candidates grow in length, so the last maximum is the longest.
+    return candidates[most_similar(embedder, source, candidates, approx, last=True)]
 
 
 class GrammarProviderError(RuntimeError):

@@ -88,10 +88,8 @@ class Pipeline:
         cfg: DecoderConfig,
     ) -> tuple[list[str], int]:
         emap = build_entity_table(paragraphs, c)
-        decoded = beam_search(
-            tuple(paragraphs), self._tables_for(c, cfg.candidate_vocab_size), cfg,
-            self.lexicon,
-        )
+        tables = self._tables_for(c, cfg.candidate_vocab_size)
+        decoded = beam_search(tuple(paragraphs), tables, cfg, self.lexicon)
         outputs = []
         failures = 0
         for i, (source, candidates) in enumerate(zip(paragraphs, decoded)):
@@ -100,7 +98,7 @@ class Pipeline:
                 outputs.append("")
                 failures += 1
                 continue
-            best = multiselect(candidates, source, self.select_embedder)
+            best = multiselect(candidates, source, self.select_embedder, tables.idf)
             # Cased before the pronoun pass, which may insert a lowercase alias.
             text = best.text()
             text = text[0].upper() + text[1:]

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lipogram import decoder
+from lipogram import decoder, metrics
 from lipogram.decoder import (
     MAX_BEAM_CELLS,
     MAX_LOCKSTEP_CELLS,
@@ -39,7 +39,14 @@ from lipogram.decoder import (
     top_k,
 )
 from lipogram.lexicon import Lexicon, LexiconEntry
-from lipogram.metrics import TfidfEmbedder, build_idf, cosine_similarity, embed
+from lipogram.metrics import (
+    TfidfEmbedder,
+    build_idf,
+    cosine_similarity,
+    embed,
+    similarities,
+    similarity_bound,
+)
 from lipogram.ngram import BOS, EOS, train
 from lipogram.textcore import ALPHABET, ConstraintSet, violates
 
@@ -958,6 +965,61 @@ class TestMultiselect:
 
         multiselect(candidates, "the dog ran far away", Recording())
         assert seen == [["the dog ran far away", *self.DOCS]]
+
+    def test_sim_scores_are_used_only_under_the_search_table(self):
+        candidates = [self.hyp(d) for d in self.DOCS]
+        embedder = self.embedder()
+        same_values = TfidfEmbedder(build_idf(self.DOCS))
+        with mock.patch.object(
+            decoder, "most_similar", wraps=metrics.most_similar
+        ) as spy:
+            multiselect(candidates, "the cat", embedder, embedder.idf)
+            multiselect(candidates, "the cat", same_values, embedder.idf)
+            multiselect(candidates, "the cat", embedder)
+        assert [call.args[3] for call in spy.call_args_list] == [
+            [h.sim_score for h in candidates], None, None
+        ]
+
+
+class TestSimScorePrecondition:
+    """multiselect may rank by ``sim_score`` only because every returned
+    hypothesis's sim_score lies within ``similarity_bound`` of the
+    similarity the built-in embedder over the search's IDF table gives
+    its text: checked on random searches in both modes, including
+    hypotheses that repeat words and bigrams."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        mode=st.sampled_from(["deterministic", "sampled"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_sim_scores_within_the_bound(self, seed, mode):
+        rng = random.Random(seed)
+        words = POOL[: rng.randint(2, 6)]
+        paras = [
+            " ".join(rng.choice(words) for _ in range(rng.randint(2, 9)))
+            for _ in range(rng.randint(1, 4))
+        ]
+        model = train("\n\n".join(paras), order=rng.choice([2, 3]))
+        tables = ConstraintTables(
+            ConstraintSet.from_string(rng.choice(["", "h", "ab"])),
+            model, build_idf(paras), 8,
+        )
+        sources = [
+            " ".join(rng.choice(POOL) for _ in range(rng.randint(1, 8)))
+            for _ in range(rng.randint(1, 3))
+        ]
+        cfg = DecoderConfig(
+            beam_width=6, candidates_k=3, candidate_vocab_size=8, mode=mode,
+            seed=rng.randint(0, 9), no_repeat_ngram=rng.choice([2, 3, 6]),
+        )
+        embedder = TfidfEmbedder(tables.idf)
+        for source, found in zip(sources, beam_search(sources, tables, cfg, EMPTY_LEX)):
+            if isinstance(found, Exception):
+                continue
+            for h in found:
+                (exact,) = similarities(embedder, source, [h.text()])
+                assert abs(h.sim_score - exact) <= similarity_bound([h.text()])
 
 
 class TestDecodeFuzz:

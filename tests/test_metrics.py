@@ -5,11 +5,15 @@ import json
 import math
 import socket
 import threading
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lipogram import decoder, metrics, passes
+from lipogram.decoder import DecoderConfig, Hypothesis, multiselect
+from lipogram.lexicon import Lexicon
 from lipogram.metrics import (
     EmbedProviderError,
     IdfTable,
@@ -21,13 +25,25 @@ from lipogram.metrics import (
     embed,
     evaluate_document,
     grammar_mistakes,
+    most_similar,
     oov_score,
+    prefix_similarities,
     readability,
     report_json,
     similarities,
+    similarity_bound,
     text_features,
 )
-from lipogram.textcore import ConstraintSet, strip_letters, tokenize
+from lipogram.ngram import train
+from lipogram.passes import trim_suffix
+from lipogram.pipeline import Pipeline
+from lipogram.textcore import (
+    WORD_RE,
+    ConstraintSet,
+    canonical_words,
+    strip_letters,
+    tokenize,
+)
 
 E = ConstraintSet.from_string("e")
 NONE = ConstraintSet()
@@ -189,6 +205,114 @@ class TestSimilarities:
         assert embedder.calls == [["the cat sat", *texts]]
         source_vec = embed("the cat sat", IDF)
         assert got == [cosine_similarity(source_vec, embed(t, IDF)) for t in texts]
+
+
+def nudged(values, ulps):
+    """Each value moved by its count of ulps, up for a positive count and
+    down for a negative one: an approximate score within the bound."""
+    out = []
+    for value, n in zip(values, ulps):
+        for _ in range(abs(n)):
+            value = math.nextafter(value, math.copysign(math.inf, n))
+        out.append(value)
+    return out
+
+
+def exact_only(embedder, source, texts, approx=None, **options):
+    """most_similar with the approximate scores dropped: every text scored."""
+    return metrics.most_similar(embedder, source, texts, **options)
+
+
+class TestMostSimilar:
+    def test_exact_path_scores_every_text_in_one_call(self):
+        embedder = Recording()
+        texts = ["a bird", "the cat sat", "the cat sat", "the dog"]
+        assert most_similar(embedder, "the cat sat", texts) == 1
+        assert most_similar(embedder, "the cat sat", texts, last=True) == 2
+        assert embedder.calls == [["the cat sat", *texts]] * 2
+
+    def test_only_the_near_best_are_scored(self):
+        embedder = Recording()
+        texts = ["a bird", "the cat sat", "the cat sat", "the dog"]
+        approx = [0.1, 0.9, 0.9, 0.5]
+        assert most_similar(embedder, "the cat sat", texts, approx, last=True) == 2
+        assert embedder.calls == [["the cat sat", "the cat sat", "the cat sat"]]
+
+    def test_a_lone_near_best_text_is_not_scored(self):
+        embedder = Recording()
+        assert most_similar(embedder, "the cat", ["a", "b", "c"], [0.2, 0.7, 0.1]) == 1
+        assert embedder.calls == []
+
+    def test_bound_grows_with_the_longest_text(self):
+        short, long = similarity_bound(["ab"]), similarity_bound(["ab", "x" * 1000])
+        assert 0 < short < long < 2e-12
+        assert similarity_bound(["x" * 1000]) == long
+
+    @given(
+        words=st.lists(st.sampled_from(["the", "cat", "sat", "dog", "zz", "I’ve"]), max_size=12),
+        source=st.sampled_from(["the cat sat", "the cat sat the cat", "a bird", "zz", "..."]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_prefix_similarities_within_the_bound(self, words, source):
+        text = " ".join(words)
+        prefixes = [text[: m.end()] for m in WORD_RE.finditer(text)]
+        got = prefix_similarities(source, text, IDF)
+        assert len(got) == len(prefixes) == len(canonical_words(text))
+        for approx, exact, prefix in zip(
+            got, similarities(EMBEDDER, source, prefixes), prefixes
+        ):
+            assert abs(approx - exact) <= similarity_bound([prefix])
+
+
+class TestNearTies:
+    """Both fast paths pick what scoring every text with `similarities`
+    picks, when their approximate scores are off by a few ulps: duplicate
+    texts tie exactly, and a nudge can put the approximate best on
+    another one."""
+
+    TEXTS = ["the cat sat", "a bird", "the dog sat", "sat the cat", "zz"]
+    WORDS = ["the", "cat", "sat", "dog", "zz", "qq"]
+
+    @given(
+        texts=st.lists(st.sampled_from(TEXTS), min_size=1, max_size=6),
+        source=st.sampled_from(["the cat sat", "the dog", "qq"]),
+        ulps=st.lists(st.integers(-3, 3), min_size=6, max_size=6),
+    )
+    @example(texts=["the cat sat"] * 2, source="the cat sat", ulps=[0, 1, 0, 0, 0, 0])
+    @example(texts=["zz", "zz"], source="qq", ulps=[0, 1, 0, 0, 0, 0])
+    @settings(max_examples=150, deadline=None)
+    def test_multiselect(self, texts, source, ulps):
+        exact = similarities(EMBEDDER, source, texts)
+        candidates = [
+            Hypothesis(tuple(t.split()), -1.0, sim, -1.0)
+            for t, sim in zip(texts, nudged(exact, ulps))
+        ]
+        chosen = multiselect(candidates, source, EMBEDDER, IDF)
+        assert chosen is candidates[exact.index(max(exact))]
+
+    @given(
+        words=st.lists(st.sampled_from(WORDS), max_size=8),
+        tail=st.sampled_from(["", ".", " !", "...", "’"]),
+        source=st.sampled_from(["the cat sat", "cat sat the cat", "qq"]),
+        ulps=st.lists(st.integers(-3, 3), min_size=8, max_size=8),
+    )
+    @example(words=["zz", "zz"], tail="", source="the cat sat", ulps=[1, 0] + [0] * 6)
+    @example(words=["the", "cat"], tail=".", source="the cat", ulps=[0, 0] + [0] * 6)
+    @example(words=[], tail="...", source="the cat", ulps=[0] * 8)
+    @settings(max_examples=150, deadline=None)
+    def test_trim_suffix(self, words, tail, source, ulps):
+        text = " ".join(words) + tail
+        if not text:
+            return
+        candidates = [text[: m.end()] for m in WORD_RE.finditer(text)]
+        if not candidates or candidates[-1] != text:
+            candidates.append(text)
+        exact = similarities(EMBEDDER, source, candidates)
+        expected = max(zip(exact, map(len, candidates), candidates))[2]
+        approx = nudged(exact[: len(words)], ulps)
+        with mock.patch.object(passes, "prefix_similarities", return_value=approx):
+            assert trim_suffix(text, source, EMBEDDER) == expected
+        assert trim_suffix(text, source, EMBEDDER) == expected
 
 
 class TestEScore:
@@ -372,6 +496,10 @@ class _EmbedHandler(http.server.BaseHTTPRequestHandler):
     vectors = [[3.0, 4.0], [0.0, 0.0]]
     fail = False
     raw = None  # a reply body sent as it is, when set
+    # When set, a function of one text to its vector, used in place of
+    # ``vectors``; the texts of each request are then kept in ``requests``.
+    dense = None
+    requests: list = []
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
@@ -380,9 +508,11 @@ class _EmbedHandler(http.server.BaseHTTPRequestHandler):
             self.send_response(500)
             self.end_headers()
             return
-        reply = self.raw or json.dumps(
-            {"vectors": self.vectors[: len(body["texts"])]}
-        ).encode()
+        vectors = self.vectors[: len(body["texts"])]
+        if self.dense is not None:
+            self.requests.append(body["texts"])
+            vectors = [self.dense(text) for text in body["texts"]]
+        reply = self.raw or json.dumps({"vectors": vectors}).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(reply)))
@@ -470,6 +600,59 @@ class TestRemoteEmbedder:
                 RemoteEmbedder(embed_server).embed_many(["text"])
         finally:
             _EmbedHandler.raw = None
+
+
+class TestRemotePipeline:
+    """A remote embedder never takes the fast paths: a beam run makes one
+    request per selection, one per trim and one per evaluated paragraph,
+    each with the source first, and its output equals that of the same
+    run with the fast paths patched out."""
+
+    CORPUS = "\n\n".join([
+        "the cat sat on the mat by the door",
+        "my shy dog ran by the big old barn",
+        "a quick brown fox jumps over the lazy dog",
+    ])
+
+    def run(self, url):
+        paras = self.CORPUS.split("\n\n")
+        pipeline = Pipeline(
+            train(self.CORPUS), Lexicon({}), build_idf(paras), set(),
+            select_embedder=RemoteEmbedder(url),
+        )
+        cfg = DecoderConfig(beam_width=6, candidates_k=4, candidate_vocab_size=20)
+        outputs, failures = pipeline.translate(paras, NONE, "beam", cfg)
+        pipeline.evaluate(paras, outputs, NONE)
+        return paras, outputs, failures
+
+    def test_requests_and_outputs(self, embed_server):
+        words = sorted(set(canonical_words(self.CORPUS)))
+        _EmbedHandler.dense = staticmethod(
+            lambda text: [canonical_words(text).count(w) for w in words]
+        )
+        _EmbedHandler.requests = []
+        try:
+            paras, outputs, failures = self.run(embed_server)
+            fast = _EmbedHandler.requests
+            _EmbedHandler.requests = []
+            with mock.patch.object(decoder, "most_similar", exact_only), \
+                    mock.patch.object(passes, "most_similar", exact_only):
+                assert self.run(embed_server)[1] == outputs
+            exact = _EmbedHandler.requests
+        finally:
+            _EmbedHandler.dense = None
+            _EmbedHandler.requests = []
+        assert failures == 0
+        assert fast == exact
+        n = len(paras)
+        assert len(fast) == 3 * n
+        assert [texts[0] for texts in fast] == [p for p in paras for _ in range(2)] + paras
+        for i, paragraph in enumerate(paras):
+            selection, trim = fast[2 * i][1:], fast[2 * i + 1][1:]
+            assert len(selection) == 4
+            assert trim[-1][0].isupper()
+            assert all(trim[-1].startswith(prefix) for prefix in trim)
+        assert fast[2 * n:] == [[p, out] for p, out in zip(paras, outputs)]
 
 
 class TestEmbedderInterfaces:

@@ -187,9 +187,10 @@ def test_only_ngram_reads_the_backoff_weight():
 
 def test_only_metrics_scores_similarity():
     """No module under src/lipogram but ``metrics.py`` calls
-    ``cosine_similarity`` or an ``.embed_many`` method: candidate
-    selection, trimming and evaluation all score texts against their
-    source through ``metrics.similarities``."""
+    ``cosine_similarity``, an ``.embed_many`` method or an ``.embed``
+    method: candidate selection, trimming and evaluation all score texts
+    against their source through ``metrics.similarities``, and pick
+    through ``metrics.most_similar``."""
     package = Path(__file__).resolve().parents[1] / "src" / "lipogram"
     callers = [
         f"{path.name}:{node.lineno}"
@@ -197,8 +198,11 @@ def test_only_metrics_scores_similarity():
         if path.name != "metrics.py"
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Call)
-        and getattr(node.func, "id", getattr(node.func, "attr", None))
-        in ("cosine_similarity", "embed_many")
+        and (
+            getattr(node.func, "id", getattr(node.func, "attr", None))
+            in ("cosine_similarity", "embed_many")
+            or isinstance(node.func, ast.Attribute) and node.func.attr == "embed"
+        )
     ]
     assert callers == []
 
