@@ -1335,6 +1335,14 @@ def beam_search(
     return results
 
 
+def _tokens_are_words(candidates: Sequence[Hypothesis]) -> bool:
+    """True when every candidate's tokens are the canonical words of its
+    text. No word spans a space, so the distinct tokens joined by spaces
+    tokenize back to themselves exactly when each is one canonical word."""
+    tokens = list({t for h in candidates for t in h.tokens})
+    return textcore.canonical_words(" ".join(tokens)) == tokens
+
+
 def multiselect(
     candidates: Sequence[Hypothesis],
     source: str,
@@ -1346,16 +1354,24 @@ def multiselect(
     Similarity is `metrics.similarities` under the embedder, through
     `metrics.most_similar`. ``idf`` is the IDF table the candidates were
     searched with (``ConstraintTables.idf``). When the embedder is the
-    built-in ``TfidfEmbedder`` over that same table, each candidate's
+    built-in ``TfidfEmbedder`` over that same table and every candidate's
+    tokens are the canonical words of its text, each candidate's
     ``sim_score`` is its similarity to within `metrics.similarity_bound`,
-    and only the candidates near the best are scored again. Any other
-    embedder, a TF-IDF one over another table included, scores every
-    candidate in one ``embed_many`` call.
+    and only the candidates near the best are scored again. A token that
+    is not one word, such as the lexicon synonym "x-ray", is one feature
+    to the search but other features to `metrics.embed`, so its
+    candidates are all scored. So is every candidate under any other
+    embedder, a TF-IDF one over another table included, in one
+    ``embed_many`` call.
     """
     if not candidates:
         raise ValueError("multiselect needs at least one candidate")
-    approx = None
-    if type(embedder) is TfidfEmbedder and embedder.idf is idf:
-        approx = [h.sim_score for h in candidates]
     texts = [h.text() for h in candidates]
+    approx = None
+    if (
+        type(embedder) is TfidfEmbedder
+        and embedder.idf is idf
+        and _tokens_are_words(candidates)
+    ):
+        approx = [h.sim_score for h in candidates]
     return candidates[most_similar(embedder, source, texts, approx)]

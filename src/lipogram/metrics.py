@@ -301,8 +301,10 @@ def similarity_bound(texts: Sequence[str]) -> float:
     return k * _UNIT_ROUNDOFF / (1 - k * _UNIT_ROUNDOFF)
 
 
-def prefix_similarities(source: str, text: str, idf: IdfTable) -> list[float]:
-    """The similarity to the source under ``TfidfEmbedder(idf)`` of each
+def prefix_similarities(
+    embedder: TfidfEmbedder, source: str, text: str
+) -> list[float]:
+    """The similarity to the source under the built-in embedder of each
     prefix of the text that ends at a word end, shortest first, within
     `similarity_bound` of `similarities`.
 
@@ -310,10 +312,10 @@ def prefix_similarities(source: str, text: str, idf: IdfTable) -> list[float]:
     unigram and, after the first, its bigram; a feature going from count
     k to k + 1 adds its source weight times idf to the running dot and
     idf^2 * (2k + 1) to the running sum of squares. The source is
-    embedded once.
+    embedded once, by the embedder's ``embed_many``.
     """
-    source_vec = embed(source, idf)
-    value, default = idf.values.get, idf.default
+    [source_vec] = embedder.embed_many([source])
+    value, default = embedder.idf.values.get, embedder.idf.default
     counts: dict[Feature, int] = {}
     dot = ssq = 0.0
     out = []

@@ -279,7 +279,7 @@ def trim_suffix(text: str, source: str, embedder) -> str:
         candidates.append(text)
     approx = None
     if type(embedder) is TfidfEmbedder:
-        approx = prefix_similarities(source, text, embedder.idf) or [0.0]
+        approx = prefix_similarities(embedder, source, text) or [0.0]
         approx += approx[-1:] * (len(candidates) - len(approx))
     # The candidates grow in length, so the last maximum is the longest.
     return candidates[most_similar(embedder, source, candidates, approx, last=True)]

@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lipogram import decoder, metrics
@@ -48,7 +48,7 @@ from lipogram.metrics import (
     similarity_bound,
 )
 from lipogram.ngram import BOS, EOS, train
-from lipogram.textcore import ALPHABET, ConstraintSet, violates
+from lipogram.textcore import ALPHABET, ConstraintSet, canonical_words, violates
 
 EMPTY_LEX = Lexicon({})
 NO_CONSTRAINT = ConstraintSet()
@@ -980,6 +980,57 @@ class TestMultiselect:
             [h.sim_score for h in candidates], None, None
         ]
 
+    def test_sim_scores_are_used_only_when_tokens_are_words(self):
+        embedder = self.embedder()
+        words = [self.hyp(d) for d in self.DOCS]
+        synonym = [*words, Hypothesis(("the", "x-ray"), -1.0, 0.0, -1.0)]
+        accented = [*words, Hypothesis(("café",), -1.0, 0.0, -1.0)]
+        with mock.patch.object(
+            decoder, "most_similar", wraps=metrics.most_similar
+        ) as spy:
+            for candidates in (words, synonym, accented):
+                multiselect(candidates, "the cat", embedder, embedder.idf)
+        assert [call.args[3] for call in spy.call_args_list] == [
+            [h.sim_score for h in words], None, None
+        ]
+
+    @given(st.lists(
+        st.lists(st.text(alphabet="aB'’-é\u212a\u0130 ", max_size=4), max_size=4),
+        min_size=1, max_size=4,
+    ))
+    @example([["x-ray"], ["ray"]])
+    @example([["i’ve", "i've"]])
+    @settings(max_examples=300)
+    def test_tokens_are_words_is_the_per_candidate_check(self, token_lists):
+        candidates = [Hypothesis(tuple(ts), -1.0, 0.0, -1.0) for ts in token_lists]
+        assert decoder._tokens_are_words(candidates) == all(
+            canonical_words(h.text()) == list(h.tokens) for h in candidates
+        )
+
+    def test_a_synonym_that_is_not_one_word_is_scored_exactly(self):
+        # The search scores "x-ray" as one unknown unigram and its
+        # bigrams; embed scores "x", "ray" and the bigram "x ray". Here
+        # the search's best sim_score is "ray ray ray", though
+        # "ray ray x-ray" is more similar to the source.
+        paras = ["the scan of a ray", "x ray of the bone", "a mail to the cat"]
+        lex = Lexicon({"scan": LexiconEntry("scan", "scan", ("x-ray", "ray-ray", "xray"), 3)})
+        tables = ConstraintTables(
+            ConstraintSet.from_string("n"), train("\n\n".join(paras), order=2),
+            build_idf(paras), 0,
+        )
+        source = "ray scan scan ray scan"
+        cfg = DecoderConfig(
+            beam_width=6, candidates_k=6, candidate_vocab_size=0, lambda_lm=0.2
+        )
+        [found] = beam_search((source,), tables, cfg, lex)
+        embedder = TfidfEmbedder(tables.idf)
+        sims = similarities(embedder, source, [h.text() for h in found])
+        by_sim_score = max(found, key=lambda h: h.sim_score)
+        assert by_sim_score.text() == "ray ray ray"
+        chosen = multiselect(found, source, embedder, tables.idf)
+        assert chosen is found[sims.index(max(sims))]
+        assert chosen.text() == "ray ray x-ray"
+
 
 class TestSimScorePrecondition:
     """multiselect may rank by ``sim_score`` only because every returned
@@ -1020,6 +1071,59 @@ class TestSimScorePrecondition:
             for h in found:
                 (exact,) = similarities(embedder, source, [h.text()])
                 assert abs(h.sim_score - exact) <= similarity_bound([h.text()])
+
+    # Synonyms the tokenizer splits or cuts short: "x-ray" into two
+    # words, "mp3" and "café" each into a shorter one.
+    LEX = Lexicon({
+        "hh": LexiconEntry("hh", "hh", ("x-ray", "bb-dd", "mp3"), 3),
+        "gg": LexiconEntry("gg", "gg", ("café", "dd-ee", "ee"), 2),
+    })
+    SOURCE_WORDS = ["hh", "gg", "x", "ray", "ray", "x ray", "mp", "caf", "bb dd", "dd ee"]
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        mode=st.sampled_from(["deterministic", "sampled"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_multiselect_picks_as_scoring_every_text(self, seed, mode):
+        """With lexicon synonyms that are not one word, every hypothesis
+        whose tokens are its text's words keeps its sim_score within the
+        bound, and multiselect picks the first candidate of highest
+        `similarities` score. The sources repeat the synonyms' pieces,
+        and the language model weighs little, so that candidates with a
+        synonym reach the final list."""
+        rng = random.Random(seed)
+        words = POOL[: rng.randint(2, 6)]
+        paras = [
+            " ".join(rng.choice(words) for _ in range(rng.randint(2, 9)))
+            for _ in range(rng.randint(1, 4))
+        ]
+        model = train("\n\n".join(paras), order=rng.choice([2, 3]))
+        M = rng.choice([0, 8])
+        tables = ConstraintTables(
+            ConstraintSet.from_string(rng.choice(["h", "g", "gh"])),
+            model, build_idf([*paras, "x ray mp bb dd caf"]), M,
+        )
+        sources = [
+            " ".join(rng.choice(self.SOURCE_WORDS) for _ in range(rng.randint(1, 8)))
+            for _ in range(rng.randint(1, 3))
+        ]
+        cfg = DecoderConfig(
+            beam_width=6, candidates_k=rng.choice([3, 6]), candidate_vocab_size=M,
+            mode=mode, seed=rng.randint(0, 9), lambda_lm=rng.choice([0.0, 0.2]),
+        )
+        embedder = TfidfEmbedder(tables.idf)
+        for source, found in zip(sources, beam_search(sources, tables, cfg, self.LEX)):
+            if isinstance(found, Exception):
+                continue
+            texts = [h.text() for h in found]
+            for h, text in zip(found, texts):
+                if canonical_words(text) == list(h.tokens):
+                    (exact,) = similarities(embedder, source, [text])
+                    assert abs(h.sim_score - exact) <= similarity_bound([text])
+            sims = similarities(embedder, source, texts)
+            chosen = multiselect(found, source, embedder, tables.idf)
+            assert chosen is found[sims.index(max(sims))]
 
 
 class TestDecodeFuzz:

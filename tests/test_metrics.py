@@ -256,7 +256,7 @@ class TestMostSimilar:
     def test_prefix_similarities_within_the_bound(self, words, source):
         text = " ".join(words)
         prefixes = [text[: m.end()] for m in WORD_RE.finditer(text)]
-        got = prefix_similarities(source, text, IDF)
+        got = prefix_similarities(EMBEDDER, source, text)
         assert len(got) == len(prefixes) == len(canonical_words(text))
         for approx, exact, prefix in zip(
             got, similarities(EMBEDDER, source, prefixes), prefixes
