@@ -74,6 +74,17 @@ def _data_path(resource: str) -> Path:
         return Path(path)
 
 
+def _paragraph_count(text: str) -> int:
+    """The argparse type of ``--paragraphs``: an integer >= 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError("must be >= 1")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="lipogram", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -151,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_translate.add_argument(
         "--paragraphs",
-        type=int,
+        type=_paragraph_count,
         default=_env_default("paragraphs"),
         help="translate only the first N paragraphs",
     )
@@ -165,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_evaluate.add_argument(
         "--paragraphs",
-        type=int,
+        type=_paragraph_count,
         default=_env_default("paragraphs"),
         help="evaluate only the first N paragraphs",
     )
@@ -174,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_sweep)
     p_sweep.add_argument(
         "--paragraphs",
-        type=int,
+        type=_paragraph_count,
         default=_env_default("paragraphs", "200"),
         help="paragraphs per constraint set (default: 200)",
     )
@@ -295,12 +306,7 @@ def cmd_train(run: _Run) -> int:
 
 def cmd_translate(run: _Run) -> int:
     args = run.args
-    sources = run.paragraphs
-    if args.paragraphs is not None:
-        n = int(args.paragraphs)
-        if n < 1:
-            raise _UsageError("--paragraphs must be >= 1")
-        sources = sources[:n]
+    sources = run.paragraphs[: args.paragraphs]
     model = run.model if args.method == "beam" else None
     outputs, failures = run.pipeline(model).translate(
         sources, run.constraint, args.method, run.cfg
@@ -325,12 +331,8 @@ def cmd_evaluate(run: _Run) -> int:
         candidates = split_paragraphs(candidate_text)
     else:
         candidates = list(sources)
-    if args.paragraphs is not None:
-        n = int(args.paragraphs)
-        if n < 1:
-            raise _UsageError("--paragraphs must be >= 1")
-        sources = sources[:n]
-        candidates = candidates[:n]
+    sources = sources[: args.paragraphs]
+    candidates = candidates[: args.paragraphs]
     if len(sources) != len(candidates):
         print(
             f"error: paragraph count mismatch (source {len(sources)}, "
@@ -359,8 +361,6 @@ def cmd_evaluate(run: _Run) -> int:
 
 def cmd_sweep(run: _Run) -> int:
     args = run.args
-    if args.paragraphs < 1:
-        raise _UsageError("--paragraphs must be >= 1")
     sets = default_constraint_sets(run.extras.get("sweep.extras", ""))
     points = run_sweep(
         run.corpus, sets, args.paragraphs, run.pipeline(run.model), run.cfg

@@ -52,29 +52,26 @@ its own exact early stop, or when no beam survives.
 
 A step's cells are (row, word) pairs: each lane owns beam_width rows, its
 live beams first, over the batch's widest vocabulary V, and its cells past
-its own vocabulary and its rows without a beam never win. A scorer gives
-each lane's cells that can reach its top beam_width with their LM, dot,
-sum-of-squares, similarity and combined scores; one shared path then
-keeps each lane's best (``top_k``: score, then flat index, the tie rule of
-a stable full sort of the lane alone), pools them, applies the early stop
-and builds the next rows. ``cfg.mode`` picks the scorer:
+its own vocabulary and its rows without a beam never win. One scorer
+(``_BeamEngine._sparse_scores``) gives each lane's cells that can reach
+its top beam_width with their LM, dot, sum-of-squares, similarity and
+combined scores and their rank: the combined score, or in sampled mode
+that score divided by the temperature plus the cell's Gumbel draw. One
+shared path then keeps each lane's best (``top_k``: rank, then flat
+index, the tie rule of a stable full sort of the lane alone), pools them,
+applies the early stop and builds the next rows.
 
-- Sampled mode scores every cell on dense (rows, V) planes: the backoff
-  LM rows (pair rows of every lane in one key space, then the longer
-  contexts looked up by model ids), the incremental similarity and the
-  n-gram repeat bans, then the Gumbel noise; it passes on the cells at or
-  above each lane's exact beam_width-th rank.
-- Deterministic mode scores exactly only each row's special cells (LM
-  followers, IDF-bigram and source-bigram pairs, source words and history
-  cells) and, of the generic rest, only the prefix of the words ordered by
-  backoff score whose admissible bound reaches the lane's beam_width-th
-  best special cell (see ``_BeamEngine._sparse_scores``).
-
-Every scored cell goes through the same elementwise operations in the same
-order as in a dense search of its lane alone, so no lane's result depends
-on its batch or its scorer. A pick's scores are those its scorer computed;
-the step keeps each pick's back-pointer, word and scores in arrays, and
-builds ``Hypothesis`` objects only for a lane's returned top k.
+The scorer scores exactly only each row's special cells (LM followers,
+IDF-bigram and source-bigram pairs, source words and history cells) and
+the generic rest whose admissible bound, with the cell's noise in
+sampled mode, reaches the lane's beam_width-th best special rank. Every
+scored cell goes through the same elementwise operations in the same
+order as in a dense search of its lane alone, which scores every cell,
+and every skipped cell ranks strictly below the lane's top beam_width,
+so no lane's result depends on its batch. A pick's scores are those the
+scorer computed; the step keeps each pick's back-pointer, word and scores
+in arrays, and builds ``Hypothesis`` objects only for a lane's returned
+top k.
 """
 
 from __future__ import annotations
@@ -106,27 +103,26 @@ class DecodeFailure(RuntimeError):
 MODES = ("deterministic", "sampled")
 
 # A search peaks at about 28-32 bytes per beam x vocabulary cell in
-# deterministic mode and 70-72 in sampled mode (tracemalloc over whole runs
-# at 200 x 2,000 and 50 x 2,210 cells, plus the 5 bytes of the sparse
-# step's two mapped planes and the 48 of the dense step's six; numpy 2.4).
-# The cap on beam_width x candidate_vocab_size keeps a sampled search near
-# 220 MB.
+# deterministic mode and 47-51 in sampled mode (tracemalloc over whole runs
+# of a 240-word paragraph at 200 x 1,999 and 50 x 2,206 cells, plus the 5
+# and 13 bytes of the step's mapped planes; numpy 2.4). The cap on
+# beam_width x candidate_vocab_size keeps a sampled search near 150 MB.
 MAX_BEAM_CELLS = 3_000_000
 
 # A lockstep batch admits lanes, in call order, while lanes x beam_width x
 # its widest vocabulary stays within this many cells, and always admits
-# one lane. Sampled mode admits two fifths of that, the 60k it was sized
-# at: its dense step keeps six float64 planes of every cell, where
-# deterministic mode's sparse step keeps a byte and an int32 per cell plus
-# arrays over its special cells. A batch also holds its lanes' pair rows.
-# The sparse step's cost follows its numpy calls more than its cells, so
-# it gains from wide batches; at this size one batch takes most calls of
-# both library workloads. Measured
-# in-process (seed 0, one pass after set-up; 2-CPU x86 host, Python 3.11,
-# numpy 2.4), the peak RSS of translate-e was 65.4, 67.6, 69.4 and
-# 71.4 MB at 60k, 120k, 150k and 240k cells, and of sweep-short 66.1,
-# 71.1, 72.0 and 71.3 MB, against 66.8 and 69.0 MB for the dense step at
-# 60k.
+# one lane. The step keeps a byte and an int32 per cell, plus arrays over
+# the cells it scores, and a batch also holds its lanes' pair rows. The
+# step's cost follows its numpy calls more than its cells, so it gains
+# from wide batches; at this size one batch takes most calls of both
+# library workloads. Sampled mode admits two fifths of that, 60k: its step
+# also keeps a float64 of Gumbel draws per cell, and one run at 150k was
+# no faster. Measured in-process (seed 0, one pass after set-up;
+# 2-CPU x86 host, Python 3.11, numpy 2.4), the peak RSS of translate-e was
+# 66.7, 67.5, 69.5 and 70.9 MB at 60k, 120k, 150k and 240k cells, and of
+# sweep-short 66.5, 71.4, 71.2 and 70.7 MB; a sampled translation of the
+# bundled novel's first 20 paragraphs under "e" with the default config
+# peaked at 71.0 MB at 60k cells and 79.7 MB at 150k.
 MAX_LOCKSTEP_CELLS = 150_000
 
 # Config-file keys that belong to the surrounding tooling, not the decoder.
@@ -246,6 +242,12 @@ def build_candidate_vocab(
     order), then constraint-free synonyms of every source word, then the
     tables' tail: the M most frequent legal model-vocabulary words (count
     desc, then alphabetical).
+
+    Every word is one canonical word, as ``textcore.canonical_words``
+    reads it: the search scores a word as one feature, so a synonym that
+    the tokenizer splits or cuts short ("x-ray", "mp3", "café") would be
+    searched under other features than its text is judged by, and is
+    left out. Source words and model tokens are canonical words already.
     """
     c = tables.constraint
     ordered: list[str] = []
@@ -262,7 +264,8 @@ def build_candidate_vocab(
             add(word)
     for word in source_words:
         for synonym in constraint_free_synonyms(word, c, lex):
-            add(canonical(synonym))
+            if textcore.canonical_words(synonym) == [canonical(synonym)]:
+                add(canonical(synonym))
     ordered.extend(word for word in tables.words if word not in seen)
 
     if not ordered:
@@ -347,9 +350,10 @@ def top_k(lanes: np.ndarray, at: np.ndarray, rank: np.ndarray, k: int) -> np.nda
     cut after k and at the first +inf one. Given every entry above -inf of
     a lane's block, with ``at`` its flat index, this equals
     ``np.argsort(-block.ravel(), kind="stable")`` cut after k entries and
-    at the first non-finite one; given only the entries that reach the
-    lane's k-th highest rank, it picks the same. No rank may be -inf or
-    NaN: they never lead a cut prefix, so callers drop them.
+    at the first non-finite one; given any of its entries that include
+    all those at or above the lane's k-th highest rank, as the step's
+    scorer gives, it picks the same. No rank may be -inf or NaN: they
+    never lead a cut prefix, so callers drop them.
     """
     neg = -rank
     order = np.lexsort((at, neg, lanes))
@@ -359,28 +363,6 @@ def top_k(lanes: np.ndarray, at: np.ndarray, rank: np.ndarray, k: int) -> np.nda
     cut = np.bincount(lanes[np.isinf(neg)], minlength=len(counts)) > 0
     keep = (np.arange(len(lanes)) - first[lanes] < k) & ~cut[lanes]
     return order[keep]
-
-
-def reaching(rank: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The entries of the 3-D ``rank`` (lanes, rows, columns) at or above
-    their lane's k-th highest rank and above -inf, as (lane, row * columns
-    + column, rank) arrays in flat order: all that ``top_k`` needs to pick
-    each lane's k best.
-
-    Each lane's k-th highest rank is found with one partition of a copy of
-    its block, NaN counting as -inf; the bound is at least ``-finfo.max``,
-    so no -inf entry ever reaches it.
-    """
-    n_lanes = len(rank)
-    block = np.fmax(rank.reshape(n_lanes, -1), -np.inf)  # a copy, NaN as -inf
-    bound = np.full(n_lanes, -np.finfo(float).max)
-    n = block.shape[1]
-    if n >= k:
-        block.partition(n - k, axis=1)
-        np.maximum(block[:, n - k], bound, out=bound)
-    found = np.flatnonzero(rank >= bound[:, None, None])
-    lanes, at = np.divmod(found, n)
-    return lanes, at, rank.ravel()[found]
 
 
 class _PairRows:
@@ -524,8 +506,8 @@ class _Paragraph:
 
 
 class _Scratch:
-    """Step planes shared by the batches of one run, each mapped on first
-    use with room for ``cells`` cells.
+    """Step planes shared by the batches of one run, one per dtype, each
+    mapped on first use with room for ``cells`` cells.
 
     They are anonymous memory maps, not heap blocks: their pages go back to
     the system when the run ends and leave no hole in the heap (with a heap
@@ -537,22 +519,21 @@ class _Scratch:
         self.cells = cells
         self._planes: dict = {}
 
-    def planes(self, n: int, dtype) -> np.ndarray:
-        """n planes of ``dtype``, as an (n, cells) array."""
+    def plane(self, dtype) -> np.ndarray:
+        """The plane of ``dtype``, a (cells,) array."""
         dtype = np.dtype(dtype)
-        if (n, dtype) not in self._planes:
-            raw = mmap.mmap(-1, n * dtype.itemsize * self.cells)
-            self._planes[n, dtype] = np.frombuffer(raw, dtype).reshape(n, self.cells)
-        return self._planes[n, dtype]
+        if dtype not in self._planes:
+            raw = mmap.mmap(-1, dtype.itemsize * self.cells)
+            self._planes[dtype] = np.frombuffer(raw, dtype)
+        return self._planes[dtype]
 
 
 @dataclass
 class _Lanes:
     """The arrays of a lockstep batch's running lanes, entry i for the
-    i-th; vocabulary arrays are padded to the batch's widest vocabulary.
-    The dense step gives cells past a lane's vocabulary a 0 LM and
-    similarity (an idf^2 of 1 keeps 0/0 away) and then ranks them at -inf;
-    the sparse step never scores them."""
+    i-th; vocabulary arrays are padded with zeros to the batch's widest
+    vocabulary. The step never uses the padding: it scores no cell past a
+    lane's vocabulary, and no generic word past a lane's own."""
 
     ids: np.ndarray  # the lane's index in the batch
     para: np.ndarray  # its paragraph's index among the batch's paragraphs
@@ -629,12 +610,11 @@ class _BeamEngine:
     A step's cells are (row, word) pairs over lanes x beam_width rows and
     the batch's widest vocabulary V. A lane owns beam_width rows (its live
     beams first), and its cells past its own vocabulary, like the rows of
-    beams it does not have, rank at -inf. A scorer gives each lane's cells
-    that can reach its top beam_width, with their scores: the dense one
-    scores every cell, the sparse one only those. Every scored cell gets
-    the same elementwise operations, in the same order, as in a dense
-    search of its lane alone, so no lane's result depends on its batch or
-    its scorer.
+    beams it does not have, never win. The scorer gives each lane's cells
+    that can reach its top beam_width, with their scores; every cell it
+    scores gets the same elementwise operations, in the same order, as in
+    a dense search of its lane alone, and every cell it skips ranks below
+    the lane's top beam_width, so no lane's result depends on its batch.
     """
 
     def __init__(
@@ -713,8 +693,8 @@ class _BeamEngine:
         V = int(widths.max())
         G = max(len(p.generic) for p in paras)
 
-        def stacked(rows, fill, width=V, dtype=float):
-            out = np.full((len(rows), width), fill, dtype=dtype)
+        def stacked(rows, width=V, dtype=float):
+            out = np.zeros((len(rows), width), dtype=dtype)
             for row, values in zip(out, rows):
                 row[: len(values)] = values
             return out
@@ -727,12 +707,12 @@ class _BeamEngine:
             min_len=np.array([p.min_len for p in paras]),
             max_len=np.array([p.max_len for p in paras]),
             rngs=np.array([rng for _, rng in lanes], dtype=object),
-            backoff=stacked([p.backoff for p in paras], 0.0),
-            src_uni=stacked([p.src_uni for p in paras], 0.0),
-            idf_sq=stacked([p.idf_uni_sq for p in paras], 1.0),
-            model_ids=stacked([p.model_ids for p in paras], -1, dtype=np.intp),
-            generic=stacked([p.generic for p in paras], 0, G, np.intp),
-            generic_backoff=stacked([p.backoff[p.generic] for p in paras], 0.0, G),
+            backoff=stacked([p.backoff for p in paras]),
+            src_uni=stacked([p.src_uni for p in paras]),
+            idf_sq=stacked([p.idf_uni_sq for p in paras]),
+            model_ids=stacked([p.model_ids for p in paras], dtype=np.intp),
+            generic=stacked([p.generic for p in paras], G, np.intp),
+            generic_backoff=stacked([p.backoff[p.generic] for p in paras], G),
             n_generic=np.array([len(p.generic) for p in paras]),
             min_generic_sq=np.array(
                 [p.idf_uni_sq[p.generic].min(initial=np.inf) for p in paras]
@@ -743,12 +723,11 @@ class _BeamEngine:
     def _run_batch(self, lanes, k: int, buffer: _Scratch) -> list:
         """``run`` for one batch of lanes, with its step planes in ``buffer``.
 
-        A step scores, then selects, pools and advances. The scorer, picked
-        by ``cfg.mode``, gives each lane's cells that can reach its top
-        beam_width with their scores. The rest is one code path: ``top_k``
-        keeps each lane's beam_width best cells, those of a legal length
-        are pooled, the lanes that stop leave, and the picks become the
-        next step's rows.
+        A step scores, then selects, pools and advances. The scorer
+        (``_sparse_scores``) gives each lane's cells that can reach its top
+        beam_width with their scores and ranks; ``top_k`` keeps each lane's
+        beam_width best cells, those of a legal length are pooled, the
+        lanes that stop leave, and the picks become the next step's rows.
         """
         cfg, model = self.cfg, self.model
         W = cfg.beam_width
@@ -756,7 +735,6 @@ class _BeamEngine:
         paras = [self.paragraphs[p] for p, _ in lanes]
         batch = self._batch(lanes, buffer)
         ln, V = batch.lanes, batch.V
-        score = self._dense_scores if cfg.mode == "sampled" else self._sparse_scores
 
         # The first step has one row per lane, its empty beam.
         n_lanes = len(lanes)
@@ -787,7 +765,7 @@ class _BeamEngine:
                 B, beam, live, keys, contexts, history,
                 *_history_cells(history, repeats, V, cfg.no_repeat_ngram), n_beams,
             )
-            lane, picks, rank, picked = score(batch, rows, step)
+            lane, picks, rank, picked = self._sparse_scores(batch, rows, step)
             chosen = top_k(lane, picks, rank, W)
             # Each pick's LM, dot, sum-of-squares, similarity and combined
             # scores; only those of a legal length are pooled.
@@ -870,79 +848,20 @@ class _BeamEngine:
             keys[dst] = ln.keys[lane] + words
         return results
 
-    def _dense_scores(self, batch: _Batch, rows: _Rows, step: int):
-        """Sampled mode's scorer: every cell of every row, on (rows, V)
-        matrices in the scratch planes, then Gumbel noise on each lane's
-        real cells. Returns the cells that reach their lane's beam_width-th
-        highest rank (``reaching``) as (lane, row-in-lane * V + word, rank)
-        arrays, and their LM, dot, sum-of-squares, similarity and combined
-        scores as a (5, cells) array.
-
-        The similarity matrix holds the bigram squares first; the scratch
-        matrix holds the square roots, then the weighted similarity, then
-        in sampled mode the rank.
-        """
-        cfg, ln, V, B = self.cfg, batch.lanes, batch.V, rows.B
-        L = len(ln.ids)
-        R = L * B
-        mats = batch.scratch.planes(6, float)[:, : R * V].reshape(6, R, V)
-        lm, dot, ssq, sim, comb, rank = mats
-        _, (followers, bigrams, source_bigrams) = self._pairs(batch, rows)
-
-        np.copyto(lm.reshape(L, B, V), ln.backoff[:, None])
-        for cells, logs in [followers] + self._context_writes(batch, rows):
-            lm.ravel()[cells] = logs
-        lm += rows.beam[0, :, None]
-        np.copyto(dot.reshape(L, B, V), ln.src_uni[:, None])
-        dot += rows.beam[1, :, None]
-        np.copyto(ssq.reshape(L, B, V), ln.idf_sq[:, None])
-        ssq += rows.beam[2, :, None]
-        if step > 1:
-            bigram_sq = sim
-            bigram_sq.fill(self._default_sq)
-            bigram_sq.ravel()[bigrams[0]] = bigrams[1]
-            ssq += bigram_sq
-            # Source bigrams are sparse; everywhere else the term is 0.
-            dot.ravel()[source_bigrams[0]] += source_bigrams[1]
-            follower_sq = bigram_sq.ravel()[rows.followed]
-            # Repeated-feature corrections: tf goes k -> k+1, adding
-            # idf^2 * 2k on top of the fresh-feature idf^2 baseline
-            # (0 for the words a beam does not hold).
-            held = (np.arange(R) * V)[:, None] + rows.history
-            ssq.ravel()[held] += (
-                ln.idf_sq.ravel()[(np.arange(R) // B * V)[:, None] + rows.history]
-                * (2 * np.bincount(held.ravel(), minlength=R * V)[held])
-            )
-            ssq.ravel()[rows.followed] += follower_sq * (2 * rows.counts)
-
-        self._mix(lm, dot, ssq, sim, comb, rank)
-        comb.ravel()[rows.bans] = -np.inf
-        padded = np.arange(V) >= ln.widths[:, None]
-        np.copyto(comb.reshape(L, B, V), -np.inf, where=padded[:, None])
-        comb[~rows.live] = -np.inf
-
-        if ln.rngs[0] is not None:
-            # Gumbel noise is drawn only for a lane's real cells; every
-            # other cell ranks at -inf already.
-            np.divide(comb, cfg.temperature, out=rank)
-            drawn = rank.reshape(L, B, V)
-            for i, (rng, n, width) in enumerate(zip(ln.rngs, rows.n_beams, ln.widths)):
-                drawn[i, :n, :width] += rng.gumbel(size=n * width).reshape(n, width)
-        else:
-            rank = comb
-        lanes, at, ranked = reaching(rank.reshape(L, B, V), cfg.beam_width)
-        return lanes, at, ranked, mats[:5].reshape(5, -1)[:, lanes * (B * V) + at]
-
     def _sparse_scores(self, batch: _Batch, rows: _Rows, step: int):
-        """Deterministic mode's scorer: the cells that can reach their
-        lane's top beam_width, scored exactly, returned as
-        ``_dense_scores`` returns them, with the combined score as rank.
+        """The step's scorer: each lane's cells that can reach its top
+        beam_width, scored exactly. Returns them as (lane, row-in-lane * V
+        + word, rank) arrays, and their LM, dot, sum-of-squares, similarity
+        and combined scores as a (5, cells) array. A cell's rank is its
+        combined score; in a sampled lane it is that score divided by the
+        temperature, plus the cell's Gumbel draw.
 
         A row's special cells are its LM followers (from the pair rows and
         the longer contexts), its IDF-bigram and source-bigram pairs, the
         source words, and its history cells (the tf corrections and the
-        bans). Each is scored with the dense scorer's operations, in their
-        order. Every other cell is generic: its LM score is backoff[w] +
+        bans). Each is scored with the same elementwise operations, in the
+        same order, as every cell of a dense (rows, V) search of its lane
+        alone. Every other cell is generic: its LM score is backoff[w] +
         the beam's, its dot the beam's, and its sum of squares (idf^2[w] +
         the beam's) + the default bigram square (none on the first step).
         So its score is at most the bound lambda_lm * (backoff[w] + beam
@@ -951,25 +870,45 @@ class _BeamEngine:
         words: the bound takes the score's operations in their order, and
         IEEE rounding is monotone, so it holds for the computed values, and
         it falls with backoff[w]. Each lane's threshold is its
-        beam_width-th best special cell; of ``_Paragraph.generic`` only
-        the prefix whose bound is not below it is scored. Every skipped
-        cell is strictly below the threshold, so each lane's top
-        beam_width, and their flat tie order, are the dense scorer's.
+        beam_width-th best special rank; ``_generic_cells`` gives the
+        generic cells whose bound, with the noise in a sampled lane, is not
+        below it. Every skipped cell ranks strictly below the threshold, so
+        each lane's top beam_width, and their flat tie order, are those of
+        the dense search.
 
-        The special cells are merged in a boolean plane, which gives them
-        once each in flat order and is cleared at those cells only; a cell
-        is found in their list through a plane of slots that is never
-        cleared, as it is read only at cells just written.
+        Each sampled lane draws ``rng.gumbel(size=n_beams * width)``, in
+        lane order, as a lone search of it does, into a float plane at its
+        live rows and real cells; every other cell of the plane holds -inf,
+        so no cell there reaches a threshold. The special cells are merged
+        in a boolean plane, which gives them once each in flat order and is
+        cleared at those cells only; a cell is found in their list through
+        a plane of slots that is never cleared, as it is read only at cells
+        just written.
         """
         cfg, ln, V, B = self.cfg, batch.lanes, batch.V, rows.B
         L, R = len(ln.ids), len(rows.live)
-        mark = batch.scratch.planes(1, bool)[0]
-        slot = batch.scratch.planes(1, np.int32)[0]
+        mark = batch.scratch.plane(bool)
+        slot = batch.scratch.plane(np.int32)
         row_lane = np.arange(R) // B
+        noise = None
+        if ln.rngs[0] is not None:
+            noise = batch.scratch.plane(float)[: R * V]
+            noise.fill(-np.inf)
+            drawn = noise.reshape(L, B, V)
+            for i, (rng, n, width) in enumerate(zip(ln.rngs, rows.n_beams, ln.widths)):
+                drawn[i, :n, :width] = rng.gumbel(size=n * width).reshape(n, width)
+
+        def ranks(comb, cells):
+            """The ranks of the cells with these combined scores."""
+            if noise is None:
+                return comb
+            rank = np.divide(comb, cfg.temperature)
+            rank += noise[cells]
+            return rank
 
         # The followed cells and the bans are history cells, so they are
         # not marked on their own.
-        paired, (followers, bigrams, source_bigrams, _) = self._pairs(batch, rows, True)
+        paired, (followers, bigrams, source_bigrams, _) = self._pairs(batch, rows)
         lm_writes = [followers] + self._context_writes(batch, rows)
         special = [paired] + [cells for cells, _ in lm_writes[1:]]
         if step > 1:
@@ -1006,7 +945,7 @@ class _BeamEngine:
             square[slot[bigrams[0]]] = bigrams[1]
             ssq += square
             dot[slot[source_bigrams[0]]] += source_bigrams[1]
-            # A word held k times gets idf^2 * 2k, as in the dense scorer,
+            # A word held k times gets idf^2 * 2k, as in the dense search,
             # and every other cell 0.
             ssq += idf_sq * (2 * np.bincount(slot[history].ravel(), minlength=n))
             f = slot[followed]
@@ -1015,21 +954,23 @@ class _BeamEngine:
         if step > 1:
             comb[slot[bans]] = -np.inf
 
-        # Each lane's threshold: its beam_width-th best special cell, or
+        rank = ranks(comb, cells)
+
+        # Each lane's threshold: its beam_width-th best special rank, or
         # -finfo.max below beam_width finite ones. A lane's special cells
         # are one run of ``cells``.
         bounds = starts[::B]
         threshold = np.full(L, -np.finfo(float).max)
-        ranked = np.fmax(comb, -np.inf)  # NaN ranks as -inf
+        ranked = np.fmax(rank, -np.inf)  # NaN ranks as -inf
         for i, (start, end) in enumerate(zip(bounds.tolist(), bounds[1:].tolist())):
             kth = end - start - cfg.beam_width
             if kth >= 0:
                 threshold[i] = max(threshold[i], np.partition(ranked[start:end], kth)[kth])
-        found = np.flatnonzero(comb >= np.repeat(threshold, np.diff(bounds)))
+        found = np.flatnonzero(rank >= np.repeat(threshold, np.diff(bounds)))
         lanes = np.searchsorted(bounds, found, side="right") - 1
-        picked = (lanes, cells[found] - lanes * (B * V), comb[found], scores[:, found])
+        picked = (lanes, cells[found] - lanes * (B * V), rank[found], scores[:, found])
 
-        extra = self._generic_cells(batch, rows, step, row_lane, threshold)
+        extra = self._generic_cells(batch, rows, step, row_lane, threshold, noise)
         if len(extra):
             extra = extra[~mark[extra]]
         mark[cells] = False
@@ -1047,38 +988,63 @@ class _BeamEngine:
         if step > 1:
             ssq += self._default_sq
         self._mix(lm, dot, ssq, sim, comb, np.empty(len(extra)))
-        found = np.flatnonzero(comb >= threshold[row_lane[r]])
+        rank = ranks(comb, extra)
+        found = np.flatnonzero(rank >= threshold[row_lane[r]])
         lanes = row_lane[r[found]]
         return tuple(
             np.concatenate((old, new), axis=-1)
             for old, new in zip(
                 picked,
-                (lanes, extra[found] - lanes * (B * V), comb[found], scores[:, found]),
+                (lanes, extra[found] - lanes * (B * V), rank[found], scores[:, found]),
             )
         )
 
-    def _generic_cells(self, batch: _Batch, rows: _Rows, step: int, row_lane, threshold):
-        """The cells of each live row's prefix of its lane's generic words
-        whose bound (see ``_sparse_scores``) is not below the lane's
-        threshold; some may be special cells too."""
+    def _generic_cells(
+        self, batch: _Batch, rows: _Rows, step: int, row_lane, threshold, noise
+    ):
+        """Cells that hold every generic cell of the live rows that may
+        reach its lane's threshold, by the bound of ``_sparse_scores``;
+        some may be special cells too.
+
+        In a deterministic lane these are each row's prefix of its lane's
+        generic words whose bound is not below the threshold. In a sampled
+        lane the noise differs from cell to cell, so no order holds; a cell
+        is kept when its row's first bound, the largest, divided by the
+        temperature, plus the cell's draw in ``noise`` is not below the
+        threshold. The division by a temperature > 0 and the addition are
+        monotone under IEEE rounding, so that sum bounds the cell's rank.
+        """
         cfg, ln, V = self.cfg, batch.lanes, batch.V
+        G = ln.generic.shape[1]
         den = ln.min_generic_sq[row_lane] + rows.beam[2]
         if step > 1:
             den += self._default_sq
         sim = np.clip(rows.beam[1] / np.sqrt(den), 0.0, 1.0) * cfg.lambda_sim
         floor = threshold[row_lane]
 
-        def reach(i, n):
-            """How many of the first n generic words of rows i reach."""
+        def bound(i, n):
+            """The bounds of the first n generic words of rows i."""
             bound = (ln.generic_backoff[row_lane[i], :n] + rows.beam[0, i, None])
             bound *= cfg.lambda_lm
             bound += sim[i, None]
+            return bound
+
+        if noise is not None:
+            if not G:
+                return np.empty(0, dtype=np.intp)
+            # The draw plus the bound equals the bound plus the draw: IEEE
+            # addition is commutative. A cell outside the live rows' real
+            # cells holds a -inf draw, and the caller drops special cells.
+            top = noise.reshape(-1, V) + np.divide(bound(slice(None), 1), cfg.temperature)
+            return np.flatnonzero(~(top < floor[:, None]))
+
+        def reach(i, n):
+            """How many of the first n generic words of rows i reach."""
             real = np.arange(n) < ln.n_generic[row_lane[i], None]
-            return (~(bound < floor[i, None]) & real).sum(axis=1)
+            return (~(bound(i, n) < floor[i, None]) & real).sum(axis=1)
 
         # The bound falls along the order, so the words that reach are a
         # prefix, and most steps end at the first word.
-        G = ln.generic.shape[1]
         n = reach(slice(None), min(G, 1)) * rows.live
         if not n.any():
             return n[:0]
@@ -1095,18 +1061,20 @@ class _BeamEngine:
         np.multiply(lm, self.cfg.lambda_lm, out=comb)
         comb += np.multiply(sim, self.cfg.lambda_sim, out=scratch)
 
-    def _pairs(self, batch: _Batch, rows: _Rows, words: bool = False):
+    def _pairs(self, batch: _Batch, rows: _Rows):
         """Each row's pairs, as (cells, values) per block of
         ``_batch_pair_rows``: the words attested after its last word with
-        their LM scores, its IDF bigrams with their squares and its source
-        bigrams with their values, then with ``words`` its paragraph's
-        source words (none for a row without a beam); and all those cells
-        as one array."""
+        their LM scores, its IDF bigrams with their squares, its source
+        bigrams with their values, and its paragraph's source words (none
+        for a row without a beam); and all those cells as one array."""
         K, V, R = batch.n_keys, batch.V, len(rows.keys)
-        queries = [rows.keys, rows.keys + K, rows.keys + 2 * K]
-        if words:
-            para = batch.lanes.para[np.arange(R) // rows.B]
-            queries.append(3 * K + np.where(rows.live, para, batch.n_paras))
+        para = batch.lanes.para[np.arange(R) // rows.B]
+        queries = [
+            rows.keys,
+            rows.keys + K,
+            rows.keys + 2 * K,
+            3 * K + np.where(rows.live, para, batch.n_paras),
+        ]
         r, seconds, values = batch.pairs.pairs(np.concatenate(queries), V)
         cells = r + seconds
         ends = np.searchsorted(r, np.arange(R, len(queries) * R, R) * V).tolist()
@@ -1335,14 +1303,6 @@ def beam_search(
     return results
 
 
-def _tokens_are_words(candidates: Sequence[Hypothesis]) -> bool:
-    """True when every candidate's tokens are the canonical words of its
-    text. No word spans a space, so the distinct tokens joined by spaces
-    tokenize back to themselves exactly when each is one canonical word."""
-    tokens = list({t for h in candidates for t in h.tokens})
-    return textcore.canonical_words(" ".join(tokens)) == tokens
-
-
 def multiselect(
     candidates: Sequence[Hypothesis],
     source: str,
@@ -1354,24 +1314,18 @@ def multiselect(
     Similarity is `metrics.similarities` under the embedder, through
     `metrics.most_similar`. ``idf`` is the IDF table the candidates were
     searched with (``ConstraintTables.idf``). When the embedder is the
-    built-in ``TfidfEmbedder`` over that same table and every candidate's
-    tokens are the canonical words of its text, each candidate's
+    built-in ``TfidfEmbedder`` over that same table, each candidate's
     ``sim_score`` is its similarity to within `metrics.similarity_bound`,
-    and only the candidates near the best are scored again. A token that
-    is not one word, such as the lexicon synonym "x-ray", is one feature
-    to the search but other features to `metrics.embed`, so its
-    candidates are all scored. So is every candidate under any other
-    embedder, a TF-IDF one over another table included, in one
-    ``embed_many`` call.
+    since every search word is one canonical word (see
+    ``build_candidate_vocab``), and only the candidates near the best are
+    scored again. Under any other embedder, a TF-IDF one over another
+    table included, every candidate is scored, in one ``embed_many``
+    call.
     """
     if not candidates:
         raise ValueError("multiselect needs at least one candidate")
     texts = [h.text() for h in candidates]
     approx = None
-    if (
-        type(embedder) is TfidfEmbedder
-        and embedder.idf is idf
-        and _tokens_are_words(candidates)
-    ):
+    if type(embedder) is TfidfEmbedder and embedder.idf is idf:
         approx = [h.sim_score for h in candidates]
     return candidates[most_similar(embedder, source, texts, approx)]

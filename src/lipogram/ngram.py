@@ -376,13 +376,23 @@ def _check_integrity(
 ) -> None:
     """Reject files whose tables cannot have come from ``train``.
 
-    Training counts every sliding window over each padded paragraph, so the
-    summed counts of consecutive orders differ by exactly the number of
-    paragraphs, which is also the unigram count of the EOS marker. A file
-    truncated at a line boundary parses but fails this balance. Every
-    higher-order gram must also have an attested prefix counted at least as
-    often as the gram itself, which keeps every score <= 0.
+    Training counts canonical words (``textcore.canonical_words``) and the
+    BOS and EOS markers, so every other token must be one canonical word:
+    the decoder searches each token as one word. Training also counts
+    every sliding window over each padded paragraph, so the summed counts
+    of consecutive orders differ by exactly the number of paragraphs,
+    which is also the unigram count of the EOS marker. A file truncated at
+    a line boundary parses but fails this balance. Every higher-order gram
+    must also have an attested prefix counted at least as often as the
+    gram itself, which keeps every score <= 0.
     """
+    tokens = {token for table in tables for gram in table for token in gram}
+    for token in sorted(tokens - {BOS, EOS}):
+        if textcore.canonical_words(token) != [token]:
+            raise ValueError(
+                f"{path}: token {token!r} is not one lowercase word "
+                "(training makes no such token)"
+            )
     if order < 2:
         return
     paragraphs = tables[0].get((EOS,), 0)

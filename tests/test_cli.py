@@ -78,6 +78,19 @@ class TestUsageErrors:
         )
         assert rc == EXIT_USAGE
 
+    @pytest.mark.parametrize("command", ["translate", "evaluate", "sweep"])
+    @pytest.mark.parametrize("value", ["0", "-1", "two"])
+    def test_paragraphs_must_be_a_positive_int(
+        self, mini_corpus, out_dir, monkeypatch, capsys, command, value
+    ):
+        argv = [command, "--corpus", str(mini_corpus)]
+        assert run([*argv, "--paragraphs", value], out_dir) == EXIT_USAGE
+        assert "--paragraphs" in capsys.readouterr().err
+        monkeypatch.setenv("LIPO_PARAGRAPHS", value)
+        assert run(argv, out_dir) == EXIT_USAGE
+        assert "--paragraphs" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_sweep_more_paragraphs_than_corpus(self, mini_corpus, out_dir):
         rc = run(
             ["sweep", "--corpus", str(mini_corpus), "--paragraphs", "99"],

@@ -35,7 +35,6 @@ from lipogram.decoder import (
     build_candidate_vocab,
     multiselect,
     parse_config_file,
-    reaching,
     top_k,
 )
 from lipogram.lexicon import Lexicon, LexiconEntry
@@ -258,6 +257,15 @@ class TestBuildCandidateVocab:
         vocab = vocab_of("a cat ran", NO_CONSTRAINT, toy_lexicon(), model, 0)
         assert vocab == ["a", "cat", "ran", "kitty", "tomcat"]
 
+    def test_a_synonym_that_is_not_one_word_is_skipped(self):
+        # The tokenizer splits "x-ray" and cuts "café", "mp3", "'pup" and
+        # "\u212aat" (a Kelvin sign, which lowercases to "k") short; only
+        # "Kitty" and "it’s" are one canonical word each.
+        synonyms = ("x-ray", "café", "mp3", "\u212aat", "Kitty", "it’s", "'pup")
+        lex = Lexicon({"cat": LexiconEntry("cat", "cat", synonyms, 5)})
+        vocab = vocab_of("a cat", NO_CONSTRAINT, lex, train(self.CORPUS), 0)
+        assert vocab == ["a", "cat", "kitty", "it's"]
+
     def test_model_words_fill_by_frequency_then_alpha(self):
         model = train(self.CORPUS)
         vocab = vocab_of("a cat", NO_CONSTRAINT, EMPTY_LEX, model, 3)
@@ -369,6 +377,95 @@ def lane_picks(rank, k):
         lanes += [lane] * len(got)
         picks += got
     return lanes, picks
+
+
+def reaching(rank: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entries of the 3-D ``rank`` (lanes, rows, columns) at or above
+    their lane's k-th highest rank and above -inf, as (lane, row * columns
+    + column, rank) arrays in flat order: all that ``top_k`` needs to pick
+    each lane's k best.
+
+    Each lane's k-th highest rank is found with one partition of a copy of
+    its block, NaN counting as -inf; the bound is at least ``-finfo.max``,
+    so no -inf entry ever reaches it.
+    """
+    n_lanes = len(rank)
+    block = np.fmax(rank.reshape(n_lanes, -1), -np.inf)  # a copy, NaN as -inf
+    bound = np.full(n_lanes, -np.finfo(float).max)
+    n = block.shape[1]
+    if n >= k:
+        block.partition(n - k, axis=1)
+        np.maximum(block[:, n - k], bound, out=bound)
+    found = np.flatnonzero(rank >= bound[:, None, None])
+    lanes, at = np.divmod(found, n)
+    return lanes, at, rank.ravel()[found]
+
+
+def dense_scores(engine, batch, rows, step):
+    """The reference scorer, patched in for ``_BeamEngine._sparse_scores``:
+    every cell of every row, on (rows, V) matrices, then Gumbel noise on
+    each sampled lane's real cells. Returns the cells that reach their
+    lane's beam_width-th highest rank (``reaching``) as (lane, row-in-lane
+    * V + word, rank) arrays, and their LM, dot, sum-of-squares,
+    similarity and combined scores as a (5, cells) array.
+
+    The similarity matrix holds the bigram squares first; the scratch
+    matrix holds the square roots, then the weighted similarity, then in
+    sampled mode the rank.
+    """
+    cfg, ln, V, B = engine.cfg, batch.lanes, batch.V, rows.B
+    L = len(ln.ids)
+    R = L * B
+    mats = np.empty((6, R, V))
+    lm, dot, ssq, sim, comb, rank = mats
+    _, (followers, bigrams, source_bigrams, _) = engine._pairs(batch, rows)
+
+    np.copyto(lm.reshape(L, B, V), ln.backoff[:, None])
+    for cells, logs in [followers] + engine._context_writes(batch, rows):
+        lm.ravel()[cells] = logs
+    lm += rows.beam[0, :, None]
+    np.copyto(dot.reshape(L, B, V), ln.src_uni[:, None])
+    dot += rows.beam[1, :, None]
+    np.copyto(ssq.reshape(L, B, V), ln.idf_sq[:, None])
+    ssq += rows.beam[2, :, None]
+    if step > 1:
+        bigram_sq = sim
+        bigram_sq.fill(engine._default_sq)
+        bigram_sq.ravel()[bigrams[0]] = bigrams[1]
+        ssq += bigram_sq
+        # Source bigrams are sparse; everywhere else the term is 0.
+        dot.ravel()[source_bigrams[0]] += source_bigrams[1]
+        follower_sq = bigram_sq.ravel()[rows.followed]
+        # Repeated-feature corrections: tf goes k -> k+1, adding idf^2 * 2k
+        # on top of the fresh-feature idf^2 baseline (0 for the words a
+        # beam does not hold).
+        held = (np.arange(R) * V)[:, None] + rows.history
+        ssq.ravel()[held] += (
+            ln.idf_sq.ravel()[(np.arange(R) // B * V)[:, None] + rows.history]
+            * (2 * np.bincount(held.ravel(), minlength=R * V)[held])
+        )
+        ssq.ravel()[rows.followed] += follower_sq * (2 * rows.counts)
+
+    # Cells past a lane's vocabulary hold the zero padding, so they may
+    # divide 0 by 0; they rank at -inf below.
+    with np.errstate(invalid="ignore"):
+        engine._mix(lm, dot, ssq, sim, comb, rank)
+    comb.ravel()[rows.bans] = -np.inf
+    padded = np.arange(V) >= ln.widths[:, None]
+    np.copyto(comb.reshape(L, B, V), -np.inf, where=padded[:, None])
+    comb[~rows.live] = -np.inf
+
+    if ln.rngs[0] is not None:
+        # Gumbel noise is drawn only for a lane's real cells; every other
+        # cell ranks at -inf already.
+        np.divide(comb, cfg.temperature, out=rank)
+        drawn = rank.reshape(L, B, V)
+        for i, (rng, n, width) in enumerate(zip(ln.rngs, rows.n_beams, ln.widths)):
+            drawn[i, :n, :width] += rng.gumbel(size=n * width).reshape(n, width)
+    else:
+        rank = comb
+    lanes, at, ranked = reaching(rank.reshape(L, B, V), cfg.beam_width)
+    return lanes, at, ranked, mats[:5].reshape(5, -1)[:, lanes * (B * V) + at]
 
 
 def top_k_lists(rank, k):
@@ -693,10 +790,11 @@ class TestEarlyStop:
 
 
 class TestSparseStep:
-    """Deterministic mode scores only the cells that can reach a lane's
-    top beam_width. Its searches must equal those with the dense scorer
-    patched in: every pooled hypothesis (an unreachable k keeps them all),
-    with its tokens and all three scores, in the same order."""
+    """The step scores only the cells that can reach a lane's top
+    beam_width. Its searches, in both modes, must equal those with the
+    dense reference scorer patched in: every pooled hypothesis (an
+    unreachable k keeps them all), with its tokens and all three scores,
+    in the same order."""
 
     # 200 two- and three-letter words, for corpora of 40-200 of them.
     POOL = [a + b for a in "bcdfghklmnprst" for b in "aiou"] + [
@@ -715,13 +813,13 @@ class TestSparseStep:
         return [" ".join(tokens[a:b]) for a, b in zip([0] + cut, cut + [len(tokens)])]
 
     def test_sparse_scorer_equals_the_dense_one(self):
-        skipped = []
+        skipped = {"deterministic": [], "sampled": []}
         real = _BeamEngine._generic_cells
 
-        def counting(engine, batch, rows, step, row_lane, threshold):
-            found = real(engine, batch, rows, step, row_lane, threshold)
+        def counting(engine, batch, rows, step, row_lane, threshold, noise):
+            found = real(engine, batch, rows, step, row_lane, threshold, noise)
             generic = batch.lanes.n_generic[row_lane][rows.live].sum()
-            skipped.append(int(generic) - len(found))
+            skipped[engine.cfg.mode].append(int(generic) - len(found))
             return found
 
         @given(
@@ -735,9 +833,14 @@ class TestSparseStep:
             lambdas=st.sampled_from([(1.0, 5.0), (1.0, 0.0), (0.0, 1.0), (0.5, 2.0)]),
             no_repeat=st.integers(2, 4),
             budget=st.sampled_from([MAX_LOCKSTEP_CELLS, 1]),
+            mode=st.sampled_from(["deterministic", "sampled"]),
+            temperature=st.sampled_from([0.3, 0.9, 2.0]),
         )
-        @settings(max_examples=200, deadline=None)
-        def check(seed, n_words, n_sources, order, widths, lambdas, no_repeat, budget):
+        @settings(max_examples=300, deadline=None)
+        def check(
+            seed, n_words, n_sources, order, widths, lambdas, no_repeat, budget,
+            mode, temperature,
+        ):
             rng = random.Random(seed)
             texts = self.corpus(rng, n_words)
             model = train("\n\n".join(texts), order=order)
@@ -751,41 +854,30 @@ class TestSparseStep:
             cfg = DecoderConfig(
                 beam_width=beam_width, candidates_k=candidates_k,
                 no_repeat_ngram=no_repeat, lambda_lm=lambdas[0], lambda_sim=lambdas[1],
-                candidate_vocab_size=n_words,
+                candidate_vocab_size=n_words, mode=mode, temperature=temperature,
             )
             engine = engine_of(sources, NO_CONSTRAINT, cfg, model, idf, n_words)
             k = unreachable_k(engine)
+
+            def lanes():
+                """A fresh generator per lane and run, as beam_search makes."""
+                if mode == "deterministic":
+                    return None
+                return [
+                    (p, np.random.default_rng([seed, r]))
+                    for p in range(n_sources) for r in range(candidates_k)
+                ]
+
             with mock.patch.object(decoder, "MAX_LOCKSTEP_CELLS", budget):
                 with mock.patch.object(_BeamEngine, "_generic_cells", counting):
-                    sparse = engine.run(k)
-                with mock.patch.object(
-                    _BeamEngine, "_sparse_scores", _BeamEngine._dense_scores
-                ):
-                    dense = engine.run(k)
+                    sparse = engine.run(k, lanes())
+                with mock.patch.object(_BeamEngine, "_sparse_scores", dense_scores):
+                    dense = engine.run(k, lanes())
             assert sparse == dense
 
         check()
-        assert sum(skipped) > 0
-
-    def test_deterministic_search_never_scores_densely(self):
-        corpus = "aa bb cc dd ee\n\nbb cc aa ee dd\n\ncc dd ee aa bb"
-        model, idf = train(corpus), build_idf(corpus.split("\n\n"))
-        tables = ConstraintTables(NO_CONSTRAINT, model, idf, 10)
-        calls = []
-        real = _BeamEngine._dense_scores
-
-        def recording(engine, *args):
-            calls.append(engine.cfg.mode)
-            return real(engine, *args)
-
-        with mock.patch.object(_BeamEngine, "_dense_scores", recording):
-            for mode in ("deterministic", "sampled"):
-                cfg = DecoderConfig(beam_width=4, candidates_k=2,
-                                    candidate_vocab_size=10, mode=mode)
-                found = beam_search(("aa bb cc dd", "ee dd"), tables, cfg, EMPTY_LEX)
-                assert all(isinstance(h, Hypothesis) for f in found for h in f)
-        # The sampled search shows that the patch is where the step calls.
-        assert calls and set(calls) == {"sampled"}
+        assert sum(skipped["deterministic"]) > 0
+        assert sum(skipped["sampled"]) > 0
 
 
 class TestLengthBounds:
@@ -980,56 +1072,49 @@ class TestMultiselect:
             [h.sim_score for h in candidates], None, None
         ]
 
-    def test_sim_scores_are_used_only_when_tokens_are_words(self):
-        embedder = self.embedder()
-        words = [self.hyp(d) for d in self.DOCS]
-        synonym = [*words, Hypothesis(("the", "x-ray"), -1.0, 0.0, -1.0)]
-        accented = [*words, Hypothesis(("café",), -1.0, 0.0, -1.0)]
-        with mock.patch.object(
-            decoder, "most_similar", wraps=metrics.most_similar
-        ) as spy:
-            for candidates in (words, synonym, accented):
-                multiselect(candidates, "the cat", embedder, embedder.idf)
-        assert [call.args[3] for call in spy.call_args_list] == [
-            [h.sim_score for h in words], None, None
-        ]
+    # A synonym the tokenizer splits ("x-ray", "ray-ray") or cuts short
+    # ("café") would be one feature to the search but other features to
+    # embed; only "xray" is one canonical word.
+    XRAY_PARAS = ["the scan of a ray", "x ray of the bone", "a mail to the cat"]
+    XRAY_LEX = Lexicon({
+        "scan": LexiconEntry("scan", "scan", ("x-ray", "ray-ray", "xray", "café"), 3)
+    })
 
-    @given(st.lists(
-        st.lists(st.text(alphabet="aB'’-é\u212a\u0130 ", max_size=4), max_size=4),
-        min_size=1, max_size=4,
-    ))
-    @example([["x-ray"], ["ray"]])
-    @example([["i’ve", "i've"]])
-    @settings(max_examples=300)
-    def test_tokens_are_words_is_the_per_candidate_check(self, token_lists):
-        candidates = [Hypothesis(tuple(ts), -1.0, 0.0, -1.0) for ts in token_lists]
-        assert decoder._tokens_are_words(candidates) == all(
-            canonical_words(h.text()) == list(h.tokens) for h in candidates
-        )
-
-    def test_a_synonym_that_is_not_one_word_is_scored_exactly(self):
-        # The search scores "x-ray" as one unknown unigram and its
-        # bigrams; embed scores "x", "ray" and the bigram "x ray". Here
-        # the search's best sim_score is "ray ray ray", though
-        # "ray ray x-ray" is more similar to the source.
-        paras = ["the scan of a ray", "x ray of the bone", "a mail to the cat"]
-        lex = Lexicon({"scan": LexiconEntry("scan", "scan", ("x-ray", "ray-ray", "xray"), 3)})
+    def xray_search(self):
+        """A search of a source made of "scan" and the pieces of its
+        synonyms, weighted toward similarity; returns (source, tables,
+        its candidates)."""
         tables = ConstraintTables(
-            ConstraintSet.from_string("n"), train("\n\n".join(paras), order=2),
-            build_idf(paras), 0,
+            ConstraintSet.from_string("n"), train("\n\n".join(self.XRAY_PARAS), order=2),
+            build_idf(self.XRAY_PARAS), 0,
         )
         source = "ray scan scan ray scan"
         cfg = DecoderConfig(
             beam_width=6, candidates_k=6, candidate_vocab_size=0, lambda_lm=0.2
         )
-        [found] = beam_search((source,), tables, cfg, lex)
+        [found] = beam_search((source,), tables, cfg, self.XRAY_LEX)
+        return source, tables, found
+
+    def test_sim_scores_are_used_only_when_tokens_are_words(self):
+        source, tables, found = self.xray_search()
+        assert all(canonical_words(h.text()) == list(h.tokens) for h in found)
+        embedder = TfidfEmbedder(tables.idf)
+        with mock.patch.object(
+            decoder, "most_similar", wraps=metrics.most_similar
+        ) as spy:
+            multiselect(found, source, embedder, tables.idf)
+        assert spy.call_args.args[3] == [h.sim_score for h in found]
+
+    def test_a_synonym_that_is_not_one_word_is_scored_exactly(self):
+        # "x-ray" and "ray-ray" are not search words, so no candidate
+        # holds one, and the pick from sim_score is the pick from scoring
+        # every text.
+        source, tables, found = self.xray_search()
+        assert {t for h in found for t in h.tokens} <= {"ray", "xray"}
         embedder = TfidfEmbedder(tables.idf)
         sims = similarities(embedder, source, [h.text() for h in found])
-        by_sim_score = max(found, key=lambda h: h.sim_score)
-        assert by_sim_score.text() == "ray ray ray"
         chosen = multiselect(found, source, embedder, tables.idf)
         assert chosen is found[sims.index(max(sims))]
-        assert chosen.text() == "ray ray x-ray"
 
 
 class TestSimScorePrecondition:
@@ -1086,12 +1171,12 @@ class TestSimScorePrecondition:
     )
     @settings(max_examples=200, deadline=None)
     def test_multiselect_picks_as_scoring_every_text(self, seed, mode):
-        """With lexicon synonyms that are not one word, every hypothesis
-        whose tokens are its text's words keeps its sim_score within the
-        bound, and multiselect picks the first candidate of highest
-        `similarities` score. The sources repeat the synonyms' pieces,
-        and the language model weighs little, so that candidates with a
-        synonym reach the final list."""
+        """With lexicon synonyms that are not one word, which the search
+        leaves out, every hypothesis's tokens are its text's words, its
+        sim_score is within the bound, and multiselect picks the first
+        candidate of highest `similarities` score. The sources repeat the
+        synonyms' pieces, and the language model weighs little, so that
+        such a synonym would reach the final list if it were searched."""
         rng = random.Random(seed)
         words = POOL[: rng.randint(2, 6)]
         paras = [
@@ -1118,9 +1203,9 @@ class TestSimScorePrecondition:
                 continue
             texts = [h.text() for h in found]
             for h, text in zip(found, texts):
-                if canonical_words(text) == list(h.tokens):
-                    (exact,) = similarities(embedder, source, [text])
-                    assert abs(h.sim_score - exact) <= similarity_bound([text])
+                assert canonical_words(text) == list(h.tokens)
+                (exact,) = similarities(embedder, source, [text])
+                assert abs(h.sim_score - exact) <= similarity_bound([text])
             sims = similarities(embedder, source, texts)
             chosen = multiselect(found, source, embedder, tables.idf)
             assert chosen is found[sims.index(max(sims))]

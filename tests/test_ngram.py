@@ -317,6 +317,18 @@ class TestSerialization:
         with pytest.raises(ValueError, match="lacks an attested prefix"):
             load(path)
 
+    @pytest.mark.parametrize("token", ["x-ray", "Foo", "café", "it’s"])
+    def test_token_that_is_not_one_word_errors(self, tmp_path, token):
+        # A balanced file that training could not write: the decoder would
+        # search the token as one word, which its text is not.
+        path = tmp_path / "token.lm"
+        train("the cat sat\n\nthe dog sat", order=2).save(path)
+        path.write_text(path.read_text().replace("dog", token))
+        with pytest.raises(ValueError, match="not one lowercase word"):
+            load(path)
+        path.write_text(path.read_text().replace(token, "dog"))
+        load(path)
+
     @given(
         paras=st.lists(
             st.lists(st.sampled_from("abcdef"), min_size=1, max_size=5),

@@ -5,6 +5,7 @@ implementation (hand segmentation / character filtering / direct counts).
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -167,6 +168,41 @@ def test_package_has_no_unused_imports():
             for name, line in imported.items() if name not in used
         ]
     assert unused == []
+
+
+def test_package_has_no_dead_private_code():
+    """Every private function, class or method defined at module level or
+    in a module-level class under src/lipogram is referenced somewhere in
+    src/lipogram outside its own body, by name or as an attribute.
+
+    Code kept only as a test's reference belongs in the tests. Dunder
+    names are exempt: Python calls them.
+    """
+    package = Path(__file__).resolve().parents[1] / "src" / "lipogram"
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+    def names(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+
+    defined, used = [], Counter()
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used.update(names(tree))
+        for node in tree.body:
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            for item in [node, *members]:
+                name = getattr(item, "name", "")
+                if isinstance(item, kinds) and name.startswith("_") and not name.endswith("__"):
+                    defined.append((f"{path.name}:{item.lineno} {name}", item))
+    dead = [
+        where for where, node in defined
+        if used[node.name] == sum(1 for name in names(node) if name == node.name)
+    ]
+    assert dead == []
 
 
 def test_only_ngram_reads_the_backoff_weight():
