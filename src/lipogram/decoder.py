@@ -19,23 +19,26 @@ to the maximum length.
 
 Set-up is done once at the level where its data lives:
 
-- Corpus: built lazily on first use and cached on the object that owns the
-  data. ``NGramModel`` holds the frequency-ranked word list, each token's
-  letter mask, each token's score after an unseen context
-  (``backoff_logscores``) and every context's continuations as token ids
-  with their scores (``ContinuationIndex``, which finds a context from its
-  token ids through sorted int64 keys). Both scores already carry their
-  backoff penalties, so the decoder never applies one itself. ``IdfTable``
-  holds its unigram and bigram features and each word's letter mask as
-  arrays over word ids (``IdfIndex``).
+- Corpus: ``NGramModel`` builds, lazily on first use and cached on it,
+  the frequency-ranked word list, each token's score after an unseen
+  context (``backoff_logscores``) and every context's continuations as
+  token ids with their scores (``ContinuationIndex``, which finds a
+  context from its token ids through sorted int64 keys). Both scores
+  already carry their backoff penalties, so the decoder never applies
+  one itself. ``SearchWords``, built once per model and IDF table, gives
+  every word the search can know one id (the model's tokens keep their
+  token ids), holds each id's letter mask, backoff score and idf, and
+  keeps one pair block: every one-word-context LM continuation and IDF
+  bigram, with both the LM log and the squared bigram idf.
 - Constraint: ``ConstraintTables``, built once per constraint set and
-  tail size M, holds the tail (the M most frequent legal words) and the
-  LM and IDF bigram pair rows among all legal words, keyed by first
-  word id. ``Pipeline`` keeps the last one it built and reuses it while
-  the constraint, M, the model and the IDF table stay the same, and
-  every search reads its constraint, model and IDF table from it.
+  tail size M over the SearchWords, holds which ids are legal, the tail
+  (the M most frequent legal words) and the pairs among all legal
+  words, keyed by first word id. ``Pipeline`` keeps its SearchWords while
+  the model and the IDF table stay the same, and the last tables it
+  built while the constraint and M stay the same too; every search reads
+  its constraint, model and IDF table from the tables.
 - Paragraph: ``_Paragraph`` keeps only what depends on the source. It
-  reads its per-word arrays with one ``ConstraintTables.lookup`` of its
+  reads its per-word arrays with one ``SearchWords.lookup`` of its
   vocabulary, and holds the source's TF-IDF weights over the
   vocabulary, placed through one map from word to vocabulary position.
 
@@ -61,17 +64,17 @@ shared path then keeps each lane's best (``top_k``: rank, then flat
 index, the tie rule of a stable full sort of the lane alone), pools them,
 applies the early stop and builds the next rows.
 
-The scorer scores exactly only each row's special cells (LM followers,
-IDF-bigram and source-bigram pairs, source words and history cells) and
-the generic rest whose admissible bound, with the cell's noise in
-sampled mode, reaches the lane's beam_width-th best special rank. Every
-scored cell goes through the same elementwise operations in the same
-order as in a dense search of its lane alone, which scores every cell,
-and every skipped cell ranks strictly below the lane's top beam_width,
-so no lane's result depends on its batch. A pick's scores are those the
-scorer computed; the step keeps each pick's back-pointer, word and scores
-in arrays, and builds ``Hypothesis`` objects only for a lane's returned
-top k.
+The scorer scores exactly only each row's special cells (its pairs, LM
+followers of longer contexts, source-bigram pairs, source words and
+history cells) and the generic rest whose admissible bound, with the
+cell's noise in sampled mode, reaches the lane's beam_width-th best
+special rank. Every scored cell goes through the same elementwise
+operations in the same order as in a dense search of its lane alone, which
+scores every cell, and every skipped cell ranks strictly below the lane's
+top beam_width, so no lane's result depends on its batch. A pick's scores
+are those the scorer computed; the step keeps each pick's back-pointer,
+word and scores in arrays, and builds ``Hypothesis`` objects only for a
+lane's returned top k.
 """
 
 from __future__ import annotations
@@ -266,7 +269,7 @@ def build_candidate_vocab(
         for synonym in constraint_free_synonyms(word, c, lex):
             if textcore.canonical_words(synonym) == [canonical(synonym)]:
                 add(canonical(synonym))
-    ordered.extend(word for word in tables.words if word not in seen)
+    ordered.extend(word for word in tables.tail if word not in seen)
 
     if not ordered:
         raise EmptyVocabulary(
@@ -275,71 +278,106 @@ def build_candidate_vocab(
     return ordered
 
 
+class SearchWords:
+    """Every word the search can know, under one id: the model's tokens
+    by their token ids, then the IDF table's other words. Built once per
+    (model, IDF table) and shared by the tables of every constraint set.
+
+    Per id: its letter mask (``masks``), and with a last entry for id -1
+    (a word neither knows) its score after a context never seen
+    (``backoff``, from ``NGramModel.backoff_logscores``) and its idf
+    (``idf_values``, the table default for a word that is no unigram
+    feature). ``pairs`` holds, grouped by first id, every pair (a, b)
+    that is a one-word-context LM continuation or an IDF bigram, with two
+    values: the LM log of b after a, and the square of the idf of the
+    bigram "a b". A pair with only one of them stores, for the other, what
+    a cell outside every pair gets: b's backoff score, or the default idf
+    squared.
+    """
+
+    def __init__(self, model: NGramModel, idf: IdfTable):
+        self.model = model
+        self.idf = idf
+        self.ids = ids = dict(model.token_ids)
+        n_tokens = len(ids)
+        bigram_firsts, bigram_seconds, squares = [], [], []
+        for feature, value in idf.values.items():
+            first, sep, second = feature.partition(" ")
+            a = ids.setdefault(first, len(ids))
+            if sep:
+                bigram_firsts.append(a)
+                bigram_seconds.append(ids.setdefault(second, len(ids)))
+                squares.append(value * value)
+        n = len(ids)
+        self.masks = textcore.letter_masks(ids)
+        self.backoff = model.backoff_logscores[np.minimum(np.arange(n + 1), n_tokens)]
+        self.idf_values = np.array(
+            [idf.values.get(word, idf.default) for word in ids] + [idf.default]
+        )
+
+        # The continuations of each token's one-word context, then the IDF
+        # bigrams, as keys first * n + second, merged.
+        index = model.continuation_index
+        rows = index.token_rows[:n_tokens]
+        firsts, entries = _expand(index.starts[rows], index.starts[rows + 1])
+        known = np.flatnonzero(index.ids[entries] >= 0)
+        firsts, entries = firsts[known], entries[known]
+        bigrams = np.array(bigram_firsts, dtype=np.intp) * n + np.array(
+            bigram_seconds, dtype=np.intp
+        )
+        keys, at = np.unique(
+            np.concatenate((firsts * n + index.ids[entries], bigrams)),
+            return_inverse=True,
+        )
+        firsts, seconds = np.divmod(keys, n)
+        values = np.empty((2, len(keys)))
+        values[0] = self.backoff[seconds]
+        values[0, at[: len(entries)]] = index.logs[entries]
+        values[1] = idf.default**2
+        values[1, at[len(entries):]] = squares
+        self.pairs = _PairRows.grouped(n, firsts, seconds, values)
+
+    def lookup(self, words: Sequence[str]):
+        """Each word's id (-1 when unknown), backoff LM score and idf, as
+        arrays. The backoff score is that of a word never seen after the
+        context (``NGramModel.backoff_logscores``)."""
+        ids = _positions(words, self.ids)
+        return ids, self.backoff[ids], self.idf_values[ids]
+
+
 class ConstraintTables:
-    """The decoder's tables for one constraint set and tail size M.
+    """The decoder's tables for one constraint set and tail size M, over
+    the ``SearchWords`` of a model and an IDF table.
 
     Built once per (constraint set, M) and shared by every paragraph
     decoded under them:
 
-    - which model tokens are legal words (``legal``, by token id, with
-      a last False entry for id -1) and the tail, the M most frequent
-      of them;
-    - the one-word-context LM continuations, and the squared IDF bigram
-      values, of every pair of legal words, grouped by first word id.
+    - which words are legal (``legal``, by id, with a last False entry
+      for id -1; BOS and EOS are not) and the tail, the M most frequent
+      legal model words;
+    - the pairs of ``SearchWords.pairs`` whose words are both legal, and
+      those after BOS whose second word is, grouped by first word id.
 
     Every vocabulary word is legal, so these pairs hold every pair any
-    paragraph's vocabulary can need. A paragraph reads its per-word
-    arrays with ``lookup`` and gathers its pairs by word id.
+    paragraph's vocabulary can need. A paragraph gathers its pairs by
+    word id.
     """
 
-    def __init__(self, c: ConstraintSet, model: NGramModel, idf: IdfTable, M: int):
+    def __init__(self, c: ConstraintSet, words: SearchWords, M: int):
         self.constraint = c
         self.size = M
-        self.model = model
-        self.idf = idf
-        # Which model tokens are legal words, by the letter masks; BOS, EOS
-        # and the trailing entry of token id -1 are not.
-        self.legal = legal = np.append((model.letter_masks & c.mask) == 0, False)
-        legal[len(model.ranked_words):-1] = False
+        self.words = words
+        model = words.model
+        self.legal = legal = np.append((words.masks & c.mask) == 0, False)
+        legal[len(model.ranked_words):len(model.tokens)] = False
         # The M most frequent legal words (all of them when fewer are legal):
         # the ranked words come first in id order.
-        self.words = [model.tokens[i] for i in np.flatnonzero(legal)[:M]]
-        # Each IDF id's value, then the default as the entry of id -1.
-        self._idf_values = np.append(idf.index.word_values, idf.default)
-
-        # The continuations after each legal word and BOS that are legal
-        # words, keyed by token id.
-        index = model.continuation_index
+        ranked = np.flatnonzero(legal[: len(model.ranked_words)])
+        self.tail = [model.tokens[i] for i in ranked[:M]]
         legal_ids = np.where(legal, np.arange(len(legal)), -1)
-        firsts = np.where(legal, index.token_rows, -1)[:-1]
-        bos = model.token_ids[BOS]
-        firsts[bos] = index.token_rows[bos]
-        self.lm_pairs = _PairRows(index.starts, index.ids, index.logs).gather(
-            firsts, legal_ids
-        )
-
-        features = idf.index
-        legal = np.append((features.word_masks & c.mask) == 0, False)
-        inside = np.flatnonzero(
-            legal[features.bigram_firsts] & legal[features.bigram_seconds]
-        )
-        values = features.bigram_values[inside]
-        self.bigram_sq = _PairRows.grouped(
-            len(features.word_ids),
-            features.bigram_firsts[inside],
-            features.bigram_seconds[inside],
-            values * values,
-        )
-
-    def lookup(self, words: Sequence[str]):
-        """Each word's model id and IDF id (-1 when absent), backoff LM
-        score and idf, as arrays. The backoff score is that of a word
-        never seen after the context (``NGramModel.backoff_logscores``)."""
-        model_ids = _positions(words, self.model.token_ids)
-        idf_ids = _positions(words, self.idf.index.word_ids)
-        # Both tables end with the entry of id -1.
-        backoff = self.model.backoff_logscores[model_ids]
-        return model_ids, idf_ids, backoff, self._idf_values[idf_ids]
+        firsts = legal_ids[:-1].copy()
+        firsts[words.ids[BOS]] = words.ids[BOS]
+        self.pairs = words.pairs.gather(firsts, legal_ids)
 
 
 def top_k(lanes: np.ndarray, at: np.ndarray, rank: np.ndarray, k: int) -> np.ndarray:
@@ -367,7 +405,8 @@ def top_k(lanes: np.ndarray, at: np.ndarray, rank: np.ndarray, k: int) -> np.nda
 
 class _PairRows:
     """Values at (first, second) pairs of small-int keys, grouped by first:
-    the pairs of first key f are entries ``starts[f]:starts[f + 1]``."""
+    the pairs of first key f are entries ``starts[f]:starts[f + 1]``. The
+    values' last axis runs over the pairs; a pair may have more than one."""
 
     def __init__(self, starts: np.ndarray, seconds: np.ndarray, values: np.ndarray):
         self._starts = starts
@@ -401,7 +440,9 @@ class _PairRows:
         """Every part's pairs under one key space: part i's first key f
         becomes key ``sum(n_keys[:i]) + f``. ``n_keys[i]`` may exceed part
         i's own key count; the keys past it, and one last key after every
-        part, have no pairs. The seconds are stored as int32."""
+        part, have no pairs. The seconds are stored as int32, and the
+        values as two rows: a part with one value per pair gives it in
+        both."""
         starts, offset = [], 0
         for part, n in zip(parts, n_keys):
             own = part._starts[:-1] + offset
@@ -411,18 +452,20 @@ class _PairRows:
         return cls(
             np.concatenate(starts),
             np.concatenate([part._seconds for part in parts], dtype=np.int32),
-            np.concatenate([part._values for part in parts]),
+            np.concatenate(
+                [np.broadcast_to(p._values, (2, len(p._seconds))) for p in parts], axis=1
+            ),
         )
 
     def pairs(
         self, firsts: np.ndarray, scale: int = 1
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(row * scale, second, value) of every pair of each first key,
+        """(row * scale, second, values) of every pair of each first key,
         where row is the key's index in ``firsts``. With the width of a
         matrix of one row per key as the scale, row + second is a pair's
         flat cell."""
         rows, entries = _expand(self._starts[firsts], self._starts[firsts + 1], scale)
-        return rows, self._seconds[entries], self._values[entries]
+        return rows, self._seconds[entries], np.take(self._values, entries, axis=-1)
 
     def gather(self, firsts: np.ndarray, pos_of: np.ndarray) -> "_PairRows":
         """The pairs of ``firsts[i]`` as those of first key i, with each
@@ -434,7 +477,7 @@ class _PairRows:
         pos = pos_of[self._seconds[entries]]
         hit = np.flatnonzero(pos >= 0)  # an index array: faster than a mask here
         return _PairRows.grouped(
-            len(firsts), rows[hit], pos[hit], self._values[entries[hit]]
+            len(firsts), rows[hit], pos[hit], np.take(self._values, entries[hit], axis=-1)
         )
 
 
@@ -450,7 +493,7 @@ def _expand(
 
 class _Paragraph:
     """The paragraph-level state of one search: the vocabulary, its length
-    bounds, each word's arrays from ``ConstraintTables.lookup``, and the
+    bounds, each word's arrays from ``SearchWords.lookup``, and the
     source's TF-IDF weights over the vocabulary (its pair rows are
     gathered when its batch starts). Every vocabulary word must be legal
     under the tables' constraint.
@@ -463,7 +506,8 @@ class _Paragraph:
         cfg: DecoderConfig,
         tables: ConstraintTables,
     ):
-        idf = tables.idf
+        words = tables.words
+        idf = words.idf
         self.vocab = list(vocab)
         n_vocab = len(self.vocab)
 
@@ -471,12 +515,12 @@ class _Paragraph:
         self.min_len = math.ceil(cfg.min_ratio * source_len)
         self.max_len = math.floor(cfg.max_ratio * source_len)
 
-        self.model_ids, self.idf_ids, self.backoff, self.idf_uni = tables.lookup(
-            self.vocab
-        )
-        # A legal model word is legal by its id; only the others are checked.
+        self.ids, self.backoff, self.idf_uni = words.lookup(self.vocab)
+        # Contexts are read by model token id: the other words are -1 there.
+        self.model_ids = np.where(self.ids < len(words.model.tokens), self.ids, -1)
+        # A known word is legal by its id; only the others are checked.
         illegal = [
-            self.vocab[i] for i in np.flatnonzero(~tables.legal[self.model_ids])
+            self.vocab[i] for i in np.flatnonzero(~tables.legal[self.ids])
             if violates(self.vocab[i], tables.constraint)
         ]
         if illegal:
@@ -559,15 +603,15 @@ class _Lanes:
 class _Batch:
     """What every step of a lockstep batch reads: its running lanes, its
     widest vocabulary V, the pair rows of its paragraphs with the size K of
-    each block of keys (``_batch_pair_rows``; key K - 1 has no pairs), its
-    map from model id to vocabulary position, its number of paragraphs,
-    and the run's scratch planes."""
+    each block of keys (``_batch_pair_rows``; key K - 1 has no pairs), each
+    paragraph's map from word id to vocabulary position, its number of
+    paragraphs, and the run's scratch planes."""
 
     lanes: _Lanes
     V: int
     n_keys: int
     pairs: _PairRows
-    model_pos: np.ndarray
+    pos: np.ndarray
     n_paras: int
     scratch: _Scratch
 
@@ -626,12 +670,12 @@ class _BeamEngine:
     ):
         self.cfg = cfg
         self.tables = tables
-        self.model = tables.model
+        self.model = tables.words.model
         self.paragraphs = [
             _Paragraph(source, vocab, cfg, tables)
             for source, vocab in zip(sources, vocabs)
         ]
-        self._default_sq = tables.idf.default**2
+        self._default_sq = tables.words.idf.default**2
 
     def run(
         self,
@@ -688,7 +732,7 @@ class _BeamEngine:
         shared = list(dict.fromkeys(p for p, _ in lanes))
         para = np.array([shared.index(p) for p, _ in lanes])
         shared = [self.paragraphs[p] for p in shared]
-        offsets, pairs, model_pos = _batch_pair_rows(shared, self.tables)
+        offsets, pairs, pos = _batch_pair_rows(shared, self.tables)
         widths = np.array([len(p.vocab) for p in paras])
         V = int(widths.max())
         G = max(len(p.generic) for p in paras)
@@ -718,7 +762,7 @@ class _BeamEngine:
                 [p.idf_uni_sq[p.generic].min(initial=np.inf) for p in paras]
             ),
         )
-        return _Batch(lanes, V, offsets[-1] + 1, pairs, model_pos, len(shared), scratch)
+        return _Batch(lanes, V, offsets[-1] + 1, pairs, pos, len(shared), scratch)
 
     def _run_batch(self, lanes, k: int, buffer: _Scratch) -> list:
         """``run`` for one batch of lanes, with its step planes in ``buffer``.
@@ -856,25 +900,24 @@ class _BeamEngine:
         combined score; in a sampled lane it is that score divided by the
         temperature, plus the cell's Gumbel draw.
 
-        A row's special cells are its LM followers (from the pair rows and
-        the longer contexts), its IDF-bigram and source-bigram pairs, the
-        source words, and its history cells (the tf corrections and the
-        bans). Each is scored with the same elementwise operations, in the
+        A row's special cells are its pairs (its LM followers and IDF bigrams,
+        one block), the LM followers of its longer contexts, its source-bigram
+        pairs, the source words, and its history cells (the tf corrections and
+        the bans). Each is scored with the same elementwise operations, in the
         same order, as every cell of a dense (rows, V) search of its lane
-        alone. Every other cell is generic: its LM score is backoff[w] +
-        the beam's, its dot the beam's, and its sum of squares (idf^2[w] +
-        the beam's) + the default bigram square (none on the first step).
-        So its score is at most the bound lambda_lm * (backoff[w] + beam
-        LM) + lambda_sim * clip(beam dot / sqrt((min idf^2 + beam ssq) +
-        default^2)), min idf^2 being the least among the lane's generic
-        words: the bound takes the score's operations in their order, and
-        IEEE rounding is monotone, so it holds for the computed values, and
-        it falls with backoff[w]. Each lane's threshold is its
-        beam_width-th best special rank; ``_generic_cells`` gives the
-        generic cells whose bound, with the noise in a sampled lane, is not
-        below it. Every skipped cell ranks strictly below the threshold, so
-        each lane's top beam_width, and their flat tie order, are those of
-        the dense search.
+        alone. Every other cell is generic: its LM score is backoff[w] + the
+        beam's, its dot the beam's, and its sum of squares (idf^2[w] + the
+        beam's) + the default bigram square (none on the first step). So its
+        score is at most the bound lambda_lm * (backoff[w] + beam LM) +
+        lambda_sim * clip(beam dot / sqrt((min idf^2 + beam ssq) + default^2)),
+        min idf^2 being the least among the lane's generic words: the bound
+        takes the score's operations in their order, and IEEE rounding is
+        monotone, so it holds for the computed values, and it falls with
+        backoff[w]. Each lane's threshold is its beam_width-th best special
+        rank; ``_generic_cells`` gives the generic cells whose bound, with the
+        noise in a sampled lane, is not below it. Every skipped cell ranks
+        strictly below the threshold, so each lane's top beam_width, and their
+        flat tie order, are those of the dense search.
 
         Each sampled lane draws ``rng.gumbel(size=n_beams * width)``, in
         lane order, as a lone search of it does, into a float plane at its
@@ -908,8 +951,8 @@ class _BeamEngine:
 
         # The followed cells and the bans are history cells, so they are
         # not marked on their own.
-        paired, (followers, bigrams, source_bigrams, _) = self._pairs(batch, rows)
-        lm_writes = [followers] + self._context_writes(batch, rows)
+        paired, ((pairs, (logs, squares)), source_bigrams) = self._pairs(batch, rows)
+        lm_writes = [(pairs, logs)] + self._context_writes(batch, rows)
         special = [paired] + [cells for cells, _ in lm_writes[1:]]
         if step > 1:
             live = np.flatnonzero(rows.live)
@@ -942,7 +985,7 @@ class _BeamEngine:
         np.add(idf_sq, beam[2], out=ssq)
         if step > 1:
             square = np.full(n, self._default_sq)
-            square[slot[bigrams[0]]] = bigrams[1]
+            square[slot[pairs]] = squares
             ssq += square
             dot[slot[source_bigrams[0]]] += source_bigrams[1]
             # A word held k times gets idf^2 * 2k, as in the dense search,
@@ -1062,27 +1105,24 @@ class _BeamEngine:
         comb += np.multiply(sim, self.cfg.lambda_sim, out=scratch)
 
     def _pairs(self, batch: _Batch, rows: _Rows):
-        """Each row's pairs, as (cells, values) per block of
-        ``_batch_pair_rows``: the words attested after its last word with
-        their LM scores, its IDF bigrams with their squares, its source
-        bigrams with their values, and its paragraph's source words (none
-        for a row without a beam); and all those cells as one array."""
+        """Each row's pairs, per block of ``_batch_pair_rows``: the words it
+        has a pair with after its last word, with their LM logs and
+        IDF-bigram squares as a (2, cells) array; its source bigrams with
+        their values; and its paragraph's source words (none for a row
+        without a beam). Returns all those cells as one array, and the
+        (cells, values) of the first two blocks."""
         K, V, R = batch.n_keys, batch.V, len(rows.keys)
         para = batch.lanes.para[np.arange(R) // rows.B]
-        queries = [
-            rows.keys,
-            rows.keys + K,
-            rows.keys + 2 * K,
-            3 * K + np.where(rows.live, para, batch.n_paras),
-        ]
+        queries = [rows.keys, rows.keys + K, 2 * K + np.where(rows.live, para, batch.n_paras)]
         r, seconds, values = batch.pairs.pairs(np.concatenate(queries), V)
         cells = r + seconds
-        ends = np.searchsorted(r, np.arange(R, len(queries) * R, R) * V).tolist()
-        blocks = [(cells[: ends[0]], values[: ends[0]])]
-        for i, (start, end) in enumerate(zip(ends, ends[1:] + [len(cells)]), 1):
-            cells[start:end] -= i * R * V
-            blocks.append((cells[start:end], values[start:end]))
-        return cells, blocks
+        ends = np.searchsorted(r, np.array([R, 2 * R]) * V).tolist()
+        cells[ends[0]:ends[1]] -= R * V
+        cells[ends[1]:] -= 2 * R * V
+        return cells, (
+            (cells[: ends[0]], values[:, : ends[0]]),
+            (cells[ends[0]:ends[1]], values[0, ends[0]:ends[1]]),
+        )
 
     def _context_writes(self, batch: _Batch, rows: _Rows) -> list:
         """The LM scores of the words attested after each longer suffix of
@@ -1092,8 +1132,8 @@ class _BeamEngine:
         scores carry their backoff penalties, so each is written as it
         is."""
         V = batch.V
-        n_ids = len(self.model.tokens) + 1
-        # Each row's paragraph's row of model_pos.
+        n_ids = batch.pos.shape[1]
+        # Each row's paragraph's row of pos.
         row_ids = batch.lanes.para[np.arange(len(rows.keys)) // rows.B] * n_ids
         index = self.model.continuation_index
         writes = []
@@ -1102,9 +1142,10 @@ class _BeamEngine:
             # score token_logscore reaches for them.
             lo, hi = index.spans(rows.contexts[:, -j:])
             r, entries = _expand(lo, hi, V)
-            # Each paragraph's row of model_pos ends with the entry of id
-            # -1, so a flat index one before a row still finds -1.
-            pos = batch.model_pos.ravel()[np.repeat(row_ids, hi - lo) + index.ids[entries]]
+            # A model token's id is its word id, and each paragraph's row
+            # of pos ends with the entry of id -1, so a flat index one
+            # before a row still finds -1.
+            pos = batch.pos.ravel()[np.repeat(row_ids, hi - lo) + index.ids[entries]]
             hit = np.flatnonzero(pos >= 0)
             writes.append((r[hit] + pos[hit], index.logs[entries[hit]]))
         return writes
@@ -1140,41 +1181,37 @@ class _BeamEngine:
 
 
 def _batch_pair_rows(paras: Sequence[_Paragraph], tables: ConstraintTables):
-    """The pair rows of a batch's paragraphs in one key space: the LM
-    continuations, the IDF-bigram squares and the source-bigram values of
-    each paragraph's keys, gathered from the tables, and each paragraph's
-    source words with their weights.
+    """The pair rows of a batch's paragraphs in one key space: each
+    paragraph's pairs, with their LM logs and IDF-bigram squares, gathered
+    from the tables; its source bigrams with their values; and its source
+    words with their weights. The source blocks give each value twice (see
+    ``_PairRows.stack``).
 
     Paragraph i's keys are its vocabulary positions and then BOS, from
-    ``offsets[i]`` on, and the key ``offsets[-1]`` has no pairs. The LM,
-    IDF-bigram and source-bigram blocks of keys are K = offsets[-1] + 1
-    keys apart, in that order; paragraph i's source words are at 3K + i,
-    and the key 3K + len(paras) has none. Also returns each paragraph's
-    map from model token id to vocabulary position (-1 outside it), one
-    row each with a last entry for id -1. Each paragraph is gathered on
-    its own, which keeps the gather's scratch arrays small.
+    ``offsets[i]`` on, and the key ``offsets[-1]`` has no pairs. The pair
+    and source-bigram blocks of keys are K = offsets[-1] + 1 keys apart, in
+    that order; paragraph i's source words are at 2K + i, and the key
+    2K + len(paras) has none. Also returns each paragraph's map from word
+    id to vocabulary position (-1 outside it), one row each with a last
+    entry for id -1; the gather reads it, and so does ``_context_writes``
+    by model token id. Each paragraph is gathered on its own, which keeps
+    the gather's scratch arrays small.
     """
-    model = tables.model
+    words = tables.words
     n_keys = [len(para.vocab) + 1 for para in paras]
-    model_pos = np.stack([_inverse(p.model_ids, len(model.tokens)) for p in paras])
-    bos = model.token_ids[BOS]
-    n_idf = len(tables.idf.index.word_ids)
-    words = [np.flatnonzero(p.src_uni) for p in paras]
+    pos = np.stack([_inverse(p.ids, len(words.ids)) for p in paras])
+    bos = words.ids[BOS]
+    sources = [np.flatnonzero(p.src_uni) for p in paras]
     empty = _PairRows(np.zeros(2, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0))
     pairs = _PairRows.stack(
-        [
-            tables.lm_pairs.gather(np.append(p.model_ids, bos), pos)
-            for p, pos in zip(paras, model_pos)
-        ]
-        + [empty]
-        + [tables.bigram_sq.gather(p.idf_ids, _inverse(p.idf_ids, n_idf)) for p in paras]
+        [tables.pairs.gather(np.append(p.ids, bos), row) for p, row in zip(paras, pos)]
         + [empty]
         + [p.src_bi for p in paras]
         + [empty]
-        + [_PairRows(np.array([0, len(w)]), w, p.src_uni[w]) for p, w in zip(paras, words)],
-        (n_keys + [1]) * 3 + [1] * len(paras),
+        + [_PairRows(np.array([0, len(w)]), w, p.src_uni[w]) for p, w in zip(paras, sources)],
+        (n_keys + [1]) * 2 + [1] * len(paras),
     )
-    return np.cumsum([0] + n_keys), pairs, model_pos
+    return np.cumsum([0] + n_keys), pairs, pos
 
 
 def _history_cells(history: np.ndarray, repeats: np.ndarray, width: int, n: int):

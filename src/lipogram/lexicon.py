@@ -140,17 +140,21 @@ def translate_edelete(paragraph: str, c: ConstraintSet) -> str:
 def translate_synonym(paragraph: str, c: ConstraintSet, lex: Lexicon) -> str:
     """Swap violating words for their best constraint-free synonym.
 
-    Constraint-free words pass through untouched; words with no usable
-    synonym fall back to strip_letters on the original surface form.
+    Constraint-free words pass through untouched. A synonym is used in the
+    word's case, and only when that cased form is constraint-free too:
+    casing can bring a letter back ("groß" upper-cases to "GROSS"). Words
+    with no usable synonym fall back to strip_letters on the original
+    surface form.
     """
 
     def replace(match: re.Match) -> str:
         word = match.group(0)
         if not violates(word, c):
             return word
-        synonyms = constraint_free_synonyms(word, c, lex)
-        if synonyms:
-            return _transfer_case(synonyms[0], word)
+        for synonym in constraint_free_synonyms(word, c, lex):
+            cased = _transfer_case(synonym, word)
+            if not violates(cased, c):
+                return cased
         return strip_letters(word, c)
 
     return WORD_RE.sub(replace, paragraph)

@@ -28,10 +28,7 @@ import urllib.error
 import urllib.request
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 from . import textcore
 from .textcore import WORD_RE, ConstraintSet, canonical, violates
@@ -61,52 +58,6 @@ class IdfTable:
 
     def value(self, feature: Feature) -> float:
         return self.values.get(feature, self.default)
-
-    @cached_property
-    def index(self) -> "IdfIndex":
-        """The features as arrays over word ids, built once per table."""
-        unigrams = [f for f in self.values if " " not in f]
-        word_ids = {word: i for i, word in enumerate(unigrams)}
-        firsts, seconds, values = [], [], []
-        for feat, value in self.values.items():
-            first, sep, second = feat.partition(" ")
-            if sep:
-                firsts.append(word_ids.setdefault(first, len(word_ids)))
-                seconds.append(word_ids.setdefault(second, len(word_ids)))
-                values.append(value)
-        word_values = np.full(len(word_ids), self.default)
-        word_values[: len(unigrams)] = [self.values[w] for w in unigrams]
-        firsts = np.array(firsts, dtype=np.intp)
-        order = np.argsort(firsts, kind="stable")
-        return IdfIndex(
-            word_ids,
-            word_values,
-            textcore.letter_masks(word_ids),
-            firsts[order],
-            np.array(seconds, dtype=np.intp)[order],
-            np.array(values, dtype=float)[order],
-        )
-
-
-@dataclass(frozen=True)
-class IdfIndex:
-    """An IdfTable's features as arrays over word ids.
-
-    ``word_ids`` numbers every word that is a unigram feature or part of a
-    bigram feature, and ``word_values[i]`` is word i's own idf (the table
-    default for a word seen only in bigrams) and ``word_masks[i]`` its
-    ``textcore.letter_masks`` entry. Entry j of the bigram arrays is the
-    feature ``"first second"`` with first word ``bigram_firsts[j]``, second
-    word ``bigram_seconds[j]`` and idf ``bigram_values[j]``, sorted by
-    first word id.
-    """
-
-    word_ids: Mapping[str, int]
-    word_values: np.ndarray
-    word_masks: np.ndarray
-    bigram_firsts: np.ndarray
-    bigram_seconds: np.ndarray
-    bigram_values: np.ndarray
 
 
 def build_idf(documents: Iterable[str]) -> IdfTable:

@@ -77,11 +77,6 @@ class NGramModel:
         return {token: i for i, token in enumerate(self.tokens)}
 
     @cached_property
-    def letter_masks(self) -> np.ndarray:
-        """``textcore.letter_masks`` of every token, in id order."""
-        return textcore.letter_masks(self.tokens)
-
-    @cached_property
     def backoff_logscores(self) -> np.ndarray:
         """``token_logscore`` of every token after a full context that was
         never seen, in id order, then that of a token outside the

@@ -14,7 +14,7 @@ from __future__ import annotations
 import logging
 from typing import Sequence
 
-from .decoder import ConstraintTables, DecoderConfig, beam_search, multiselect
+from .decoder import ConstraintTables, DecoderConfig, SearchWords, beam_search, multiselect
 from .lexicon import Lexicon, translate_edelete, translate_synonym
 from .metrics import (
     EvaluationReport,
@@ -61,6 +61,7 @@ class Pipeline:
         # embedder; the in-search similarity always uses the built-in one.
         self.select_embedder = select_embedder or TfidfEmbedder(idf)
         self.grammar = grammar or OfflineGrammar()
+        self._words: SearchWords | None = None
         self._tables: ConstraintTables | None = None  # the last ones built
 
     def translate(
@@ -98,7 +99,7 @@ class Pipeline:
                 outputs.append("")
                 failures += 1
                 continue
-            best = multiselect(candidates, source, self.select_embedder, tables.idf)
+            best = multiselect(candidates, source, self.select_embedder, tables.words.idf)
             # Cased before the pronoun pass, which may insert a lowercase alias.
             text = best.text()
             text = text[0].upper() + text[1:]
@@ -111,16 +112,22 @@ class Pipeline:
 
     def _tables_for(self, c: ConstraintSet, M: int) -> ConstraintTables:
         """The ConstraintTables of (c, M) under this pipeline's model and
-        IDF table. The last ones are kept and reused while the constraint,
-        M, the model and the IDF table stay the same; they are released
-        before new ones are built, so no two are ever held."""
+        IDF table. The SearchWords of the model and the IDF table are built
+        on first use and kept while both stay the same; the last tables are
+        kept and reused while the constraint, M and those words stay the
+        same. Old ones are released before new ones are built, so no two
+        are ever held."""
+        words = self._words
+        if words is None or words.model is not self.model or words.idf is not self.idf:
+            self._words = self._tables = None
+            self._words = words = SearchWords(self.model, self.idf)
         last = self._tables
         if not (
             last is not None and last.constraint == c and last.size == M
-            and last.model is self.model and last.idf is self.idf
+            and last.words is words
         ):
             self._tables = None
-            self._tables = ConstraintTables(c, self.model, self.idf, M)
+            self._tables = ConstraintTables(c, words, M)
         return self._tables
 
     def evaluate(

@@ -29,6 +29,7 @@ from lipogram.decoder import (
     DecoderConfig,
     EmptyVocabulary,
     Hypothesis,
+    SearchWords,
     beam_search,
     build_candidate_vocab,
     multiselect,
@@ -187,7 +188,9 @@ def test_criterion_07_beam_oracle_equivalence():
             no_repeat_ngram=rng.choice([2, 3]),
         )
         lexicon = Lexicon({})
-        tables = ConstraintTables(c, model, build_idf(paras), cfg.candidate_vocab_size)
+        tables = ConstraintTables(
+            c, SearchWords(model, build_idf(paras)), cfg.candidate_vocab_size
+        )
         [candidates] = beam_search((source,), tables, cfg, lexicon)
         if isinstance(candidates, Exception):
             raise candidates
@@ -323,7 +326,7 @@ def test_criterion_12_length_bounds():
         c = ConstraintSet.from_string(letters)
         s = len(tokenize(source).words())
         try:
-            tables = ConstraintTables(c, model, idf, cfg.candidate_vocab_size)
+            tables = ConstraintTables(c, SearchWords(model, idf), cfg.candidate_vocab_size)
             [candidates] = beam_search((source,), tables, cfg, lexicon)
             if isinstance(candidates, Exception):
                 raise candidates

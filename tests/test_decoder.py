@@ -31,6 +31,7 @@ from lipogram.decoder import (
     DecoderConfig,
     EmptyVocabulary,
     Hypothesis,
+    SearchWords,
     beam_search,
     build_candidate_vocab,
     multiselect,
@@ -55,15 +56,20 @@ NO_DOCS = build_idf([])  # for tests that read only the tail and the vocabulary
 POOL = ["aa", "bb", "cc", "dd", "ee", "ff", "gg", "hh"]
 
 
+def tables_of(c, model, idf, M):
+    """The ConstraintTables of (c, M) over the SearchWords of (model, idf)."""
+    return ConstraintTables(c, SearchWords(model, idf), M)
+
+
 def vocab_of(source, c, lex, model, M, idf=NO_DOCS):
     """build_candidate_vocab under the ConstraintTables of (c, model, idf, M)."""
-    return build_candidate_vocab(source, ConstraintTables(c, model, idf, M), lex)
+    return build_candidate_vocab(source, tables_of(c, model, idf, M), lex)
 
 
 def search(source, c, cfg, model, idf, lex=EMPTY_LEX):
     """beam_search of source alone under the ConstraintTables of (c, model,
     idf) and the tail size cfg.candidate_vocab_size; a failure is raised."""
-    tables = ConstraintTables(c, model, idf, cfg.candidate_vocab_size)
+    tables = tables_of(c, model, idf, cfg.candidate_vocab_size)
     [found] = beam_search((source,), tables, cfg, lex)
     if isinstance(found, Exception):
         raise found
@@ -73,7 +79,7 @@ def search(source, c, cfg, model, idf, lex=EMPTY_LEX):
 def engine_of(sources, c, cfg, model, idf, M):
     """The engine for the sources, each over its vocabulary, under the
     tables of (c, model, idf, M)."""
-    tables = ConstraintTables(c, model, idf, M)
+    tables = tables_of(c, model, idf, M)
     vocabs = [build_candidate_vocab(source, tables, EMPTY_LEX) for source in sources]
     return _BeamEngine(sources, vocabs, cfg, tables)
 
@@ -418,10 +424,10 @@ def dense_scores(engine, batch, rows, step):
     R = L * B
     mats = np.empty((6, R, V))
     lm, dot, ssq, sim, comb, rank = mats
-    _, (followers, bigrams, source_bigrams, _) = engine._pairs(batch, rows)
+    _, ((pairs, (logs, squares)), source_bigrams) = engine._pairs(batch, rows)
 
     np.copyto(lm.reshape(L, B, V), ln.backoff[:, None])
-    for cells, logs in [followers] + engine._context_writes(batch, rows):
+    for cells, logs in [(pairs, logs)] + engine._context_writes(batch, rows):
         lm.ravel()[cells] = logs
     lm += rows.beam[0, :, None]
     np.copyto(dot.reshape(L, B, V), ln.src_uni[:, None])
@@ -431,7 +437,7 @@ def dense_scores(engine, batch, rows, step):
     if step > 1:
         bigram_sq = sim
         bigram_sq.fill(engine._default_sq)
-        bigram_sq.ravel()[bigrams[0]] = bigrams[1]
+        bigram_sq.ravel()[pairs] = squares
         ssq += bigram_sq
         # Source bigrams are sparse; everywhere else the term is 0.
         dot.ravel()[source_bigrams[0]] += source_bigrams[1]
@@ -648,10 +654,36 @@ class TestPoolScores:
     and bigrams, where the tf > 1 sum-of-squares corrections apply. The
     engine runs three sources in one batch with an unreachable k, so every
     lane goes to its maximum length and every pooled hypothesis comes
-    back."""
+    back.
+
+    The IDF table is built from other documents than the model: two of the
+    model's three paragraphs, and one with words the model lacks ("qi",
+    "pup"), which the sources use too. So the step's pairs include LM
+    continuations that are no IDF bigram and IDF bigrams that are no LM
+    continuation, each with the other value filled in, and vocabularies
+    include words only the IDF table knows."""
 
     def test_every_pooled_hypothesis_rescored(self):
         repeated_bigrams = 0
+        reached = {"lm only": 0, "idf only": 0, "idf word": 0}
+        real = _BeamEngine._pairs
+
+        def recording(engine, batch, rows):
+            """``_pairs``, counting the pairs of the step by kind."""
+            found = real(engine, batch, rows)
+            (cells, _), _ = found[1]
+            row, second = np.divmod(cells, batch.V)
+            lane = row // rows.B
+            for r, j, w in zip(row, lane, second):
+                para = engine.paragraphs[batch.lanes.ids[j]]
+                k = rows.keys[r] - batch.lanes.keys[j]
+                first = para.vocab[k] if k < len(para.vocab) else BOS
+                lm = para.vocab[w] in engine.model.continuations((first,))
+                idf = f"{first} {para.vocab[w]}" in engine.tables.words.idf.values
+                reached["lm only"] += lm and not idf
+                reached["idf only"] += idf and not lm
+            return found
+
         for i in range(20):
             rng = random.Random(2000 + i)
             words = POOL[: rng.randint(2, 4)]
@@ -660,14 +692,23 @@ class TestPoolScores:
                 for _ in range(3)
             ]
             model = train("\n\n".join(paras), order=rng.choice([2, 3, 4]))
-            idf = build_idf(paras)
+            more = words + ["qi", "pup"]
+            idf = build_idf(
+                paras[:2] + [" ".join(rng.choice(more) for _ in range(rng.randint(3, 8)))]
+            )
             sources = [
-                " ".join(rng.choice(words) for _ in range(rng.randint(3, 7)))
+                " ".join(rng.choice(more) for _ in range(rng.randint(3, 7)))
                 for _ in range(3)
             ]
             cfg = DecoderConfig(beam_width=12, candidates_k=1, no_repeat_ngram=6)
             engine = engine_of(sources, NO_CONSTRAINT, cfg, model, idf, 10)
-            for source, pool in zip(sources, engine.run(unreachable_k(engine))):
+            reached["idf word"] += sum(
+                w in idf.values and w not in model.vocabulary
+                for p in engine.paragraphs for w in p.vocab
+            )
+            with mock.patch.object(_BeamEngine, "_pairs", recording):
+                pools = engine.run(unreachable_k(engine))
+            for source, pool in zip(sources, pools):
                 source_vec = embed(source, idf)
                 for h in pool:
                     assert h.lm_score == model.sequence_logscore(list(h.tokens))
@@ -675,6 +716,7 @@ class TestPoolScores:
                     assert abs(h.sim_score - full) < 1e-9, (i, h.tokens)
                     repeated_bigrams += has_repeated_ngram(h.tokens, 2)
         assert repeated_bigrams > 0
+        assert min(reached.values()) > 0, reached
 
 
 def reference_search(source, c, cfg, model, idf):
@@ -755,7 +797,7 @@ class TestEarlyStop:
         )
         c = ConstraintSet.from_string("".join(letters))
         sources = [" ".join(s) for s in sources]
-        tables = ConstraintTables(c, model, idf, cfg.candidate_vocab_size)
+        tables = tables_of(c, model, idf, cfg.candidate_vocab_size)
         with mock.patch.object(decoder, "MAX_LOCKSTEP_CELLS", budget):
             batched = beam_search(tuple(sources), tables, cfg, EMPTY_LEX)
         for source, found in zip(sources, batched):
@@ -1084,7 +1126,7 @@ class TestMultiselect:
         """A search of a source made of "scan" and the pieces of its
         synonyms, weighted toward similarity; returns (source, tables,
         its candidates)."""
-        tables = ConstraintTables(
+        tables = tables_of(
             ConstraintSet.from_string("n"), train("\n\n".join(self.XRAY_PARAS), order=2),
             build_idf(self.XRAY_PARAS), 0,
         )
@@ -1098,11 +1140,11 @@ class TestMultiselect:
     def test_sim_scores_are_used_only_when_tokens_are_words(self):
         source, tables, found = self.xray_search()
         assert all(canonical_words(h.text()) == list(h.tokens) for h in found)
-        embedder = TfidfEmbedder(tables.idf)
+        embedder = TfidfEmbedder(tables.words.idf)
         with mock.patch.object(
             decoder, "most_similar", wraps=metrics.most_similar
         ) as spy:
-            multiselect(found, source, embedder, tables.idf)
+            multiselect(found, source, embedder, tables.words.idf)
         assert spy.call_args.args[3] == [h.sim_score for h in found]
 
     def test_a_synonym_that_is_not_one_word_is_scored_exactly(self):
@@ -1111,9 +1153,9 @@ class TestMultiselect:
         # every text.
         source, tables, found = self.xray_search()
         assert {t for h in found for t in h.tokens} <= {"ray", "xray"}
-        embedder = TfidfEmbedder(tables.idf)
+        embedder = TfidfEmbedder(tables.words.idf)
         sims = similarities(embedder, source, [h.text() for h in found])
-        chosen = multiselect(found, source, embedder, tables.idf)
+        chosen = multiselect(found, source, embedder, tables.words.idf)
         assert chosen is found[sims.index(max(sims))]
 
 
@@ -1137,7 +1179,7 @@ class TestSimScorePrecondition:
             for _ in range(rng.randint(1, 4))
         ]
         model = train("\n\n".join(paras), order=rng.choice([2, 3]))
-        tables = ConstraintTables(
+        tables = tables_of(
             ConstraintSet.from_string(rng.choice(["", "h", "ab"])),
             model, build_idf(paras), 8,
         )
@@ -1149,7 +1191,7 @@ class TestSimScorePrecondition:
             beam_width=6, candidates_k=3, candidate_vocab_size=8, mode=mode,
             seed=rng.randint(0, 9), no_repeat_ngram=rng.choice([2, 3, 6]),
         )
-        embedder = TfidfEmbedder(tables.idf)
+        embedder = TfidfEmbedder(tables.words.idf)
         for source, found in zip(sources, beam_search(sources, tables, cfg, EMPTY_LEX)):
             if isinstance(found, Exception):
                 continue
@@ -1185,7 +1227,7 @@ class TestSimScorePrecondition:
         ]
         model = train("\n\n".join(paras), order=rng.choice([2, 3]))
         M = rng.choice([0, 8])
-        tables = ConstraintTables(
+        tables = tables_of(
             ConstraintSet.from_string(rng.choice(["h", "g", "gh"])),
             model, build_idf([*paras, "x ray mp bb dd caf"]), M,
         )
@@ -1197,7 +1239,7 @@ class TestSimScorePrecondition:
             beam_width=6, candidates_k=rng.choice([3, 6]), candidate_vocab_size=M,
             mode=mode, seed=rng.randint(0, 9), lambda_lm=rng.choice([0.0, 0.2]),
         )
-        embedder = TfidfEmbedder(tables.idf)
+        embedder = TfidfEmbedder(tables.words.idf)
         for source, found in zip(sources, beam_search(sources, tables, cfg, self.LEX)):
             if isinstance(found, Exception):
                 continue
@@ -1207,7 +1249,7 @@ class TestSimScorePrecondition:
                 (exact,) = similarities(embedder, source, [text])
                 assert abs(h.sim_score - exact) <= similarity_bound([text])
             sims = similarities(embedder, source, texts)
-            chosen = multiselect(found, source, embedder, tables.idf)
+            chosen = multiselect(found, source, embedder, tables.words.idf)
             assert chosen is found[sims.index(max(sims))]
 
 
@@ -1293,38 +1335,55 @@ def per_paragraph_build(source, vocab, model, idf):
     return lm, bigram_sq, np.array(backoff), idf_uni, src_uni, src_bi
 
 
-def dense(pair_rows, keys, n_cols):
+def dense(pair_rows, keys, n_cols, plane=0):
+    """One plane of the values of the pair rows of these keys, as a
+    matrix with NaN where no pair is stored."""
     out = np.full((len(keys), n_cols), np.nan)
     rows, seconds, values = pair_rows.pairs(keys)
-    out[rows, seconds] = values
+    out[rows, seconds] = values[plane]
     return out
 
 
+def filled(lm, bigram_sq, backoff, default):
+    """The pair planes a paragraph's pair block must hold, from the
+    per-paragraph build's LM and IDF-bigram-square matrices: a pair in
+    either, each plane filled where only the other has it, with what a
+    cell outside every pair gets (the second word's backoff score, the
+    default idf squared). BOS has no IDF bigrams."""
+    sq = np.vstack((bigram_sq, np.full((1, len(backoff)), np.nan)))
+    pair = ~np.isnan(lm) | ~np.isnan(sq)
+    return (
+        np.where(np.isnan(lm) & pair, backoff, lm),
+        np.where(np.isnan(sq) & pair, default**2, sq),
+    )
+
+
 def paragraph_arrays(paras, tables):
-    """Each paragraph's arrays as the per-paragraph build returns them,
-    its pair rows read at its own keys of one gather of the whole batch.
+    """Each paragraph's arrays, its pair rows read at its own keys of one
+    gather of the whole batch: the LM and IDF-bigram-square planes of its
+    pair block, its backoff, idf, source-word and source-bigram arrays.
     The key past every paragraph must have no pairs in any block, and a
     paragraph's source words must be its words of non-zero source weight,
     with that weight."""
     offsets, pairs, _ = _batch_pair_rows(paras, tables)
     K = offsets[-1] + 1  # the keys of each block
-    for block in range(3):
+    for block in range(2):
         assert len(pairs.pairs(offsets[-1:] + block * K)[0]) == 0
-    assert len(pairs.pairs(np.array([3 * K + len(paras)]))[0]) == 0
+    assert len(pairs.pairs(np.array([2 * K + len(paras)]))[0]) == 0
     arrays = []
     for i, (para, first) in enumerate(zip(paras, offsets)):
         n = len(para.vocab)
         keys = first + np.arange(n + 1)  # the vocabulary, then BOS
-        _, words, weights = pairs.pairs(np.array([3 * K + i]))
+        _, words, weights = pairs.pairs(np.array([2 * K + i]))
         assert words.tolist() == np.flatnonzero(para.src_uni).tolist()
-        assert weights.tolist() == para.src_uni[words].tolist()
+        assert weights[0].tolist() == para.src_uni[words].tolist()
         arrays.append((
             dense(pairs, keys, n),
-            dense(pairs, keys[:-1] + K, n),
+            dense(pairs, keys, n, plane=1),
             para.backoff,
             para.idf_uni,
             para.src_uni,
-            dense(pairs, keys[:-1] + 2 * K, n),
+            dense(pairs, keys[:-1] + K, n),
         ))
     return arrays
 
@@ -1372,7 +1431,7 @@ class TestConstraintTables:
         c = ConstraintSet.from_string(letters)
         sources = [" ".join(source) for source in sources]
         lex = toy_lexicon()
-        tables = ConstraintTables(c, model, idf, M)
+        tables = tables_of(c, model, idf, M)
         decoded = []  # (source, vocabulary) of the sources with one
         for s in sources:
             try:
@@ -1381,11 +1440,16 @@ class TestConstraintTables:
                 pass
         if not decoded:
             return
+        # Model tokens keep their token ids.
+        assert all(tables.words.ids[t] == i for i, t in enumerate(model.tokens))
         cfg = DecoderConfig(candidate_vocab_size=M)
-        expected = [per_paragraph_build(s, v, model, idf) for s, v in decoded]
+        expected = []
+        for s, v in decoded:
+            lm, bigram_sq, backoff, *rest = per_paragraph_build(s, v, model, idf)
+            expected.append((*filled(lm, bigram_sq, backoff, idf.default), backoff, *rest))
         # Tables of another constraint and M (none, and no tail) give the
         # same arrays.
-        for built in (tables, ConstraintTables(NO_CONSTRAINT, model, idf, 0)):
+        for built in (tables, ConstraintTables(NO_CONSTRAINT, tables.words, 0)):
             batch = [_Paragraph(s, v, cfg, built) for s, v in decoded]
             for arrays, want in zip(paragraph_arrays(batch, built), expected):
                 for got, value in zip(arrays, want):
@@ -1393,22 +1457,22 @@ class TestConstraintTables:
 
     def test_fewer_legal_words_than_m_take_them_all(self):
         model = train("my shy sky\n\nby my fly\n\nthe cat sat")
-        tables = ConstraintTables(
+        tables = tables_of(
             ConstraintSet.from_string("aeiou"), model, build_idf(["my"]), 50
         )
-        assert sorted(tables.words) == ["by", "fly", "my", "shy", "sky"]
+        assert sorted(tables.tail) == ["by", "fly", "my", "shy", "sky"]
 
     def test_vocabulary_must_be_legal_under_the_tables(self):
         model = train("the cat sat\n\nmy shy sky")
         idf = build_idf(["the cat"])
-        tables = ConstraintTables(ConstraintSet.from_string("e"), model, idf, 5)
+        tables = tables_of(ConstraintSet.from_string("e"), model, idf, 5)
         with pytest.raises(ValueError, match="constraint"):
             _Paragraph("the cat", ["the", "cat"], DecoderConfig(), tables)
 
     def test_beam_search_rejects_tables_of_another_tail_size(self):
         model = train("the cat sat\n\nmy shy sky")
-        tables = ConstraintTables(ConstraintSet.from_string("e"), model,
-                                  build_idf(["the cat"]), 499)
+        tables = tables_of(ConstraintSet.from_string("e"), model,
+                           build_idf(["the cat"]), 499)
         with pytest.raises(ValueError, match="candidate_vocab_size"):
             beam_search(("a cat sat",), tables, DecoderConfig(), EMPTY_LEX)
 
@@ -1461,7 +1525,7 @@ class TestLockstep:
             min_ratio=ratios[0], max_ratio=ratios[1], no_repeat_ngram=no_repeat,
             candidate_vocab_size=M, mode=mode, seed=len(sources),
         )
-        tables = ConstraintTables(
+        tables = tables_of(
             ConstraintSet.from_string(letters), model, build_idf(texts), M
         )
 
@@ -1476,8 +1540,8 @@ class TestLockstep:
 
     def test_failures_are_returned_in_place(self):
         model = train("aa bb cc dd\n\nbb cc dd aa")
-        tables = ConstraintTables(ConstraintSet.from_string("a"), model,
-                                  build_idf(["aa bb"]), 0)
+        tables = tables_of(ConstraintSet.from_string("a"), model,
+                           build_idf(["aa bb"]), 0)
         cfg = DecoderConfig(beam_width=4, candidates_k=2, candidate_vocab_size=0,
                             min_ratio=0.5, max_ratio=0.55)
         found = beam_search(
@@ -1491,7 +1555,7 @@ class TestLockstep:
 
     def test_a_string_is_not_a_batch(self):
         model = train("aa bb")
-        tables = ConstraintTables(NO_CONSTRAINT, model, NO_DOCS, 10)
+        tables = tables_of(NO_CONSTRAINT, model, NO_DOCS, 10)
         with pytest.raises(TypeError):
             beam_search("aa bb", tables, DecoderConfig(candidate_vocab_size=10),
                         EMPTY_LEX)
@@ -1518,7 +1582,7 @@ class TestLockstepBatches:
 
     def test_the_engine_runs_those_batches(self):
         model = train("aa bb cc dd ee\n\nbb cc dd ee aa")
-        tables = ConstraintTables(NO_CONSTRAINT, model, NO_DOCS, 10)
+        tables = tables_of(NO_CONSTRAINT, model, NO_DOCS, 10)
         cfg = DecoderConfig(beam_width=4, candidates_k=2, candidate_vocab_size=10)
         sources = ["aa bb cc", "bb cc dd ee", "cc", "dd ee aa bb", "ee aa"]
         vocabs = [build_candidate_vocab(s, tables, EMPTY_LEX) for s in sources]
@@ -1694,6 +1758,18 @@ class TestSetUpLevel:
         monkeypatch.setattr(ConstraintTables, "__init__", counting)
         return calls
 
+    @pytest.fixture()
+    def word_builds(self, monkeypatch):
+        calls = []
+        real_init = SearchWords.__init__
+
+        def counting(self, *args):
+            calls.append(args)
+            real_init(self, *args)
+
+        monkeypatch.setattr(SearchWords, "__init__", counting)
+        return calls
+
     def pipeline(self):
         from lipogram.pipeline import Pipeline
 
@@ -1711,9 +1787,10 @@ class TestSetUpLevel:
         pipeline.translate(paras, ConstraintSet.from_string("o"), "beam")
         assert builds == ["e", "o"]
 
-    def test_last_tables_are_reused(self, builds):
+    def test_last_tables_are_reused(self, builds, word_builds):
         """Calls under one constraint set and M build once; a new set, a
-        new M, a new model or a new IDF table builds anew."""
+        new M, a new model or a new IDF table builds anew. The SearchWords
+        are built anew only for a new model or IDF table."""
         pipeline = self.pipeline()
         paras = self.CORPUS.split("\n\n")[:2]
         e, o = ConstraintSet.from_string("e"), ConstraintSet.from_string("o")
@@ -1728,21 +1805,26 @@ class TestSetUpLevel:
         assert builds == ["e", "o", "e"]
         pipeline.translate(paras, e, "beam", DecoderConfig(candidate_vocab_size=7))
         assert builds == ["e", "o", "e", "e"]
+        assert len(word_builds) == 1
         pipeline.model = train(self.CORPUS)
         pipeline.translate(paras, e, "beam", DecoderConfig(candidate_vocab_size=7))
         assert builds == ["e", "o", "e", "e", "e"]
+        assert len(word_builds) == 2
         pipeline.idf = build_idf(paras)
         pipeline.translate(paras, e, "beam", DecoderConfig(candidate_vocab_size=7))
         assert builds == ["e", "o", "e", "e", "e", "e"]
+        assert len(word_builds) == 3
 
     @pytest.mark.parametrize("n_paragraphs", [1, 4])
-    def test_one_build_per_sweep_set(self, builds, n_paragraphs):
+    def test_one_build_per_sweep_set(self, builds, word_builds, n_paragraphs):
+        """A sweep builds tables once per set, over one SearchWords."""
         from lipogram.sweep import default_constraint_sets, run_sweep
 
         sets = default_constraint_sets()[:3] + default_constraint_sets()[-1:]
         points = run_sweep(self.CORPUS, sets, n_paragraphs, self.pipeline())
         assert len(points) == len(sets)
         assert builds == [c.as_string() for _, c in sets]
+        assert len(word_builds) == 1
 
 
 class TestBeamCellCap:

@@ -191,6 +191,23 @@ class TestTranslateSynonym:
         out = translate_synonym(text, E, self.LEX)
         assert all(not violates(w, E) for w in tokenize(out).words())
 
+    def test_casing_cannot_bring_back_a_forbidden_letter(self, tmp_path):
+        """A synonym is checked in the case it is written in: "groß" has
+        no "s", but "GROSS" does, and "ﬁx" has no "f" or "i", but "FIX"
+        and "Fix" do. The next synonym that stays legal is used ("ﬁx"
+        ranks above "mend"), or the word's letters are stripped."""
+        lex = load_lexicon(write_lexicon(
+            tmp_path,
+            "vast\tvast\tgroß\t5\nfix\tfix\tﬁx,mend\t5\nﬁx\tﬁx\t\t9\n",
+        ))
+        s = ConstraintSet.from_string("s")
+        assert translate_synonym("VAST lawn", s, lex) == "VAT lawn"
+        assert translate_synonym("vast lawn", s, lex) == "groß lawn"
+        f = ConstraintSet.from_string("f")
+        assert translate_synonym("FIX it", f, lex) == "MEND it"
+        assert translate_synonym("Fix it", f, lex) == "Mend it"
+        assert translate_synonym("fix it", f, lex) == "ﬁx it"
+
 
 def edelete_by_tokens(paragraph, c):
     """The token-walk E-delete, kept as the oracle for the regex rewrite."""
@@ -207,11 +224,11 @@ def synonym_by_tokens(paragraph, c, lex):
         if tok.kind != "word" or not violates(tok.text, c):
             out.append(tok.text)
             continue
-        synonyms = constraint_free_synonyms(tok.text, c, lex)
-        if synonyms:
-            out.append(_transfer_case(synonyms[0], tok.text))
-        else:
-            out.append(strip_letters(tok.text, c))
+        cased = [
+            _transfer_case(s, tok.text) for s in constraint_free_synonyms(tok.text, c, lex)
+        ]
+        legal = [s for s in cased if not violates(s, c)]
+        out.append(legal[0] if legal else strip_letters(tok.text, c))
     return "".join(out)
 
 

@@ -16,7 +16,6 @@ from lipogram.decoder import DecoderConfig, Hypothesis, multiselect
 from lipogram.lexicon import Lexicon
 from lipogram.metrics import (
     EmbedProviderError,
-    IdfTable,
     RemoteEmbedder,
     TfidfEmbedder,
     build_idf,
@@ -102,22 +101,6 @@ class TestIdf:
         assert IDF.value("cat") == IDF_DF1
         assert IDF.value("cat sat") == IDF_DF1
         assert IDF.value("never seen") == IDF_DF0
-
-    def test_index_holds_every_feature(self):
-        idf = IdfTable({"a": 1.5, "a b": 2.5, "c d": 3.5, "b": 1.25}, 4, 9.0)
-        index = idf.index
-        words = {i: w for w, i in index.word_ids.items()}
-        assert set(index.word_ids) == {"a", "b", "c", "d"}
-        assert {w: index.word_values[i] for w, i in index.word_ids.items()} == {
-            "a": 1.5, "b": 1.25, "c": 9.0, "d": 9.0
-        }
-        bigrams = {
-            f"{words[f]} {words[s]}": v
-            for f, s, v in zip(
-                index.bigram_firsts, index.bigram_seconds, index.bigram_values
-            )
-        }
-        assert bigrams == {"a b": 2.5, "c d": 3.5}
 
     def test_df_counts_documents_not_occurrences(self):
         idf = build_idf(["word word word", "other"])
