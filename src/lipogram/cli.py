@@ -34,7 +34,7 @@ from .metrics import (
     e_score,
     report_json,
 )
-from .ngram import DEFAULT_ORDER, NGramModel, load as load_model, train
+from .ngram import DEFAULT_ORDER, NGramModel, load, train
 from .passes import GrammarProviderError, make_grammar_provider
 from .pipeline import METHODS, Pipeline
 from .sweep import (
@@ -260,7 +260,7 @@ class _Run:
         """Loaded or trained on first use, by the commands that decode."""
         if self.args.model:
             try:
-                return load_model(self.args.model)
+                return load(self.args.model)
             except OSError as exc:
                 raise _IoError(f"cannot read model {self.args.model}: {exc}") from exc
         return train(self.corpus, order=self.args.order)
@@ -296,7 +296,7 @@ class _UsageError(RuntimeError):
 def cmd_train(run: _Run) -> int:
     path = run.out_dir / "model.ngram"
     run.model.save(path)
-    grams = sum(len(t) for t in run.model.tables)
+    grams = sum(len(keys) for keys in run.model.keys)
     print(
         f"trained order-{run.model.order} model: {grams} distinct n-grams, "
         f"{len(run.model.vocabulary)} word vocabulary -> {path}"

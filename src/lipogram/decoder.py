@@ -19,13 +19,16 @@ to the maximum length.
 
 Set-up is done once at the level where its data lives:
 
-- Corpus: ``NGramModel`` builds, lazily on first use and cached on it,
-  the frequency-ranked word list, each token's score after an unseen
-  context (``backoff_logscores``) and every context's continuations as
-  token ids with their scores (``ContinuationIndex``, which finds a
-  context from its token ids through sorted int64 keys). Both scores
-  already carry their backoff penalties, so the decoder never applies
-  one itself. ``SearchWords``, built once per model and IDF table, gives
+- Corpus: ``NGramModel`` holds its counts as one sorted int64 key array
+  and one count array per order, and reads off them, lazily on first
+  use and cached on it, the frequency-ranked word list, each token's
+  score after an unseen context (``backoff_logscores``) and every
+  context's continuations as token ids with their scores
+  (``ContinuationIndex``, whose rows are the distinct prefixes of each
+  order's keys, and which finds a context from its token ids through
+  sorted int64 keys). Both scores already carry their backoff
+  penalties, so the decoder never applies one itself. ``SearchWords``,
+  built once per model and IDF table, gives
   every word the search can know one id (the model's tokens keep their
   token ids), holds each id's letter mask, backoff score and idf, and
   keeps one pair block: every one-word-context LM continuation and IDF

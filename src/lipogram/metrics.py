@@ -118,8 +118,7 @@ class RemoteEmbedder:
             headers={"Content-Type": "application/json"},
         )
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as resp:
-                body = json.load(resp)
+            body = json.loads(fetch(request, self.timeout))
         except (urllib.error.URLError, OSError, ValueError) as exc:
             raise EmbedProviderError(
                 f"embedding endpoint {self.endpoint!r} failed: {exc}"
@@ -148,6 +147,27 @@ class RemoteEmbedder:
                 else {}
             )
         return out
+
+
+def fetch(request: urllib.request.Request, timeout: float) -> bytes:
+    """The body of the reply to ``request``, raising as ``urlopen`` does.
+
+    A connection error, a timeout or a 5xx reply is retried once, with the
+    same timeout: a remote provider may drop one request while it starts
+    or restarts. A 4xx reply is not retried, since the same request would
+    be refused again, and a malformed reply is the caller's to reject.
+    """
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as resp:
+            return resp.read()
+    except urllib.error.HTTPError as exc:
+        exc.close()
+        if exc.code < 500:
+            raise
+    except OSError:  # URLError, and a timeout while reading
+        pass
+    with urllib.request.urlopen(request, timeout=timeout) as resp:
+        return resp.read()
 
 
 def _is_finite_vector(value) -> bool:

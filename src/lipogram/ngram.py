@@ -7,14 +7,14 @@ for unseen tokens. Scores are log-ratios, not normalized log-probabilities,
 which is all the beam search needs for ranking.
 
 Training counts lowercased word tokens per paragraph, padding each paragraph
-with order-1 leading ``<s>`` markers and one trailing ``</s>``.
+with order-1 leading ``<s>`` markers and one trailing ``</s>``. The counts
+are held as sorted int64 arrays (see ``NGramModel``).
 """
 
 from __future__ import annotations
 
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -23,7 +23,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import textcore
-from .textcore import split_paragraphs
 
 BOS = "<s>"
 EOS = "</s>"
@@ -34,43 +33,54 @@ DEFAULT_ALPHA = 0.4
 _HEADER_RE = re.compile(r"NGRAM-LM v1 order=(\d+) alpha=([0-9.eE+-]+)\Z")
 
 
-@dataclass
+@dataclass(eq=False)
 class NGramModel:
     """Immutable-by-convention n-gram counts plus backoff weight.
 
-    ``tables[k-1]`` maps k-token tuples to counts. The unigram table always
-    exists; higher tables are present up to ``order``.
+    ``words`` is every token of any gram, and BOS and EOS, sorted; a
+    token's number is its position there. ``keys[k-1]`` holds the sorted
+    keys of the k-grams and ``counts[k-1]`` their counts. A unigram's key
+    is its number, and a k-gram's is (rank of its prefix among the sorted
+    (k-1)-grams) x len(words) + (number of its last token), so keys sort
+    as the grams' string tuples do and stay below (number of grams) x
+    len(words). Each order has a gram, and each gram's prefix is a gram.
     """
 
     order: int
     alpha: float
-    tables: tuple[dict[tuple[str, ...], int], ...]
-    vocabulary: frozenset[str] = field(repr=False)
+    words: tuple[str, ...] = field(repr=False)
+    keys: tuple[np.ndarray, ...] = field(repr=False)
+    counts: tuple[np.ndarray, ...] = field(repr=False)
 
     @cached_property
     def total(self) -> int:
         """Summed unigram count (the denominator of the unigram floor)."""
-        return sum(self.tables[0].values())
-
-    @cached_property
-    def ranked_words(self) -> tuple[str, ...]:
-        """Unigram words by count desc, then alphabetically; no BOS/EOS."""
-        uni = self.tables[0]
-        return tuple(
-            word
-            for _, word in sorted(
-                (-count, word)
-                for (word,), count in uni.items()
-                if word not in (BOS, EOS)
-            )
-        )
+        return sum(self.counts[0].tolist())
 
     @cached_property
     def tokens(self) -> tuple[str, ...]:
         """Every vocabulary token once: ``ranked_words``, then the rest
         (BOS, EOS) sorted. A token's position here is its id."""
-        rest = self.vocabulary.difference(self.ranked_words)
-        return self.ranked_words + tuple(sorted(rest))
+        uni, markers = self.keys[0], np.searchsorted(self.words, [EOS, BOS])
+        ranked = uni[np.lexsort((uni, -self.counts[0]))]
+        order = np.append(ranked[~np.isin(ranked, markers)], markers)
+        return tuple(self.words[i] for i in order.tolist())
+
+    @cached_property
+    def _word_tokens(self) -> np.ndarray:
+        """The token id of each word number, -1 outside the vocabulary."""
+        ids = np.full(len(self.words), -1, dtype=np.intp)
+        ids[[self._word_numbers[t] for t in self.tokens]] = np.arange(len(self.tokens))
+        return ids
+
+    @cached_property
+    def ranked_words(self) -> tuple[str, ...]:
+        """Unigram words by count desc, then alphabetically; no BOS/EOS."""
+        return self.tokens[:-2]
+
+    @cached_property
+    def vocabulary(self) -> frozenset[str]:
+        return frozenset(self.tokens)
 
     @cached_property
     def token_ids(self) -> dict[str, int]:
@@ -80,115 +90,111 @@ class NGramModel:
     def backoff_logscores(self) -> np.ndarray:
         """``token_logscore`` of every token after a full context that was
         never seen, in id order, then that of a token outside the
-        vocabulary (the entry of id -1). The empty string is neither a
-        token nor part of any gram, so it stands for both unseen words."""
-        unseen = ("",) * (self.order - 1)
-        return np.array([self._score(unseen, t) for t in self.tokens + ("",)])
+        vocabulary (the entry of id -1): ``_score``'s unigram score with
+        log(alpha) added order-1 times, right-associated as it adds it."""
+        counts = np.zeros(len(self.tokens) + 1, dtype=np.int64)
+        counts[self._word_tokens[self.keys[0]]] = self.counts[0]
+        floor = math.log(1.0 / (self.total + len(self.vocabulary)))
+        scores = np.array([math.log(c / self.total) if c else floor for c in counts.tolist()])
+        for _ in range(self.order - 1):
+            scores = math.log(self.alpha) + scores
+        return scores
 
     @cached_property
     def continuation_index(self) -> "ContinuationIndex":
         """The continuations of every attested context, as flat arrays."""
-        size = sum(len(table) for table in self.tables[1:])
-        ids = np.empty(size, dtype=np.intp)
-        logs = np.empty(size)
-        rows: dict[tuple[str, ...], int] = {}  # only while building
-        radix = len(self.tokens) + 1
-        keys: list[list[int]] = [[] for _ in range(self.order - 2)]
-        key_rows: list[list[int]] = [[] for _ in range(self.order - 2)]
-        starts: list[int] = []  # each row's first entry
-        n = 0
-        token_rows = np.full(len(self.tokens) + 1, -1, dtype=np.intp)
-        log_alpha = math.log(self.alpha)
-        for k in range(2, self.order + 1):
-            table, prefixes = self.tables[k - 1], self.tables[k - 2]
-            # Sorted grams come grouped by context, in context order. Every
-            # gram's context is attested with a positive count (``train``
-            # and ``load`` guarantee it), so each group opens a row.
-            ctx = None
-            for gram in sorted(table):
-                if gram[:-1] != ctx:
-                    ctx = gram[:-1]
-                    c_ctx = prefixes[ctx]
-                    row = rows[ctx] = len(starts)
-                    starts.append(n)
-                    if k == 2:
-                        token_rows[self.token_ids[ctx[0]]] = row
-                    else:
-                        keys[k - 3].append(
-                            rows[ctx[:-1]] * radix + self.token_ids.get(ctx[-1], -1) + 1
-                        )
-                        key_rows[k - 3].append(row)
-                ids[n] = self.token_ids.get(gram[-1], -1)
-                score = math.log(table[gram] / c_ctx)
-                for _ in range(self.order - k):
-                    score = log_alpha + score
-                logs[n] = score
-                n += 1
-        starts += [n, n]  # the end of the last row, and the empty row
-        empty = len(starts) - 2
-        token_rows[token_rows < 0] = empty
-        key_tables = []
-        for j_keys, j_rows in zip(keys, key_rows):
-            j_keys = np.array(j_keys, dtype=np.int64)
-            by_key = np.argsort(j_keys)
-            # A sentinel above every key keeps searchsorted in range.
-            key_tables.append((
-                np.append(j_keys[by_key], np.iinfo(np.int64).max),
-                np.append(np.array(j_rows, dtype=np.intp)[by_key], empty),
-            ))
+        n, token_of, radix = len(self.words), self._word_tokens, len(self.tokens) + 1
+        # The sorted k-grams come grouped by context, in context order: one
+        # row per distinct prefix, numbered on from the order below's.
+        grouped = [np.unique(keys // n, return_index=True) for keys in self.keys[1:]]
+        first_row = np.cumsum([0] + [len(contexts) for contexts, _ in grouped])
+        first_entry = np.cumsum([0] + [len(keys) for keys in self.keys[1:]])
+        token_rows = np.full(radix, first_row[-1], dtype=np.intp)  # the empty row
+        starts, logs, key_tables = [], [np.empty(0)], []
+        for k, (contexts, first) in enumerate(grouped, start=2):
+            row_of = np.empty(len(self.keys[k - 2]), dtype=np.intp)  # by rank
+            row_of[contexts] = np.arange(first_row[k - 2], first_row[k - 1])
+            if k == 2:
+                token_rows[token_of[self.keys[0][contexts]]] = row_of[contexts]
+            else:
+                head, tail = np.divmod(self.keys[k - 2][contexts], n)
+                keys = prefix_rows[head] * radix + token_of[tail] + 1
+                by_key = np.argsort(keys)
+                # A sentinel above every key keeps searchsorted in range.
+                key_tables.append((
+                    np.append(keys[by_key], np.iinfo(np.int64).max),
+                    np.append(row_of[contexts][by_key], first_row[-1]),
+                ))
+            starts.append(first_entry[k - 2] + first)
+            ratios = (self.counts[k - 1] / self.counts[k - 2][self.keys[k - 1] // n]).tolist()
+            logs.append(np.fromiter(map(math.log, ratios), float, len(ratios)))
+            for _ in range(self.order - k):
+                logs[-1] = math.log(self.alpha) + logs[-1]
+            prefix_rows = row_of
+        last = np.concatenate([np.empty(0, np.int64)] + [keys % n for keys in self.keys[1:]])
         return ContinuationIndex(
-            np.array(starts), ids, logs, token_rows, tuple(key_tables)
+            np.concatenate(starts + [first_entry[-1:]] * 2), token_of[last],
+            np.concatenate(logs), token_rows, tuple(key_tables),
         )
+
+    def grams(self, k: int) -> list[tuple[tuple[str, ...], int]]:
+        """The k-grams with their counts, sorted (the order ``save`` writes)."""
+        words, columns = np.array(self.words, dtype=object), []
+        rank = np.arange(len(self.keys[k - 1]))
+        for j in range(k, 0, -1):
+            rank, last = np.divmod(self.keys[j - 1][rank], len(self.words))
+            columns.append(words[last])
+        return list(zip(zip(*reversed(columns)), self.counts[k - 1].tolist()))
+
+    @cached_property
+    def _word_numbers(self) -> dict[str, int]:
+        return {word: i for i, word in enumerate(self.words)}
 
     def count(self, gram: Sequence[str]) -> int:
         key = tuple(gram)
         if not 1 <= len(key) <= self.order:
             return 0
-        return self.tables[len(key) - 1].get(key, 0)
+        (rank,) = _ranks(self.keys, self._word_numbers, [key])
+        return int(self.counts[len(key) - 1][rank]) if rank >= 0 else 0
 
     def continuations(self, context: Sequence[str]) -> Mapping[str, int]:
-        """All attested next tokens after ``context`` with their full-gram
-        counts. Empty mapping when the context itself is unattested."""
+        """All attested next vocabulary tokens after ``context`` with their
+        full-gram counts, read through the continuation index. Empty when
+        the context is unattested or holds a token outside the vocabulary."""
         key = tuple(context)
-        if not 1 <= len(key) < self.order:
+        if not 1 <= len(key) < self.order or (ids := self.context_ids([key])).min() < 0:
             return {}
         index = self.continuation_index
-        (lo,), (hi,) = index.spans(self.context_ids([key]))
-        return {
-            self.tokens[i]: self.tables[len(key)][key + (self.tokens[i],)]
-            for i in index.ids[lo:hi]
-            if i >= 0
-        }
+        (lo,), (hi,) = index.spans(ids)
+        # The index's entries are the keys of the orders above 1, in order.
+        skip = sum(map(len, self.keys[1:len(key)]))
+        counts = self.counts[len(key)][lo - skip:hi - skip].tolist()
+        return {self.tokens[i]: c for i, c in zip(index.ids[lo:hi].tolist(), counts) if i >= 0}
 
     def context_ids(self, contexts: Sequence[Sequence[str]]) -> np.ndarray:
         """Token ids of equal-length contexts, one row each; -1 for a
         token outside the vocabulary."""
         get = self.token_ids.get
-        return np.array(
-            [[get(t, -1) for t in ctx] for ctx in contexts], dtype=np.intp
-        ).reshape(len(contexts), -1)
+        ids = [[get(t, -1) for t in ctx] for ctx in contexts]
+        return np.array(ids, dtype=np.intp).reshape(len(contexts), -1)
 
     def token_logscore(self, context: Sequence[str], token: str) -> float:
         """Stupid-backoff log score of ``token`` after ``context``.
 
         Only the last order-1 context tokens matter. Always <= 0.
         """
-        if self.order > 1:
-            ctx = tuple(context[-(self.order - 1):])
-        else:
-            ctx = ()
+        ctx = tuple(context[-(self.order - 1):]) if self.order > 1 else ()
         return self._score(ctx, token)
 
     def _score(self, ctx: tuple[str, ...], token: str) -> float:
         if ctx:
-            full = ctx + (token,)
-            c_full = self.tables[len(full) - 1].get(full, 0)
+            c_full = self.count(ctx + (token,))
             if c_full:
-                c_ctx = self.tables[len(ctx) - 1].get(ctx, 0)
+                c_ctx = self.count(ctx)
                 if c_ctx:
                     return math.log(c_full / c_ctx)
             return math.log(self.alpha) + self._score(ctx[1:], token)
-        c_uni = self.tables[0].get((token,), 0)
+        c_uni = self.count((token,))
         if c_uni:
             return math.log(c_uni / self.total)
         return math.log(1.0 / (self.total + len(self.vocabulary)))
@@ -206,9 +212,7 @@ class NGramModel:
         """Write the model as text, one section per order, deterministic."""
         lines = [f"NGRAM-LM v1 order={self.order} alpha={self.alpha!r}"]
         for k in range(1, self.order + 1):
-            table = self.tables[k - 1]
-            for gram in sorted(table):
-                lines.append(f"{table[gram]}\t{' '.join(gram)}")
+            lines.extend(f"{count}\t{' '.join(gram)}" for gram, count in self.grams(k))
             if k < self.order:
                 lines.append("")
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -226,9 +230,9 @@ class ContinuationIndex:
     log(alpha) once per context token beyond it, added in its order, so
     the stored value is bit-identical to that score. Rows are ordered by
     context length, then context; each attested context with a
-    continuation has one, built in one pass over the sorted grams of its
-    order. Row ``len(starts) - 2`` is empty and stands for every
-    unattested context.
+    continuation has one: the distinct prefixes of the model's sorted
+    keys of each order. Row ``len(starts) - 2`` is empty and stands for
+    every unattested context.
 
     Contexts are found by token id. ``token_rows[i]`` is the row of the
     one-token context of token id i; its last entry, the row of id -1, is
@@ -265,6 +269,20 @@ class ContinuationIndex:
         return self.starts[rows], self.starts[rows + 1]
 
 
+def _ranks(
+    keys: Sequence[np.ndarray], number: Mapping[str, int], grams: Sequence[Sequence[str]]
+) -> np.ndarray:
+    """The rank of each gram among the sorted ``keys`` of its order, its
+    words numbered by ``number``; -1 where the gram is unattested."""
+    numbers = np.array([[number.get(t, -1) for t in g] for g in grams]).reshape(len(grams), -1)
+    rank, found = np.zeros(len(grams), dtype=np.int64), (numbers >= 0).all(axis=1)
+    for j in range(numbers.shape[1]):
+        key = rank * len(number) + numbers[:, j]
+        rank = np.minimum(np.searchsorted(keys[j], key), len(keys[j]) - 1)
+        found &= keys[j][rank] == key
+    return np.where(found, rank, -1)
+
+
 def train(corpus: str, order: int = DEFAULT_ORDER, alpha: float = DEFAULT_ALPHA) -> NGramModel:
     """Count n-grams of every order up to ``order`` over the corpus.
 
@@ -279,28 +297,28 @@ def train(corpus: str, order: int = DEFAULT_ORDER, alpha: float = DEFAULT_ALPHA)
     if not corpus.strip():
         raise ValueError("corpus is empty")
 
-    counters = [Counter() for _ in range(order)]
-    saw_words = False
-    for paragraph in split_paragraphs(corpus):
-        words = textcore.canonical_words(paragraph)
-        if not words:
-            continue
-        saw_words = True
-        padded = [BOS] * (order - 1) + words + [EOS]
-        for k in range(1, order + 1):
-            table = counters[k - 1]
-            for i in range(len(padded) - k + 1):
-                table[tuple(padded[i:i + k])] += 1
-    if not saw_words:
+    paragraphs = [
+        [BOS] * (order - 1) + words + [EOS]
+        for words in map(textcore.canonical_words, textcore.split_paragraphs(corpus))
+        if words
+    ]
+    if not paragraphs:
         raise ValueError("corpus contains no word tokens")
-
-    vocabulary = {gram[0] for gram in counters[0]} | {BOS, EOS}
-    return NGramModel(
-        order=order,
-        alpha=alpha,
-        tables=tuple(dict(c) for c in counters),
-        vocabulary=frozenset(vocabulary),
-    )
+    words = sorted({t for padded in paragraphs for t in padded} | {BOS, EOS})
+    number = {word: i for i, word in enumerate(words)}
+    flat = np.array([number[t] for padded in paragraphs for t in padded])
+    sizes = [len(padded) for padded in paragraphs]
+    room = np.repeat(np.cumsum(sizes), sizes) - np.arange(len(flat))  # to the end
+    prefix = np.zeros(len(flat), dtype=np.intp)  # by start: the window's prefix rank
+    keys, counts = [], []
+    for k in range(1, order + 1):
+        at = np.flatnonzero(room >= k)  # the starts of the windows that fit
+        k_keys, prefix[at], k_counts = np.unique(
+            prefix[at] * len(words) + flat[at + k - 1], return_inverse=True, return_counts=True
+        )
+        keys.append(k_keys)
+        counts.append(k_counts)
+    return NGramModel(order, alpha, tuple(words), tuple(keys), tuple(counts))
 
 
 def load(path: str | Path) -> NGramModel:
@@ -327,10 +345,8 @@ def load(path: str | Path) -> NGramModel:
 
     sections = body.rstrip("\n").split("\n\n")
     if len(sections) != order:
-        raise ValueError(
-            f"{path}: expected {order} sections, found {len(sections)} "
-            "(truncated file?)"
-        )
+        raise ValueError(f"{path}: expected {order} sections, found "
+                         f"{len(sections)} (truncated file?)")
     tables: list[dict[tuple[str, ...], int]] = []
     for k, section in enumerate(sections, start=1):
         table: dict[tuple[str, ...], int] = {}
@@ -339,16 +355,15 @@ def load(path: str | Path) -> NGramModel:
             if not tab:
                 raise ValueError(f"{path}: malformed line {line!r}")
             try:
-                count = int(count_str)
+                if (count := int(count_str)) >= 2**63:  # counts are int64
+                    raise ValueError
             except ValueError:
                 raise ValueError(f"{path}: bad count in line {line!r}") from None
             if count < 1:
                 raise ValueError(f"{path}: nonpositive count in line {line!r}")
             gram = tuple(gram_str.split(" "))
             if len(gram) != k or not all(gram):
-                raise ValueError(
-                    f"{path}: expected a {k}-gram, got {gram_str!r}"
-                )
+                raise ValueError(f"{path}: expected a {k}-gram, got {gram_str!r}")
             if gram in table:
                 raise ValueError(f"{path}: duplicate {k}-gram {gram_str!r}")
             table[gram] = count
@@ -356,58 +371,41 @@ def load(path: str | Path) -> NGramModel:
             raise ValueError(f"{path}: empty section for order {k}")
         tables.append(table)
 
-    _check_integrity(path, order, tables)
-    vocabulary = {gram[0] for gram in tables[0]} | {BOS, EOS}
-    return NGramModel(
-        order=order,
-        alpha=alpha,
-        tables=tuple(tables),
-        vocabulary=frozenset(vocabulary),
-    )
-
-
-def _check_integrity(
-    path: Path, order: int, tables: list[dict[tuple[str, ...], int]]
-) -> None:
-    """Reject files whose tables cannot have come from ``train``.
-
-    Training counts canonical words (``textcore.canonical_words``) and the
-    BOS and EOS markers, so every other token must be one canonical word:
-    the decoder searches each token as one word. Training also counts
-    every sliding window over each padded paragraph, so the summed counts
-    of consecutive orders differ by exactly the number of paragraphs,
-    which is also the unigram count of the EOS marker. A file truncated at
-    a line boundary parses but fails this balance. Every higher-order gram
-    must also have an attested prefix counted at least as often as the
-    gram itself, which keeps every score <= 0.
-    """
-    tokens = {token for table in tables for gram in table for token in gram}
-    for token in sorted(tokens - {BOS, EOS}):
-        if textcore.canonical_words(token) != [token]:
-            raise ValueError(
-                f"{path}: token {token!r} is not one lowercase word "
-                "(training makes no such token)"
-            )
-    if order < 2:
-        return
-    paragraphs = tables[0].get((EOS,), 0)
-    if paragraphs < 1:
+    # Reject tables that cannot have come from ``train``, naming an order's
+    # first bad gram in file order. Training counts canonical words and the
+    # BOS and EOS markers, so every other token must be one canonical word:
+    # the decoder searches each token as one word. Training also counts
+    # every sliding window over each padded paragraph, so the summed counts
+    # of consecutive orders differ by exactly the number of paragraphs, the
+    # unigram count of EOS; a file truncated at a line boundary parses but
+    # fails this balance. Every higher-order gram must also have an attested
+    # prefix counted at least as often as itself, keeping every score <= 0.
+    words = sorted({t for table in tables for gram in table for t in gram} | {BOS, EOS})
+    for token in words:
+        if token not in (BOS, EOS) and textcore.canonical_words(token) != [token]:
+            raise ValueError(f"{path}: token {token!r} is not one lowercase word "
+                             "(training makes no such token)")
+    if order > 1 and (EOS,) not in tables[0]:
         raise ValueError(f"{path}: missing {EOS} unigram")
-    sums = [sum(t.values()) for t in tables]
-    for k in range(2, order + 1):
-        if sums[k - 2] - sums[k - 1] != paragraphs:
-            raise ValueError(
-                f"{path}: inconsistent counts between orders {k - 1} and {k} "
-                "(truncated file?)"
-            )
-        for gram, count in tables[k - 1].items():
-            prefix = tables[k - 2].get(gram[:-1], 0)
-            if not prefix:
-                raise ValueError(
-                    f"{path}: {k}-gram {' '.join(gram)!r} lacks an attested prefix"
-                )
-            if count > prefix:
-                raise ValueError(
-                    f"{path}: {k}-gram {' '.join(gram)!r} is counted {count} "
-                    f"times, more than its prefix's {prefix}"
-                )
+    number, n = {word: i for i, word in enumerate(words)}, len(words)
+    keys, counts = [], []
+    for k, table in enumerate(tables, start=1):
+        last = np.array([number[gram[-1]] for gram in table])
+        k_counts = np.array(list(table.values()), dtype=np.int64)
+        prefix = _ranks(keys, number, [gram[:-1] for gram in table])
+        if k > 1:
+            if sum(tables[k - 2].values()) - sum(table.values()) != tables[0][(EOS,)]:
+                raise ValueError(f"{path}: inconsistent counts between orders "
+                                 f"{k - 1} and {k} (truncated file?)")
+            # Counts are positive, so a gram without a prefix is counted more.
+            c_prefix = np.where(prefix >= 0, counts[-1][prefix], 0)
+            for i in np.flatnonzero(k_counts > c_prefix)[:1].tolist():
+                gram = " ".join(list(table)[i])
+                if not c_prefix[i]:
+                    raise ValueError(f"{path}: {k}-gram {gram!r} lacks an attested prefix")
+                raise ValueError(f"{path}: {k}-gram {gram!r} is counted {k_counts[i]} "
+                                 f"times, more than its prefix's {c_prefix[i]}")
+        by_key = np.argsort(prefix * n + last)
+        keys.append(prefix[by_key] * n + last[by_key])
+        counts.append(k_counts[by_key])
+    return NGramModel(order, alpha, tuple(words), tuple(keys), tuple(counts))

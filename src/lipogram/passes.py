@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 from . import textcore
-from .metrics import TfidfEmbedder, most_similar, prefix_similarities
+from .metrics import TfidfEmbedder, fetch, most_similar, prefix_similarities
 from .textcore import WORD_RE, ConstraintSet, strip_letters, tokenize
 
 log = logging.getLogger(__name__)
@@ -317,8 +317,7 @@ class LanguageToolClient:
             self.endpoint + "/v2/check", data=payload
         )
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as resp:
-                return _parse_matches(json.loads(resp.read().decode("utf-8")))
+            return _parse_matches(json.loads(fetch(request, self.timeout).decode("utf-8")))
         except (urllib.error.URLError, OSError, ValueError) as exc:
             raise GrammarProviderError(
                 f"grammar check via {self.endpoint} failed: {exc}"

@@ -77,13 +77,21 @@ def default_constraint_sets(extras: str = "") -> list[tuple[str, ConstraintSet]]
 
     Extras come as a comma-separated list of letter groups ("th,ae");
     each group becomes one additional constraint set labeled by itself.
+    A group whose letter set is already swept ("e", "ee", "ht" after "th")
+    raises ValueError: a repeated point would count twice in the fits.
     """
     sets = [(letter, ConstraintSet.from_string(letter)) for letter in ALPHABET]
     sets.append((VOWELS, ConstraintSet.from_string(VOWELS)))
     for group in extras.split(","):
         group = group.strip().lower()
         if group:
-            sets.append((group, ConstraintSet.from_string(group)))
+            c = ConstraintSet.from_string(group)
+            for label, seen in sets:
+                if seen == c:
+                    raise ValueError(
+                        f"sweep.extras group {group!r} repeats the constraint set {label!r}"
+                    )
+            sets.append((group, c))
     return sets
 
 

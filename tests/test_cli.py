@@ -219,6 +219,34 @@ class TestProviderErrors:
             thread.join()
         self.check_clean_io_exit(rc, capsys)
 
+    def test_embedder_failing_twice_in_translate(self, mini_corpus, out_dir, capsys):
+        # Every reply is a 503: the request is sent again once, then the
+        # command ends with exit code 2.
+        hits = []
+
+        class Handler(http.server.BaseHTTPRequestHandler):
+            def do_POST(self):
+                hits.append(self.rfile.read(int(self.headers["Content-Length"])))
+                self.send_error(503)
+
+            def log_message(self, *args):
+                pass
+
+        server = http.server.HTTPServer(("127.0.0.1", 0), Handler)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            rc = run(
+                ["translate", "--corpus", str(mini_corpus), "--paragraphs", "1",
+                 "--embed-endpoint", f"http://127.0.0.1:{server.server_port}"],
+                out_dir,
+            )
+        finally:
+            server.shutdown()
+            thread.join()
+        self.check_clean_io_exit(rc, capsys)
+        assert len(hits) == 2 and hits[0] == hits[1]
+
     def test_unreachable_grammar_in_evaluate(self, mini_corpus, out_dir, capsys):
         rc = run(
             ["evaluate", "--corpus", str(mini_corpus), "--paragraphs", "1",
@@ -239,6 +267,10 @@ class TestTrain:
     def test_bundled_corpus_default(self, out_dir, capsys):
         assert run(["train"], out_dir) == EXIT_OK
         assert (out_dir / "model.ngram").exists()
+        assert capsys.readouterr().out == (
+            "trained order-3 model: 79338 distinct n-grams, 5911 word vocabulary"
+            f" -> {out_dir / 'model.ngram'}\n"
+        )
 
     def test_saved_model_reused_by_translate(self, mini_corpus, tmp_path):
         model_dir = tmp_path / "m"
@@ -499,6 +531,22 @@ class TestSweep:
         assert rc == EXIT_OK
         labels = [p.label for p in parse_sweep_csv(out_dir / "sweep.csv")]
         assert labels[-2:] == ["th", "ck"]
+
+    @pytest.mark.parametrize("extras, group", [("e,E", "e"), ("th,ht", "ht")])
+    def test_extras_repeating_a_set_are_a_usage_error(
+        self, mini_corpus, out_dir, tmp_path, capsys, extras, group
+    ):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"sweep.extras = {extras}\n", encoding="utf-8")
+        rc = run(
+            ["sweep", "--corpus", str(mini_corpus), "--paragraphs", "2",
+             "--config", str(cfg)],
+            out_dir,
+        )
+        assert rc == EXIT_USAGE
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: sweep.extras group ") and repr(group) in line
+        assert not (out_dir / "sweep.csv").exists()
 
     def test_byte_identical_reruns(self, mini_corpus, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -310,7 +310,7 @@ def full_sort_vocab(source, c, lex, model, M):
                 ordered.append(canonical(synonym))
     legal = sorted(
         (-count, word)
-        for (word,), count in model.tables[0].items()
+        for (word,), count in model.grams(1)
         if word not in (BOS, EOS) and not violates(word, c)
     )
     for _, word in legal[:M]:
@@ -352,12 +352,12 @@ class TestEarlyStoppingVocab:
     def test_m_beyond_legal_count_takes_every_legal_word(self):
         c = ConstraintSet.from_string("aeiou")
         vocab = vocab_of("my shy", c, EMPTY_LEX, self.MODEL, 10_000)
-        legal = [w for (w,) in self.MODEL.tables[0] if w not in (BOS, EOS)
+        legal = [w for (w,), _ in self.MODEL.grams(1) if w not in (BOS, EOS)
                  and not violates(w, c)]
         assert sorted(vocab) == sorted(set(legal) | {"my", "shy"})
 
     def test_ranked_words_order(self):
-        uni = self.MODEL.tables[0]
+        uni = dict(self.MODEL.grams(1))
         ranked = self.MODEL.ranked_words
         assert BOS not in ranked and EOS not in ranked
         assert list(ranked) == sorted(ranked, key=lambda w: (-uni[(w,)], w))

@@ -483,10 +483,16 @@ class _EmbedHandler(http.server.BaseHTTPRequestHandler):
     # ``vectors``; the texts of each request are then kept in ``requests``.
     dense = None
     requests: list = []
+    statuses: list = []  # error statuses to send first, one per request
+    hits = 0  # requests received
 
     def do_POST(self):
+        type(self).hits += 1
         length = int(self.headers["Content-Length"])
         body = json.loads(self.rfile.read(length))
+        if self.statuses:
+            self.send_error(self.statuses.pop(0))
+            return
         if self.path != "/embed" or self.fail:
             self.send_response(500)
             self.end_headers()
@@ -558,6 +564,23 @@ class TestRemoteEmbedder:
                 RemoteEmbedder(embed_server).embed("text")
         finally:
             _EmbedHandler.fail = False
+
+    @pytest.mark.parametrize(
+        "statuses, hits, ok",
+        [([503], 2, True), ([503, 503, 503], 2, False), ([400], 1, False)],
+    )
+    def test_retries_once_after_a_server_error(self, embed_server, statuses, hits, ok):
+        # A 5xx reply gets one retry; a 4xx reply is not sent again.
+        _EmbedHandler.statuses, _EmbedHandler.hits = list(statuses), 0
+        try:
+            if ok:
+                assert RemoteEmbedder(embed_server).embed("text") == {"0": 0.6, "1": 0.8}
+            else:
+                with pytest.raises(EmbedProviderError):
+                    RemoteEmbedder(embed_server).embed("text")
+            assert _EmbedHandler.hits == hits
+        finally:
+            _EmbedHandler.statuses = []
 
     @pytest.mark.parametrize(
         "raw",

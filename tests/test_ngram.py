@@ -1,19 +1,26 @@
 """Tests for the backoff n-gram model.
 
 Count and score oracles are frozen from hand computation; serialization is
-checked by byte-level determinism and exact round-trip score equality.
+checked by byte-level determinism and exact round-trip score equality. The
+array model is checked bit for bit against ``Reference``, the dict-counting
+model it replaced.
 """
 
+import hashlib
 import math
 import random
 import tempfile
+from collections import Counter
+from importlib.resources import files
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lipogram.ngram import BOS, EOS, NGramModel, load, train
+from lipogram.textcore import canonical_words, split_paragraphs
 
 TOY = "the cat sat\n\nthe cat ran\n\na dog sat"
 
@@ -76,7 +83,7 @@ class TestTrainCounts:
     def test_prefix_invariant(self):
         m = train(TOY, order=3)
         for k in (2, 3):
-            for gram in m.tables[k - 1]:
+            for gram, _ in m.grams(k):
                 assert m.count(gram[:-1]) >= m.count(gram) > 0
 
 
@@ -174,13 +181,14 @@ class TestContinuations:
         m = train(" ".join(words), order=order)
         index = m.continuation_index
         for k in range(2, order + 1):
-            contexts = {gram[:-1] for gram in m.tables[k - 1]}
+            grams = dict(m.grams(k))
+            contexts = {gram[:-1] for gram in grams}
             (lo,), (hi,) = index.spans(m.context_ids([("zz",) * (k - 1)]))
             assert lo == hi
             for ctx in contexts:
                 cont = {
                     gram[-1]: count
-                    for gram, count in m.tables[k - 1].items()
+                    for gram, count in grams.items()
                     if gram[:-1] == ctx
                 }
                 assert dict(m.continuations(ctx)) == cont
@@ -345,6 +353,225 @@ class TestSerialization:
             path = Path(tmp) / "prop.lm"
             m.save(path)
             m2 = load(path)
-        assert m2.tables == m.tables
+        assert [m2.grams(k) for k in range(1, order + 1)] == [
+            m.grams(k) for k in range(1, order + 1)
+        ]
         for para in paras:
             assert m2.sequence_logscore(para) == m.sequence_logscore(para)
+
+
+class Reference:
+    """The dict-counting model that the array model replaced, kept as its
+    oracle. Training counts every window of every padded paragraph into
+    one dict of string tuples per order; every other value is derived
+    from the dicts as that model derived it."""
+
+    def __init__(self, corpus: str, order: int, alpha: float):
+        self.order, self.alpha = order, alpha
+        counters = [Counter() for _ in range(order)]
+        for paragraph in split_paragraphs(corpus):
+            words = canonical_words(paragraph)
+            if not words:
+                continue
+            padded = [BOS] * (order - 1) + words + [EOS]
+            for k in range(1, order + 1):
+                for i in range(len(padded) - k + 1):
+                    counters[k - 1][tuple(padded[i:i + k])] += 1
+        self.tables = [dict(c) for c in counters]
+        self.total = sum(self.tables[0].values())
+        self.vocabulary = {gram[0] for gram in self.tables[0]} | {BOS, EOS}
+        ranked = sorted(
+            (-count, word) for (word,), count in self.tables[0].items()
+            if word not in (BOS, EOS)
+        )
+        self.ranked_words = tuple(word for _, word in ranked)
+        rest = sorted(self.vocabulary.difference(self.ranked_words))
+        self.tokens = self.ranked_words + tuple(rest)
+        self.token_ids = {token: i for i, token in enumerate(self.tokens)}
+
+    def count(self, gram) -> int:
+        key = tuple(gram)
+        if not 1 <= len(key) <= self.order:
+            return 0
+        return self.tables[len(key) - 1].get(key, 0)
+
+    def continuations(self, context) -> dict:
+        key = tuple(context)
+        if not 1 <= len(key) < self.order:
+            return {}
+        if not hasattr(self, "_following"):
+            self._following = {}
+            for table in self.tables[1:]:
+                for gram in sorted(table):
+                    self._following.setdefault(gram[:-1], {})[gram[-1]] = table[gram]
+        return self._following.get(key, {})
+
+    def token_logscore(self, context, token) -> float:
+        ctx = tuple(context[-(self.order - 1):]) if self.order > 1 else ()
+        return self._score(ctx, token)
+
+    def _score(self, ctx, token) -> float:
+        if ctx:
+            c_full = self.count(ctx + (token,))
+            if c_full and self.count(ctx):
+                return math.log(c_full / self.count(ctx))
+            return math.log(self.alpha) + self._score(ctx[1:], token)
+        c_uni = self.count((token,))
+        if c_uni:
+            return math.log(c_uni / self.total)
+        return math.log(1.0 / (self.total + len(self.vocabulary)))
+
+    def backoff_logscores(self) -> np.ndarray:
+        unseen = ("",) * (self.order - 1)
+        return np.array([self._score(unseen, t) for t in self.tokens + ("",)])
+
+    def index_arrays(self) -> list[np.ndarray]:
+        """starts, ids, logs, token_rows, then each key table's keys and
+        rows, built in one pass over the sorted grams of each order."""
+        size = sum(len(table) for table in self.tables[1:])
+        ids, logs = np.empty(size, dtype=np.intp), np.empty(size)
+        rows: dict[tuple, int] = {}
+        radix = len(self.tokens) + 1
+        keys = [[] for _ in range(self.order - 2)]
+        key_rows = [[] for _ in range(self.order - 2)]
+        starts: list[int] = []
+        n = 0
+        token_rows = np.full(len(self.tokens) + 1, -1, dtype=np.intp)
+        for k in range(2, self.order + 1):
+            table, prefixes = self.tables[k - 1], self.tables[k - 2]
+            ctx = None
+            for gram in sorted(table):
+                if gram[:-1] != ctx:
+                    ctx = gram[:-1]
+                    row = rows[ctx] = len(starts)
+                    starts.append(n)
+                    if k == 2:
+                        token_rows[self.token_ids[ctx[0]]] = row
+                    else:
+                        keys[k - 3].append(
+                            rows[ctx[:-1]] * radix + self.token_ids.get(ctx[-1], -1) + 1
+                        )
+                        key_rows[k - 3].append(row)
+                ids[n] = self.token_ids.get(gram[-1], -1)
+                score = math.log(table[gram] / prefixes[ctx])
+                for _ in range(self.order - k):
+                    score = math.log(self.alpha) + score
+                logs[n] = score
+                n += 1
+        starts += [n, n]
+        empty = len(starts) - 2
+        token_rows[token_rows < 0] = empty
+        arrays = [np.array(starts), ids, logs, token_rows]
+        for j_keys, j_rows in zip(keys, key_rows):
+            j_keys = np.array(j_keys, dtype=np.int64)
+            by_key = np.argsort(j_keys)
+            arrays.append(np.append(j_keys[by_key], np.iinfo(np.int64).max))
+            arrays.append(np.append(np.array(j_rows, dtype=np.intp)[by_key], empty))
+        return arrays
+
+    def text(self) -> str:
+        lines = [f"NGRAM-LM v1 order={self.order} alpha={self.alpha!r}"]
+        for k in range(1, self.order + 1):
+            table = self.tables[k - 1]
+            lines.extend(f"{table[gram]}\t{' '.join(gram)}" for gram in sorted(table))
+            if k < self.order:
+                lines.append("")
+        return "\n".join(lines) + "\n"
+
+
+def index_arrays(m: NGramModel) -> list[np.ndarray]:
+    index = m.continuation_index
+    arrays = [index.starts, index.ids, index.logs, index.token_rows]
+    return arrays + [a for table in index.key_tables for a in table]
+
+
+def assert_bits_equal(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_matches_reference(corpus: str, order: int, alpha: float, tmp: Path) -> None:
+    m, ref = train(corpus, order=order, alpha=alpha), Reference(corpus, order, alpha)
+    assert m.tokens == ref.tokens and m.ranked_words == ref.ranked_words
+    assert m.vocabulary == ref.vocabulary and m.total == ref.total
+    assert_bits_equal(m.backoff_logscores, ref.backoff_logscores())
+    for got, want in zip(index_arrays(m), ref.index_arrays(), strict=True):
+        assert_bits_equal(got, want)
+    grams = [gram for table in ref.tables for gram in table]
+    absent = [("zz",), ("zz", EOS), (BOS, "zz"), (EOS, BOS), ("zz",) * order]
+    for gram in grams + absent:
+        assert m.count(gram) == ref.count(gram)
+        assert dict(m.continuations(gram)) == ref.continuations(gram)
+    tokens = list(ref.tokens) + ["zz"]
+    rng = random.Random(order)
+    for gram in rng.sample(grams, min(len(grams), 2_000)) + absent:
+        # An attested gram's context, and the same with one token swapped.
+        context, token = list(gram[:-1]), gram[-1]
+        assert m.token_logscore(context, token) == ref.token_logscore(context, token)
+        if context:
+            context[rng.randrange(len(context))] = rng.choice(tokens)
+        token = rng.choice(tokens)
+        assert m.token_logscore(context, token) == ref.token_logscore(context, token)
+    m.save(tmp / "m.lm")
+    assert (tmp / "m.lm").read_text(encoding="utf-8") == ref.text()
+
+
+class TestAgainstReference:
+    @given(
+        paras=st.lists(
+            st.lists(
+                st.sampled_from(["a", "ab", "b", "ba", "I've", "it's", "The", "x", "42"]),
+                min_size=1,
+                max_size=12,
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        order=st.integers(1, 5),
+        alpha=st.sampled_from([0.1, 0.4, 0.75, 1.0]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_random_corpora(self, paras, order, alpha):
+        corpus = "\n\n".join(" ".join(words) for words in paras)
+        if not canonical_words(corpus):
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            assert_matches_reference(corpus, order, alpha, Path(tmp))
+
+    def test_log_ratio_where_numpy_log_differs(self, tmp_path):
+        # Some numpy builds (2.4 on x86-64) put np.log(13 / 705) one ulp off
+        # math.log(13 / 705); the index holds the latter, as token_logscore.
+        corpus = "\n\n".join(["a b"] * 13 + ["a"] * 692)
+        assert_matches_reference(corpus, 2, 0.4, tmp_path)
+
+    def test_order_5_past_the_packed_key_overflow(self, tmp_path):
+        # Packing a 5-gram as five token ids in base n overflows int64 once
+        # n > 6,208; the model keys a gram by its prefix's rank instead.
+        rng = random.Random(5)
+        words = [a + b + c for a in "abcdefghijklmnopqrstuvwxyz"
+                 for b in "abcdefghijklmnopqrstuvwxyz" for c in "bcdfghjklm"]
+        words = rng.sample(words, 6_400)
+        paras = [" ".join(rng.sample(words, 40)) for _ in range(150)] + [" ".join(words)]
+        corpus = "\n\n".join(paras)
+        assert len(set(canonical_words(corpus))) + 2 > 6_208
+        assert_matches_reference(corpus, 5, 0.4, tmp_path)
+
+
+def test_bundled_novel_model_is_pinned(tmp_path):
+    # The order-3 model of the bundled novel, as ``lipogram train`` writes it,
+    # and the decoder's inputs read off it.
+    novel = files("lipogram.data").joinpath("gatsby.txt").read_text(encoding="utf-8")
+    m, ref = train(novel, order=3), Reference(novel, 3, 0.4)
+    assert m.tokens == ref.tokens
+    assert_bits_equal(m.backoff_logscores, ref.backoff_logscores())
+    for got, want in zip(index_arrays(m), ref.index_arrays(), strict=True):
+        assert_bits_equal(got, want)
+    path = tmp_path / "model.ngram"
+    m.save(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "4e7b3cc09b1636b5225e376e45dda9c15d3ca855fdfb65d2911d7a177c4f9953"
+    )
+    loaded = load(path)
+    assert (loaded.order, loaded.alpha, loaded.words) == (m.order, m.alpha, m.words)
+    for got, want in zip(loaded.keys + loaded.counts, m.keys + m.counts, strict=True):
+        assert_bits_equal(got, want)

@@ -426,11 +426,17 @@ class _GrammarHandler(http.server.BaseHTTPRequestHandler):
     captured = {}
     status = 200
     raw = None  # a reply body sent as it is, when set
+    statuses: list = []  # error statuses to send first, one per request
+    hits = 0  # requests received
 
     def do_POST(self):
+        type(self).hits += 1
         length = int(self.headers["Content-Length"])
         form = urllib.parse.parse_qs(self.rfile.read(length).decode("utf-8"))
         type(self).captured = {"path": self.path, "form": form}
+        if self.statuses:
+            self.send_error(self.statuses.pop(0))
+            return
         if self.status != 200:
             self.send_error(self.status)
             return
@@ -463,8 +469,10 @@ def grammar_server():
     thread.start()
     _GrammarHandler.status = 200
     _GrammarHandler.raw = None
+    _GrammarHandler.statuses, _GrammarHandler.hits = [], 0
     yield f"http://127.0.0.1:{server.server_port}"
     _GrammarHandler.raw = None
+    _GrammarHandler.statuses = []
     server.shutdown()
     thread.join()
 
@@ -485,6 +493,21 @@ class TestLanguageToolClient:
         _GrammarHandler.status = 500
         with pytest.raises(GrammarProviderError):
             LanguageToolClient(grammar_server).check("text")
+
+    @pytest.mark.parametrize(
+        "statuses, hits, ok",
+        [([503], 2, True), ([503, 503, 503], 2, False), ([400], 1, False)],
+    )
+    def test_retries_once_after_a_server_error(self, grammar_server, statuses, hits, ok):
+        # A 5xx reply gets one retry; a 4xx reply is not sent again.
+        _GrammarHandler.statuses = list(statuses)
+        client = LanguageToolClient(grammar_server)
+        if ok:
+            assert client.check("a apple") == [GrammarMatch(0, 1, "an"), GrammarMatch(2, 5, None)]
+        else:
+            with pytest.raises(GrammarProviderError):
+                client.check("a apple")
+        assert _GrammarHandler.hits == hits
 
     @pytest.mark.parametrize(
         "raw",

@@ -70,6 +70,18 @@ class TestDefaultConstraintSets:
     def test_blank_extras_ignored(self):
         assert len(default_constraint_sets(" , ,")) == 27
 
+    @pytest.mark.parametrize(
+        "extras, group, label",
+        [("e", "e", "e"), ("E", "e", "e"), ("ee", "ee", "e"), ("aeiuo", "aeiuo", "aeiou"),
+         ("th, ht", "ht", "th"), ("ck,th,kc", "kc", "ck")],
+    )
+    def test_extra_repeating_a_set_is_rejected(self, extras, group, label):
+        with pytest.raises(ValueError) as err:
+            default_constraint_sets(extras)
+        assert str(err.value) == (
+            f"sweep.extras group {group!r} repeats the constraint set {label!r}"
+        )
+
 
 class TestFitDecay:
     def test_recovers_clean_exponential(self):
