@@ -67,6 +67,16 @@ shared path then keeps each lane's best (``top_k``: rank, then flat
 index, the tie rule of a stable full sort of the lane alone), pools them,
 applies the early stop and builds the next rows.
 
+A step costs about as much per numpy call as per cell it scores, and at
+one lane most of its time is calls, so it makes few of them: the per-row
+arrays that depend only on the rows' shape live in a ``_Layout`` until
+the lanes or the rows per lane change; a cell reads its backoff score,
+source weight, idf^2 and default bigram square with one gather from its
+lane's (V, 4) table; each row's pairs and source bigrams come from one
+expansion, and its source words from one row of a boolean mask per
+paragraph; and each pick's five scores go to the records, and its pooled
+score to the early stop, with one scatter each.
+
 The scorer scores exactly only each row's special cells (its pairs, LM
 followers of longer contexts, source-bigram pairs, source words and
 history cells) and the generic rest whose admissible bound, with the
@@ -130,6 +140,9 @@ MAX_BEAM_CELLS = 3_000_000
 # bundled novel's first 20 paragraphs under "e" with the default config
 # peaked at 71.0 MB at 60k cells and 79.7 MB at 150k.
 MAX_LOCKSTEP_CELLS = 150_000
+
+# A lane's threshold when it has fewer than beam_width finite special ranks.
+_LOWEST = -np.finfo(float).max
 
 # Config-file keys that belong to the surrounding tooling, not the decoder.
 RESERVED_CONFIG_KEYS = frozenset(
@@ -202,10 +215,12 @@ def parse_config_file(path: str | Path) -> tuple[DecoderConfig, dict[str, str]]:
 
     Returns the decoder config plus the reserved tool-level keys
     (grammar.endpoint, embed.endpoint, sweep.extras) found in the file.
-    Blank lines and #-comments are skipped; any other unknown key errors.
+    Blank lines and #-comments are skipped; any other unknown key, and a
+    key given twice, errors.
     """
     pairs: dict[str, str] = {}
     extras: dict[str, str] = {}
+    lines: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
@@ -217,6 +232,10 @@ def parse_config_file(path: str | Path) -> tuple[DecoderConfig, dict[str, str]]:
                     f"{path}: line {lineno}: expected key=value, got {stripped!r}"
                 )
             key, value = key.strip(), value.strip()
+            if key in lines:
+                raise ValueError(f"{path}: line {lineno}: duplicate key {key!r} "
+                                 f"(first on line {lines[key]})")
+            lines[key] = lineno
             if key in RESERVED_CONFIG_KEYS:
                 extras[key] = value
             else:
@@ -333,11 +352,11 @@ class SearchWords:
             return_inverse=True,
         )
         firsts, seconds = np.divmod(keys, n)
-        values = np.empty((2, len(keys)))
-        values[0] = self.backoff[seconds]
-        values[0, at[: len(entries)]] = index.logs[entries]
-        values[1] = idf.default**2
-        values[1, at[len(entries):]] = squares
+        values = np.empty((len(keys), 2))
+        values[:, 0] = self.backoff[seconds]
+        values[at[: len(entries)], 0] = index.logs[entries]
+        values[:, 1] = idf.default**2
+        values[at[len(entries):], 1] = squares
         self.pairs = _PairRows.grouped(n, firsts, seconds, values)
 
     def lookup(self, words: Sequence[str]):
@@ -383,9 +402,10 @@ class ConstraintTables:
         self.pairs = words.pairs.gather(firsts, legal_ids)
 
 
-def top_k(lanes: np.ndarray, at: np.ndarray, rank: np.ndarray, k: int) -> np.ndarray:
+def top_k(lanes: np.ndarray, at: np.ndarray, rank: np.ndarray, k: int):
     """Which entries (lanes[j], at[j]) with rank[j] each lane keeps: the
-    indexes j of its k >= 1 best, grouped by lane, best first.
+    indexes j of its k >= 1 best, grouped by lane, best first, and each
+    one's place among its lane's kept entries.
 
     A lane's entries are ordered by rank, descending, then by ``at``, and
     cut after k and at the first +inf one. Given every entry above -inf of
@@ -398,18 +418,18 @@ def top_k(lanes: np.ndarray, at: np.ndarray, rank: np.ndarray, k: int) -> np.nda
     """
     neg = -rank
     order = np.lexsort((at, neg, lanes))
-    lanes, neg = lanes[order], neg[order]
-    counts = np.bincount(lanes)
-    first = np.cumsum(counts) - counts
-    cut = np.bincount(lanes[np.isinf(neg)], minlength=len(counts)) > 0
-    keep = (np.arange(len(lanes)) - first[lanes] < k) & ~cut[lanes]
-    return order[keep]
+    lanes = lanes[order]
+    first = lanes.searchsorted(lanes)  # each entry's lane's first, its best
+    place = np.arange(len(lanes)) - first
+    # A +inf entry leads its lane, and cuts the whole lane.
+    keep = (place < k) & ~np.isinf(neg[order[first]])
+    return order[keep], place[keep]
 
 
 class _PairRows:
     """Values at (first, second) pairs of small-int keys, grouped by first:
     the pairs of first key f are entries ``starts[f]:starts[f + 1]``. The
-    values' last axis runs over the pairs; a pair may have more than one."""
+    values' first axis runs over the pairs; a pair may have more than one."""
 
     def __init__(self, starts: np.ndarray, seconds: np.ndarray, values: np.ndarray):
         self._starts = starts
@@ -444,7 +464,7 @@ class _PairRows:
         becomes key ``sum(n_keys[:i]) + f``. ``n_keys[i]`` may exceed part
         i's own key count; the keys past it, and one last key after every
         part, have no pairs. The seconds are stored as int32, and the
-        values as two rows: a part with one value per pair gives it in
+        values as two columns: a part with one value per pair gives it in
         both."""
         starts, offset = [], 0
         for part, n in zip(parts, n_keys):
@@ -452,23 +472,19 @@ class _PairRows:
             offset += part._starts[-1]
             starts += [own, np.full(n - len(own), offset)]
         starts.append(np.array([offset, offset]))
+        values = [p._values if p._values.ndim == 2 else p._values[:, None] for p in parts]
         return cls(
             np.concatenate(starts),
             np.concatenate([part._seconds for part in parts], dtype=np.int32),
-            np.concatenate(
-                [np.broadcast_to(p._values, (2, len(p._seconds))) for p in parts], axis=1
-            ),
+            np.concatenate([np.broadcast_to(v, (len(v), 2)) for v in values]),
         )
 
-    def pairs(
-        self, firsts: np.ndarray, scale: int = 1
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(row * scale, second, values) of every pair of each first key,
-        where row is the key's index in ``firsts``. With the width of a
-        matrix of one row per key as the scale, row + second is a pair's
-        flat cell."""
-        rows, entries = _expand(self._starts[firsts], self._starts[firsts + 1], scale)
-        return rows, self._seconds[entries], np.take(self._values, entries, axis=-1)
+    def pairs(self, firsts: np.ndarray, base: np.ndarray | None = None):
+        """(base[i], second, values) of every pair of each first key
+        firsts[i]; base defaults to i. With row * width as the base of a
+        matrix of one row per key, base + second is a pair's flat cell."""
+        rows, entries = _expand(self._starts[firsts], self._starts[firsts + 1], base)
+        return rows, self._seconds[entries], self._values.take(entries, axis=0)
 
     def gather(self, firsts: np.ndarray, pos_of: np.ndarray) -> "_PairRows":
         """The pairs of ``firsts[i]`` as those of first key i, with each
@@ -478,20 +494,19 @@ class _PairRows:
         hi = np.where(firsts >= 0, self._starts[firsts + 1], lo)
         rows, entries = _expand(lo, hi)
         pos = pos_of[self._seconds[entries]]
-        hit = np.flatnonzero(pos >= 0)  # an index array: faster than a mask here
+        hit = (pos >= 0).nonzero()[0]  # an index array: faster than a mask here
         return _PairRows.grouped(
-            len(firsts), rows[hit], pos[hit], np.take(self._values, entries[hit], axis=-1)
+            len(firsts), rows[hit], pos[hit], self._values.take(entries[hit], axis=0)
         )
 
 
-def _expand(
-    lo: np.ndarray, hi: np.ndarray, scale: int = 1
-) -> tuple[np.ndarray, np.ndarray]:
-    """For every index in each range lo[i]:hi[i], the pair (i * scale, index)."""
+def _expand(lo: np.ndarray, hi: np.ndarray, base: np.ndarray | None = None):
+    """For every index in each range lo[i]:hi[i], the pair (base[..., i],
+    index); base defaults to i, and may hold several rows."""
     counts = hi - lo
-    rows = np.repeat(np.arange(0, len(lo) * scale, scale), counts)
-    offsets = np.repeat(lo - np.cumsum(counts) + counts, counts)
-    return rows, offsets + np.arange(len(rows))
+    rows = (np.arange(len(lo)) if base is None else base).repeat(counts, axis=-1)
+    ends = counts.cumsum()
+    return rows, (lo - ends + counts).repeat(counts) + np.arange(rows.shape[-1])
 
 
 class _Paragraph:
@@ -585,16 +600,16 @@ class _Lanes:
     ids: np.ndarray  # the lane's index in the batch
     para: np.ndarray  # its paragraph's index among the batch's paragraphs
     keys: np.ndarray  # its paragraph's first pair key
+    first: np.ndarray  # its first record (see ``_run_batch``)
     widths: np.ndarray
     min_len: np.ndarray
     max_len: np.ndarray
     rngs: np.ndarray  # its generator, or None (an object array)
-    backoff: np.ndarray  # (lanes, V) from here on
-    src_uni: np.ndarray
-    idf_sq: np.ndarray
+    # (lanes, V, 4): backoff, source weight, idf^2, default bigram square
+    table: np.ndarray
     model_ids: np.ndarray
     generic: np.ndarray  # (lanes, G): ``_Paragraph.generic``, padded
-    generic_backoff: np.ndarray  # their backoff scores
+    generic_backoff: np.ndarray  # their backoff scores, at least one column
     n_generic: np.ndarray
     min_generic_sq: np.ndarray  # the least idf^2 among them
 
@@ -603,20 +618,43 @@ class _Lanes:
 
 
 @dataclass
+class _Layout:
+    """The per-row arrays of a step's R rows, B per lane, built when B or
+    the lanes change: each row's lane and its paragraph; row * V for 2R rows
+    (the first cells of ``_pairs``' two blocks); (row - lane) * V, which a
+    cell less it indexes its lane's (lanes, V) arrays; its first cell and
+    its paragraph's offset in the flat ``_Batch.pos``, for ``_pairs``'
+    context lookups; and its lane's least generic idf^2, first generic
+    backoff score and whether it has generic words."""
+
+    B: int
+    lane: np.ndarray
+    para: np.ndarray
+    cells: np.ndarray
+    to_lane: np.ndarray
+    context_base: np.ndarray
+    min_sq: np.ndarray
+    first_backoff: np.ndarray
+    has_generic: np.ndarray
+
+
+@dataclass
 class _Batch:
     """What every step of a lockstep batch reads: its running lanes, its
     widest vocabulary V, the pair rows of its paragraphs with the size K of
-    each block of keys (``_batch_pair_rows``; key K - 1 has no pairs), each
-    paragraph's map from word id to vocabulary position, its number of
-    paragraphs, and the run's scratch planes."""
+    each block of keys, each paragraph's map from word id to vocabulary
+    position and its source words (all from ``_batch_pair_rows``; key K - 1
+    has no pairs), the run's scratch planes and the layout of the last
+    step."""
 
     lanes: _Lanes
     V: int
     n_keys: int
     pairs: _PairRows
     pos: np.ndarray
-    n_paras: int
+    sources: np.ndarray
     scratch: _Scratch
+    layout: _Layout | None = None
 
 
 @dataclass
@@ -626,7 +664,7 @@ class _Rows:
     far, whether it holds a beam, the pair key of its last word (BOS
     before the first), its last model ids (BOS-padded), its vocabulary
     positions, and from ``_history_cells`` its followed cells with their
-    counts and its bans; per lane, its live beams."""
+    counts and its bans; per lane, its live beams; and the step's layout."""
 
     B: int
     beam: np.ndarray
@@ -638,6 +676,7 @@ class _Rows:
     counts: np.ndarray
     bans: np.ndarray
     n_beams: np.ndarray
+    layout: _Layout
 
 
 class _BeamEngine:
@@ -654,14 +693,8 @@ class _BeamEngine:
     when no beam survives, or once the k-th best pooled score beats every
     score a longer hypothesis could reach.
 
-    A step's cells are (row, word) pairs over lanes x beam_width rows and
-    the batch's widest vocabulary V. A lane owns beam_width rows (its live
-    beams first), and its cells past its own vocabulary, like the rows of
-    beams it does not have, never win. The scorer gives each lane's cells
-    that can reach its top beam_width, with their scores; every cell it
-    scores gets the same elementwise operations, in the same order, as in
-    a dense search of its lane alone, and every cell it skips ranks below
-    the lane's top beam_width, so no lane's result depends on its batch.
+    A step's cells and its scorer are as in the module docstring; no
+    lane's result depends on its batch.
     """
 
     def __init__(
@@ -735,7 +768,7 @@ class _BeamEngine:
         shared = list(dict.fromkeys(p for p, _ in lanes))
         para = np.array([shared.index(p) for p, _ in lanes])
         shared = [self.paragraphs[p] for p in shared]
-        offsets, pairs, pos = _batch_pair_rows(shared, self.tables)
+        offsets, pairs, pos, sources = _batch_pair_rows(shared, self.tables)
         widths = np.array([len(p.vocab) for p in paras])
         V = int(widths.max())
         G = max(len(p.generic) for p in paras)
@@ -746,26 +779,43 @@ class _BeamEngine:
                 row[: len(values)] = values
             return out
 
+        table = np.full((len(paras), V, 4), self._default_sq)
+        for j, name in enumerate(("backoff", "src_uni", "idf_uni_sq")):
+            table[:, :, j] = stacked([getattr(p, name) for p in paras])
+        max_len, W = np.array([p.max_len for p in paras]), self.cfg.beam_width
         lanes = _Lanes(
             ids=np.arange(len(lanes)),
             para=para,
             keys=offsets[para],
+            first=np.cumsum(max_len * W) - max_len * W,
             widths=widths,
             min_len=np.array([p.min_len for p in paras]),
-            max_len=np.array([p.max_len for p in paras]),
+            max_len=max_len,
             rngs=np.array([rng for _, rng in lanes], dtype=object),
-            backoff=stacked([p.backoff for p in paras]),
-            src_uni=stacked([p.src_uni for p in paras]),
-            idf_sq=stacked([p.idf_uni_sq for p in paras]),
+            table=table,
             model_ids=stacked([p.model_ids for p in paras], dtype=np.intp),
             generic=stacked([p.generic for p in paras], G, np.intp),
-            generic_backoff=stacked([p.backoff[p.generic] for p in paras], G),
+            generic_backoff=stacked([p.backoff[p.generic] for p in paras], max(G, 1)),
             n_generic=np.array([len(p.generic) for p in paras]),
-            min_generic_sq=np.array(
-                [p.idf_uni_sq[p.generic].min(initial=np.inf) for p in paras]
-            ),
+            min_generic_sq=np.array([p.idf_uni_sq[p.generic].min(initial=np.inf) for p in paras]),
         )
-        return _Batch(lanes, V, offsets[-1] + 1, pairs, pos, len(shared), scratch)
+        return _Batch(lanes, V, offsets[-1] + 1, pairs, pos, sources, scratch)
+
+    @staticmethod
+    def _layout(batch: _Batch, B: int) -> _Layout:
+        """The batch's layout for B rows per lane: its last one, unless B
+        or the lanes changed."""
+        ln, V, layout = batch.lanes, batch.V, batch.layout
+        if layout is None or layout.B != B:
+            R = len(ln.ids) * B
+            lane = np.arange(R) // B
+            cells = np.arange(0, 2 * R * V, V)
+            batch.layout = layout = _Layout(
+                B, lane, ln.para[lane], cells, cells[:R] - lane * V,
+                np.stack((cells[:R], ln.para[lane] * batch.pos.shape[1])),
+                ln.min_generic_sq[lane], ln.generic_backoff[lane, 0], ln.n_generic[lane] > 0,
+            )
+        return layout
 
     def _run_batch(self, lanes, k: int, buffer: _Scratch) -> list:
         """``run`` for one batch of lanes, with its step planes in ``buffer``.
@@ -789,91 +839,70 @@ class _BeamEngine:
         live = np.ones(n_lanes, dtype=bool)
         beam = np.zeros((3, n_lanes))
         history = np.empty((n_lanes, 0), dtype=np.intp)
-        repeats = np.empty((n_lanes, 0), dtype=bool)
         contexts = np.full((n_lanes, span), model.token_ids[BOS], dtype=np.intp)
         keys = ln.keys + ln.widths
-        top = np.full((n_lanes, k), -np.inf)  # each lane's k best pooled scores
+        # Each lane's k best pooled scores, negated, in its first k columns;
+        # each step writes its picks' after them.
+        top = np.full((n_lanes, k + W), np.inf)
 
-        # Every pick, lane i's at first[i] + (step - 1) * W + slot: its LM,
-        # similarity and combined score (-inf outside the pool, set step by
-        # step), and its parent slot and word. A lane's records are its own
-        # run of max_len x W entries, so only the pages of the steps it
-        # takes are touched.
-        n_steps = int(ln.max_len.max())
-        first = np.cumsum(ln.max_len * W) - ln.max_len * W
-        scores = np.empty((3, int(ln.max_len.sum()) * W))
-        links = np.empty((2, scores.shape[1]), dtype=np.intp)
+        # Every pick, lane i's at first[i] + (step - 1) * W + slot: its five
+        # scores (the combined one stays -inf where no pick was made) and its
+        # flat index among its lane's rows and words.
+        scores = np.empty((5, int(ln.max_len.sum()) * W))
+        scores[4] = -np.inf
+        links = np.empty(scores.shape[1], dtype=np.intp)
 
         results: list = [None] * n_lanes
-        for step in range(1, n_steps + 1):
+        for step in range(1, int(ln.max_len.max()) + 1):
             L = len(ln.ids)
             B = 1 if step == 1 else W  # rows per lane this step
             rows = _Rows(
                 B, beam, live, keys, contexts, history,
-                *_history_cells(history, repeats, V, cfg.no_repeat_ngram), n_beams,
+                *_history_cells(history, V, cfg.no_repeat_ngram), n_beams,
+                self._layout(batch, B),
             )
             lane, picks, rank, picked = self._sparse_scores(batch, rows, step)
-            chosen = top_k(lane, picks, rank, W)
+            chosen, slots = top_k(lane, picks, rank, W)
             # Each pick's LM, dot, sum-of-squares, similarity and combined
             # scores; only those of a legal length are pooled.
             lane, picks, picked = lane[chosen], picks[chosen], picked[:, chosen]
-
+            at = ln.first[lane] + ((step - 1) * W + slots)
+            scores[:, at] = picked
+            links[at] = picks
             n_beams = np.bincount(lane, minlength=L)
-            slots = np.arange(len(lane)) - (np.cumsum(n_beams) - n_beams)[lane]
             parents, words = np.divmod(picks, V)
             src = lane * B + parents
-            dst = lane * W + slots
-            pooled = picked[4]
-            pooled[step < ln.min_len[lane]] = -np.inf
-            base = first[ln.ids] + (step - 1) * W
-            scores[2, (base[:, None] + np.arange(W)).ravel()] = -np.inf
-            at = base[lane] + slots
-            scores[0, at] = picked[0]
-            scores[1, at] = picked[3]
-            scores[2, at] = pooled
-            links[0, at] = parents
-            links[1, at] = words
 
-            R = L * W  # the rows of the next step
-            per_slot = np.full((2, R), -np.inf)
-            per_slot[0, dst] = pooled
-            per_slot[1, dst] = picked[0]
-            top = np.concatenate((top, per_slot[0].reshape(L, W)), axis=1)
-            top.partition(W, axis=1)
-            top = top[:, W:]
-            best_lm = per_slot[1].reshape(L, W).max(axis=1)
+            top[:, k:] = np.inf
+            top[lane, k + slots] = -picked[4]
+            top[step < ln.min_len, k:] = np.inf
+            top.partition(k - 1, axis=1)
+            best_lm = np.full(L, -np.inf)
+            np.maximum.at(best_lm, lane, picked[0])
             best_lm[n_beams == 0] = 0.0  # those lanes stop anyway
-            stop = (
-                (n_beams == 0)
-                | (step >= ln.max_len)
-                | (cfg.lambda_lm * best_lm + cfg.lambda_sim < top[:, 0])
-            )
+            stop = (n_beams == 0) | (step >= ln.max_len)
+            stop |= cfg.lambda_lm * best_lm + cfg.lambda_sim < -top[:, k - 1]
 
             if stop.any():
-                for i in np.flatnonzero(stop):
-                    records = slice(first[ln.ids[i]], first[ln.ids[i]] + step * W)
+                for i in stop.nonzero()[0].tolist():
+                    records = slice(ln.first[i], ln.first[i] + step * W)
                     results[ln.ids[i]] = self._collect(
-                        paras[ln.ids[i]],
-                        scores[:, records].reshape(3, step, W),
-                        links[:, records].reshape(2, step, W),
-                        top[i, 0],
-                        k,
+                        paras[ln.ids[i]], scores[:, records].reshape(5, step, W),
+                        np.divmod(links[records].reshape(step, W), V), -top[i, k - 1], k,
                     )
-                keep = np.flatnonzero(~stop)
+                keep = (~stop).nonzero()[0]
                 if not len(keep):
                     break
-                moved = np.full(L, -1)
-                moved[keep] = np.arange(len(keep))
                 kept = ~stop[lane]
-                lane, src, words, slots = moved[lane[kept]], src[kept], words[kept], slots[kept]
-                picked = picked[:, kept]
-                dst = lane * W + slots
-                batch.lanes = ln = ln.take(keep)
-                n_beams, top = n_beams[keep], top[keep]
-                R = len(keep) * W
+                lane = (np.cumsum(~stop) - 1)[lane[kept]]
+                src, words, slots, picked = src[kept], words[kept], slots[kept], picked[:, kept]
+                batch.lanes, batch.layout = ln.take(keep), None
+                ln, n_beams, top = batch.lanes, n_beams[keep], top[keep]
 
             # The next step's rows: lane i's picks, best first, in its rows;
             # rows past them hold no beam.
+            R = len(ln.ids) * W
+            dst = lane * W + slots
             live = np.zeros(R, dtype=bool)
             live[dst] = True
             beam = np.zeros((3, R))
@@ -881,11 +910,10 @@ class _BeamEngine:
             source = np.zeros(R, dtype=np.intp)
             source[dst] = src
             grown = np.empty((R, step), dtype=np.intp)
-            np.take(history, source, axis=0, out=grown[:, :-1], mode="clip")
+            history.take(source, axis=0, out=grown[:, :-1], mode="clip")
             grown[:, -1] = 0
             grown[dst, -1] = words
             history = grown
-            repeats = history[:, :-1] == history[:, -1:]
             shifted = np.full((R, span), -1, dtype=np.intp)
             if span:
                 shifted[dst, :-1] = contexts[src, 1:]
@@ -897,45 +925,39 @@ class _BeamEngine:
 
     def _sparse_scores(self, batch: _Batch, rows: _Rows, step: int):
         """The step's scorer: each lane's cells that can reach its top
-        beam_width, scored exactly. Returns them as (lane, row-in-lane * V
-        + word, rank) arrays, and their LM, dot, sum-of-squares, similarity
-        and combined scores as a (5, cells) array. A cell's rank is its
-        combined score; in a sampled lane it is that score divided by the
-        temperature, plus the cell's Gumbel draw.
+        beam_width, scored exactly, as (lane, row-in-lane * V + word, rank)
+        arrays and their LM, dot, sum-of-squares, similarity and combined
+        scores as a (5, cells) array. A cell's rank is its combined score;
+        in a sampled lane, that score divided by the temperature plus the
+        cell's Gumbel draw.
 
-        A row's special cells are its pairs (its LM followers and IDF bigrams,
-        one block), the LM followers of its longer contexts, its source-bigram
-        pairs, the source words, and its history cells (the tf corrections and
-        the bans). Each is scored with the same elementwise operations, in the
-        same order, as every cell of a dense (rows, V) search of its lane
-        alone. Every other cell is generic: its LM score is backoff[w] + the
-        beam's, its dot the beam's, and its sum of squares (idf^2[w] + the
-        beam's) + the default bigram square (none on the first step). So its
-        score is at most the bound lambda_lm * (backoff[w] + beam LM) +
-        lambda_sim * clip(beam dot / sqrt((min idf^2 + beam ssq) + default^2)),
-        min idf^2 being the least among the lane's generic words: the bound
-        takes the score's operations in their order, and IEEE rounding is
-        monotone, so it holds for the computed values, and it falls with
-        backoff[w]. Each lane's threshold is its beam_width-th best special
-        rank; ``_generic_cells`` gives the generic cells whose bound, with the
-        noise in a sampled lane, is not below it. Every skipped cell ranks
-        strictly below the threshold, so each lane's top beam_width, and their
-        flat tie order, are those of the dense search.
+        A row's special cells are its pairs (LM followers and IDF bigrams),
+        the LM followers of its longer contexts, its source bigrams, the
+        source words and its history cells (tf corrections and bans), each
+        scored with the elementwise operations, in the order, of a dense
+        (rows, V) search of its lane alone. A generic cell's LM score is
+        backoff[w] + the beam's, its dot the beam's, and its sum of squares
+        (idf^2[w] + the beam's) + the default bigram square (none on the
+        first step), so its score is at most lambda_lm * (backoff[w] + beam
+        LM) + lambda_sim * clip(beam dot / sqrt((min idf^2 + beam ssq) +
+        default^2)), min idf^2 the least among the lane's generic words:
+        the bound takes the score's operations in their order and IEEE
+        rounding is monotone. ``_generic_cells`` gives the generic cells
+        whose bound, with a sampled cell's noise, reaches the lane's
+        threshold, its beam_width-th best special rank; every other cell
+        ranks below it, so each lane's top beam_width, in flat tie order,
+        are those of the dense search.
 
-        Each sampled lane draws ``rng.gumbel(size=n_beams * width)``, in
-        lane order, as a lone search of it does, into a float plane at its
-        live rows and real cells; every other cell of the plane holds -inf,
-        so no cell there reaches a threshold. The special cells are merged
-        in a boolean plane, which gives them once each in flat order and is
-        cleared at those cells only; a cell is found in their list through
-        a plane of slots that is never cleared, as it is read only at cells
-        just written.
+        Each sampled lane draws ``rng.gumbel(size=n_beams * width)``, in lane
+        order as a lone search does, into a float plane at its live rows and
+        real cells; the rest of the plane holds -inf. The special cells are
+        merged in a boolean plane, cleared at those cells only, and found in
+        their list through a plane of slots read only at cells just written.
         """
-        cfg, ln, V, B = self.cfg, batch.lanes, batch.V, rows.B
+        cfg, ln, V, B, layout = self.cfg, batch.lanes, batch.V, rows.B, rows.layout
         L, R = len(ln.ids), len(rows.live)
         mark = batch.scratch.plane(bool)
         slot = batch.scratch.plane(np.int32)
-        row_lane = np.arange(R) // B
         noise = None
         if ln.rngs[0] is not None:
             noise = batch.scratch.plane(float)[: R * V]
@@ -944,79 +966,77 @@ class _BeamEngine:
             for i, (rng, n, width) in enumerate(zip(ln.rngs, rows.n_beams, ln.widths)):
                 drawn[i, :n, :width] = rng.gumbel(size=n * width).reshape(n, width)
 
-        def ranks(comb, cells):
-            """The ranks of the cells with these combined scores."""
-            if noise is None:
-                return comb
-            rank = np.divide(comb, cfg.temperature)
-            rank += noise[cells]
-            return rank
-
         # The followed cells and the bans are history cells, so they are
         # not marked on their own.
-        paired, ((pairs, (logs, squares)), source_bigrams) = self._pairs(batch, rows)
-        lm_writes = [(pairs, logs)] + self._context_writes(batch, rows)
-        special = [paired] + [cells for cells, _ in lm_writes[1:]]
+        paired, ((pairs, values), source_bigrams), writes = self._pairs(batch, rows)
+        mark[paired] = True
+        for written, _ in writes:
+            mark[written] = True
+        # Each live row's source words; the last row of sources has none.
+        full = rows.live.all()
+        para = layout.para if full else np.where(rows.live, layout.para, len(batch.sources) - 1)
+        mark[: R * V].reshape(R, V)[...] |= batch.sources[para]
         if step > 1:
-            live = np.flatnonzero(rows.live)
+            held = layout.cells[:R, None] + rows.history
             followed, counts, bans = rows.followed, rows.counts, rows.bans
-            if len(live) < R:
+            if not full:
+                held = held[rows.live]
                 on = rows.live[followed // V]
                 followed, counts = followed[on], counts[on]
                 bans = bans[rows.live[bans // V]]
-            history = (live * V)[:, None] + rows.history[live]
-            special.append(history)
-        for cells in special:
-            mark[cells] = True
-        cells = np.flatnonzero(mark[: R * V])
+            mark[held] = True
+        cells = mark[: R * V].nonzero()[0]
         n = len(cells)
         slot[cells] = np.arange(n, dtype=np.int32)
-        starts = np.searchsorted(cells, np.arange(0, (R + 1) * V, V))
-        per_row = np.diff(starts)
-        at = cells - np.repeat((np.arange(R) - row_lane) * V, per_row)  # lane * V + w
-        beam = np.repeat(rows.beam, per_row, axis=1)
+        starts = cells.searchsorted(layout.cells[: R + 1])
+        per_row = starts[1:] - starts[:-1]
 
-        # The LM, dot, sum-of-squares, similarity and combined scores.
+        # The LM, dot, sum-of-squares, similarity and combined scores, from
+        # each cell's lane's table (``_Lanes.table``) with the pairs' LM logs
+        # and bigram squares and the longer contexts' LM logs written in.
+        table = ln.table.reshape(-1, 4).take(cells - layout.to_lane.repeat(per_row), axis=0)
+        logs, idf_sq, square = table[:, 0], table[:, 2], table[:, 3]
+        at = slot[pairs]
+        logs[at] = values[:, 0]
+        square[at] = values[:, 1]
+        for written, written_logs in writes:
+            logs[slot[written]] = written_logs
         scores = np.empty((5, n))
+        np.add(table[:, :3].T, rows.beam.repeat(per_row, axis=1), out=scores[:3])
         lm, dot, ssq, sim, comb = scores
-        np.take(ln.backoff, at, out=lm)
-        for written, logs in lm_writes:
-            lm[slot[written]] = logs
-        lm += beam[0]
-        np.add(np.take(ln.src_uni, at), beam[1], out=dot)
-        idf_sq = np.take(ln.idf_sq, at)
-        np.add(idf_sq, beam[2], out=ssq)
         if step > 1:
-            square = np.full(n, self._default_sq)
-            square[slot[pairs]] = squares
             ssq += square
             dot[slot[source_bigrams[0]]] += source_bigrams[1]
             # A word held k times gets idf^2 * 2k, as in the dense search,
             # and every other cell 0.
-            ssq += idf_sq * (2 * np.bincount(slot[history].ravel(), minlength=n))
+            ssq += idf_sq * (2 * np.bincount(slot[held].ravel(), minlength=n))
             f = slot[followed]
             ssq[f] += square[f] * (2 * counts)
-        self._mix(lm, dot, ssq, sim, comb, idf_sq)
+        self._mix(lm, dot, ssq, sim, comb, np.empty(n))
         if step > 1:
             comb[slot[bans]] = -np.inf
-
-        rank = ranks(comb, cells)
+        rank = comb
+        if noise is not None:
+            rank = np.divide(comb, cfg.temperature)
+            rank += noise[cells]
 
         # Each lane's threshold: its beam_width-th best special rank, or
         # -finfo.max below beam_width finite ones. A lane's special cells
-        # are one run of ``cells``.
+        # are one run of ``cells``, partitioned in place.
         bounds = starts[::B]
-        threshold = np.full(L, -np.finfo(float).max)
+        threshold = np.full(L, _LOWEST)
         ranked = np.fmax(rank, -np.inf)  # NaN ranks as -inf
         for i, (start, end) in enumerate(zip(bounds.tolist(), bounds[1:].tolist())):
             kth = end - start - cfg.beam_width
             if kth >= 0:
-                threshold[i] = max(threshold[i], np.partition(ranked[start:end], kth)[kth])
-        found = np.flatnonzero(rank >= np.repeat(threshold, np.diff(bounds)))
-        lanes = np.searchsorted(bounds, found, side="right") - 1
+                run = ranked[start:end]
+                run.partition(kth)
+                threshold[i] = max(threshold[i], run[kth])
+        found = (rank >= threshold.repeat(bounds[1:] - bounds[:-1])).nonzero()[0]
+        lanes = bounds.searchsorted(found, side="right") - 1
         picked = (lanes, cells[found] - lanes * (B * V), rank[found], scores[:, found])
 
-        extra = self._generic_cells(batch, rows, step, row_lane, threshold, noise)
+        extra = self._generic_cells(batch, rows, step, threshold, noise)
         if len(extra):
             extra = extra[~mark[extra]]
         mark[cells] = False
@@ -1024,19 +1044,21 @@ class _BeamEngine:
             return picked
         # The generic cells, scored like the special ones without their
         # pair and history terms.
-        r, words = np.divmod(extra, V)
-        at = row_lane[r] * V + words
+        r = extra // V
+        table = ln.table.reshape(-1, 4).take(extra - layout.to_lane[r], axis=0)
         scores = np.empty((5, len(extra)))
+        np.add(table[:, :3].T, rows.beam.take(r, axis=1), out=scores[:3])
         lm, dot, ssq, sim, comb = scores
-        np.add(np.take(ln.backoff, at), rows.beam[0, r], out=lm)
-        np.add(np.take(ln.src_uni, at), rows.beam[1, r], out=dot)
-        np.add(np.take(ln.idf_sq, at), rows.beam[2, r], out=ssq)
         if step > 1:
             ssq += self._default_sq
         self._mix(lm, dot, ssq, sim, comb, np.empty(len(extra)))
-        rank = ranks(comb, extra)
-        found = np.flatnonzero(rank >= threshold[row_lane[r]])
-        lanes = row_lane[r[found]]
+        rank = comb
+        if noise is not None:
+            rank = np.divide(comb, cfg.temperature)
+            rank += noise[extra]
+        lanes = layout.lane[r]
+        found = (rank >= threshold[lanes]).nonzero()[0]
+        lanes = lanes[found]
         return tuple(
             np.concatenate((old, new), axis=-1)
             for old, new in zip(
@@ -1045,121 +1067,96 @@ class _BeamEngine:
             )
         )
 
-    def _generic_cells(
-        self, batch: _Batch, rows: _Rows, step: int, row_lane, threshold, noise
-    ):
+    def _generic_cells(self, batch: _Batch, rows: _Rows, step: int, threshold, noise):
         """Cells that hold every generic cell of the live rows that may
-        reach its lane's threshold, by the bound of ``_sparse_scores``;
-        some may be special cells too.
-
-        In a deterministic lane these are each row's prefix of its lane's
-        generic words whose bound is not below the threshold. In a sampled
-        lane the noise differs from cell to cell, so no order holds; a cell
-        is kept when its row's first bound, the largest, divided by the
-        temperature, plus the cell's draw in ``noise`` is not below the
-        threshold. The division by a temperature > 0 and the addition are
+        reach its lane's threshold, by the bound of ``_sparse_scores``; some
+        may be special cells too. In a deterministic lane, each row's prefix
+        of its lane's generic words whose bound is not below the threshold.
+        In a sampled lane no order holds, so a cell is kept when its row's
+        first bound, the largest, divided by the temperature, plus its draw
+        in ``noise`` is not below the threshold: both operations are
         monotone under IEEE rounding, so that sum bounds the cell's rank.
         """
-        cfg, ln, V = self.cfg, batch.lanes, batch.V
+        cfg, ln, V, layout = self.cfg, batch.lanes, batch.V, rows.layout
         G = ln.generic.shape[1]
-        den = ln.min_generic_sq[row_lane] + rows.beam[2]
+        if not G:
+            return np.empty(0, dtype=np.intp)
+        den = layout.min_sq + rows.beam[2]
         if step > 1:
             den += self._default_sq
-        sim = np.clip(rows.beam[1] / np.sqrt(den), 0.0, 1.0) * cfg.lambda_sim
-        floor = threshold[row_lane]
-
-        def bound(i, n):
-            """The bounds of the first n generic words of rows i."""
-            bound = (ln.generic_backoff[row_lane[i], :n] + rows.beam[0, i, None])
-            bound *= cfg.lambda_lm
-            bound += sim[i, None]
-            return bound
+        sim = (rows.beam[1] / np.sqrt(den)).clip(0.0, 1.0) * cfg.lambda_sim
+        floor = threshold[layout.lane]
+        # A bound is (backoff + beam LM) * lambda_lm + sim; a row's first is its largest.
+        first = (layout.first_backoff + rows.beam[0]) * cfg.lambda_lm + sim
 
         if noise is not None:
-            if not G:
-                return np.empty(0, dtype=np.intp)
             # The draw plus the bound equals the bound plus the draw: IEEE
             # addition is commutative. A cell outside the live rows' real
             # cells holds a -inf draw, and the caller drops special cells.
-            top = noise.reshape(-1, V) + np.divide(bound(slice(None), 1), cfg.temperature)
-            return np.flatnonzero(~(top < floor[:, None]))
-
-        def reach(i, n):
-            """How many of the first n generic words of rows i reach."""
-            real = np.arange(n) < ln.n_generic[row_lane[i], None]
-            return (~(bound(i, n) < floor[i, None]) & real).sum(axis=1)
+            top = noise.reshape(-1, V) + np.divide(first, cfg.temperature)[:, None]
+            return (~(top < floor[:, None])).ravel().nonzero()[0]
 
         # The bound falls along the order, so the words that reach are a
         # prefix, and most steps end at the first word.
-        n = reach(slice(None), min(G, 1)) * rows.live
-        if not n.any():
-            return n[:0]
-        more = np.flatnonzero(n)
-        n[more] = reach(more, G)
-        i, entries = _expand(row_lane * G, row_lane * G + n)
-        return i * V + ln.generic.ravel()[entries]
+        i = (~(first < floor) & layout.has_generic & rows.live).nonzero()[0]
+        if not len(i):
+            return i
+        lanes = layout.lane[i]
+        bound = (ln.generic_backoff[lanes, :G] + rows.beam[0, i, None]) * cfg.lambda_lm
+        bound += sim[i, None]
+        real = np.arange(G) < ln.n_generic[lanes, None]
+        n = (~(bound < floor[i, None]) & real).sum(axis=1)
+        r, entries = _expand(lanes * G, lanes * G + n, layout.cells[i])
+        return r + ln.generic.ravel()[entries]
 
     def _mix(self, lm, dot, ssq, sim, comb, scratch) -> None:
         """Each cell's similarity and combined score from its LM, dot and
         sum-of-squares scores, written to ``sim`` and ``comb``."""
         np.divide(dot, np.sqrt(ssq, out=scratch), out=sim)
-        np.clip(sim, 0.0, 1.0, out=sim)
+        sim.clip(0.0, 1.0, out=sim)
         np.multiply(lm, self.cfg.lambda_lm, out=comb)
         comb += np.multiply(sim, self.cfg.lambda_sim, out=scratch)
 
     def _pairs(self, batch: _Batch, rows: _Rows):
-        """Each row's pairs, per block of ``_batch_pair_rows``: the words it
-        has a pair with after its last word, with their LM logs and
-        IDF-bigram squares as a (2, cells) array; its source bigrams with
-        their values; and its paragraph's source words (none for a row
-        without a beam). Returns all those cells as one array, and the
-        (cells, values) of the first two blocks."""
-        K, V, R = batch.n_keys, batch.V, len(rows.keys)
-        para = batch.lanes.para[np.arange(R) // rows.B]
-        queries = [rows.keys, rows.keys + K, 2 * K + np.where(rows.live, para, batch.n_paras)]
-        r, seconds, values = batch.pairs.pairs(np.concatenate(queries), V)
-        cells = r + seconds
-        ends = np.searchsorted(r, np.array([R, 2 * R]) * V).tolist()
-        cells[ends[0]:ends[1]] -= R * V
-        cells[ends[1]:] -= 2 * R * V
-        return cells, (
-            (cells[: ends[0]], values[:, : ends[0]]),
-            (cells[ends[0]:ends[1]], values[0, ends[0]:ends[1]]),
+        """Each row's pair cells: per block of ``_batch_pair_rows``, the
+        words it has a pair with after its last word, with their LM logs and
+        IDF-bigram squares as a (cells, 2) array, and its source bigrams with
+        their values (none for a row without a beam); then the LM scores of
+        the words attested after each longer suffix of its context, as
+        (cells, logs), one pair per suffix length, shortest first. Each of
+        those replaces the score written before it at its cell, beginning
+        with the pairs' logs, as it is: the model's scores carry their
+        backoff penalties. Returns the cells of both blocks as one array,
+        each block's (cells, values), and the longer contexts' (cells, logs)."""
+        R, V, cells = len(rows.keys), batch.V, rows.layout.cells
+        r, seconds, values = batch.pairs.pairs(
+            np.concatenate((rows.keys, rows.keys + batch.n_keys)), cells
         )
-
-    def _context_writes(self, batch: _Batch, rows: _Rows) -> list:
-        """The LM scores of the words attested after each longer suffix of
-        each row's context, as (cells, logs) arrays, one pair per suffix
-        length, shortest first. Each replaces the score written before it
-        at its cell, beginning with the pair rows' followers. The model's
-        scores carry their backoff penalties, so each is written as it
-        is."""
-        V = batch.V
-        n_ids = batch.pos.shape[1]
-        # Each row's paragraph's row of pos.
-        row_ids = batch.lanes.para[np.arange(len(rows.keys)) // rows.B] * n_ids
-        index = self.model.continuation_index
-        writes = []
+        end = r.searchsorted(R * V)
+        cells = r + seconds
+        cells[end:] -= R * V
+        index, pos, writes = self.model.continuation_index, batch.pos.ravel(), []
         for j in range(2, self.model.order):
             # The tokens attested after each row's last j words, with the
-            # score token_logscore reaches for them.
+            # score token_logscore reaches for them. A model token's id is
+            # its word id, and each paragraph's row of pos ends with the
+            # entry of id -1, so a flat index one before a row finds -1.
             lo, hi = index.spans(rows.contexts[:, -j:])
-            r, entries = _expand(lo, hi, V)
-            # A model token's id is its word id, and each paragraph's row
-            # of pos ends with the entry of id -1, so a flat index one
-            # before a row still finds -1.
-            pos = batch.pos.ravel()[np.repeat(row_ids, hi - lo) + index.ids[entries]]
-            hit = np.flatnonzero(pos >= 0)
-            writes.append((r[hit] + pos[hit], index.logs[entries[hit]]))
-        return writes
+            (r, offsets), entries = _expand(lo, hi, rows.layout.context_base)
+            found = pos[offsets + index.ids[entries]]
+            hit = (found >= 0).nonzero()[0]
+            writes.append((r[hit] + found[hit], index.logs[entries[hit]]))
+        return cells, ((cells[:end], values[:end]), (cells[end:], values[end:, 0])), writes
 
     @staticmethod
     def _collect(para: _Paragraph, scores, links, kth: float, k: int):
         """A lane's k best pooled hypotheses, by combined score desc, then
-        tokens, from its records by (step, slot); ``kth`` is its k-th best
+        tokens, from its records by (step, slot): its picks' five scores and
+        their parent slots and words (``links``). ``kth`` is its k-th best
         pooled score, -inf when fewer are pooled. Only hypotheses scoring
         at least that get their tokens built."""
-        combined = scores[2]
+        combined = scores[4]
+        combined[: para.min_len - 1] = -np.inf  # shorter ones are not pooled
         steps, slots = np.nonzero((combined > -np.inf) & (combined >= kth))
         if not len(steps):
             return DecodeFailure(
@@ -1171,14 +1168,14 @@ class _BeamEngine:
             steps.tolist(),
             slots.tolist(),
             scores[0, steps, slots].tolist(),
-            scores[1, steps, slots].tolist(),
+            scores[3, steps, slots].tolist(),
             combined[steps, slots].tolist(),
         ):
-            tokens = []
+            tokens = [""] * (step + 1)
             for s in range(step, -1, -1):
-                tokens.append(para.vocab[words[s][slot]])
+                tokens[s] = para.vocab[words[s][slot]]
                 slot = parents[s][slot]
-            pool.append(Hypothesis(tuple(reversed(tokens)), lm, sim, comb))
+            pool.append(Hypothesis(tuple(tokens), lm, sim, comb))
         pool.sort(key=lambda h: (-h.combined, h.tokens))
         return pool[:k]
 
@@ -1186,61 +1183,60 @@ class _BeamEngine:
 def _batch_pair_rows(paras: Sequence[_Paragraph], tables: ConstraintTables):
     """The pair rows of a batch's paragraphs in one key space: each
     paragraph's pairs, with their LM logs and IDF-bigram squares, gathered
-    from the tables; its source bigrams with their values; and its source
-    words with their weights. The source blocks give each value twice (see
-    ``_PairRows.stack``).
+    from the tables, and its source bigrams with their values, given twice
+    (see ``_PairRows.stack``).
 
     Paragraph i's keys are its vocabulary positions and then BOS, from
     ``offsets[i]`` on, and the key ``offsets[-1]`` has no pairs. The pair
     and source-bigram blocks of keys are K = offsets[-1] + 1 keys apart, in
-    that order; paragraph i's source words are at 2K + i, and the key
-    2K + len(paras) has none. Also returns each paragraph's map from word
-    id to vocabulary position (-1 outside it), one row each with a last
-    entry for id -1; the gather reads it, and so does ``_context_writes``
-    by model token id. Each paragraph is gathered on its own, which keeps
-    the gather's scratch arrays small.
+    that order. Also returns each paragraph's map from word id to
+    vocabulary position (-1 outside it), one row each with a last entry for
+    id -1, which the gather reads, and so does ``_BeamEngine._pairs`` by
+    model token id; and which of its widest vocabulary's positions are
+    each paragraph's source words, with a last row of none. Each paragraph
+    is gathered on its own, which keeps the gather's scratch arrays small.
     """
     words = tables.words
     n_keys = [len(para.vocab) + 1 for para in paras]
     pos = np.stack([_inverse(p.ids, len(words.ids)) for p in paras])
     bos = words.ids[BOS]
-    sources = [np.flatnonzero(p.src_uni) for p in paras]
     empty = _PairRows(np.zeros(2, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0))
     pairs = _PairRows.stack(
         [tables.pairs.gather(np.append(p.ids, bos), row) for p, row in zip(paras, pos)]
-        + [empty]
-        + [p.src_bi for p in paras]
-        + [empty]
-        + [_PairRows(np.array([0, len(w)]), w, p.src_uni[w]) for p, w in zip(paras, sources)],
-        (n_keys + [1]) * 2 + [1] * len(paras),
+        + [empty] + [p.src_bi for p in paras] + [empty],
+        (n_keys + [1]) * 2,
     )
-    return np.cumsum([0] + n_keys), pairs, pos
+    sources = np.zeros((len(paras) + 1, max(n_keys) - 1), dtype=bool)
+    for row, para in zip(sources, paras):
+        row[: len(para.vocab)] = para.src_uni != 0
+    return np.cumsum([0] + n_keys), pairs, pos, sources
 
 
-def _history_cells(history: np.ndarray, repeats: np.ndarray, width: int, n: int):
+def _history_cells(history: np.ndarray, width: int, n: int):
     """What each row's history gives its next step, read off one scan of
-    it (``repeats``): the cells ``row * width + w`` of its bigrams (last token, w) so far,
-    ascending and once each, with their counts; and the cells whose token
-    would repeat an n-gram of the row (in any order, maybe twice).
+    it: the cells ``row * width + w`` of its bigrams (last token, w) so
+    far, ascending and once each, with their counts; and the cells whose
+    token would repeat an n-gram of the row (in any order, maybe twice).
 
-    ``repeats[row, p]`` tells whether position p, before the last, holds
-    the row's last token; ``history[row, p + 1]`` followed it there. That
-    follower is banned when the n - 2 positions before p also hold the
-    n - 2 tokens before the last one: it would end a second copy of the
-    n-gram starting at p - n + 2.
+    The scan finds each position p, before the last, that holds the row's
+    last token; ``history[row, p + 1]`` followed it there. That follower
+    is banned when the n - 2 positions before p also hold the n - 2
+    tokens before the last one: it would end a second copy of the n-gram
+    starting at p - n + 2.
     """
-    beams, at = np.nonzero(repeats)
+    beams, at = (history[:, :-1] == history[:, -1:]).nonzero()
     cells = beams * width + history[beams, at + 1]
-    keep = np.flatnonzero(at >= n - 2)
+    keep = (at >= n - 2).nonzero()[0]
     gap = history.shape[1] - 1 - at  # from each match to the last token
     for k in range(1, n - 1):
         b, q = beams[keep], at[keep] - k
         keep = keep[history[b, q] == history[b, q + gap[keep]]]
     bans = cells[keep]
-    cells = np.sort(cells)
-    new = np.ones(len(cells), dtype=bool)
+    cells.sort()
+    new = np.empty(len(cells), dtype=bool)
+    new[:1] = True
     np.not_equal(cells[1:], cells[:-1], out=new[1:])
-    return cells[new], np.bincount(np.cumsum(new) - 1), bans
+    return cells[new], np.bincount(new.cumsum() - 1), bans
 
 
 def _lockstep_batches(widths: Sequence[int], beam_width: int, cells: int) -> list[range]:

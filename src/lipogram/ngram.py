@@ -258,7 +258,7 @@ class ContinuationIndex:
         for j in range(1, contexts.shape[1]):
             keys, key_rows = self.key_tables[j - 1]
             wanted = rows * radix + (contexts[:, j] + 1)
-            at = np.searchsorted(keys, wanted)
+            at = keys.searchsorted(wanted)
             rows = np.where(keys[at] == wanted, key_rows[at], len(self.starts) - 2)
         return rows
 
@@ -405,6 +405,12 @@ def load(path: str | Path) -> NGramModel:
                     raise ValueError(f"{path}: {k}-gram {gram!r} lacks an attested prefix")
                 raise ValueError(f"{path}: {k}-gram {gram!r} is counted {k_counts[i]} "
                                  f"times, more than its prefix's {c_prefix[i]}")
+            # Every padded position is a unigram, so training counts each
+            # token of a gram as one; the attested prefix holds all but the last.
+            for i in np.flatnonzero(~np.isin(last, keys[0]))[:1].tolist():
+                gram = list(table)[i]
+                raise ValueError(f"{path}: {k}-gram {' '.join(gram)!r} holds "
+                                 f"{gram[-1]!r}, which is no unigram")
         by_key = np.argsort(prefix * n + last)
         keys.append(prefix[by_key] * n + last[by_key])
         counts.append(k_counts[by_key])

@@ -132,6 +132,18 @@ class TestUsageErrors:
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith("error: ") and "max_ratio must be finite" in line
 
+    def test_repeated_config_key(self, mini_corpus, out_dir, tmp_path, capsys):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("beam_width=10\nbeam_width=30\n", encoding="utf-8")
+        rc = run(
+            ["translate", "--corpus", str(mini_corpus), "--method", "beam",
+             "--config", str(cfg)],
+            out_dir,
+        )
+        assert rc == EXIT_USAGE
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == f"error: {cfg}: line 2: duplicate key 'beam_width' (first on line 1)"
+
     def test_negative_seed(self, mini_corpus, out_dir, capsys):
         rc = run(
             ["translate", "--corpus", str(mini_corpus), "--method", "edelete",

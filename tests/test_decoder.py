@@ -9,6 +9,8 @@ the model's arithmetic bit for bit.
 import itertools
 import math
 import random
+import sys
+from importlib.resources import files
 from pathlib import Path
 from unittest import mock
 
@@ -48,7 +50,13 @@ from lipogram.metrics import (
     similarity_bound,
 )
 from lipogram.ngram import BOS, EOS, train
-from lipogram.textcore import ALPHABET, ConstraintSet, canonical_words, violates
+from lipogram.textcore import (
+    ALPHABET,
+    ConstraintSet,
+    canonical_words,
+    split_paragraphs,
+    violates,
+)
 
 EMPTY_LEX = Lexicon({})
 NO_CONSTRAINT = ConstraintSet()
@@ -225,6 +233,18 @@ class TestParseConfigFile:
         path.write_text("beam_width 12\n", encoding="utf-8")
         with pytest.raises(ValueError, match="line 1"):
             parse_config_file(path)
+
+    @pytest.mark.parametrize("key, first, second", [
+        ("beam_width", "10", "30"),
+        ("sweep.extras", "ae", "th"),
+        ("beam_width", "10", "10"),
+    ])
+    def test_repeated_key_errors_with_both_lines(self, tmp_path, key, first, second):
+        path = tmp_path / "decoder.cfg"
+        path.write_text(f"{key}={first}\n# again\n {key} = {second}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            parse_config_file(path)
+        assert str(info.value) == f"{path}: line 3: duplicate key {key!r} (first on line 1)"
 
     def test_bad_value_errors(self, tmp_path):
         path = tmp_path / "decoder.cfg"
@@ -424,15 +444,17 @@ def dense_scores(engine, batch, rows, step):
     R = L * B
     mats = np.empty((6, R, V))
     lm, dot, ssq, sim, comb, rank = mats
-    _, ((pairs, (logs, squares)), source_bigrams) = engine._pairs(batch, rows)
+    _, ((pairs, values), source_bigrams), writes = engine._pairs(batch, rows)
+    logs, squares = values.T
+    backoff, src_uni, idf_sq = np.moveaxis(ln.table[:, :, :3], -1, 0)
 
-    np.copyto(lm.reshape(L, B, V), ln.backoff[:, None])
-    for cells, logs in [(pairs, logs)] + engine._context_writes(batch, rows):
+    np.copyto(lm.reshape(L, B, V), backoff[:, None])
+    for cells, logs in [(pairs, logs)] + writes:
         lm.ravel()[cells] = logs
     lm += rows.beam[0, :, None]
-    np.copyto(dot.reshape(L, B, V), ln.src_uni[:, None])
+    np.copyto(dot.reshape(L, B, V), src_uni[:, None])
     dot += rows.beam[1, :, None]
-    np.copyto(ssq.reshape(L, B, V), ln.idf_sq[:, None])
+    np.copyto(ssq.reshape(L, B, V), idf_sq[:, None])
     ssq += rows.beam[2, :, None]
     if step > 1:
         bigram_sq = sim
@@ -447,7 +469,7 @@ def dense_scores(engine, batch, rows, step):
         # beam does not hold).
         held = (np.arange(R) * V)[:, None] + rows.history
         ssq.ravel()[held] += (
-            ln.idf_sq.ravel()[(np.arange(R) // B * V)[:, None] + rows.history]
+            idf_sq.ravel()[(np.arange(R) // B * V)[:, None] + rows.history]
             * (2 * np.bincount(held.ravel(), minlength=R * V)[held])
         )
         ssq.ravel()[rows.followed] += follower_sq * (2 * rows.counts)
@@ -476,8 +498,10 @@ def dense_scores(engine, batch, rows, step):
 
 def top_k_lists(rank, k):
     lanes, picks, values = reaching(rank, k)
-    keep = top_k(lanes, picks, values, k)
-    return lanes[keep].tolist(), picks[keep].tolist()
+    keep, places = top_k(lanes, picks, values, k)
+    kept = lanes[keep].tolist()
+    assert places.tolist() == [kept[:i].count(lane) for i, lane in enumerate(kept)]
+    return kept, picks[keep].tolist()
 
 
 # Few distinct levels, so exact ties across the k boundary are common.
@@ -858,9 +882,9 @@ class TestSparseStep:
         skipped = {"deterministic": [], "sampled": []}
         real = _BeamEngine._generic_cells
 
-        def counting(engine, batch, rows, step, row_lane, threshold, noise):
-            found = real(engine, batch, rows, step, row_lane, threshold, noise)
-            generic = batch.lanes.n_generic[row_lane][rows.live].sum()
+        def counting(engine, batch, rows, step, threshold, noise):
+            found = real(engine, batch, rows, step, threshold, noise)
+            generic = batch.lanes.n_generic[rows.layout.lane][rows.live].sum()
             skipped[engine.cfg.mode].append(int(generic) - len(found))
             return found
 
@@ -1340,7 +1364,7 @@ def dense(pair_rows, keys, n_cols, plane=0):
     matrix with NaN where no pair is stored."""
     out = np.full((len(keys), n_cols), np.nan)
     rows, seconds, values = pair_rows.pairs(keys)
-    out[rows, seconds] = values[plane]
+    out[rows, seconds] = values[:, plane]
     return out
 
 
@@ -1362,21 +1386,20 @@ def paragraph_arrays(paras, tables):
     """Each paragraph's arrays, its pair rows read at its own keys of one
     gather of the whole batch: the LM and IDF-bigram-square planes of its
     pair block, its backoff, idf, source-word and source-bigram arrays.
-    The key past every paragraph must have no pairs in any block, and a
+    The key past every paragraph must have no pairs in either block, a
     paragraph's source words must be its words of non-zero source weight,
-    with that weight."""
-    offsets, pairs, _ = _batch_pair_rows(paras, tables)
+    and the last row of source words must hold none."""
+    offsets, pairs, _, sources = _batch_pair_rows(paras, tables)
     K = offsets[-1] + 1  # the keys of each block
     for block in range(2):
         assert len(pairs.pairs(offsets[-1:] + block * K)[0]) == 0
-    assert len(pairs.pairs(np.array([2 * K + len(paras)]))[0]) == 0
+    assert sources.shape == (len(paras) + 1, max(len(p.vocab) for p in paras))
+    assert not sources[-1].any()
     arrays = []
     for i, (para, first) in enumerate(zip(paras, offsets)):
         n = len(para.vocab)
         keys = first + np.arange(n + 1)  # the vocabulary, then BOS
-        _, words, weights = pairs.pairs(np.array([2 * K + i]))
-        assert words.tolist() == np.flatnonzero(para.src_uni).tolist()
-        assert weights[0].tolist() == para.src_uni[words].tolist()
+        assert sources[i].nonzero()[0].tolist() == np.flatnonzero(para.src_uni).tolist()
         arrays.append((
             dense(pairs, keys, n),
             dense(pairs, keys, n, plane=1),
@@ -1716,8 +1739,7 @@ class TestHistoryCells:
         rows = rows + [rows[0][:-1] + [0] if rows[0] else []] * padded
         width = 5
         history = np.array(rows, dtype=np.intp)
-        repeats = history[:, :-1] == history[:, -1:]
-        followed, counts, bans = _history_cells(history, repeats, width, n)
+        followed, counts, bans = _history_cells(history, width, n)
 
         followers, banned = {}, set()
         for r, row in enumerate(rows):
@@ -1839,3 +1861,55 @@ class TestBeamCellCap:
                           candidate_vocab_size=1001)
         assert "beam_width" in str(err.value)
         assert "candidate_vocab_size" in str(err.value)
+
+
+class TestStepCallBudget:
+    """The lockstep step costs about as much per numpy call as per cell it
+    scores, so its calls are budgeted. A search of the bundled novel's
+    first eight paragraphs (876 words, 130 steps) under "e" with the
+    default config counts, per step, the C-level and Python-level calls
+    (``sys.setprofile``'s ``c_call`` and ``call`` events) made inside
+    ``_BeamEngine._run_batch``: 86.8 and 40.3 with numpy 2.4. The bounds
+    are about 10% above those counts; the outputs are pinned elsewhere
+    (``tests/test_decode_digest.py``, the lone-decode property). The
+    counts depend on numpy's Python wrappers, so a failure names the
+    numpy version."""
+
+    C_CALLS, PY_CALLS = 95, 45
+    PARAGRAPHS = range(8)
+
+    def test_calls_per_step_stay_within_budget(self):
+        text = files("lipogram.data").joinpath("gatsby.txt").read_text(encoding="utf-8")
+        paragraphs = split_paragraphs(text)
+        cfg = DecoderConfig()
+        tables = tables_of(
+            ConstraintSet.from_string("e"), train(text), build_idf(paragraphs),
+            cfg.candidate_vocab_size,
+        )
+        sources = tuple(paragraphs[i] for i in self.PARAGRAPHS)
+        events = {"c_call": 0, "call": 0, "steps": 0}
+        scorer = _BeamEngine._sparse_scores.__code__
+
+        def profile(frame, event, arg):
+            if event in events:
+                events[event] += 1
+            if event == "call" and frame.f_code is scorer:
+                events["steps"] += 1
+
+        real = _BeamEngine._run_batch
+
+        def profiled(engine, *args):
+            sys.setprofile(profile)
+            try:
+                return real(engine, *args)
+            finally:
+                sys.setprofile(None)
+
+        with mock.patch.object(_BeamEngine, "_run_batch", profiled):
+            found = beam_search(sources, tables, cfg, EMPTY_LEX)
+        assert not any(isinstance(f, Exception) for f in found)
+        per_step = (events["c_call"] / events["steps"], events["call"] / events["steps"])
+        print(f"numpy {np.__version__}: {per_step[0]:.1f} C-level and "
+              f"{per_step[1]:.1f} Python-level calls per step over {events['steps']} steps")
+        assert per_step[0] <= self.C_CALLS, f"numpy {np.__version__}: {per_step}"
+        assert per_step[1] <= self.PY_CALLS, f"numpy {np.__version__}: {per_step}"

@@ -325,6 +325,25 @@ class TestSerialization:
         with pytest.raises(ValueError, match="lacks an attested prefix"):
             load(path)
 
+    def test_gram_ending_in_a_token_without_a_unigram_errors(self, tmp_path):
+        # Balanced sums and an attested prefix, but no "zz" unigram: training
+        # counts every padded position as one, and the continuation index
+        # has no token id for "zz", so the model would count "a zz" that
+        # continuations(["a"]) never shows.
+        path = tmp_path / "orphan.lm"
+        path.write_text(
+            "NGRAM-LM v1 order=2 alpha=0.4\n"
+            "1\t<s>\n1\ta\n1\t</s>\n"
+            "\n"
+            "1\t<s> a\n1\ta zz\n"
+        )
+        with pytest.raises(ValueError, match="'a zz' holds 'zz', which is no unigram"):
+            load(path)
+        path.write_text(path.read_text().replace("1\ta\n", "1\ta\n1\tzz\n").replace(
+            "1\ta zz\n", "1\ta zz\n1\tzz </s>\n"
+        ))
+        assert load(path).continuations(["a"]) == {"zz": 1}
+
     @pytest.mark.parametrize("token", ["x-ray", "Foo", "café", "it’s"])
     def test_token_that_is_not_one_word_errors(self, tmp_path, token):
         # A balanced file that training could not write: the decoder would

@@ -174,13 +174,17 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lipogram"
 
 
 def _references(tree, strings=False):
-    """The names a tree refers to: by name and as attributes, and with
-    ``strings`` each dot-separated part of every string constant."""
+    """The names a tree refers to: by name and as attributes, the original
+    name of each ``from ... import name as alias`` (it is used under the
+    alias only), and with ``strings`` each dot-separated part of every
+    string constant."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names if alias.asname)
         elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
             yield from node.value.split(".")
 
@@ -211,6 +215,20 @@ def _unreferenced(private, readers, strings=False):
         where for where, node in defined
         if used[node.name] == sum(1 for name in _references(node, strings) if name == node.name)
     ]
+
+
+def test_references_see_through_an_import_alias():
+    """A name imported under an alias is referred to, once, by the import;
+    a plain import adds nothing to the names its uses give."""
+    tree = ast.parse(
+        "from m import helper as h, other\n"
+        "import pkg.mod as mod\n"
+        "h(); other(); mod.f(); 'pkg.tool'\n"
+    )
+    refs = Counter(_references(tree))
+    assert refs["helper"] == 1 and refs["h"] == 1
+    assert refs["other"] == 1 and refs["f"] == 1
+    assert "tool" not in refs and Counter(_references(tree, strings=True))["tool"] == 1
 
 
 def test_package_has_no_dead_private_code():
