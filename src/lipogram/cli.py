@@ -10,9 +10,9 @@ box. Only the commands that decode read the n-gram model: `train`,
 missing `--model` file does not fail them. `--order` is still checked on
 every command. `train` builds no IDF table; the other commands build one
 from the corpus. Exit codes: 0 success (warnings allowed), 1 usage error,
-2 I/O error (including an unreachable or malformed grammar or embedding
-provider, or an unreadable model on a command that reads it), 3 every
-paragraph failed to decode.
+2 I/O error (including an unwritable output file, an unreachable or
+malformed grammar or embedding provider, or an unreadable model on a
+command that reads it), 3 every paragraph failed to decode.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .metrics import (
     e_score,
     report_json,
 )
-from .ngram import DEFAULT_ORDER, NGramModel, load, train
+from .ngram import DEFAULT_ORDER, MAX_ORDER, NGramModel, load, train
 from .passes import GrammarProviderError, make_grammar_provider
 from .pipeline import METHODS, Pipeline
 from .sweep import (
@@ -74,15 +74,21 @@ def _data_path(resource: str) -> Path:
         return Path(path)
 
 
-def _paragraph_count(text: str) -> int:
-    """The argparse type of ``--paragraphs``: an integer >= 1."""
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return n
+def _int_in(low: int, high: int | None = None):
+    """An argparse type: an integer >= low, and <= high if given."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}")
+        if high is not None and n > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}")
+        return n
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -118,9 +124,9 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--order",
-            type=int,
+            type=_int_in(1, MAX_ORDER),
             default=_env_default("order", str(DEFAULT_ORDER)),
-            help=f"n-gram order when training (default: {DEFAULT_ORDER})",
+            help=f"n-gram order when training, 1 to {MAX_ORDER} (default: {DEFAULT_ORDER})",
         )
         p.add_argument(
             "--config",
@@ -162,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_translate.add_argument(
         "--paragraphs",
-        type=_paragraph_count,
+        type=_int_in(1),
         default=_env_default("paragraphs"),
         help="translate only the first N paragraphs",
     )
@@ -176,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_evaluate.add_argument(
         "--paragraphs",
-        type=_paragraph_count,
+        type=_int_in(1),
         default=_env_default("paragraphs"),
         help="evaluate only the first N paragraphs",
     )
@@ -185,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_sweep)
     p_sweep.add_argument(
         "--paragraphs",
-        type=_paragraph_count,
+        type=_int_in(1),
         default=_env_default("paragraphs", "200"),
         help="paragraphs per constraint set (default: 200)",
     )
@@ -246,8 +252,6 @@ class _Run:
         self.embedder = RemoteEmbedder(embed_endpoint) if embed_endpoint else None
 
         self.paragraphs = split_paragraphs(self.corpus)
-        if not args.model and args.order < 1:
-            raise _UsageError("--order must be >= 1")
 
         self.out_dir = Path(args.out)
         try:
@@ -281,6 +285,16 @@ class _Run:
             grammar=self.grammar,
         )
 
+    def output(self, name: str, write) -> Path:
+        """Write the output file ``name`` in the output directory with
+        ``write(path)``; a failure is an I/O error that names the file."""
+        path = self.out_dir / name
+        try:
+            write(path)
+        except OSError as exc:
+            raise _IoError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        return path
+
     def config_echo(self) -> dict:
         from dataclasses import asdict
 
@@ -294,8 +308,7 @@ class _UsageError(RuntimeError):
 
 
 def cmd_train(run: _Run) -> int:
-    path = run.out_dir / "model.ngram"
-    run.model.save(path)
+    path = run.output("model.ngram", run.model.save)
     grams = sum(len(keys) for keys in run.model.keys)
     print(
         f"trained order-{run.model.order} model: {grams} distinct n-grams, "
@@ -312,8 +325,7 @@ def cmd_translate(run: _Run) -> int:
         sources, run.constraint, args.method, run.cfg
     )
     document = "\n\n".join(outputs)
-    path = run.out_dir / "translation.txt"
-    path.write_text(document + "\n", encoding="utf-8")
+    run.output("translation.txt", lambda path: path.write_text(document + "\n", encoding="utf-8"))
     score = e_score(document, run.constraint)
     print(f"E-score: {score:.2f}")
     if failures:
@@ -341,10 +353,8 @@ def cmd_evaluate(run: _Run) -> int:
         )
         return EXIT_USAGE
     report = run.pipeline().evaluate(sources, candidates, run.constraint)
-    path = run.out_dir / "report.json"
-    path.write_text(
-        report_json(report, run.config_echo()) + "\n", encoding="utf-8"
-    )
+    text = report_json(report, run.config_echo()) + "\n"
+    run.output("report.json", lambda path: path.write_text(text, encoding="utf-8"))
     agg = report.aggregates
     print(
         "similarity {:.4f}  oov {:.2f}  e_score {:.2f}  grammar {:.2f}  "
@@ -366,10 +376,10 @@ def cmd_sweep(run: _Run) -> int:
         run.corpus, sets, args.paragraphs, run.pipeline(run.model), run.cfg
     )
     fit = fit_decay(points) if len({p.exclusion_fraction for p in points}) >= 3 else None
-    emit_sweep_csv(points, run.out_dir / "sweep.csv")
-    emit_report(points, fit, run.out_dir / "report.json", run.config_echo())
-    emit_xy(points, run.out_dir / "sweep.dat")
-    emit_svg(points, run.out_dir / "sweep.svg")
+    run.output("sweep.csv", lambda path: emit_sweep_csv(points, path))
+    run.output("report.json", lambda path: emit_report(points, fit, path, run.config_echo()))
+    run.output("sweep.dat", lambda path: emit_xy(points, path))
+    run.output("sweep.svg", lambda path: emit_svg(points, path))
     print(f"swept {len(points)} constraint sets over {args.paragraphs} paragraphs")
     if fit and fit.exponential:
         print(

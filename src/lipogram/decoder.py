@@ -43,7 +43,18 @@ Set-up is done once at the level where its data lives:
 - Paragraph: ``_Paragraph`` keeps only what depends on the source. It
   reads its per-word arrays with one ``SearchWords.lookup`` of its
   vocabulary, and holds the source's TF-IDF weights over the
-  vocabulary, placed through one map from word to vocabulary position.
+  vocabulary, placed through one map from word to vocabulary position:
+  the source words' as an array, the source bigrams' as a part of the
+  batch's pair rows (below).
+- Batch: ``_batch_pair_rows`` gathers each paragraph's pairs from the
+  tables when its batch starts.
+
+Every pair block is a ``_PairRows`` with one builder, ``_PairRows.of``,
+which lays parts end to end in one key space. A part is a triple
+(counts, seconds, values) of pairs grouped by first key: the
+SearchWords' block is one part, the tables' block one part gathered
+from it, and a batch's block its paragraphs' gathered parts, one empty
+key, their source-bigram parts and one more empty key.
 
 ``beam_search`` decodes all the paragraphs of a call together. Each search
 is a lane: a paragraph in deterministic mode, or one (paragraph, run i)
@@ -357,7 +368,7 @@ class SearchWords:
         values[at[: len(entries)], 0] = index.logs[entries]
         values[:, 1] = idf.default**2
         values[at[len(entries):], 1] = squares
-        self.pairs = _PairRows.grouped(n, firsts, seconds, values)
+        self.pairs = _PairRows.of([(np.bincount(firsts, minlength=n), seconds, values)])
 
     def lookup(self, words: Sequence[str]):
         """Each word's id (-1 when unknown), backoff LM score and idf, as
@@ -399,7 +410,7 @@ class ConstraintTables:
         legal_ids = np.where(legal, np.arange(len(legal)), -1)
         firsts = legal_ids[:-1].copy()
         firsts[words.ids[BOS]] = words.ids[BOS]
-        self.pairs = words.pairs.gather(firsts, legal_ids)
+        self.pairs = _PairRows.of([words.pairs.gather(firsts, legal_ids)])
 
 
 def top_k(lanes: np.ndarray, at: np.ndarray, rank: np.ndarray, k: int):
@@ -428,8 +439,8 @@ def top_k(lanes: np.ndarray, at: np.ndarray, rank: np.ndarray, k: int):
 
 class _PairRows:
     """Values at (first, second) pairs of small-int keys, grouped by first:
-    the pairs of first key f are entries ``starts[f]:starts[f + 1]``. The
-    values' first axis runs over the pairs; a pair may have more than one."""
+    the pairs of first key f are entries ``starts[f]:starts[f + 1]``. Each
+    pair has two values, in a row of ``values``; seconds are int32."""
 
     def __init__(self, starts: np.ndarray, seconds: np.ndarray, values: np.ndarray):
         self._starts = starts
@@ -437,46 +448,17 @@ class _PairRows:
         self._values = values
 
     @classmethod
-    def group(cls, n_firsts: int, firsts, seconds, values) -> "_PairRows":
-        """The pairs (firsts[j], seconds[j]) -> values[j], for first keys
-        0..n_firsts-1; pairs of one first keep their order."""
-        firsts = np.asarray(firsts, dtype=np.intp)
-        order = np.argsort(firsts, kind="stable")
-        return cls.grouped(
-            n_firsts,
-            firsts[order],
-            np.asarray(seconds, dtype=np.intp)[order],
-            np.asarray(values, dtype=float)[order],
-        )
-
-    @classmethod
-    def grouped(
-        cls, n_firsts: int, firsts: np.ndarray, seconds: np.ndarray, values: np.ndarray
-    ) -> "_PairRows":
-        """``group`` for firsts already in ascending order; the arrays are
-        used as they are."""
-        counts = np.bincount(firsts, minlength=n_firsts)
-        return cls(np.concatenate(([0], np.cumsum(counts))), seconds, values)
-
-    @classmethod
-    def stack(cls, parts: Sequence["_PairRows"], n_keys: Sequence[int]) -> "_PairRows":
-        """Every part's pairs under one key space: part i's first key f
-        becomes key ``sum(n_keys[:i]) + f``. ``n_keys[i]`` may exceed part
-        i's own key count; the keys past it, and one last key after every
-        part, have no pairs. The seconds are stored as int32, and the
-        values as two columns: a part with one value per pair gives it in
-        both."""
-        starts, offset = [], 0
-        for part, n in zip(parts, n_keys):
-            own = part._starts[:-1] + offset
-            offset += part._starts[-1]
-            starts += [own, np.full(n - len(own), offset)]
-        starts.append(np.array([offset, offset]))
-        values = [p._values if p._values.ndim == 2 else p._values[:, None] for p in parts]
+    def of(cls, parts) -> "_PairRows":
+        """The pairs of every part under one key space. A part is a triple
+        (counts, seconds, values): counts[f] pairs of first key f, whose
+        entries come grouped by first key; each part's keys follow those
+        of the part before it, so a part of one key and no pairs leaves a
+        key without pairs."""
+        counts, seconds, values = zip(*parts)
         return cls(
-            np.concatenate(starts),
-            np.concatenate([part._seconds for part in parts], dtype=np.int32),
-            np.concatenate([np.broadcast_to(v, (len(v), 2)) for v in values]),
+            np.concatenate(([0], np.concatenate(counts).cumsum())),
+            np.concatenate(seconds, dtype=np.int32),
+            np.concatenate(values),
         )
 
     def pairs(self, firsts: np.ndarray, base: np.ndarray | None = None):
@@ -486,18 +468,17 @@ class _PairRows:
         rows, entries = _expand(self._starts[firsts], self._starts[firsts + 1], base)
         return rows, self._seconds[entries], self._values.take(entries, axis=0)
 
-    def gather(self, firsts: np.ndarray, pos_of: np.ndarray) -> "_PairRows":
+    def gather(self, firsts: np.ndarray, pos_of: np.ndarray):
         """The pairs of ``firsts[i]`` as those of first key i, with each
-        second mapped through ``pos_of``; a first of -1 has no pairs, and
-        a pair whose second maps to -1 is dropped."""
+        second mapped through ``pos_of``, as a part for ``of``; a first of
+        -1 has no pairs, and a pair whose second maps to -1 is dropped."""
         lo = self._starts[firsts]
         hi = np.where(firsts >= 0, self._starts[firsts + 1], lo)
         rows, entries = _expand(lo, hi)
         pos = pos_of[self._seconds[entries]]
         hit = (pos >= 0).nonzero()[0]  # an index array: faster than a mask here
-        return _PairRows.grouped(
-            len(firsts), rows[hit], pos[hit], self._values.take(entries[hit], axis=0)
-        )
+        counts = np.bincount(rows[hit], minlength=len(firsts))
+        return counts, pos[hit], self._values.take(entries[hit], axis=0)
 
 
 def _expand(lo: np.ndarray, hi: np.ndarray, base: np.ndarray | None = None):
@@ -512,7 +493,9 @@ def _expand(lo: np.ndarray, hi: np.ndarray, base: np.ndarray | None = None):
 class _Paragraph:
     """The paragraph-level state of one search: the vocabulary, its length
     bounds, each word's arrays from ``SearchWords.lookup``, and the
-    source's TF-IDF weights over the vocabulary (its pair rows are
+    source's TF-IDF weights over the vocabulary: its words' in
+    ``src_uni``, its bigrams' as a ``_PairRows.of`` part over the
+    vocabulary and BOS, grouped by first position (its pair rows are
     gathered when its batch starts). Every vocabulary word must be legal
     under the tables' constraint.
     """
@@ -559,35 +542,19 @@ class _Paragraph:
         uni = ~bigram & (firsts >= 0)
         self.src_uni = np.zeros(n_vocab)
         self.src_uni[firsts[uni]] = values[uni]
-        bi = bigram & (firsts >= 0) & (seconds >= 0)
-        self.src_bi = _PairRows.group(n_vocab, firsts[bi], seconds[bi], values[bi])
+        # The source bigrams as a part of the batch's pair rows, with an
+        # empty key for BOS and each weight in both value columns.
+        bi = (bigram & (firsts >= 0) & (seconds >= 0)).nonzero()[0]
+        bi = bi[np.argsort(firsts[bi], kind="stable")]
+        self.src_bi = (
+            np.bincount(firsts[bi], minlength=n_vocab + 1),
+            seconds[bi],
+            values[bi, None].repeat(2, axis=1),
+        )
         # The words outside the source, by backoff score desc, ties by
         # position: the order in which the sparse step bounds them.
         generic = np.flatnonzero(self.src_uni == 0)
         self.generic = generic[np.argsort(-self.backoff[generic], kind="stable")]
-
-
-class _Scratch:
-    """Step planes shared by the batches of one run, one per dtype, each
-    mapped on first use with room for ``cells`` cells.
-
-    They are anonymous memory maps, not heap blocks: their pages go back to
-    the system when the run ends and leave no hole in the heap (with a heap
-    block, sweep-short's peak RSS was about 1 MB higher), and only the
-    pages that a step touches are ever backed.
-    """
-
-    def __init__(self, cells: int):
-        self.cells = cells
-        self._planes: dict = {}
-
-    def plane(self, dtype) -> np.ndarray:
-        """The plane of ``dtype``, a (cells,) array."""
-        dtype = np.dtype(dtype)
-        if dtype not in self._planes:
-            raw = mmap.mmap(-1, dtype.itemsize * self.cells)
-            self._planes[dtype] = np.frombuffer(raw, dtype)
-        return self._planes[dtype]
 
 
 @dataclass
@@ -644,8 +611,8 @@ class _Batch:
     widest vocabulary V, the pair rows of its paragraphs with the size K of
     each block of keys, each paragraph's map from word id to vocabulary
     position and its source words (all from ``_batch_pair_rows``; key K - 1
-    has no pairs), the run's scratch planes and the layout of the last
-    step."""
+    has no pairs), the run's bool, int32 and float64 step planes and the
+    layout of the last step."""
 
     lanes: _Lanes
     V: int
@@ -653,7 +620,7 @@ class _Batch:
     pairs: _PairRows
     pos: np.ndarray
     sources: np.ndarray
-    scratch: _Scratch
+    planes: tuple
     layout: _Layout | None = None
 
 
@@ -751,24 +718,35 @@ class _BeamEngine:
         if self.cfg.mode == "sampled":
             budget = budget * 2 // 5
         batches = _lockstep_batches(widths, self.cfg.beam_width, budget)
-        scratch = _Scratch(max(
+        cells = max(
             (len(b) * self.cfg.beam_width * max(widths[j] for j in b) for b in batches),
             default=1,
-        ))
+        )
+        # The step planes, shared by the batches. Anonymous maps, not heap
+        # blocks: their pages go back to the system when the run ends and
+        # leave no hole in the heap (with heap blocks, sweep-short's peak
+        # RSS was about 1 MB higher), and a page never touched, such as
+        # every page of the float plane in deterministic mode, is never
+        # backed.
+        planes = tuple(
+            np.frombuffer(mmap.mmap(-1, np.dtype(t).itemsize * cells), t)
+            for t in (bool, np.int32, float)
+        )
         for batch in batches:
             ids = [ready[j] for j in batch]
-            found = self._run_batch([lanes[i] for i in ids], k, scratch)
+            found = self._run_batch([lanes[i] for i in ids], k, planes)
             for i, result in zip(ids, found):
                 results[i] = result
         return results
 
-    def _batch(self, lanes, scratch: _Scratch) -> _Batch:
+    def _batch(self, lanes, planes: tuple) -> _Batch:
         """The set-up of one batch of lanes."""
         paras = [self.paragraphs[p] for p, _ in lanes]
-        shared = list(dict.fromkeys(p for p, _ in lanes))
-        para = np.array([shared.index(p) for p, _ in lanes])
-        shared = [self.paragraphs[p] for p in shared]
-        offsets, pairs, pos, sources = _batch_pair_rows(shared, self.tables)
+        shared: dict = {}  # each distinct paragraph's index, in lane order
+        para = np.array([shared.setdefault(p, len(shared)) for p, _ in lanes])
+        offsets, pairs, pos, sources = _batch_pair_rows(
+            [self.paragraphs[p] for p in shared], self.tables
+        )
         widths = np.array([len(p.vocab) for p in paras])
         V = int(widths.max())
         G = max(len(p.generic) for p in paras)
@@ -799,7 +777,7 @@ class _BeamEngine:
             n_generic=np.array([len(p.generic) for p in paras]),
             min_generic_sq=np.array([p.idf_uni_sq[p.generic].min(initial=np.inf) for p in paras]),
         )
-        return _Batch(lanes, V, offsets[-1] + 1, pairs, pos, sources, scratch)
+        return _Batch(lanes, V, offsets[-1] + 1, pairs, pos, sources, planes)
 
     @staticmethod
     def _layout(batch: _Batch, B: int) -> _Layout:
@@ -817,8 +795,8 @@ class _BeamEngine:
             )
         return layout
 
-    def _run_batch(self, lanes, k: int, buffer: _Scratch) -> list:
-        """``run`` for one batch of lanes, with its step planes in ``buffer``.
+    def _run_batch(self, lanes, k: int, planes: tuple) -> list:
+        """``run`` for one batch of lanes, with the run's step ``planes``.
 
         A step scores, then selects, pools and advances. The scorer
         (``_sparse_scores``) gives each lane's cells that can reach its top
@@ -830,7 +808,7 @@ class _BeamEngine:
         W = cfg.beam_width
         span = model.order - 1
         paras = [self.paragraphs[p] for p, _ in lanes]
-        batch = self._batch(lanes, buffer)
+        batch = self._batch(lanes, planes)
         ln, V = batch.lanes, batch.V
 
         # The first step has one row per lane, its empty beam.
@@ -956,11 +934,10 @@ class _BeamEngine:
         """
         cfg, ln, V, B, layout = self.cfg, batch.lanes, batch.V, rows.B, rows.layout
         L, R = len(ln.ids), len(rows.live)
-        mark = batch.scratch.plane(bool)
-        slot = batch.scratch.plane(np.int32)
+        mark, slot, floats = batch.planes
         noise = None
         if ln.rngs[0] is not None:
-            noise = batch.scratch.plane(float)[: R * V]
+            noise = floats[: R * V]
             noise.fill(-np.inf)
             drawn = noise.reshape(L, B, V)
             for i, (rng, n, width) in enumerate(zip(ln.rngs, rows.n_beams, ln.widths)):
@@ -1181,30 +1158,31 @@ class _BeamEngine:
 
 
 def _batch_pair_rows(paras: Sequence[_Paragraph], tables: ConstraintTables):
-    """The pair rows of a batch's paragraphs in one key space: each
-    paragraph's pairs, with their LM logs and IDF-bigram squares, gathered
-    from the tables, and its source bigrams with their values, given twice
-    (see ``_PairRows.stack``).
+    """The pair rows of a batch's paragraphs in one key space, built by one
+    ``_PairRows.of`` call: each paragraph's pairs, with their LM logs and
+    IDF-bigram squares, gathered from the tables, then one empty key, then
+    each paragraph's source bigrams (``_Paragraph.src_bi``, its weight in
+    both value columns), then one more empty key.
 
     Paragraph i's keys are its vocabulary positions and then BOS, from
     ``offsets[i]`` on, and the key ``offsets[-1]`` has no pairs. The pair
     and source-bigram blocks of keys are K = offsets[-1] + 1 keys apart, in
-    that order. Also returns each paragraph's map from word id to
-    vocabulary position (-1 outside it), one row each with a last entry for
-    id -1, which the gather reads, and so does ``_BeamEngine._pairs`` by
-    model token id; and which of its widest vocabulary's positions are
-    each paragraph's source words, with a last row of none. Each paragraph
+    that order, so the last key of each block has no pairs. Also returns
+    each paragraph's map from word id to vocabulary position (-1 outside
+    it), one row each with a last entry for id -1, which the gather reads,
+    and so does ``_BeamEngine._pairs`` by model token id; and which of its
+    widest vocabulary's positions are each paragraph's source words, with
+    a last row of none. Each paragraph
     is gathered on its own, which keeps the gather's scratch arrays small.
     """
     words = tables.words
     n_keys = [len(para.vocab) + 1 for para in paras]
     pos = np.stack([_inverse(p.ids, len(words.ids)) for p in paras])
     bos = words.ids[BOS]
-    empty = _PairRows(np.zeros(2, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0))
-    pairs = _PairRows.stack(
+    empty = (np.zeros(1, dtype=np.intp), np.empty(0, dtype=np.int32), np.empty((0, 2)))
+    pairs = _PairRows.of(
         [tables.pairs.gather(np.append(p.ids, bos), row) for p, row in zip(paras, pos)]
-        + [empty] + [p.src_bi for p in paras] + [empty],
-        (n_keys + [1]) * 2,
+        + [empty] + [p.src_bi for p in paras] + [empty]
     )
     sources = np.zeros((len(paras) + 1, max(n_keys) - 1), dtype=bool)
     for row, para in zip(sources, paras):

@@ -28,6 +28,7 @@ BOS = "<s>"
 EOS = "</s>"
 
 DEFAULT_ORDER = 3
+MAX_ORDER = 5  # the highest order ``train`` counts
 DEFAULT_ALPHA = 0.4
 
 _HEADER_RE = re.compile(r"NGRAM-LM v1 order=(\d+) alpha=([0-9.eE+-]+)\Z")
@@ -290,8 +291,8 @@ def train(corpus: str, order: int = DEFAULT_ORDER, alpha: float = DEFAULT_ALPHA)
     leading BOS markers and a trailing EOS, and every sliding window of every
     order is counted, so each attested n-gram's prefix is attested too.
     """
-    if not 1 <= order <= 5:
-        raise ValueError(f"order must be in [1, 5], got {order}")
+    if not 1 <= order <= MAX_ORDER:
+        raise ValueError(f"order must be in [1, {MAX_ORDER}], got {order}")
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     if not corpus.strip():

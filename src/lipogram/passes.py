@@ -372,7 +372,7 @@ def grammar_correct(text: str, c: ConstraintSet, provider) -> str:
             continue
         if m.length < 0 or m.offset + m.length > len(text):
             continue
-        if any(ch in c for ch in m.replacement if ch.isalpha()):
+        if textcore.violates(m.replacement, c):
             continue
         out.append(text[cursor:m.offset])
         out.append(m.replacement)

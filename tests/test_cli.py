@@ -14,6 +14,7 @@ import pytest
 
 import lipogram.cli
 from lipogram.cli import EXIT_DECODE, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from lipogram.ngram import MAX_ORDER
 from lipogram.sweep import parse_sweep_csv
 from lipogram.textcore import ConstraintSet, tokenize, violates
 
@@ -184,6 +185,30 @@ class TestIoErrors:
             out_dir,
         )
         assert rc == EXIT_IO
+
+
+class TestUnwritableOutput:
+    """An output file the command cannot write is an I/O error with one
+    ``error:`` line that names it. A directory in its place cannot be
+    written, even by root."""
+
+    @pytest.mark.parametrize(
+        "args, produced",
+        [
+            (["train"], "model.ngram"),
+            (["translate", "--method", "edelete"], "translation.txt"),
+            (["evaluate"], "report.json"),
+            (["sweep", "--paragraphs", "1"], "sweep.svg"),
+        ],
+    )
+    def test_directory_in_place_of_output(
+        self, args, produced, mini_corpus, out_dir, capsys
+    ):
+        (out_dir / produced).mkdir(parents=True)
+        assert run(args + ["--corpus", str(mini_corpus)], out_dir) == EXIT_IO
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: cannot write {out_dir / produced}: ")
 
 
 class TestProviderErrors:
@@ -655,22 +680,33 @@ class TestLazyModel:
         with pytest.raises(ValueError, match="n-gram model"):
             pipeline.translate(["the cat"], e, "beam")
 
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ["train"],
-            ["translate", "--method", "beam"],
-            ["translate", "--method", "edelete"],
-            ["translate", "--method", "synonym"],
-            ["evaluate"],
-            ["sweep"],
-        ],
-    )
+    # Every command, then with a --model that is never read.
+    COMMANDS = [
+        ["train"],
+        ["translate", "--method", "beam"],
+        ["translate", "--method", "edelete"],
+        ["translate", "--method", "synonym"],
+        ["evaluate"],
+        ["sweep"],
+        ["evaluate", "--model", "/no/such/model"],
+        ["translate", "--method", "edelete", "--model", "/no/such/model"],
+        ["translate", "--method", "beam", "--model", "/no/such/model"],
+    ]
+
+    @pytest.mark.parametrize("args", COMMANDS)
     def test_order_zero_is_usage_error_everywhere(
         self, args, mini_corpus, out_dir, no_training
     ):
         argv = args + ["--corpus", str(mini_corpus), "--order", "0"]
         assert run(argv, out_dir) == EXIT_USAGE
+
+    @pytest.mark.parametrize("args", COMMANDS)
+    def test_order_above_the_highest_is_usage_error_everywhere(
+        self, args, mini_corpus, out_dir, capsys, no_training
+    ):
+        argv = args + ["--corpus", str(mini_corpus), "--order", str(MAX_ORDER + 1)]
+        assert run(argv, out_dir) == EXIT_USAGE
+        assert f"--order: must be <= {MAX_ORDER}" in capsys.readouterr().err
 
 
 class TestEnvironmentMirror:

@@ -10,6 +10,7 @@ import itertools
 import math
 import random
 import sys
+import tracemalloc
 from importlib.resources import files
 from pathlib import Path
 from unittest import mock
@@ -40,7 +41,7 @@ from lipogram.decoder import (
     parse_config_file,
     top_k,
 )
-from lipogram.lexicon import Lexicon, LexiconEntry
+from lipogram.lexicon import Lexicon, LexiconEntry, load_lexicon
 from lipogram.metrics import (
     TfidfEmbedder,
     build_idf,
@@ -1913,3 +1914,40 @@ class TestStepCallBudget:
               f"{per_step[1]:.1f} Python-level calls per step over {events['steps']} steps")
         assert per_step[0] <= self.C_CALLS, f"numpy {np.__version__}: {per_step}"
         assert per_step[1] <= self.PY_CALLS, f"numpy {np.__version__}: {per_step}"
+
+
+class TestBatchSetUpMemory:
+    """A batch's set-up memory is budgeted. ``_batch_pair_rows`` over the
+    bundled novel's first twelve paragraphs, with the bundled lexicon and
+    the default config (M = 500), peaks at 2.78 MiB under "e" and 5.14 MiB
+    under "z" (``tracemalloc``, numpy 2.4), the same on every run. The
+    bounds are about 10% above those peaks; building the pair rows from
+    one per-entry array of first keys, grouped once, peaked at 3.77 and
+    7.08 MiB. The peaks depend on numpy's temporaries, so a failure names
+    the numpy version."""
+
+    PARAGRAPHS = range(12)
+    PEAK_MIB = {"e": 3.05, "z": 5.65}
+
+    @pytest.mark.parametrize("letters", sorted(PEAK_MIB))
+    def test_pair_rows_peak_stays_within_budget(self, letters):
+        data = files("lipogram.data")
+        text = data.joinpath("gatsby.txt").read_text(encoding="utf-8")
+        paragraphs = split_paragraphs(text)
+        lex = load_lexicon(data.joinpath("lexicon.tsv"))
+        cfg = DecoderConfig()
+        tables = tables_of(
+            ConstraintSet.from_string(letters), train(text), build_idf(paragraphs),
+            cfg.candidate_vocab_size,
+        )
+        sources = [paragraphs[i] for i in self.PARAGRAPHS]
+        vocabs = [build_candidate_vocab(source, tables, lex) for source in sources]
+        paras = _BeamEngine(sources, vocabs, cfg, tables).paragraphs
+        tracemalloc.start()
+        try:
+            _batch_pair_rows(paras, tables)
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        print(f"numpy {np.__version__}: _batch_pair_rows peaked at {peak:.2f} MiB")
+        assert peak <= self.PEAK_MIB[letters], f"numpy {np.__version__}: {peak:.2f} MiB"

@@ -370,6 +370,17 @@ class TestGrammarCorrect:
     def test_no_suggestions_unchanged(self):
         assert grammar_correct("all good", E, OfflineGrammar()) == "all good"
 
+    def test_suggestion_judged_by_violates(self):
+        """A suggestion is skipped exactly when ``violates`` says it breaks
+        the constraint: under "i", "İstanbul" lowercases to "i" plus a
+        combining dot, so it is skipped, and an ASCII one still applies."""
+        i = ConstraintSet.from_string("i")
+        assert violates("İstanbul", i)
+        provider = StubGrammar([GrammarMatch(0, 3, "İstanbul")])
+        assert grammar_correct("xyz road", i, provider) == "xyz road"
+        provider = StubGrammar([GrammarMatch(0, 3, "Oslo")])
+        assert grammar_correct("xyz road", i, provider) == "Oslo road"
+
     def test_overlapping_suggestions_first_wins(self):
         provider = StubGrammar(
             [GrammarMatch(0, 4, "gold"), GrammarMatch(2, 4, "silk")]
