@@ -10,9 +10,10 @@ box. Only the commands that decode read the n-gram model: `train`,
 missing `--model` file does not fail them. `--order` is still checked on
 every command. `train` builds no IDF table; the other commands build one
 from the corpus. Exit codes: 0 success (warnings allowed), 1 usage error,
-2 I/O error (including an unwritable output file, an unreachable or
-malformed grammar or embedding provider, or an unreadable model on a
-command that reads it), 3 every paragraph failed to decode.
+2 I/O error (including an input file that cannot be read or is not
+UTF-8, an unwritable output file, an unreachable or malformed grammar or
+embedding provider, or an unreadable model on a command that reads it),
+3 every paragraph failed to decode.
 """
 
 from __future__ import annotations
@@ -198,11 +199,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_text(path: str | Path, what: str) -> str:
+def _read(what: str, path: str | Path, read=None):
+    """``read(path)``, or the file's text; a file that cannot be opened or
+    is not UTF-8 is an I/O error that names it."""
     try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise _IoError(f"cannot read {what} {path}: {exc.strerror}") from exc
+        return read(path) if read else Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise _IoError(f"cannot read {what} {path}: {reason}") from exc
 
 
 class _IoError(RuntimeError):
@@ -217,12 +221,9 @@ class _Run:
         corpus_path = args.corpus or _data_path("gatsby.txt")
         lexicon_path = args.lexicon or _data_path("lexicon.tsv")
         dictionary_path = args.dictionary or _data_path("dictionary.txt")
-        self.corpus = _read_text(corpus_path, "corpus")
-        try:
-            self.lexicon = load_lexicon(lexicon_path)
-            self.dictionary = load_dictionary(dictionary_path)
-        except OSError as exc:
-            raise _IoError(f"cannot read lexicon/dictionary: {exc}") from exc
+        self.corpus = _read("corpus", corpus_path)
+        self.lexicon = _read("lexicon", lexicon_path, load_lexicon)
+        self.dictionary = _read("dictionary", dictionary_path, load_dictionary)
         try:
             self.constraint = ConstraintSet.from_string(args.letters)
         except ValueError as exc:
@@ -232,9 +233,7 @@ class _Run:
         self.extras: dict[str, str] = {}
         if args.config:
             try:
-                self.cfg, self.extras = parse_config_file(args.config)
-            except OSError as exc:
-                raise _IoError(f"cannot read config {args.config}: {exc}") from exc
+                self.cfg, self.extras = _read("config", args.config, parse_config_file)
             except ValueError as exc:
                 raise _UsageError(str(exc)) from exc
         if args.seed is not None and args.seed != self.cfg.seed:
@@ -263,10 +262,7 @@ class _Run:
     def model(self) -> NGramModel:
         """Loaded or trained on first use, by the commands that decode."""
         if self.args.model:
-            try:
-                return load(self.args.model)
-            except OSError as exc:
-                raise _IoError(f"cannot read model {self.args.model}: {exc}") from exc
+            return _read("model", self.args.model, load)
         return train(self.corpus, order=self.args.order)
 
     @cached_property
@@ -339,7 +335,7 @@ def cmd_evaluate(run: _Run) -> int:
     args = run.args
     sources = run.paragraphs
     if args.candidate:
-        candidate_text = _read_text(args.candidate, "candidate")
+        candidate_text = _read("candidate", args.candidate)
         candidates = split_paragraphs(candidate_text)
     else:
         candidates = list(sources)

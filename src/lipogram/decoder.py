@@ -2,9 +2,10 @@
 
 The constraint is enforced by construction: the search expands only over a
 pre-filtered allow-list of legal words, so no output can ever violate it.
-Each expansion is scored by a weighted mix of the backoff LM score and the
-TF-IDF cosine similarity of the partial hypothesis to the source paragraph;
-the similarity term is maintained incrementally so every candidate token of
+Each expansion is scored by a weighted mix of the stupid-backoff LM score
+(defined in the ``ngram`` module docstring) and the TF-IDF cosine
+similarity of the partial hypothesis to the source paragraph; the
+similarity term is maintained incrementally so every candidate token of
 every beam is scored per step without re-embedding.
 
 Hypotheses may terminate cost-free once the minimum length is reached, and
@@ -1114,8 +1115,8 @@ class _BeamEngine:
         cells[end:] -= R * V
         index, pos, writes = self.model.continuation_index, batch.pos.ravel(), []
         for j in range(2, self.model.order):
-            # The tokens attested after each row's last j words, with the
-            # score token_logscore reaches for them. A model token's id is
+            # The tokens attested after each row's last j words, with their
+            # stupid-backoff score (see ``ngram``). A model token's id is
             # its word id, and each paragraph's row of pos ends with the
             # entry of id -1, so a flat index one before a row finds -1.
             lo, hi = index.spans(rows.contexts[:, -j:])
@@ -1327,7 +1328,7 @@ def multiselect(
 
     Similarity is `metrics.similarities` under the embedder, through
     `metrics.most_similar`. ``idf`` is the IDF table the candidates were
-    searched with (``ConstraintTables.idf``). When the embedder is the
+    searched with (``tables.words.idf``). When the embedder is the
     built-in ``TfidfEmbedder`` over that same table, each candidate's
     ``sim_score`` is its similarity to within `metrics.similarity_bound`,
     since every search word is one canonical word (see

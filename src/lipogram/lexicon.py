@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .textcore import WORD_RE, ConstraintSet, strip_letters, violates
+from .textcore import WORD_RE, ConstraintSet, canonical, strip_letters, violates
 
 
 @dataclass(frozen=True)
@@ -27,12 +27,13 @@ class LexiconEntry:
 
 @dataclass
 class Lexicon:
-    """Immutable after load; lookup is case-insensitive."""
+    """Immutable after load; entries are keyed on ``textcore.canonical``,
+    so lookup ignores case and the apostrophe's form."""
 
     entries: dict[str, LexiconEntry] = field(default_factory=dict)
 
     def lookup(self, word: str) -> LexiconEntry | None:
-        return self.entries.get(word.lower())
+        return self.entries.get(canonical(word))
 
     def frequency(self, word: str) -> int:
         entry = self.lookup(word)
@@ -45,7 +46,8 @@ class Lexicon:
 def load_lexicon(path) -> Lexicon:
     """Parse the TSV; duplicate words keep the first occurrence.
 
-    Words and lemmas are lowercased; synonyms keep their case. The OOV
+    Words and lemmas are canonicalized (``textcore.canonical``: lowercase,
+    ASCII apostrophe); synonyms keep their form. The OOV
     metric's word list is a separate file (see load_dictionary).
     """
     entries: dict[str, LexiconEntry] = {}
@@ -61,8 +63,8 @@ def load_lexicon(path) -> Lexicon:
                     f"got {len(fields)}"
                 )
             word, lemma, syn_field, freq_field = fields
-            word = word.strip().lower()
-            lemma = lemma.strip().lower()
+            word = canonical(word.strip())
+            lemma = canonical(lemma.strip())
             if not word or not lemma:
                 raise ValueError(f"{path}: line {lineno}: empty word or lemma")
             synonyms = tuple(
@@ -87,13 +89,15 @@ def load_lexicon(path) -> Lexicon:
 
 
 def load_dictionary(path) -> set[str]:
-    """One lowercase word per line; blank lines and # comments skipped."""
+    """One word per line, kept in its ``textcore.canonical`` form (as
+    ``metrics.oov_score`` looks words up); blank lines and # comments
+    skipped."""
     words: set[str] = set()
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             w = line.strip()
             if w and not w.startswith("#"):
-                words.add(w.lower())
+                words.add(canonical(w))
     return words
 
 

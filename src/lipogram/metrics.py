@@ -88,11 +88,8 @@ class TfidfEmbedder:
     def __init__(self, idf: IdfTable):
         self.idf = idf
 
-    def embed(self, text: str) -> dict[Feature, float]:
-        return embed(text, self.idf)
-
     def embed_many(self, texts: Sequence[str]) -> list[dict[Feature, float]]:
-        return [self.embed(t) for t in texts]
+        return [embed(t, self.idf) for t in texts]
 
 
 class RemoteEmbedder:
@@ -106,9 +103,6 @@ class RemoteEmbedder:
     def __init__(self, endpoint: str, timeout: float = 30.0):
         self.endpoint = endpoint.rstrip("/")
         self.timeout = timeout
-
-    def embed(self, text: str) -> dict[Feature, float]:
-        return self.embed_many([text])[0]
 
     def embed_many(self, texts: Sequence[str]) -> list[dict[Feature, float]]:
         payload = json.dumps({"texts": list(texts)}).encode("utf-8")

@@ -1,10 +1,20 @@
 """Word-level backoff n-gram language model with a text serialization.
 
-The model scores tokens with stupid backoff: use the relative frequency of
-the longest attested n-gram, otherwise pay a fixed log(alpha) penalty and
-retry with a shorter context, bottoming out in a unigram floor with add-one
-for unseen tokens. Scores are log-ratios, not normalized log-probabilities,
-which is all the beam search needs for ranking.
+The model scores tokens with stupid backoff (Brants et al., 2007). The
+score of token t after a context h, of which only the last order-1 tokens
+count, is
+
+    S(t | h)  = log(c(h t) / c(h))          if h is not empty and c(h t) > 0
+    S(t | h)  = log(alpha) + S(t | h[1:])   if h is not empty and c(h t) = 0
+    S(t | ()) = log(c(t) / T)               if c(t) > 0
+    S(t | ()) = log(1 / (T + V))            otherwise
+
+where c counts n-grams, T is the summed unigram count and V the vocabulary
+size, BOS and EOS included. Each log(alpha) is added to the shorter
+context's score, so repeated backoff is right-associated. Scores are
+log-ratios, never above 0, not normalized log-probabilities, which is all
+the beam search needs for ranking. The model holds them as arrays
+(``backoff_logscores``, ``continuation_index``), which the decoder reads.
 
 Training counts lowercased word tokens per paragraph, padding each paragraph
 with order-1 leading ``<s>`` markers and one trailing ``</s>``. The counts
@@ -71,7 +81,7 @@ class NGramModel:
     def _word_tokens(self) -> np.ndarray:
         """The token id of each word number, -1 outside the vocabulary."""
         ids = np.full(len(self.words), -1, dtype=np.intp)
-        ids[[self._word_numbers[t] for t in self.tokens]] = np.arange(len(self.tokens))
+        ids[np.searchsorted(self.words, self.tokens)] = np.arange(len(self.tokens))
         return ids
 
     @cached_property
@@ -89,10 +99,10 @@ class NGramModel:
 
     @cached_property
     def backoff_logscores(self) -> np.ndarray:
-        """``token_logscore`` of every token after a full context that was
-        never seen, in id order, then that of a token outside the
-        vocabulary (the entry of id -1): ``_score``'s unigram score with
-        log(alpha) added order-1 times, right-associated as it adds it."""
+        """The score S (module docstring) of every token after a full
+        context that was never seen, in id order, then that of a token
+        outside the vocabulary (the entry of id -1): its unigram score with
+        log(alpha) added order-1 times, right-associated."""
         counts = np.zeros(len(self.tokens) + 1, dtype=np.int64)
         counts[self._word_tokens[self.keys[0]]] = self.counts[0]
         floor = math.log(1.0 / (self.total + len(self.vocabulary)))
@@ -147,68 +157,6 @@ class NGramModel:
             columns.append(words[last])
         return list(zip(zip(*reversed(columns)), self.counts[k - 1].tolist()))
 
-    @cached_property
-    def _word_numbers(self) -> dict[str, int]:
-        return {word: i for i, word in enumerate(self.words)}
-
-    def count(self, gram: Sequence[str]) -> int:
-        key = tuple(gram)
-        if not 1 <= len(key) <= self.order:
-            return 0
-        (rank,) = _ranks(self.keys, self._word_numbers, [key])
-        return int(self.counts[len(key) - 1][rank]) if rank >= 0 else 0
-
-    def continuations(self, context: Sequence[str]) -> Mapping[str, int]:
-        """All attested next vocabulary tokens after ``context`` with their
-        full-gram counts, read through the continuation index. Empty when
-        the context is unattested or holds a token outside the vocabulary."""
-        key = tuple(context)
-        if not 1 <= len(key) < self.order or (ids := self.context_ids([key])).min() < 0:
-            return {}
-        index = self.continuation_index
-        (lo,), (hi,) = index.spans(ids)
-        # The index's entries are the keys of the orders above 1, in order.
-        skip = sum(map(len, self.keys[1:len(key)]))
-        counts = self.counts[len(key)][lo - skip:hi - skip].tolist()
-        return {self.tokens[i]: c for i, c in zip(index.ids[lo:hi].tolist(), counts) if i >= 0}
-
-    def context_ids(self, contexts: Sequence[Sequence[str]]) -> np.ndarray:
-        """Token ids of equal-length contexts, one row each; -1 for a
-        token outside the vocabulary."""
-        get = self.token_ids.get
-        ids = [[get(t, -1) for t in ctx] for ctx in contexts]
-        return np.array(ids, dtype=np.intp).reshape(len(contexts), -1)
-
-    def token_logscore(self, context: Sequence[str], token: str) -> float:
-        """Stupid-backoff log score of ``token`` after ``context``.
-
-        Only the last order-1 context tokens matter. Always <= 0.
-        """
-        ctx = tuple(context[-(self.order - 1):]) if self.order > 1 else ()
-        return self._score(ctx, token)
-
-    def _score(self, ctx: tuple[str, ...], token: str) -> float:
-        if ctx:
-            c_full = self.count(ctx + (token,))
-            if c_full:
-                c_ctx = self.count(ctx)
-                if c_ctx:
-                    return math.log(c_full / c_ctx)
-            return math.log(self.alpha) + self._score(ctx[1:], token)
-        c_uni = self.count((token,))
-        if c_uni:
-            return math.log(c_uni / self.total)
-        return math.log(1.0 / (self.total + len(self.vocabulary)))
-
-    def sequence_logscore(self, tokens: Sequence[str]) -> float:
-        """Sum of per-token scores with left-padded boundary context."""
-        history: list[str] = [BOS] * (self.order - 1)
-        total = 0.0
-        for token in tokens:
-            total += self.token_logscore(history, token)
-            history.append(token)
-        return total
-
     def save(self, path: str | Path) -> None:
         """Write the model as text, one section per order, deterministic."""
         lines = [f"NGRAM-LM v1 order={self.order} alpha={self.alpha!r}"]
@@ -225,7 +173,7 @@ class ContinuationIndex:
 
     The tokens seen after a context are entries ``starts[r]:starts[r + 1]``
     of ``ids`` (token ids, -1 outside the vocabulary) and ``logs``, where
-    r is the context's row. A log is the score ``token_logscore`` gives t
+    r is the context's row. A log is the score S (module docstring) of t
     after a full (order - 1 token) context whose longest suffix seen
     before t is this context: log(c(context + t) / c(context)) plus
     log(alpha) once per context token beyond it, added in its order, so

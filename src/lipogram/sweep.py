@@ -2,9 +2,9 @@
 
 Runs the beam pipeline once per constraint set over a fixed paragraph
 sample, records mean metrics per set, and fits the similarity-vs-exclusion
-decay both linearly and exponentially. Results serialize to CSV (with an
-exact parse-back), a JSON report, a gnuplot-friendly data file, and a
-small self-contained SVG scatter plot.
+decay both linearly and exponentially. Results serialize to CSV, a JSON
+report, a gnuplot-friendly data file, and a small self-contained SVG
+scatter plot.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
+from xml.sax.saxutils import escape
 
 from .decoder import DecoderConfig
 from .pipeline import Pipeline
@@ -205,32 +206,6 @@ def emit_sweep_csv(points: Sequence[SweepPoint], path: str | Path) -> None:
             )
 
 
-def parse_sweep_csv(path: str | Path) -> list[SweepPoint]:
-    """Read back an emitted CSV; round-trips emitted points exactly."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if tuple(header or ()) != CSV_COLUMNS:
-            raise ValueError(f"{path}: unexpected CSV header {header!r}")
-        points = []
-        for row in reader:
-            if len(row) != len(CSV_COLUMNS):
-                raise ValueError(f"{path}: malformed row {row!r}")
-            points.append(
-                SweepPoint(
-                    label=row[0],
-                    letters=row[1],
-                    exclusion_fraction=float(row[2]),
-                    mean_similarity=float(row[3]),
-                    mean_e_score=float(row[4]),
-                    mean_oov=float(row[5]),
-                    mean_grammar_count=float(row[6]),
-                    n_paragraphs=int(row[7]),
-                )
-            )
-    return points
-
-
 def emit_report(
     points: Sequence[SweepPoint],
     fit: FitParams | None,
@@ -260,7 +235,8 @@ def emit_svg(points: Sequence[SweepPoint], path: str | Path) -> None:
     """Minimal self-contained SVG scatter of similarity vs exclusion.
 
     The x axis is log-scaled like the figure it mirrors; non-positive
-    exclusion fractions sit on the left edge.
+    exclusion fractions sit on the left edge. Point labels are
+    XML-escaped, since ``run_sweep`` accepts any label.
     """
     width, height = 640, 480
     left, right, top, bottom = 70, 20, 20, 50
@@ -301,7 +277,7 @@ def emit_svg(points: Sequence[SweepPoint], path: str | Path) -> None:
         )
         parts.append(
             f'<text x="{cx:.2f}" y="{cy - 7:.2f}" text-anchor="middle" '
-            f'font-size="9">{p.label}</text>'
+            f'font-size="9">{escape(p.label)}</text>'
         )
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")

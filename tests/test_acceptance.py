@@ -5,7 +5,10 @@ per criterion. Heavy artifacts (the trained model, the 200-paragraph
 translations, the 50-paragraph default sweep) are session fixtures shared
 by the criteria that need them. Oracles are re-implemented here from
 scratch rather than imported from the other test modules, so a bug in a
-shared helper cannot hide a bug in the code under test.
+shared helper cannot hide a bug in the code under test. The one
+exception is the n-gram scorer: criterion 7 scores with ``Reference``
+(``ngram_reference.py``), the tests' own stupid-backoff scorer, which
+reads only the model's n-gram counts.
 
 Two criteria are known to fail for this implementation and are asserted
 faithfully rather than loosened; the assertion messages carry the measured
@@ -20,6 +23,7 @@ from importlib.resources import files
 from pathlib import Path
 
 import pytest
+from ngram_reference import Reference
 from scipy.stats import spearmanr
 
 from lipogram.cli import main as cli_main
@@ -35,7 +39,7 @@ from lipogram.decoder import (
     multiselect,
 )
 from lipogram.lexicon import Lexicon, load_dictionary, load_lexicon
-from lipogram.metrics import TfidfEmbedder, build_idf, cosine_similarity, e_score
+from lipogram.metrics import TfidfEmbedder, build_idf, cosine_similarity, e_score, embed
 from lipogram.ngram import train
 from lipogram.passes import trim_suffix
 from lipogram.pipeline import Pipeline
@@ -139,8 +143,9 @@ def test_criterion_06_vowel_collapse(default_sweep):
     assert aeiou.mean_similarity < 0.1, f"aeiou mean sim {aeiou.mean_similarity:.4f}"
 
 
-def _enumerate_best(model, vocab, n_min, n_max, no_repeat):
-    """Independent exhaustive optimum of the pure-LM objective."""
+def _enumerate_best(ref, vocab, n_min, n_max, no_repeat):
+    """Independent exhaustive optimum of the pure-LM objective, scored by
+    the reference model."""
 
     def has_repeat(tokens):
         if len(tokens) < no_repeat + 1:
@@ -156,7 +161,7 @@ def _enumerate_best(model, vocab, n_min, n_max, no_repeat):
     while stack:
         prefix = stack.pop()
         if n_min <= len(prefix) <= n_max:
-            score = model.sequence_logscore(list(prefix))
+            score = ref.sequence_logscore(list(prefix))
             if best is None or score > best:
                 best = score
         if len(prefix) < n_max:
@@ -200,7 +205,9 @@ def test_criterion_07_beam_oracle_equivalence():
         s = len(tokenize(source).words())
         n_min = math.ceil(cfg.min_ratio * s)
         n_max = math.floor(cfg.max_ratio * s)
-        oracle = _enumerate_best(model, vocab, max(1, n_min), n_max, cfg.no_repeat_ngram)
+        oracle = _enumerate_best(
+            Reference.of(model), vocab, max(1, n_min), n_max, cfg.no_repeat_ngram
+        )
         assert candidates[0].combined == oracle, (i, source, candidates[0])
         assert candidates[0].lm_score == oracle
         checked += 1
@@ -224,11 +231,11 @@ def test_criterion_08_suffix_trim_oracle():
         idf = build_idf([source, " ".join(pool)])
         embedder = TfidfEmbedder(idf)
 
-        src_vec = embedder.embed(source)
+        src_vec = embed(source, idf)
         best = None
         cuts = [text[: m.end()] for m in _WORD_END_RE.finditer(text)] + [text]
         for cand in cuts:
-            sim = cosine_similarity(src_vec, embedder.embed(cand))
+            sim = cosine_similarity(src_vec, embed(cand, idf))
             key = (sim, len(cand))
             if best is None or key > best[0]:
                 best = (key, cand)
@@ -252,8 +259,8 @@ def test_criterion_09_multiselect_argmax():
             for _ in range(rng.randint(1, 8))
         ]
         chosen = multiselect(cands, source, embedder)
-        src_vec = embedder.embed(source)
-        sims = [cosine_similarity(src_vec, embedder.embed(h.text())) for h in cands]
+        src_vec = embed(source, idf)
+        sims = [cosine_similarity(src_vec, embed(h.text(), idf)) for h in cands]
         assert sims[cands.index(chosen)] == max(sims), (i, cands, sims)
 
 

@@ -5,6 +5,7 @@ is only used where defaults are the point, since training on it takes a
 noticeable fraction of a second.
 """
 
+import csv
 import http.server
 import json
 import random
@@ -15,7 +16,6 @@ import pytest
 import lipogram.cli
 from lipogram.cli import EXIT_DECODE, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from lipogram.ngram import MAX_ORDER
-from lipogram.sweep import parse_sweep_csv
 from lipogram.textcore import ConstraintSet, tokenize, violates
 
 ORIGINAL = (
@@ -48,6 +48,12 @@ def mini_corpus(tmp_path_factory):
 @pytest.fixture()
 def out_dir(tmp_path):
     return tmp_path / "out"
+
+
+def sweep_rows(out_dir):
+    """The rows of the sweep.csv in out_dir, one dict each."""
+    with open(out_dir / "sweep.csv", encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 def run(args, out_dir=None):
@@ -185,6 +191,31 @@ class TestIoErrors:
             out_dir,
         )
         assert rc == EXIT_IO
+
+
+class TestUndecodableInput:
+    """An input file that is not UTF-8 is an I/O error with one ``error:``
+    line that names it, like a file that cannot be opened."""
+
+    @pytest.mark.parametrize(
+        "flag, what, command",
+        [
+            ("--corpus", "corpus", ["train"]),
+            ("--lexicon", "lexicon", ["translate", "--method", "edelete"]),
+            ("--dictionary", "dictionary", ["evaluate"]),
+            ("--config", "config", ["translate", "--method", "edelete"]),
+            ("--candidate", "candidate", ["evaluate"]),
+            ("--model", "model", ["translate", "--paragraphs", "1"]),
+        ],
+    )
+    def test_non_utf8_file(self, flag, what, command, mini_corpus, out_dir, tmp_path, capsys):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes("caf\xe9 ok\n".encode("latin-1"))
+        # The last --corpus wins, so the corpus case reads the bad file.
+        argv = command + ["--corpus", str(mini_corpus), flag, str(bad)]
+        assert run(argv, out_dir) == EXIT_IO
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: cannot read {what} {bad}: 'utf-8' codec can't decode")
 
 
 class TestUnwritableOutput:
@@ -542,10 +573,10 @@ class TestSweep:
         assert rc == EXIT_OK
         for name in ("sweep.csv", "sweep.svg", "sweep.dat", "report.json"):
             assert (out_dir / name).exists(), name
-        points = parse_sweep_csv(out_dir / "sweep.csv")
+        points = sweep_rows(out_dir)
         assert len(points) == 27
-        assert {p.label for p in points} >= {"a", "z", "aeiou"}
-        assert all(p.mean_e_score == 0.0 for p in points)
+        assert {p["label"] for p in points} >= {"a", "z", "aeiou"}
+        assert all(float(p["mean_e_score"]) == 0.0 for p in points)
         report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
         assert len(report["points"]) == 27
         assert "fit" in report
@@ -566,7 +597,7 @@ class TestSweep:
             out_dir,
         )
         assert rc == EXIT_OK
-        labels = [p.label for p in parse_sweep_csv(out_dir / "sweep.csv")]
+        labels = [p["label"] for p in sweep_rows(out_dir)]
         assert labels[-2:] == ["th", "ck"]
 
     @pytest.mark.parametrize("extras, group", [("e,E", "e"), ("th,ht", "ht")])

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from ngram_reference import Reference
 
 from lipogram import decoder, metrics
 from lipogram.decoder import (
@@ -105,13 +106,14 @@ def unreachable_k(engine):
 
 
 def exhaustive_best(model, vocab, lmin, lmax, n):
-    """Highest sequence_logscore over every legal sequence, or None."""
-    best = None
+    """Highest reference sequence_logscore over every legal sequence, or
+    None."""
+    ref, best = Reference.of(model), None
     for length in range(lmin, lmax + 1):
         for seq in itertools.product(vocab, repeat=length):
             if has_repeated_ngram(seq, n):
                 continue
-            score = model.sequence_logscore(list(seq))
+            score = ref.sequence_logscore(list(seq))
             if best is None or score > best:
                 best = score
     return best
@@ -619,7 +621,7 @@ class TestOracleEquivalence:
                 assert oracle is None, f"instance {i}: beam failed, oracle {oracle}"
                 continue
             assert top.combined == oracle, f"instance {i}"
-            assert top.lm_score == model.sequence_logscore(list(top.tokens))
+            assert top.lm_score == Reference.of(model).sequence_logscore(list(top.tokens))
             assert top.combined == top.lm_score  # lambda_sim is zero
 
 
@@ -643,14 +645,15 @@ class TestScoringInvariants:
 
     def test_lm_score_matches_model_exactly(self):
         hyps, model, _ = self.decode()
+        ref = Reference.of(model)
         for h in hyps:
-            assert h.lm_score == model.sequence_logscore(list(h.tokens))
+            assert h.lm_score == ref.sequence_logscore(list(h.tokens))
 
     def test_incremental_similarity_matches_reembedding(self):
         hyps, _, embedder = self.decode()
-        source_vec = embedder.embed("big cat sat on a mat")
+        source_vec = embed("big cat sat on a mat", embedder.idf)
         for h in hyps:
-            full = cosine_similarity(source_vec, embedder.embed(h.text()))
+            full = cosine_similarity(source_vec, embed(h.text(), embedder.idf))
             assert abs(h.sim_score - full) < 1e-9
 
     def test_results_sorted_by_combined_desc(self):
@@ -703,7 +706,7 @@ class TestPoolScores:
                 para = engine.paragraphs[batch.lanes.ids[j]]
                 k = rows.keys[r] - batch.lanes.keys[j]
                 first = para.vocab[k] if k < len(para.vocab) else BOS
-                lm = para.vocab[w] in engine.model.continuations((first,))
+                lm = para.vocab[w] in ref.continuations((first,))
                 idf = f"{first} {para.vocab[w]}" in engine.tables.words.idf.values
                 reached["lm only"] += lm and not idf
                 reached["idf only"] += idf and not lm
@@ -717,6 +720,7 @@ class TestPoolScores:
                 for _ in range(3)
             ]
             model = train("\n\n".join(paras), order=rng.choice([2, 3, 4]))
+            ref = Reference.of(model)
             more = words + ["qi", "pup"]
             idf = build_idf(
                 paras[:2] + [" ".join(rng.choice(more) for _ in range(rng.randint(3, 8)))]
@@ -736,7 +740,7 @@ class TestPoolScores:
             for source, pool in zip(sources, pools):
                 source_vec = embed(source, idf)
                 for h in pool:
-                    assert h.lm_score == model.sequence_logscore(list(h.tokens))
+                    assert h.lm_score == ref.sequence_logscore(list(h.tokens))
                     full = cosine_similarity(source_vec, embed(h.text(), idf))
                     assert abs(h.sim_score - full) < 1e-9, (i, h.tokens)
                     repeated_bigrams += has_repeated_ngram(h.tokens, 2)
@@ -1088,13 +1092,13 @@ class TestMultiselect:
         source = "the dog ran far away"
         embedder = self.embedder()
         chosen = multiselect(candidates, source, embedder)
-        source_vec = embedder.embed(source)
+        source_vec = embed(source, embedder.idf)
         sims = [
-            cosine_similarity(source_vec, embedder.embed(h.text()))
+            cosine_similarity(source_vec, embed(h.text(), embedder.idf))
             for h in candidates
         ]
         assert (
-            cosine_similarity(source_vec, embedder.embed(chosen.text()))
+            cosine_similarity(source_vec, embed(chosen.text(), embedder.idf))
             == max(sims)
         )
 
@@ -1326,19 +1330,19 @@ def per_paragraph_build(source, vocab, model, idf):
     unigram idf vector, and the source's unigram and bigram weights."""
     n = len(vocab)
     index = {w: i for i, w in enumerate(vocab)}
-    log_alpha = math.log(model.alpha)
+    log_alpha, ref = math.log(model.alpha), Reference.of(model)
     backoff = []
     for w in vocab:
-        score = model._score((), w)
+        score = ref._score((), w)
         for _ in range(model.order - 1):
             score = log_alpha + score
         backoff.append(score)
     lm = np.full((n + 1, n), np.nan)
     if model.order > 1:
         for row, first in enumerate(list(vocab) + [BOS]):
-            for second, count in model.continuations((first,)).items():
+            for second, count in ref.continuations((first,)).items():
                 if second in index:
-                    score = math.log(count / model.count((first,)))
+                    score = math.log(count / ref.count((first,)))
                     for _ in range(model.order - 2):
                         score = log_alpha + score
                     lm[row, index[second]] = score

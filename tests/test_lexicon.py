@@ -14,6 +14,7 @@ from lipogram.lexicon import (
     translate_edelete,
     translate_synonym,
 )
+from lipogram.metrics import oov_score
 from lipogram.textcore import ALPHABET, ConstraintSet, strip_letters, tokenize, violates
 
 E = ConstraintSet.from_string("e")
@@ -86,6 +87,16 @@ class TestLoadDictionary:
         p = tmp_path / "dict.txt"
         p.write_text("# words\nthe\nWall\n\ncat\n", encoding="utf-8")
         assert load_dictionary(p) == {"the", "wall", "cat"}
+
+    def test_keys_on_the_canonical_form(self, tmp_path):
+        # oov_score looks words up by textcore.canonical, which turns the
+        # typographic apostrophe into an ASCII one.
+        p = tmp_path / "dict.txt"
+        p.write_text("Don’t\ngo\n", encoding="utf-8")
+        words = load_dictionary(p)
+        assert words == {"don't", "go"}
+        assert oov_score("don’t go", words) == 0.0
+        assert oov_score("Don't go", words) == 0.0
 
 
 def make_lex(*entries):
@@ -190,6 +201,16 @@ class TestTranslateSynonym:
     def test_output_constraint_free(self, text):
         out = translate_synonym(text, E, self.LEX)
         assert all(not violates(w, E) for w in tokenize(out).words())
+
+    def test_either_apostrophe_finds_the_entry(self, tmp_path):
+        # Entries and lookups key on textcore.canonical, so a typographic
+        # apostrophe in the text or in the file finds the same entry.
+        d = ConstraintSet.from_string("d")
+        for word in ("didn't", "Didn’t"):
+            lex = load_lexicon(write_lexicon(tmp_path, f"{word}\tdo\tnot\t5\n"))
+            assert translate_synonym("He didn’t go", d, lex) == "He not go"
+            assert translate_synonym("He didn't go", d, lex) == "He not go"
+            assert lex.lookup("DIDN’T").word == "didn't"
 
     def test_casing_cannot_bring_back_a_forbidden_letter(self, tmp_path):
         """A synonym is checked in the case it is written in: "groß" has

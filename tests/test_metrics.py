@@ -526,7 +526,7 @@ class TestRemoteEmbedder:
     def test_normalizes_dense_vectors(self, embed_server):
         _EmbedHandler.fail = False
         client = RemoteEmbedder(embed_server)
-        v = client.embed("anything")
+        v = client.embed_many(["anything"])[0]
         assert v == {"0": 0.6, "1": 0.8}
 
     def test_zero_vector_from_remote(self, embed_server):
@@ -547,7 +547,7 @@ class TestRemoteEmbedder:
     def test_unreachable_raises(self):
         client = RemoteEmbedder("http://127.0.0.1:1", timeout=0.5)
         with pytest.raises(EmbedProviderError):
-            client.embed("text")
+            client.embed_many(["text"])
 
     def test_silent_provider_times_out(self):
         # The listening socket completes the connection but is never
@@ -561,7 +561,7 @@ class TestRemoteEmbedder:
         _EmbedHandler.fail = True
         try:
             with pytest.raises(EmbedProviderError):
-                RemoteEmbedder(embed_server).embed("text")
+                RemoteEmbedder(embed_server).embed_many(["text"])
         finally:
             _EmbedHandler.fail = False
 
@@ -574,10 +574,10 @@ class TestRemoteEmbedder:
         _EmbedHandler.statuses, _EmbedHandler.hits = list(statuses), 0
         try:
             if ok:
-                assert RemoteEmbedder(embed_server).embed("text") == {"0": 0.6, "1": 0.8}
+                assert RemoteEmbedder(embed_server).embed_many(["text"])[0] == {"0": 0.6, "1": 0.8}
             else:
                 with pytest.raises(EmbedProviderError):
-                    RemoteEmbedder(embed_server).embed("text")
+                    RemoteEmbedder(embed_server).embed_many(["text"])
             assert _EmbedHandler.hits == hits
         finally:
             _EmbedHandler.statuses = []
@@ -664,6 +664,6 @@ class TestRemotePipeline:
 class TestEmbedderInterfaces:
     def test_tfidf_embed_many_matches_embed(self):
         embedder = TfidfEmbedder(IDF)
-        singles = [embedder.embed(d) for d in DOCS]
+        singles = [embed(d, IDF) for d in DOCS]
         batch = embedder.embed_many(DOCS)
         assert batch == singles

@@ -2,8 +2,10 @@
 
 Count and score oracles are frozen from hand computation; serialization is
 checked by byte-level determinism and exact round-trip score equality. The
-array model is checked bit for bit against ``Reference``, the dict-counting
-model it replaced.
+model's scores are read off its arrays (``continuation_index`` and
+``backoff_logscores``) as the decoder reads them, and the arrays are
+checked bit for bit against ``Reference`` (``ngram_reference.py``), the
+dict-counting model they replaced.
 """
 
 import hashlib
@@ -18,29 +20,75 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from ngram_reference import Reference
 
 from lipogram.ngram import BOS, EOS, NGramModel, load, train
-from lipogram.textcore import canonical_words, split_paragraphs
+from lipogram.textcore import canonical_words
 
 TOY = "the cat sat\n\nthe cat ran\n\na dog sat"
+
+
+def gram_counts(m: NGramModel) -> Counter:
+    """Every gram of every order with its count, 0 for any other."""
+    return Counter({g: c for k in range(1, m.order + 1) for g, c in m.grams(k)})
+
+
+def context_ids(m: NGramModel, context) -> np.ndarray:
+    """The context's token ids as one row, -1 outside the vocabulary."""
+    return np.array([[m.token_ids.get(t, -1) for t in context]], dtype=np.intp)
+
+
+def indexed_continuations(m: NGramModel, context) -> dict:
+    """The vocabulary tokens the continuation index holds after a context
+    of 1 to order-1 tokens, with their logs."""
+    index = m.continuation_index
+    (lo,), (hi,) = index.spans(context_ids(m, context))
+    return {
+        m.tokens[i]: log
+        for i, log in zip(index.ids[lo:hi].tolist(), index.logs[lo:hi].tolist())
+        if i >= 0
+    }
+
+
+def indexed_logscore(m: NGramModel, context, token) -> float:
+    """The score of ``token`` after the last order-1 tokens of ``context``,
+    at least that many, read off the model's arrays as the decoder reads
+    them: the log under the longest of the context's suffixes after which
+    the token is attested, else its backoff score."""
+    context = list(context)[len(context) - m.order + 1:] if m.order > 1 else []
+    assert len(context) == m.order - 1
+    for j in range(len(context), 0, -1):
+        following = indexed_continuations(m, context[-j:])
+        if token in following:
+            return following[token]
+    return float(m.backoff_logscores[m.token_ids.get(token, -1)])
+
+
+def indexed_sequence_logscore(m: NGramModel, tokens) -> float:
+    """The summed indexed scores of the tokens, left-padded with BOS."""
+    history, total = [BOS] * (m.order - 1), 0.0
+    for token in tokens:
+        total += indexed_logscore(m, history, token)
+        history.append(token)
+    return total
 
 
 class TestTrainCounts:
     def test_bigram_hand_oracle(self):
         # "a b a b" padded to <s> a b a b </s>
-        m = train("a b a b", order=2)
-        assert m.count(("a", "b")) == 2
-        assert m.count(("b", "a")) == 1
-        assert m.count((BOS, "a")) == 1
-        assert m.count(("b", EOS)) == 1
-        assert m.count(("a",)) == 2
-        assert m.count((BOS,)) == 1
+        c = gram_counts(train("a b a b", order=2))
+        assert c[("a", "b")] == 2
+        assert c[("b", "a")] == 1
+        assert c[(BOS, "a")] == 1
+        assert c[("b", EOS)] == 1
+        assert c[("a",)] == 2
+        assert c[(BOS,)] == 1
 
     def test_unigram_order(self):
-        m = train("a a a", order=1)
-        assert m.count(("a",)) == 3
-        assert m.count((EOS,)) == 1
-        assert m.count((BOS,)) == 0  # no padding at order 1
+        c = gram_counts(train("a a a", order=1))
+        assert c[("a",)] == 3
+        assert c[(EOS,)] == 1
+        assert c[(BOS,)] == 0  # no padding at order 1
 
     def test_vocabulary_always_has_markers(self):
         for order in (1, 2, 3):
@@ -48,16 +96,17 @@ class TestTrainCounts:
             assert BOS in m.vocabulary and EOS in m.vocabulary
 
     def test_paragraphs_are_units(self):
-        m = train("a b\n\nc d", order=2)
-        assert m.count(("b", "c")) == 0
-        assert m.count(("b", EOS)) == 1
-        assert m.count((BOS, "c")) == 1
+        c = gram_counts(train("a b\n\nc d", order=2))
+        assert c[("b", "c")] == 0
+        assert c[("b", EOS)] == 1
+        assert c[(BOS, "c")] == 1
 
     def test_lowercases_and_canonicalizes(self):
         m = train("The CAT. I’ve seen it.", order=1)
-        assert m.count(("the",)) == 1
-        assert m.count(("cat",)) == 1
-        assert m.count(("i've",)) == 1
+        c = gram_counts(m)
+        assert c[("the",)] == 1
+        assert c[("cat",)] == 1
+        assert c[("i've",)] == 1
         assert "CAT" not in m.vocabulary
 
     def test_order_validation(self):
@@ -82,20 +131,21 @@ class TestTrainCounts:
 
     def test_prefix_invariant(self):
         m = train(TOY, order=3)
+        c = gram_counts(m)
         for k in (2, 3):
             for gram, _ in m.grams(k):
-                assert m.count(gram[:-1]) >= m.count(gram) > 0
+                assert c[gram[:-1]] >= c[gram] > 0
 
 
 class TestTokenLogscore:
     def test_ratio_one_is_exactly_zero(self):
         # count(a b) == count(a) == 2, so the ratio is 1.
         m = train("a b\n\na b", order=2)
-        assert m.token_logscore(["a"], "b") == 0.0
+        assert indexed_logscore(m, ["a"], "b") == 0.0
 
     def test_attested_bigram_ratio(self):
         m = train("a b\n\na c", order=2)
-        assert m.token_logscore(["a"], "b") == math.log(1 / 2)
+        assert indexed_logscore(m, ["a"], "b") == math.log(1 / 2)
 
     def test_unseen_token_floor(self):
         # Order 1 on "a b c": unigrams a, b, c, </s>, so T=4; vocabulary
@@ -103,16 +153,18 @@ class TestTokenLogscore:
         m = train("a b c", order=1)
         assert m.total == 4
         assert len(m.vocabulary) == 5
-        assert m.token_logscore([], "zzz") == math.log(1.0 / 9.0)
+        assert indexed_logscore(m, [], "zzz") == math.log(1.0 / 9.0)
+        assert m.backoff_logscores[-1] == math.log(1.0 / 9.0)
 
     def test_single_backoff_hand_oracle(self):
         # Trigram (x, y, z) unattested; bigram ratio count(y z)/count(y)
         # is 1/2. One backoff step costs log(0.4).
         m = train("y z\n\ny w", order=3, alpha=0.4)
-        assert m.count(("x", "y", "z")) == 0
-        assert m.count(("y", "z")) == 1
-        assert m.count(("y",)) == 2
-        got = m.token_logscore(["x", "y"], "z")
+        c = gram_counts(m)
+        assert c[("x", "y", "z")] == 0
+        assert c[("y", "z")] == 1
+        assert c[("y",)] == 2
+        got = indexed_logscore(m, ["x", "y"], "z")
         assert got == math.log(0.4) + math.log(0.5)
 
     def test_double_backoff_association(self):
@@ -120,15 +172,20 @@ class TestTokenLogscore:
         # log(a) + (log(a) + unigram), which is what repeated elementwise
         # addition over a score table produces as well.
         m = train(TOY, order=3, alpha=0.4)
-        base = m.token_logscore([], "cat")
-        assert base == math.log(m.count(("cat",)) / m.total)
-        got = m.token_logscore(["qq", "rr"], "cat")
+        base = math.log(gram_counts(m)[("cat",)] / m.total)
+        assert Reference.of(m).token_logscore([], "cat") == base
+        got = indexed_logscore(m, ["qq", "rr"], "cat")
         assert got == math.log(0.4) + (math.log(0.4) + base)
+        assert m.backoff_logscores[m.token_ids["cat"]] == got
 
     def test_context_truncated_to_model_order(self):
+        # The index holds contexts of at most order-1 tokens, so only
+        # those count; the reference truncates a longer context the same.
         m = train(TOY, order=2)
         long_ctx = ["ignored", "also", "the"]
-        assert m.token_logscore(long_ctx, "cat") == m.token_logscore(["the"], "cat")
+        assert m.continuation_index.key_tables == ()
+        got = indexed_logscore(m, ["the"], "cat")
+        assert got == Reference.of(m).token_logscore(long_ctx, "cat") == 0.0
 
     @given(
         st.lists(
@@ -143,34 +200,41 @@ class TestTokenLogscore:
     def test_score_never_positive(self, paras, context, token):
         corpus = "\n\n".join(" ".join(words) for words in paras)
         m = train(corpus, order=3)
-        assert m.token_logscore(context, token) <= 0.0
+        assert indexed_logscore(m, [BOS, BOS] + context, token) <= 0.0
 
 
 class TestSequenceLogscore:
     def test_empty_sequence(self):
         m = train(TOY, order=3)
-        assert m.sequence_logscore([]) == 0.0
+        assert indexed_sequence_logscore(m, []) == 0.0
+        assert Reference.of(m).sequence_logscore([]) == 0.0
 
     def test_single_token_definition(self):
         m = train(TOY, order=3)
-        assert m.sequence_logscore(["cat"]) == m.token_logscore([BOS, BOS], "cat")
+        score = indexed_logscore(m, [BOS, BOS], "cat")
+        assert Reference.of(m).sequence_logscore(["cat"]) == score
+        # "cat" never follows <s>: two backoff steps to its unigram, 2 of 18.
+        assert score == math.log(0.4) + (math.log(0.4) + math.log(2 / 18))
 
     def test_two_tokens_additivity(self):
         m = train(TOY, order=3)
-        s1 = m.token_logscore([BOS, BOS], "the")
-        s2 = m.token_logscore([BOS, "the"], "cat")
-        assert m.sequence_logscore(["the", "cat"]) == s1 + s2
+        s1 = indexed_logscore(m, [BOS, BOS], "the")
+        s2 = indexed_logscore(m, [BOS, "the"], "cat")
+        assert Reference.of(m).sequence_logscore(["the", "cat"]) == s1 + s2
+        assert (s1, s2) == (math.log(2 / 3), 0.0)
 
 
 class TestContinuations:
     def test_bigram_continuations(self):
         m = train("a b a b", order=2)
-        assert dict(m.continuations(("a",))) == {"b": 2}
-        assert dict(m.continuations(("b",))) == {"a": 1, EOS: 1}
+        assert indexed_continuations(m, ("a",)) == {"b": 0.0}
+        assert indexed_continuations(m, ("b",)) == {"a": math.log(0.5), EOS: math.log(0.5)}
+        assert Reference.of(m).continuations(("b",)) == {"a": 1, EOS: 1}
 
     def test_unattested_context_is_empty(self):
         m = train("a b a b", order=2)
-        assert dict(m.continuations(("nope",))) == {}
+        assert indexed_continuations(m, ("nope",)) == {}
+        assert Reference.of(m).continuations(("nope",)) == {}
 
     @given(
         words=st.lists(st.sampled_from("abcde"), min_size=1, max_size=30),
@@ -179,11 +243,12 @@ class TestContinuations:
     @settings(max_examples=60, deadline=None)
     def test_index_matches_tables_and_scores(self, words, order):
         m = train(" ".join(words), order=order)
+        ref = Reference.train(" ".join(words), order, m.alpha)
         index = m.continuation_index
         for k in range(2, order + 1):
             grams = dict(m.grams(k))
             contexts = {gram[:-1] for gram in grams}
-            (lo,), (hi,) = index.spans(m.context_ids([("zz",) * (k - 1)]))
+            (lo,), (hi,) = index.spans(context_ids(m, ("zz",) * (k - 1)))
             assert lo == hi
             for ctx in contexts:
                 cont = {
@@ -191,16 +256,16 @@ class TestContinuations:
                     for gram, count in grams.items()
                     if gram[:-1] == ctx
                 }
-                assert dict(m.continuations(ctx)) == cont
-                (lo,), (hi,) = index.spans(m.context_ids([ctx]))
+                assert ref.continuations(ctx) == cont
+                (lo,), (hi,) = index.spans(context_ids(m, ctx))
                 scores = dict(zip(
                     (m.tokens[i] for i in index.ids[lo:hi]), index.logs[lo:hi]
                 ))
                 # A full context whose longest attested suffix is ctx.
                 full = ("zz",) * (order - k) + ctx
-                assert scores == {t: m.token_logscore(full, t) for t in cont}
+                assert scores == {t: ref.token_logscore(full, t) for t in cont}
         unseen = ("zz",) * (order - 1)
-        backoff = [m.token_logscore(unseen, t) for t in m.tokens + ("qq",)]
+        backoff = [ref.token_logscore(unseen, t) for t in m.tokens + ("qq",)]
         assert m.backoff_logscores.tolist() == backoff
         assert set(m.tokens) == m.vocabulary
         assert all(m.token_ids[t] == i for i, t in enumerate(m.tokens))
@@ -243,9 +308,12 @@ class TestSerialization:
         assert m2.vocabulary == m.vocabulary
         rng = random.Random(0)
         pool = sorted(m.vocabulary) + ["zz", "qq"]
+        for got, want in zip(index_arrays(m2), index_arrays(m), strict=True):
+            assert_bits_equal(got, want)
+        assert_bits_equal(m2.backoff_logscores, m.backoff_logscores)
         for _ in range(100):
             seq = [rng.choice(pool) for _ in range(rng.randint(0, 6))]
-            assert m2.sequence_logscore(seq) == m.sequence_logscore(seq)
+            assert indexed_sequence_logscore(m2, seq) == indexed_sequence_logscore(m, seq)
 
     def test_save_is_deterministic(self, tmp_path):
         p1, p2 = tmp_path / "a.lm", tmp_path / "b.lm"
@@ -329,7 +397,7 @@ class TestSerialization:
         # Balanced sums and an attested prefix, but no "zz" unigram: training
         # counts every padded position as one, and the continuation index
         # has no token id for "zz", so the model would count "a zz" that
-        # continuations(["a"]) never shows.
+        # the index never shows after "a".
         path = tmp_path / "orphan.lm"
         path.write_text(
             "NGRAM-LM v1 order=2 alpha=0.4\n"
@@ -342,7 +410,7 @@ class TestSerialization:
         path.write_text(path.read_text().replace("1\ta\n", "1\ta\n1\tzz\n").replace(
             "1\ta zz\n", "1\ta zz\n1\tzz </s>\n"
         ))
-        assert load(path).continuations(["a"]) == {"zz": 1}
+        assert indexed_continuations(load(path), ["a"]) == {"zz": 0.0}
 
     @pytest.mark.parametrize("token", ["x-ray", "Foo", "café", "it’s"])
     def test_token_that_is_not_one_word_errors(self, tmp_path, token):
@@ -375,127 +443,10 @@ class TestSerialization:
         assert [m2.grams(k) for k in range(1, order + 1)] == [
             m.grams(k) for k in range(1, order + 1)
         ]
+        ref = Reference.of(m2)
         for para in paras:
-            assert m2.sequence_logscore(para) == m.sequence_logscore(para)
-
-
-class Reference:
-    """The dict-counting model that the array model replaced, kept as its
-    oracle. Training counts every window of every padded paragraph into
-    one dict of string tuples per order; every other value is derived
-    from the dicts as that model derived it."""
-
-    def __init__(self, corpus: str, order: int, alpha: float):
-        self.order, self.alpha = order, alpha
-        counters = [Counter() for _ in range(order)]
-        for paragraph in split_paragraphs(corpus):
-            words = canonical_words(paragraph)
-            if not words:
-                continue
-            padded = [BOS] * (order - 1) + words + [EOS]
-            for k in range(1, order + 1):
-                for i in range(len(padded) - k + 1):
-                    counters[k - 1][tuple(padded[i:i + k])] += 1
-        self.tables = [dict(c) for c in counters]
-        self.total = sum(self.tables[0].values())
-        self.vocabulary = {gram[0] for gram in self.tables[0]} | {BOS, EOS}
-        ranked = sorted(
-            (-count, word) for (word,), count in self.tables[0].items()
-            if word not in (BOS, EOS)
-        )
-        self.ranked_words = tuple(word for _, word in ranked)
-        rest = sorted(self.vocabulary.difference(self.ranked_words))
-        self.tokens = self.ranked_words + tuple(rest)
-        self.token_ids = {token: i for i, token in enumerate(self.tokens)}
-
-    def count(self, gram) -> int:
-        key = tuple(gram)
-        if not 1 <= len(key) <= self.order:
-            return 0
-        return self.tables[len(key) - 1].get(key, 0)
-
-    def continuations(self, context) -> dict:
-        key = tuple(context)
-        if not 1 <= len(key) < self.order:
-            return {}
-        if not hasattr(self, "_following"):
-            self._following = {}
-            for table in self.tables[1:]:
-                for gram in sorted(table):
-                    self._following.setdefault(gram[:-1], {})[gram[-1]] = table[gram]
-        return self._following.get(key, {})
-
-    def token_logscore(self, context, token) -> float:
-        ctx = tuple(context[-(self.order - 1):]) if self.order > 1 else ()
-        return self._score(ctx, token)
-
-    def _score(self, ctx, token) -> float:
-        if ctx:
-            c_full = self.count(ctx + (token,))
-            if c_full and self.count(ctx):
-                return math.log(c_full / self.count(ctx))
-            return math.log(self.alpha) + self._score(ctx[1:], token)
-        c_uni = self.count((token,))
-        if c_uni:
-            return math.log(c_uni / self.total)
-        return math.log(1.0 / (self.total + len(self.vocabulary)))
-
-    def backoff_logscores(self) -> np.ndarray:
-        unseen = ("",) * (self.order - 1)
-        return np.array([self._score(unseen, t) for t in self.tokens + ("",)])
-
-    def index_arrays(self) -> list[np.ndarray]:
-        """starts, ids, logs, token_rows, then each key table's keys and
-        rows, built in one pass over the sorted grams of each order."""
-        size = sum(len(table) for table in self.tables[1:])
-        ids, logs = np.empty(size, dtype=np.intp), np.empty(size)
-        rows: dict[tuple, int] = {}
-        radix = len(self.tokens) + 1
-        keys = [[] for _ in range(self.order - 2)]
-        key_rows = [[] for _ in range(self.order - 2)]
-        starts: list[int] = []
-        n = 0
-        token_rows = np.full(len(self.tokens) + 1, -1, dtype=np.intp)
-        for k in range(2, self.order + 1):
-            table, prefixes = self.tables[k - 1], self.tables[k - 2]
-            ctx = None
-            for gram in sorted(table):
-                if gram[:-1] != ctx:
-                    ctx = gram[:-1]
-                    row = rows[ctx] = len(starts)
-                    starts.append(n)
-                    if k == 2:
-                        token_rows[self.token_ids[ctx[0]]] = row
-                    else:
-                        keys[k - 3].append(
-                            rows[ctx[:-1]] * radix + self.token_ids.get(ctx[-1], -1) + 1
-                        )
-                        key_rows[k - 3].append(row)
-                ids[n] = self.token_ids.get(gram[-1], -1)
-                score = math.log(table[gram] / prefixes[ctx])
-                for _ in range(self.order - k):
-                    score = math.log(self.alpha) + score
-                logs[n] = score
-                n += 1
-        starts += [n, n]
-        empty = len(starts) - 2
-        token_rows[token_rows < 0] = empty
-        arrays = [np.array(starts), ids, logs, token_rows]
-        for j_keys, j_rows in zip(keys, key_rows):
-            j_keys = np.array(j_keys, dtype=np.int64)
-            by_key = np.argsort(j_keys)
-            arrays.append(np.append(j_keys[by_key], np.iinfo(np.int64).max))
-            arrays.append(np.append(np.array(j_rows, dtype=np.intp)[by_key], empty))
-        return arrays
-
-    def text(self) -> str:
-        lines = [f"NGRAM-LM v1 order={self.order} alpha={self.alpha!r}"]
-        for k in range(1, self.order + 1):
-            table = self.tables[k - 1]
-            lines.extend(f"{table[gram]}\t{' '.join(gram)}" for gram in sorted(table))
-            if k < self.order:
-                lines.append("")
-        return "\n".join(lines) + "\n"
+            assert indexed_sequence_logscore(m2, para) == indexed_sequence_logscore(m, para)
+            assert indexed_sequence_logscore(m2, para) == ref.sequence_logscore(para)
 
 
 def index_arrays(m: NGramModel) -> list[np.ndarray]:
@@ -510,27 +461,33 @@ def assert_bits_equal(got: np.ndarray, want: np.ndarray) -> None:
 
 
 def assert_matches_reference(corpus: str, order: int, alpha: float, tmp: Path) -> None:
-    m, ref = train(corpus, order=order, alpha=alpha), Reference(corpus, order, alpha)
+    m, ref = train(corpus, order=order, alpha=alpha), Reference.train(corpus, order, alpha)
     assert m.tokens == ref.tokens and m.ranked_words == ref.ranked_words
     assert m.vocabulary == ref.vocabulary and m.total == ref.total
     assert_bits_equal(m.backoff_logscores, ref.backoff_logscores())
     for got, want in zip(index_arrays(m), ref.index_arrays(), strict=True):
         assert_bits_equal(got, want)
+    assert [dict(m.grams(k)) for k in range(1, order + 1)] == ref.tables
     grams = [gram for table in ref.tables for gram in table]
     absent = [("zz",), ("zz", EOS), (BOS, "zz"), (EOS, BOS), ("zz",) * order]
     for gram in grams + absent:
-        assert m.count(gram) == ref.count(gram)
-        assert dict(m.continuations(gram)) == ref.continuations(gram)
+        if len(gram) < order:
+            # A full context whose longest attested suffix is the gram.
+            full = ("zz",) * (order - 1 - len(gram)) + gram
+            want = {t: ref.token_logscore(full, t) for t in ref.continuations(gram)}
+            assert indexed_continuations(m, gram) == want
     tokens = list(ref.tokens) + ["zz"]
     rng = random.Random(order)
     for gram in rng.sample(grams, min(len(grams), 2_000)) + absent:
-        # An attested gram's context, and the same with one token swapped.
-        context, token = list(gram[:-1]), gram[-1]
-        assert m.token_logscore(context, token) == ref.token_logscore(context, token)
+        # An attested gram's context, and the same with one token swapped,
+        # each filled up to a full context with a token outside the model.
+        context, token = list(gram[-order:-1]), gram[-1]
+        full = ["zz"] * (order - 1 - len(context)) + context
+        assert indexed_logscore(m, full, token) == ref.token_logscore(full, token)
         if context:
             context[rng.randrange(len(context))] = rng.choice(tokens)
-        token = rng.choice(tokens)
-        assert m.token_logscore(context, token) == ref.token_logscore(context, token)
+        full, token = ["zz"] * (order - 1 - len(context)) + context, rng.choice(tokens)
+        assert indexed_logscore(m, full, token) == ref.token_logscore(full, token)
     m.save(tmp / "m.lm")
     assert (tmp / "m.lm").read_text(encoding="utf-8") == ref.text()
 
@@ -580,7 +537,7 @@ def test_bundled_novel_model_is_pinned(tmp_path):
     # The order-3 model of the bundled novel, as ``lipogram train`` writes it,
     # and the decoder's inputs read off it.
     novel = files("lipogram.data").joinpath("gatsby.txt").read_text(encoding="utf-8")
-    m, ref = train(novel, order=3), Reference(novel, 3, 0.4)
+    m, ref = train(novel, order=3), Reference.train(novel, 3, 0.4)
     assert m.tokens == ref.tokens
     assert_bits_equal(m.backoff_logscores, ref.backoff_logscores())
     for got, want in zip(index_arrays(m), ref.index_arrays(), strict=True):

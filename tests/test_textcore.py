@@ -189,32 +189,53 @@ def _references(tree, strings=False):
             yield from node.value.split(".")
 
 
-def _unreferenced(private, readers, strings=False):
+def _unreferenced(private, readers, strings=False, package=PACKAGE):
     """The private (or public) functions, classes and methods defined at
-    module level or in a module-level class under src/lipogram that no
-    module under the ``readers`` directories refers to outside their own
-    body, as ``module.qualified_name``. Dunder names are neither: Python
+    module level or in a module-level class under ``package`` that no
+    module under the ``readers`` directories refers to, as
+    ``module.qualified_name``. A reference keeps a def alive only if it
+    is made outside every such def, private or public, or inside one kept
+    alive, and not inside the def's own body: so defs that only refer to
+    one another are unreferenced too, and so is a private helper that
+    only unreferenced public code calls. The scan repeats until it keeps
+    no more alive. Dunder names are neither private nor public: Python
     calls them."""
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    defined, used = [], Counter()
-    for path in sorted(PACKAGE.rglob("*.py")):
+    defined, used = [], Counter()  # (where, def, its class or None)
+    for path in sorted(package.rglob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             members = node.body if isinstance(node, ast.ClassDef) else []
             for item in [node, *members]:
-                name = getattr(item, "name", "")
-                if (
-                    isinstance(item, kinds) and not name.endswith("__")
-                    and name.startswith("_") == private
-                ):
-                    owner = f"{node.name}." if item is not node else ""
-                    defined.append((f"{path.stem}.{owner}{name}", item))
+                if isinstance(item, kinds) and not item.name.endswith("__"):
+                    owner = node if item is not node else None
+                    where = f"{path.stem}.{node.name + '.' if owner else ''}{item.name}"
+                    defined.append((where, item, owner))
     for reader in readers:
         for path in sorted(reader.rglob("*.py")):
             used.update(_references(ast.parse(path.read_text(encoding="utf-8")), strings))
-    return [
-        where for where, node in defined
-        if used[node.name] == sum(1 for name in _references(node, strings) if name == node.name)
-    ]
+    # The names each def refers to in its body, less its methods'.
+    region = {node: Counter(_references(node, strings)) for _, node, _ in defined}
+    own = {node: [node] for _, node, _ in defined}
+    for _, node, owner in defined:
+        if owner in region:
+            region[owner] -= region[node]
+            own[owner].append(node)
+    reached = used - sum(region.values(), Counter())  # from outside every def
+    live = set()
+    while True:
+        found = [
+            node for _, node, _ in defined
+            if node not in live
+            and reached[node.name] > sum(region[n][node.name] for n in own[node] if n in live)
+        ]
+        if not found:
+            return [
+                where for where, node, _ in defined
+                if node not in live and node.name.startswith("_") == private
+            ]
+        for node in found:
+            live.add(node)
+            reached += region[node]
 
 
 def test_references_see_through_an_import_alias():
@@ -231,10 +252,33 @@ def test_references_see_through_an_import_alias():
     assert "tool" not in refs and Counter(_references(tree, strings=True))["tool"] == 1
 
 
+def test_unreferenced_is_transitive(tmp_path):
+    """Defs that refer only to one another, or are referred to only from
+    such defs, are all unreferenced, a private helper of one included; a
+    class's reference from its own method keeps it no more alive than
+    one from its own body."""
+    (tmp_path / "a.py").write_text(
+        "def ping(n):\n    return pong(n - 1) if n else _helper()\n"
+        "def pong(n):\n    return ping(n)\n"
+        "def _helper():\n    return _shared()\n"
+        "def _shared():\n    return 0\n"
+        "def kept():\n    return _shared\n"
+        "class Box:\n"
+        "    def wrap(self):\n        return self.unpack()\n"
+        "    def unpack(self):\n        return Box()\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "b.py").write_text("from a import kept\nkept()\n", encoding="utf-8")
+    public = _unreferenced(False, [tmp_path], package=tmp_path)
+    assert public == ["a.ping", "a.pong", "a.Box", "a.Box.wrap", "a.Box.unpack"]
+    assert _unreferenced(True, [tmp_path], package=tmp_path) == ["a._helper"]
+
+
 def test_package_has_no_dead_private_code():
     """Every private function, class or method defined at module level or
     in a module-level class under src/lipogram is referenced somewhere in
-    src/lipogram outside its own body, by name or as an attribute.
+    src/lipogram outside its own body and the bodies of unreferenced
+    defs, by name or as an attribute.
 
     Code kept only as a test's reference belongs in the tests. Dunder
     names are exempt: Python calls them.
@@ -245,22 +289,16 @@ def test_package_has_no_dead_private_code():
 def test_package_has_no_dead_public_code():
     """Every public function, class or method defined at module level or
     in a module-level class under src/lipogram is referenced somewhere in
-    src/lipogram or perfbench/ outside its own body: by name, as an
-    attribute, or in a string constant, since perfbench's tracer wraps
-    functions it names in strings (``PASSES``, ``"ngram.train"``).
+    src/lipogram or perfbench/ outside its own body and the bodies of
+    other unreferenced defs: by name, as an attribute, or in a string
+    constant, since perfbench's tracer wraps functions it names in
+    strings (``PASSES``, ``"ngram.train"``).
 
-    Three are kept for the tests alone: ``NGramModel.continuations`` and
-    ``NGramModel.sequence_logscore`` are the reference scorers that tests
-    compare the continuation index and the search against, and
-    ``sweep.parse_sweep_csv`` reads a written ``sweep.csv`` back.
+    Code kept only for the tests belongs in the tests: the reference
+    n-gram scorer is ``tests/ngram_reference.py``.
     """
-    exempt = {
-        "ngram.NGramModel.continuations",
-        "ngram.NGramModel.sequence_logscore",
-        "sweep.parse_sweep_csv",
-    }
     readers = [PACKAGE, PACKAGE.parents[1] / "perfbench"]
-    assert sorted(set(_unreferenced(False, readers, strings=True)) - exempt) == []
+    assert _unreferenced(False, readers, strings=True) == []
 
 
 def test_only_ngram_reads_the_backoff_weight():
