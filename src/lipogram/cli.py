@@ -8,12 +8,13 @@ box. Only the commands that decode read the n-gram model: `train`,
 `translate --method beam` and `sweep` load `--model` or train one of order
 `--order`; `evaluate` and the two baseline translators never touch it, so a
 missing `--model` file does not fail them. `--order` is still checked on
-every command. `train` builds no IDF table; the other commands build one
-from the corpus. Exit codes: 0 success (warnings allowed), 1 usage error,
-2 I/O error (including an input file that cannot be read or is not
-UTF-8, an unwritable output file, an unreachable or malformed grammar or
-embedding provider, or an unreadable model on a command that reads it),
-3 every paragraph failed to decode.
+every command. `train` and the two baseline translators build no IDF
+table; the other commands build one from the corpus. Exit codes: 0
+success (warnings allowed), 1 usage error, 2 I/O error (including an
+input file that cannot be read or is not UTF-8, an unwritable output
+file, an unreachable or malformed grammar or embedding provider, or an
+unreadable model on a command that reads it), 3 every paragraph failed
+to decode.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .metrics import (
 )
 from .ngram import DEFAULT_ORDER, MAX_ORDER, NGramModel, load, train
 from .passes import GrammarProviderError, make_grammar_provider
-from .pipeline import METHODS, Pipeline
+from .pipeline import METHODS, Pipeline, translate_word_by_word
 from .sweep import (
     default_constraint_sets,
     emit_report,
@@ -308,7 +309,7 @@ def cmd_train(run: _Run) -> int:
     grams = sum(len(keys) for keys in run.model.keys)
     print(
         f"trained order-{run.model.order} model: {grams} distinct n-grams, "
-        f"{len(run.model.vocabulary)} word vocabulary -> {path}"
+        f"{len(run.model.words)} word vocabulary -> {path}"
     )
     return EXIT_OK
 
@@ -316,10 +317,13 @@ def cmd_train(run: _Run) -> int:
 def cmd_translate(run: _Run) -> int:
     args = run.args
     sources = run.paragraphs[: args.paragraphs]
-    model = run.model if args.method == "beam" else None
-    outputs, failures = run.pipeline(model).translate(
-        sources, run.constraint, args.method, run.cfg
-    )
+    if args.method == "beam":
+        outputs, failures = run.pipeline(run.model).translate(
+            sources, run.constraint, "beam", run.cfg
+        )
+    else:
+        outputs = translate_word_by_word(sources, run.constraint, args.method, run.lexicon)
+        failures = 0
     document = "\n\n".join(outputs)
     run.output("translation.txt", lambda path: path.write_text(document + "\n", encoding="utf-8"))
     score = e_score(document, run.constraint)
@@ -341,13 +345,6 @@ def cmd_evaluate(run: _Run) -> int:
         candidates = list(sources)
     sources = sources[: args.paragraphs]
     candidates = candidates[: args.paragraphs]
-    if len(sources) != len(candidates):
-        print(
-            f"error: paragraph count mismatch (source {len(sources)}, "
-            f"candidate {len(candidates)})",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
     report = run.pipeline().evaluate(sources, candidates, run.constraint)
     text = report_json(report, run.config_echo()) + "\n"
     run.output("report.json", lambda path: path.write_text(text, encoding="utf-8"))

@@ -20,27 +20,28 @@ to the maximum length.
 
 Set-up is done once at the level where its data lives:
 
-- Corpus: ``NGramModel`` holds its counts as one sorted int64 key array
-  and one count array per order, and reads off them, lazily on first
-  use and cached on it, the frequency-ranked word list, each token's
-  score after an unseen context (``backoff_logscores``) and every
-  context's continuations as token ids with their scores
+- Corpus: ``NGramModel`` numbers each word once, by its place among
+  the sorted words, holds its counts as one sorted int64 key array and
+  one count array per order, and reads off them, lazily on first use
+  and cached on it, the word numbers by frequency rank (``ranked``),
+  each word's score after an unseen context (``backoff_logscores``) and
+  every context's continuations as word numbers with their scores
   (``ContinuationIndex``, whose rows are the distinct prefixes of each
-  order's keys, and which finds a context from its token ids through
+  order's keys, and which finds a context from its word numbers through
   sorted int64 keys). Both scores already carry their backoff
   penalties, so the decoder never applies one itself. ``SearchWords``,
-  built once per model and IDF table, gives
-  every word the search can know one id (the model's tokens keep their
-  token ids), holds each id's letter mask, backoff score and idf, and
-  keeps one pair block: every one-word-context LM continuation and IDF
-  bigram, with both the LM log and the squared bigram idf.
+  built once per model and IDF table, gives every word the search can
+  know one id (a model word's id is its number in the model), holds
+  each id's letter mask, backoff score and idf, and keeps one pair
+  block: every one-word-context LM continuation and IDF bigram, with
+  both the LM log and the squared bigram idf.
 - Constraint: ``ConstraintTables``, built once per constraint set and
   tail size M over the SearchWords, holds which ids are legal, the tail
   (the M most frequent legal words) and the pairs among all legal
-  words, keyed by first word id. ``Pipeline`` keeps its SearchWords while
-  the model and the IDF table stay the same, and the last tables it
-  built while the constraint and M stay the same too; every search reads
-  its constraint, model and IDF table from the tables.
+  words, keyed by first word id. ``Pipeline`` builds its SearchWords
+  once, and keeps the last tables it built while the constraint and M
+  stay the same; every search reads its constraint, model and IDF
+  table from the tables.
 - Paragraph: ``_Paragraph`` keeps only what depends on the source. It
   reads its per-word arrays with one ``SearchWords.lookup`` of its
   vocabulary, and holds the source's TF-IDF weights over the
@@ -116,7 +117,7 @@ import numpy as np
 from . import textcore
 from .lexicon import Lexicon, constraint_free_synonyms
 from .metrics import IdfTable, TfidfEmbedder, embed, most_similar
-from .ngram import BOS, NGramModel
+from .ngram import BOS, EOS, NGramModel
 from .textcore import ConstraintSet, canonical, violates
 
 
@@ -313,9 +314,10 @@ def build_candidate_vocab(
 
 
 class SearchWords:
-    """Every word the search can know, under one id: the model's tokens
-    by their token ids, then the IDF table's other words. Built once per
-    (model, IDF table) and shared by the tables of every constraint set.
+    """Every word the search can know, under one id: the model's words
+    by their numbers in the model, then the IDF table's other words.
+    Built once per (model, IDF table) and shared by the tables of every
+    constraint set.
 
     Per id: its letter mask (``masks``), and with a last entry for id -1
     (a word neither knows) its score after a context never seen
@@ -332,8 +334,8 @@ class SearchWords:
     def __init__(self, model: NGramModel, idf: IdfTable):
         self.model = model
         self.idf = idf
-        self.ids = ids = dict(model.token_ids)
-        n_tokens = len(ids)
+        self.ids = ids = dict(model.ids)
+        n_model = len(ids)
         bigram_firsts, bigram_seconds, squares = [], [], []
         for feature, value in idf.values.items():
             first, sep, second = feature.partition(" ")
@@ -344,18 +346,16 @@ class SearchWords:
                 squares.append(value * value)
         n = len(ids)
         self.masks = textcore.letter_masks(ids)
-        self.backoff = model.backoff_logscores[np.minimum(np.arange(n + 1), n_tokens)]
+        self.backoff = model.backoff_logscores[np.minimum(np.arange(n + 1), n_model)]
         self.idf_values = np.array(
             [idf.values.get(word, idf.default) for word in ids] + [idf.default]
         )
 
-        # The continuations of each token's one-word context, then the IDF
-        # bigrams, as keys first * n + second, merged.
+        # The continuations of each model word's one-word context, then the
+        # IDF bigrams, as keys first * n + second, merged.
         index = model.continuation_index
-        rows = index.token_rows[:n_tokens]
+        rows = index.token_rows[:n_model]
         firsts, entries = _expand(index.starts[rows], index.starts[rows + 1])
-        known = np.flatnonzero(index.ids[entries] >= 0)
-        firsts, entries = firsts[known], entries[known]
         bigrams = np.array(bigram_firsts, dtype=np.intp) * n + np.array(
             bigram_seconds, dtype=np.intp
         )
@@ -403,11 +403,9 @@ class ConstraintTables:
         self.words = words
         model = words.model
         self.legal = legal = np.append((words.masks & c.mask) == 0, False)
-        legal[len(model.ranked_words):len(model.tokens)] = False
-        # The M most frequent legal words (all of them when fewer are legal):
-        # the ranked words come first in id order.
-        ranked = np.flatnonzero(legal[: len(model.ranked_words)])
-        self.tail = [model.tokens[i] for i in ranked[:M]]
+        legal[[words.ids[BOS], words.ids[EOS]]] = False
+        # The M most frequent legal words (all of them when fewer are legal).
+        self.tail = [model.words[i] for i in model.ranked[legal[model.ranked]][:M].tolist()]
         legal_ids = np.where(legal, np.arange(len(legal)), -1)
         firsts = legal_ids[:-1].copy()
         firsts[words.ids[BOS]] = words.ids[BOS]
@@ -518,8 +516,8 @@ class _Paragraph:
         self.max_len = math.floor(cfg.max_ratio * source_len)
 
         self.ids, self.backoff, self.idf_uni = words.lookup(self.vocab)
-        # Contexts are read by model token id: the other words are -1 there.
-        self.model_ids = np.where(self.ids < len(words.model.tokens), self.ids, -1)
+        # Contexts are read by model word number: the other words are -1 there.
+        self.model_ids = np.where(self.ids < len(words.model.words), self.ids, -1)
         # A known word is legal by its id; only the others are checked.
         illegal = [
             self.vocab[i] for i in np.flatnonzero(~tables.legal[self.ids])
@@ -818,7 +816,7 @@ class _BeamEngine:
         live = np.ones(n_lanes, dtype=bool)
         beam = np.zeros((3, n_lanes))
         history = np.empty((n_lanes, 0), dtype=np.intp)
-        contexts = np.full((n_lanes, span), model.token_ids[BOS], dtype=np.intp)
+        contexts = np.full((n_lanes, span), model.ids[BOS], dtype=np.intp)
         keys = ln.keys + ln.widths
         # Each lane's k best pooled scores, negated, in its first k columns;
         # each step writes its picks' after them.
@@ -1115,10 +1113,9 @@ class _BeamEngine:
         cells[end:] -= R * V
         index, pos, writes = self.model.continuation_index, batch.pos.ravel(), []
         for j in range(2, self.model.order):
-            # The tokens attested after each row's last j words, with their
-            # stupid-backoff score (see ``ngram``). A model token's id is
-            # its word id, and each paragraph's row of pos ends with the
-            # entry of id -1, so a flat index one before a row finds -1.
+            # The words attested after each row's last j words, with their
+            # stupid-backoff score (see ``ngram``), by their numbers in the
+            # model, which are their word ids.
             lo, hi = index.spans(rows.contexts[:, -j:])
             (r, offsets), entries = _expand(lo, hi, rows.layout.context_base)
             found = pos[offsets + index.ids[entries]]
@@ -1171,7 +1168,7 @@ def _batch_pair_rows(paras: Sequence[_Paragraph], tables: ConstraintTables):
     that order, so the last key of each block has no pairs. Also returns
     each paragraph's map from word id to vocabulary position (-1 outside
     it), one row each with a last entry for id -1, which the gather reads,
-    and so does ``_BeamEngine._pairs`` by model token id; and which of its
+    and so does ``_BeamEngine._pairs`` by model word number; and which of its
     widest vocabulary's positions are each paragraph's source words, with
     a last row of none. Each paragraph
     is gathered on its own, which keeps the gather's scratch arrays small.

@@ -13,8 +13,9 @@ where c counts n-grams, T is the summed unigram count and V the vocabulary
 size, BOS and EOS included. Each log(alpha) is added to the shorter
 context's score, so repeated backoff is right-associated. Scores are
 log-ratios, never above 0, not normalized log-probabilities, which is all
-the beam search needs for ranking. The model holds them as arrays
-(``backoff_logscores``, ``continuation_index``), which the decoder reads.
+the beam search needs for ranking. The model holds them as arrays over
+its one word numbering (``backoff_logscores``, ``continuation_index``),
+which the decoder reads.
 
 Training counts lowercased word tokens per paragraph, padding each paragraph
 with order-1 leading ``<s>`` markers and one trailing ``</s>``. The counts
@@ -49,12 +50,14 @@ class NGramModel:
     """Immutable-by-convention n-gram counts plus backoff weight.
 
     ``words`` is every token of any gram, and BOS and EOS, sorted; a
-    token's number is its position there. ``keys[k-1]`` holds the sorted
-    keys of the k-grams and ``counts[k-1]`` their counts. A unigram's key
-    is its number, and a k-gram's is (rank of its prefix among the sorted
-    (k-1)-grams) x len(words) + (number of its last token), so keys sort
-    as the grams' string tuples do and stay below (number of grams) x
-    len(words). Each order has a gram, and each gram's prefix is a gram.
+    word's number is its position there (``ids``), and it is the only
+    number the model and the decoder give a word. Every word but BOS and
+    EOS is a unigram. ``keys[k-1]`` holds the sorted keys of the k-grams
+    and ``counts[k-1]`` their counts. A unigram's key is its number, and
+    a k-gram's is (rank of its prefix among the sorted (k-1)-grams) x
+    len(words) + (number of its last token), so keys sort as the grams'
+    string tuples do and stay below (number of grams) x len(words). Each
+    order has a gram, and each gram's prefix is a gram.
     """
 
     order: int
@@ -69,43 +72,27 @@ class NGramModel:
         return sum(self.counts[0].tolist())
 
     @cached_property
-    def tokens(self) -> tuple[str, ...]:
-        """Every vocabulary token once: ``ranked_words``, then the rest
-        (BOS, EOS) sorted. A token's position here is its id."""
-        uni, markers = self.keys[0], np.searchsorted(self.words, [EOS, BOS])
+    def ids(self) -> dict[str, int]:
+        """Each word's number."""
+        return {word: i for i, word in enumerate(self.words)}
+
+    @cached_property
+    def ranked(self) -> np.ndarray:
+        """The numbers of every word but BOS and EOS, by count desc, then
+        alphabetically."""
+        uni = self.keys[0]
         ranked = uni[np.lexsort((uni, -self.counts[0]))]
-        order = np.append(ranked[~np.isin(ranked, markers)], markers)
-        return tuple(self.words[i] for i in order.tolist())
-
-    @cached_property
-    def _word_tokens(self) -> np.ndarray:
-        """The token id of each word number, -1 outside the vocabulary."""
-        ids = np.full(len(self.words), -1, dtype=np.intp)
-        ids[np.searchsorted(self.words, self.tokens)] = np.arange(len(self.tokens))
-        return ids
-
-    @cached_property
-    def ranked_words(self) -> tuple[str, ...]:
-        """Unigram words by count desc, then alphabetically; no BOS/EOS."""
-        return self.tokens[:-2]
-
-    @cached_property
-    def vocabulary(self) -> frozenset[str]:
-        return frozenset(self.tokens)
-
-    @cached_property
-    def token_ids(self) -> dict[str, int]:
-        return {token: i for i, token in enumerate(self.tokens)}
+        return ranked[~np.isin(ranked, [self.ids[BOS], self.ids[EOS]])]
 
     @cached_property
     def backoff_logscores(self) -> np.ndarray:
-        """The score S (module docstring) of every token after a full
-        context that was never seen, in id order, then that of a token
-        outside the vocabulary (the entry of id -1): its unigram score with
+        """The score S (module docstring) of every word after a full
+        context that was never seen, by number, then that of a word
+        outside the model (the entry of -1): its unigram score with
         log(alpha) added order-1 times, right-associated."""
-        counts = np.zeros(len(self.tokens) + 1, dtype=np.int64)
-        counts[self._word_tokens[self.keys[0]]] = self.counts[0]
-        floor = math.log(1.0 / (self.total + len(self.vocabulary)))
+        counts = np.zeros(len(self.words) + 1, dtype=np.int64)
+        counts[self.keys[0]] = self.counts[0]
+        floor = math.log(1.0 / (self.total + len(self.words)))
         scores = np.array([math.log(c / self.total) if c else floor for c in counts.tolist()])
         for _ in range(self.order - 1):
             scores = math.log(self.alpha) + scores
@@ -114,27 +101,26 @@ class NGramModel:
     @cached_property
     def continuation_index(self) -> "ContinuationIndex":
         """The continuations of every attested context, as flat arrays."""
-        n, token_of, radix = len(self.words), self._word_tokens, len(self.tokens) + 1
+        n = len(self.words)
         # The sorted k-grams come grouped by context, in context order: one
         # row per distinct prefix, numbered on from the order below's.
         grouped = [np.unique(keys // n, return_index=True) for keys in self.keys[1:]]
         first_row = np.cumsum([0] + [len(contexts) for contexts, _ in grouped])
         first_entry = np.cumsum([0] + [len(keys) for keys in self.keys[1:]])
-        token_rows = np.full(radix, first_row[-1], dtype=np.intp)  # the empty row
+        token_rows = np.full(n + 1, first_row[-1], dtype=np.intp)  # the empty row
         starts, logs, key_tables = [], [np.empty(0)], []
         for k, (contexts, first) in enumerate(grouped, start=2):
             row_of = np.empty(len(self.keys[k - 2]), dtype=np.intp)  # by rank
             row_of[contexts] = np.arange(first_row[k - 2], first_row[k - 1])
             if k == 2:
-                token_rows[token_of[self.keys[0][contexts]]] = row_of[contexts]
+                token_rows[self.keys[0][contexts]] = row_of[contexts]
             else:
+                # Rows rise with their contexts' ranks, so these keys come
+                # sorted; a sentinel above every key keeps searchsorted in range.
                 head, tail = np.divmod(self.keys[k - 2][contexts], n)
-                keys = prefix_rows[head] * radix + token_of[tail] + 1
-                by_key = np.argsort(keys)
-                # A sentinel above every key keeps searchsorted in range.
                 key_tables.append((
-                    np.append(keys[by_key], np.iinfo(np.int64).max),
-                    np.append(row_of[contexts][by_key], first_row[-1]),
+                    np.append(prefix_rows[head] * (n + 1) + tail + 1, np.iinfo(np.int64).max),
+                    np.append(row_of[contexts], first_row[-1]),
                 ))
             starts.append(first_entry[k - 2] + first)
             ratios = (self.counts[k - 1] / self.counts[k - 2][self.keys[k - 1] // n]).tolist()
@@ -144,7 +130,7 @@ class NGramModel:
             prefix_rows = row_of
         last = np.concatenate([np.empty(0, np.int64)] + [keys % n for keys in self.keys[1:]])
         return ContinuationIndex(
-            np.concatenate(starts + [first_entry[-1:]] * 2), token_of[last],
+            np.concatenate(starts + [first_entry[-1:]] * 2), last,
             np.concatenate(logs), token_rows, tuple(key_tables),
         )
 
@@ -171,9 +157,9 @@ class NGramModel:
 class ContinuationIndex:
     """Attested continuations of every context of length 1..order-1.
 
-    The tokens seen after a context are entries ``starts[r]:starts[r + 1]``
-    of ``ids`` (token ids, -1 outside the vocabulary) and ``logs``, where
-    r is the context's row. A log is the score S (module docstring) of t
+    The words seen after a context are entries ``starts[r]:starts[r + 1]``
+    of ``ids`` (their numbers, never -1) and ``logs``, where r is the
+    context's row. A log is the score S (module docstring) of t
     after a full (order - 1 token) context whose longest suffix seen
     before t is this context: log(c(context + t) / c(context)) plus
     log(alpha) once per context token beyond it, added in its order, so
@@ -183,14 +169,14 @@ class ContinuationIndex:
     keys of each order. Row ``len(starts) - 2`` is empty and stands for
     every unattested context.
 
-    Contexts are found by token id. ``token_rows[i]`` is the row of the
-    one-token context of token id i; its last entry, the row of id -1, is
-    the empty one. A longer context is keyed by its prefix's row and its
-    last token: ``keys[j - 2]`` holds the sorted int64 keys
-    ``row(prefix) * (len(tokens) + 1) + id(last) + 1`` of every attested
-    context of length j, then a sentinel, and ``key_rows[j - 2]`` their
-    rows. The prefix of an attested context is attested, so one
-    ``searchsorted`` per extra token finds any context.
+    Contexts are found by word number. ``token_rows[i]`` is the row of
+    the one-word context of word i; its last entry, the row of -1 (a word
+    outside the model), is the empty one. A longer context is keyed by
+    its prefix's row and its last word: ``keys[j - 2]`` holds the sorted
+    int64 keys ``row(prefix) * (len(words) + 1) + number(last) + 1`` of
+    every attested context of length j, then a sentinel, and
+    ``key_rows[j - 2]`` their rows. The prefix of an attested context is
+    attested, so one ``searchsorted`` per extra token finds any context.
     """
 
     starts: np.ndarray
@@ -200,8 +186,8 @@ class ContinuationIndex:
     key_tables: tuple[tuple[np.ndarray, np.ndarray], ...]
 
     def context_rows(self, contexts: np.ndarray) -> np.ndarray:
-        """The row of each context, given as one row of token ids each
-        (-1 outside the vocabulary); unattested contexts get the empty row."""
+        """The row of each context, given as one row of word numbers each
+        (-1 outside the model); unattested contexts get the empty row."""
         rows = self.token_rows[contexts[:, 0]]
         radix = len(self.token_rows)
         for j in range(1, contexts.shape[1]):

@@ -12,6 +12,7 @@ back empty rather than crashing the run.
 from __future__ import annotations
 
 import logging
+from functools import cached_property
 from typing import Sequence
 
 from .decoder import ConstraintTables, DecoderConfig, SearchWords, beam_search, multiselect
@@ -37,11 +38,25 @@ log = logging.getLogger(__name__)
 METHODS = ("edelete", "synonym", "beam")
 
 
+def translate_word_by_word(
+    paragraphs: Sequence[str], c: ConstraintSet, method: str, lexicon: Lexicon
+) -> list[str]:
+    """Translate paragraphs with a baseline, ``edelete`` or ``synonym``;
+    neither reads a model or an IDF table."""
+    if method == "edelete":
+        return [translate_edelete(p, c) for p in paragraphs]
+    if method == "synonym":
+        return [translate_synonym(p, c, lexicon) for p in paragraphs]
+    raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+
+
 class Pipeline:
     """Holds the trained model and providers for repeated translation runs.
 
     Only the beam method reads the model; a pipeline that runs only the
-    baselines and evaluation may be built with ``model=None``.
+    baselines and evaluation may be built with ``model=None``. The beam
+    method's SearchWords are built from the model and the IDF table on
+    first use and kept, so neither may be replaced afterwards.
     """
 
     def __init__(
@@ -61,7 +76,6 @@ class Pipeline:
         # embedder; the in-search similarity always uses the built-in one.
         self.select_embedder = select_embedder or TfidfEmbedder(idf)
         self.grammar = grammar or OfflineGrammar()
-        self._words: SearchWords | None = None
         self._tables: ConstraintTables | None = None  # the last ones built
 
     def translate(
@@ -72,12 +86,8 @@ class Pipeline:
         cfg: DecoderConfig | None = None,
     ) -> tuple[list[str], int]:
         """Translate paragraphs; returns (outputs, failed-paragraph count)."""
-        if method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-        if method == "edelete":
-            return [translate_edelete(p, c) for p in paragraphs], 0
-        if method == "synonym":
-            return [translate_synonym(p, c, self.lexicon) for p in paragraphs], 0
+        if method != "beam":
+            return translate_word_by_word(paragraphs, c, method, self.lexicon), 0
         if self.model is None:
             raise ValueError("the beam method needs an n-gram model")
         return self._translate_beam(paragraphs, c, cfg or DecoderConfig())
@@ -110,24 +120,19 @@ class Pipeline:
             outputs.append(grammar_correct(text, c, self.grammar))
         return outputs, failures
 
+    @cached_property
+    def _words(self) -> SearchWords:
+        return SearchWords(self.model, self.idf)
+
     def _tables_for(self, c: ConstraintSet, M: int) -> ConstraintTables:
-        """The ConstraintTables of (c, M) under this pipeline's model and
-        IDF table. The SearchWords of the model and the IDF table are built
-        on first use and kept while both stay the same; the last tables are
-        kept and reused while the constraint, M and those words stay the
-        same. Old ones are released before new ones are built, so no two
-        are ever held."""
-        words = self._words
-        if words is None or words.model is not self.model or words.idf is not self.idf:
-            self._words = self._tables = None
-            self._words = words = SearchWords(self.model, self.idf)
+        """The ConstraintTables of (c, M) over this pipeline's SearchWords.
+        The last tables are kept and reused while the constraint and M stay
+        the same. Old ones are released before new ones are built, so no
+        two are ever held."""
         last = self._tables
-        if not (
-            last is not None and last.constraint == c and last.size == M
-            and last.words is words
-        ):
+        if last is None or last.constraint != c or last.size != M:
             self._tables = None
-            self._tables = ConstraintTables(c, words, M)
+            self._tables = ConstraintTables(c, self._words, M)
         return self._tables
 
     def evaluate(

@@ -22,20 +22,20 @@ from lipogram.textcore import canonical_words, split_paragraphs
 class Reference:
     """Counts in one dict of string tuples per order (``tables[k - 1]``
     maps each k-gram to its count); every other value is derived from
-    the dicts as the dict-counting model derived it."""
+    the dicts as the dict-counting model derived it, with the words
+    numbered in sorted order (``ids``)."""
 
     def __init__(self, tables, alpha: float):
         self.tables, self.order, self.alpha = tables, len(tables), alpha
         self.total = sum(self.tables[0].values())
         self.vocabulary = {gram[0] for gram in self.tables[0]} | {BOS, EOS}
+        self.words = tuple(sorted(self.vocabulary))
+        self.ids = {word: i for i, word in enumerate(self.words)}
         ranked = sorted(
             (-count, word) for (word,), count in self.tables[0].items()
             if word not in (BOS, EOS)
         )
-        self.ranked_words = tuple(word for _, word in ranked)
-        rest = sorted(self.vocabulary.difference(self.ranked_words))
-        self.tokens = self.ranked_words + tuple(rest)
-        self.token_ids = {token: i for i, token in enumerate(self.tokens)}
+        self.ranked = tuple(self.ids[word] for _, word in ranked)
 
     @classmethod
     def train(cls, corpus: str, order: int, alpha: float) -> "Reference":
@@ -105,7 +105,7 @@ class Reference:
 
     def backoff_logscores(self) -> np.ndarray:
         unseen = ("",) * (self.order - 1)
-        return np.array([self._score(unseen, t) for t in self.tokens + ("",)])
+        return np.array([self._score(unseen, t) for t in self.words + ("",)])
 
     def index_arrays(self) -> list[np.ndarray]:
         """starts, ids, logs, token_rows, then each key table's keys and
@@ -113,12 +113,12 @@ class Reference:
         size = sum(len(table) for table in self.tables[1:])
         ids, logs = np.empty(size, dtype=np.intp), np.empty(size)
         rows: dict[tuple, int] = {}
-        radix = len(self.tokens) + 1
+        radix = len(self.words) + 1
         keys = [[] for _ in range(self.order - 2)]
         key_rows = [[] for _ in range(self.order - 2)]
         starts: list[int] = []
         n = 0
-        token_rows = np.full(len(self.tokens) + 1, -1, dtype=np.intp)
+        token_rows = np.full(len(self.words) + 1, -1, dtype=np.intp)
         for k in range(2, self.order + 1):
             table, prefixes = self.tables[k - 1], self.tables[k - 2]
             ctx = None
@@ -128,13 +128,13 @@ class Reference:
                     row = rows[ctx] = len(starts)
                     starts.append(n)
                     if k == 2:
-                        token_rows[self.token_ids[ctx[0]]] = row
+                        token_rows[self.ids[ctx[0]]] = row
                     else:
                         keys[k - 3].append(
-                            rows[ctx[:-1]] * radix + self.token_ids.get(ctx[-1], -1) + 1
+                            rows[ctx[:-1]] * radix + self.ids.get(ctx[-1], -1) + 1
                         )
                         key_rows[k - 3].append(row)
-                ids[n] = self.token_ids.get(gram[-1], -1)
+                ids[n] = self.ids.get(gram[-1], -1)
                 score = math.log(table[gram] / prefixes[ctx])
                 for _ in range(self.order - k):
                     score = math.log(self.alpha) + score

@@ -16,7 +16,7 @@ import pytest
 import lipogram.cli
 from lipogram.cli import EXIT_DECODE, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from lipogram.ngram import MAX_ORDER
-from lipogram.textcore import ConstraintSet, tokenize, violates
+from lipogram.textcore import ConstraintSet, split_paragraphs, tokenize, violates
 
 ORIGINAL = (
     "In my younger and more vulnerable years my father gave me some advice "
@@ -560,8 +560,13 @@ class TestEvaluate:
             ],
             tmp_path / "out",
         )
-        assert rc != EXIT_OK
-        assert "mismatch" in capsys.readouterr().err
+        assert rc == EXIT_USAGE
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1
+        n_sources = len(split_paragraphs(MINI_CORPUS))
+        assert "mismatch" in errors[0] and f"{n_sources} source" in errors[0]
+        assert "2 translated" in errors[0]
 
 
 class TestSweep:
@@ -627,7 +632,7 @@ class TestSweep:
 
 class TestLazyModel:
     """Only train, beam translate and sweep read (so train or load) a model,
-    and train builds no IDF table."""
+    and neither train nor a word-by-word translate builds an IDF table."""
 
     @pytest.fixture()
     def no_training(self, monkeypatch):
@@ -691,6 +696,21 @@ class TestLazyModel:
         assert run(argv, tmp_path / "lazy") == EXIT_OK
         assert (tmp_path / "lazy" / "model.ngram").read_bytes() == (
             tmp_path / "eager" / "model.ngram"
+        ).read_bytes()
+
+    @pytest.mark.parametrize("method", ["edelete", "synonym"])
+    def test_word_by_word_translate_never_builds_an_idf_table(
+        self, method, mini_corpus, tmp_path, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a word-by-word translate must not build an IDF table")
+
+        argv = ["translate", "--method", method, "--corpus", str(mini_corpus), "--letters", "o"]
+        assert run(argv, tmp_path / "eager") == EXIT_OK
+        monkeypatch.setattr(lipogram.cli, "build_idf", refuse)
+        assert run(argv, tmp_path / "lazy") == EXIT_OK
+        assert (tmp_path / "lazy" / "translation.txt").read_bytes() == (
+            tmp_path / "eager" / "translation.txt"
         ).read_bytes()
 
     def test_evaluate_ignores_missing_model(self, mini_corpus, out_dir, no_training):

@@ -381,9 +381,10 @@ class TestEarlyStoppingVocab:
 
     def test_ranked_words_order(self):
         uni = dict(self.MODEL.grams(1))
-        ranked = self.MODEL.ranked_words
+        ranked = [self.MODEL.words[i] for i in self.MODEL.ranked]
         assert BOS not in ranked and EOS not in ranked
-        assert list(ranked) == sorted(ranked, key=lambda w: (-uni[(w,)], w))
+        assert ranked == sorted(ranked, key=lambda w: (-uni[(w,)], w))
+        assert self.MODEL.ranked.tolist() == list(Reference.of(self.MODEL).ranked)
 
 
 def argsort_picks(rank, k):
@@ -732,7 +733,7 @@ class TestPoolScores:
             cfg = DecoderConfig(beam_width=12, candidates_k=1, no_repeat_ngram=6)
             engine = engine_of(sources, NO_CONSTRAINT, cfg, model, idf, 10)
             reached["idf word"] += sum(
-                w in idf.values and w not in model.vocabulary
+                w in idf.values and w not in model.ids
                 for p in engine.paragraphs for w in p.vocab
             )
             with mock.patch.object(_BeamEngine, "_pairs", recording):
@@ -1468,8 +1469,8 @@ class TestConstraintTables:
                 pass
         if not decoded:
             return
-        # Model tokens keep their token ids.
-        assert all(tables.words.ids[t] == i for i, t in enumerate(model.tokens))
+        # A model word's id is its number in the model.
+        assert all(tables.words.ids[t] == i for i, t in enumerate(model.words))
         cfg = DecoderConfig(candidate_vocab_size=M)
         expected = []
         for s, v in decoded:
@@ -1482,6 +1483,29 @@ class TestConstraintTables:
             for arrays, want in zip(paragraph_arrays(batch, built), expected):
                 for got, value in zip(arrays, want):
                     assert np.array_equal(got, value, equal_nan=True)
+
+    MARKER_MODEL = train("the cat sat on my mat\n\nmy shy sky\n\nby the by", order=3)
+
+    @given(
+        letters=st.one_of(
+            st.sampled_from(["", "s", "aeiou", "e"]),
+            st.sets(st.sampled_from("aeiosty"), max_size=3).map("".join),
+        ),
+        M=st.integers(0, 30),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_markers_are_never_legal_and_tail_follows_the_ranking(self, letters, M):
+        # "<s>" and "</s>" pass every constraint without "s" by their letters;
+        # they are illegal by id, and the tail is the first M legal words of
+        # the reference's count-then-alphabetical ranking.
+        model, idf = self.MARKER_MODEL, build_idf(["the cat sat"])
+        c = ConstraintSet.from_string(letters)
+        tables = tables_of(c, model, idf, M)
+        ids = tables.words.ids
+        assert not tables.legal[[ids[BOS], ids[EOS]]].any()
+        ranked = [model.words[i] for i in Reference.of(model).ranked]
+        assert tables.tail == [w for w in ranked if not violates(w, c)][:M]
+        assert BOS not in tables.tail and EOS not in tables.tail
 
     def test_fewer_legal_words_than_m_take_them_all(self):
         model = train("my shy sky\n\nby my fly\n\nthe cat sat")
@@ -1815,9 +1839,8 @@ class TestSetUpLevel:
         assert builds == ["e", "o"]
 
     def test_last_tables_are_reused(self, builds, word_builds):
-        """Calls under one constraint set and M build once; a new set, a
-        new M, a new model or a new IDF table builds anew. The SearchWords
-        are built anew only for a new model or IDF table."""
+        """Calls under one constraint set and M build once; a new set or a
+        new M builds anew. The SearchWords are built once."""
         pipeline = self.pipeline()
         paras = self.CORPUS.split("\n\n")[:2]
         e, o = ConstraintSet.from_string("e"), ConstraintSet.from_string("o")
@@ -1832,15 +1855,9 @@ class TestSetUpLevel:
         assert builds == ["e", "o", "e"]
         pipeline.translate(paras, e, "beam", DecoderConfig(candidate_vocab_size=7))
         assert builds == ["e", "o", "e", "e"]
+        pipeline.translate(paras, e, "beam", DecoderConfig(candidate_vocab_size=7))
+        assert builds == ["e", "o", "e", "e"]
         assert len(word_builds) == 1
-        pipeline.model = train(self.CORPUS)
-        pipeline.translate(paras, e, "beam", DecoderConfig(candidate_vocab_size=7))
-        assert builds == ["e", "o", "e", "e", "e"]
-        assert len(word_builds) == 2
-        pipeline.idf = build_idf(paras)
-        pipeline.translate(paras, e, "beam", DecoderConfig(candidate_vocab_size=7))
-        assert builds == ["e", "o", "e", "e", "e", "e"]
-        assert len(word_builds) == 3
 
     @pytest.mark.parametrize("n_paragraphs", [1, 4])
     def test_one_build_per_sweep_set(self, builds, word_builds, n_paragraphs):

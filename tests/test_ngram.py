@@ -34,19 +34,18 @@ def gram_counts(m: NGramModel) -> Counter:
 
 
 def context_ids(m: NGramModel, context) -> np.ndarray:
-    """The context's token ids as one row, -1 outside the vocabulary."""
-    return np.array([[m.token_ids.get(t, -1) for t in context]], dtype=np.intp)
+    """The context's word numbers as one row, -1 outside the model."""
+    return np.array([[m.ids.get(t, -1) for t in context]], dtype=np.intp)
 
 
 def indexed_continuations(m: NGramModel, context) -> dict:
-    """The vocabulary tokens the continuation index holds after a context
-    of 1 to order-1 tokens, with their logs."""
+    """The words the continuation index holds after a context of 1 to
+    order-1 tokens, with their logs."""
     index = m.continuation_index
     (lo,), (hi,) = index.spans(context_ids(m, context))
     return {
-        m.tokens[i]: log
+        m.words[i]: log
         for i, log in zip(index.ids[lo:hi].tolist(), index.logs[lo:hi].tolist())
-        if i >= 0
     }
 
 
@@ -61,7 +60,7 @@ def indexed_logscore(m: NGramModel, context, token) -> float:
         following = indexed_continuations(m, context[-j:])
         if token in following:
             return following[token]
-    return float(m.backoff_logscores[m.token_ids.get(token, -1)])
+    return float(m.backoff_logscores[m.ids.get(token, -1)])
 
 
 def indexed_sequence_logscore(m: NGramModel, tokens) -> float:
@@ -93,7 +92,7 @@ class TestTrainCounts:
     def test_vocabulary_always_has_markers(self):
         for order in (1, 2, 3):
             m = train("plain words here", order=order)
-            assert BOS in m.vocabulary and EOS in m.vocabulary
+            assert BOS in m.words and EOS in m.words
 
     def test_paragraphs_are_units(self):
         c = gram_counts(train("a b\n\nc d", order=2))
@@ -107,7 +106,7 @@ class TestTrainCounts:
         assert c[("the",)] == 1
         assert c[("cat",)] == 1
         assert c[("i've",)] == 1
-        assert "CAT" not in m.vocabulary
+        assert "CAT" not in m.words
 
     def test_order_validation(self):
         with pytest.raises(ValueError):
@@ -128,6 +127,14 @@ class TestTrainCounts:
             train("   \n\n  ", order=2)
         with pytest.raises(ValueError):
             train("123 !!! 456", order=2)
+
+    def test_ranked_is_count_then_alphabetical(self):
+        # d 3, c 2, then a and b once each; BOS and EOS (3 each) are left out.
+        corpus = "d c b\n\nd c\n\nd a"
+        m = train(corpus, order=2)
+        assert [m.words[i] for i in m.ranked] == ["d", "c", "a", "b"]
+        assert m.ranked.tolist() == list(Reference.train(corpus, 2, m.alpha).ranked)
+        assert m.ids == {word: i for i, word in enumerate(sorted(m.words))}
 
     def test_prefix_invariant(self):
         m = train(TOY, order=3)
@@ -152,7 +159,7 @@ class TestTokenLogscore:
         # {a, b, c, <s>, </s>} has V=5. Unseen scores log(1/(T+V)).
         m = train("a b c", order=1)
         assert m.total == 4
-        assert len(m.vocabulary) == 5
+        assert len(m.words) == 5
         assert indexed_logscore(m, [], "zzz") == math.log(1.0 / 9.0)
         assert m.backoff_logscores[-1] == math.log(1.0 / 9.0)
 
@@ -176,7 +183,7 @@ class TestTokenLogscore:
         assert Reference.of(m).token_logscore([], "cat") == base
         got = indexed_logscore(m, ["qq", "rr"], "cat")
         assert got == math.log(0.4) + (math.log(0.4) + base)
-        assert m.backoff_logscores[m.token_ids["cat"]] == got
+        assert m.backoff_logscores[m.ids["cat"]] == got
 
     def test_context_truncated_to_model_order(self):
         # The index holds contexts of at most order-1 tokens, so only
@@ -259,16 +266,36 @@ class TestContinuations:
                 assert ref.continuations(ctx) == cont
                 (lo,), (hi,) = index.spans(context_ids(m, ctx))
                 scores = dict(zip(
-                    (m.tokens[i] for i in index.ids[lo:hi]), index.logs[lo:hi]
+                    (m.words[i] for i in index.ids[lo:hi]), index.logs[lo:hi]
                 ))
                 # A full context whose longest attested suffix is ctx.
                 full = ("zz",) * (order - k) + ctx
                 assert scores == {t: ref.token_logscore(full, t) for t in cont}
         unseen = ("zz",) * (order - 1)
-        backoff = [ref.token_logscore(unseen, t) for t in m.tokens + ("qq",)]
+        backoff = [ref.token_logscore(unseen, t) for t in m.words + ("qq",)]
         assert m.backoff_logscores.tolist() == backoff
-        assert set(m.tokens) == m.vocabulary
-        assert all(m.token_ids[t] == i for i, t in enumerate(m.tokens))
+        assert set(m.words) == ref.vocabulary
+        assert all(m.ids[t] == i for i, t in enumerate(m.words))
+
+    @given(
+        paras=st.lists(
+            st.lists(st.sampled_from(["the", "a", "cat", "sat", "it's", "z"]),
+                     min_size=1, max_size=8),
+            min_size=1,
+            max_size=6,
+        ),
+        order=st.integers(1, 5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_context_keys_rise_and_ids_are_word_numbers(self, paras, order):
+        # The index takes its context keys from the sorted gram keys without
+        # sorting them; searchsorted needs them strictly increasing.
+        m = train("\n\n".join(" ".join(words) for words in paras), order=order)
+        index = m.continuation_index
+        assert len(index.key_tables) == max(order - 2, 0)
+        for keys, _ in index.key_tables:
+            assert (np.diff(keys) > 0).all()
+        assert ((index.ids >= 0) & (index.ids < len(m.words))).all()
 
     @given(
         paras=st.lists(
@@ -305,9 +332,9 @@ class TestSerialization:
         m.save(path)
         m2 = load(path)
         assert m2.order == m.order and m2.alpha == m.alpha
-        assert m2.vocabulary == m.vocabulary
+        assert m2.words == m.words
         rng = random.Random(0)
-        pool = sorted(m.vocabulary) + ["zz", "qq"]
+        pool = list(m.words) + ["zz", "qq"]
         for got, want in zip(index_arrays(m2), index_arrays(m), strict=True):
             assert_bits_equal(got, want)
         assert_bits_equal(m2.backoff_logscores, m.backoff_logscores)
@@ -462,8 +489,8 @@ def assert_bits_equal(got: np.ndarray, want: np.ndarray) -> None:
 
 def assert_matches_reference(corpus: str, order: int, alpha: float, tmp: Path) -> None:
     m, ref = train(corpus, order=order, alpha=alpha), Reference.train(corpus, order, alpha)
-    assert m.tokens == ref.tokens and m.ranked_words == ref.ranked_words
-    assert m.vocabulary == ref.vocabulary and m.total == ref.total
+    assert m.words == ref.words and m.ids == ref.ids
+    assert m.ranked.tolist() == list(ref.ranked) and m.total == ref.total
     assert_bits_equal(m.backoff_logscores, ref.backoff_logscores())
     for got, want in zip(index_arrays(m), ref.index_arrays(), strict=True):
         assert_bits_equal(got, want)
@@ -476,7 +503,7 @@ def assert_matches_reference(corpus: str, order: int, alpha: float, tmp: Path) -
             full = ("zz",) * (order - 1 - len(gram)) + gram
             want = {t: ref.token_logscore(full, t) for t in ref.continuations(gram)}
             assert indexed_continuations(m, gram) == want
-    tokens = list(ref.tokens) + ["zz"]
+    tokens = list(ref.words) + ["zz"]
     rng = random.Random(order)
     for gram in rng.sample(grams, min(len(grams), 2_000)) + absent:
         # An attested gram's context, and the same with one token swapped,
@@ -538,7 +565,7 @@ def test_bundled_novel_model_is_pinned(tmp_path):
     # and the decoder's inputs read off it.
     novel = files("lipogram.data").joinpath("gatsby.txt").read_text(encoding="utf-8")
     m, ref = train(novel, order=3), Reference.train(novel, 3, 0.4)
-    assert m.tokens == ref.tokens
+    assert m.words == ref.words and m.ranked.tolist() == list(ref.ranked)
     assert_bits_equal(m.backoff_logscores, ref.backoff_logscores())
     for got, want in zip(index_arrays(m), ref.index_arrays(), strict=True):
         assert_bits_equal(got, want)
