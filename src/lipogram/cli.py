@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from functools import cached_property
 from importlib.resources import as_file, files
@@ -225,18 +226,12 @@ class _Run:
         self.corpus = _read("corpus", corpus_path)
         self.lexicon = _read("lexicon", lexicon_path, load_lexicon)
         self.dictionary = _read("dictionary", dictionary_path, load_dictionary)
-        try:
-            self.constraint = ConstraintSet.from_string(args.letters)
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from exc
+        self.constraint = ConstraintSet.from_string(args.letters)
 
         self.cfg = DecoderConfig()
         self.extras: dict[str, str] = {}
         if args.config:
-            try:
-                self.cfg, self.extras = _read("config", args.config, parse_config_file)
-            except ValueError as exc:
-                raise _UsageError(str(exc)) from exc
+            self.cfg, self.extras = _read("config", args.config, parse_config_file)
         if args.seed is not None and args.seed != self.cfg.seed:
             from dataclasses import replace
 
@@ -300,10 +295,6 @@ class _Run:
         return echo
 
 
-class _UsageError(RuntimeError):
-    pass
-
-
 def cmd_train(run: _Run) -> int:
     path = run.output("model.ngram", run.model.save)
     grams = sum(len(keys) for keys in run.model.keys)
@@ -312,6 +303,21 @@ def cmd_train(run: _Run) -> int:
         f"{len(run.model.words)} word vocabulary -> {path}"
     )
     return EXIT_OK
+
+
+# translation.txt holds one block per paragraph, blocks separated by one
+# blank line, and ends in a newline; a paragraph left empty is an empty
+# block. The writer and the reader below are its one definition.
+def _translation_text(paragraphs: list[str]) -> str:
+    """The text of translation.txt for these paragraphs."""
+    return "\n\n".join(paragraphs) + "\n"
+
+
+def _translation_paragraphs(text: str) -> list[str]:
+    """The paragraphs of a translation.txt text, the inverse of
+    _translation_text: the final newline dropped, the text split at each
+    blank line, each block stripped and empty blocks kept."""
+    return [p.strip() for p in re.split(r"\n[ \t]*\n", text.removesuffix("\n"))]
 
 
 def cmd_translate(run: _Run) -> int:
@@ -324,8 +330,8 @@ def cmd_translate(run: _Run) -> int:
     else:
         outputs = translate_word_by_word(sources, run.constraint, args.method, run.lexicon)
         failures = 0
-    document = "\n\n".join(outputs)
-    run.output("translation.txt", lambda path: path.write_text(document + "\n", encoding="utf-8"))
+    document = _translation_text(outputs)
+    run.output("translation.txt", lambda path: path.write_text(document, encoding="utf-8"))
     score = e_score(document, run.constraint)
     print(f"E-score: {score:.2f}")
     if failures:
@@ -339,8 +345,7 @@ def cmd_evaluate(run: _Run) -> int:
     args = run.args
     sources = run.paragraphs
     if args.candidate:
-        candidate_text = _read("candidate", args.candidate)
-        candidates = split_paragraphs(candidate_text)
+        candidates = _translation_paragraphs(_read("candidate", args.candidate))
     else:
         candidates = list(sources)
     sources = sources[: args.paragraphs]
@@ -397,7 +402,7 @@ def main(argv=None) -> int:
             "sweep": cmd_sweep,
         }[args.command]
         return handler(run)
-    except (_UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (_IoError, EmbedProviderError, GrammarProviderError) as exc:

@@ -1,9 +1,11 @@
 """Document-level consistency and post-processing passes.
 
 Named entities are detected heuristically (capitalization plus honorifics)
-and mapped to constraint-free aliases that stay identical across the whole
-document; pronouns are resolved only when a single antecedent is in range,
-because a wrong name is worse than a pronoun. The other passes cut
+in one scan over each paragraph's words (`textcore.WORD_RE` matches), and
+mapped to constraint-free aliases that stay identical across the whole
+document; the entity table is a plain dict from surface form to alias.
+Pronouns are resolved only when a single antecedent is in range, because a
+wrong name is worse than a pronoun. The other passes cut
 hallucinated suffixes and apply grammar suggestions that do not break the
 letter constraint. The beam pipeline skips `apply_entity_map`,
 `drop_term_runs` and `normalize_punctuation`, which never change its
@@ -18,12 +20,11 @@ import re
 import urllib.error
 import urllib.parse
 import urllib.request
-from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 from . import textcore
 from .metrics import TfidfEmbedder, fetch, most_similar, prefix_similarities
-from .textcore import WORD_RE, ConstraintSet, strip_letters, tokenize
+from .textcore import WORD_RE, ConstraintSet, strip_letters
 
 log = logging.getLogger(__name__)
 
@@ -37,93 +38,57 @@ DEFAULT_WINDOW = 25
 _SELF_RE = re.compile(r"I(?:['’]|$)")
 
 
-@dataclass
-class EntityMap:
-    """Stable entity aliases for one document.
-
-    Maps each detected entity surface form to a constraint-free alias;
-    insertion order is first appearance, which fixes numeric suffixes.
-    """
-
-    aliases: dict[str, str] = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return len(self.aliases)
+# Text between two words that opens a sentence: a sentence-ending mark, or
+# a lone double quote after whitespace, which opens quoted speech. (Words
+# take every ASCII letter, so the text between two words holds none.)
+_SENTENCE_BREAK_RE = re.compile(r'[.!?]|(?<=\s)"(?!\S)')
 
 
 def _entity_spans(paragraph: str) -> list[str]:
     """Entity surface strings in one paragraph, in order of appearance.
 
-    An entity is a maximal run of capitalized words that does not start a
-    sentence, or an honorific (Mr/Mrs/Miss/Dr, optional period) followed
-    by capitalized words; the run's exact source substring is returned.
-    A sentence starts the paragraph, follows . ! or ?, or opens a quote
-    (a lone " at the paragraph start or after a space).
+    One pass over the paragraph's words. An entity is a maximal run of
+    capitalized words that does not start a sentence, or an honorific
+    (Mr/Mrs/Miss/Dr, optional period) followed by capitalized words; the
+    run's exact source substring is returned. A run goes on while the next
+    word is capitalized, not an honorific and not "I" or "I'...", and
+    follows it after exactly one space (after ". " for a lone honorific).
+    A sentence starts at the first word, and at a word whose text since
+    the last word holds . ! or ?, or a lone " after whitespace.
     """
-    tokens = tokenize(paragraph).tokens
-    offsets = []
-    pos = 0
-    for tok in tokens:
-        offsets.append(pos)
-        pos += len(tok.text)
-
-    def is_capitalized(i: int) -> bool:
-        tok = tokens[i]
-        return (
-            tok.kind == "word"
-            and tok.text[0].isupper()
-            and _SELF_RE.fullmatch(tok.text[:2]) is None
-        )
-
-    spans = []
-    sentence_start = True
-    i = 0
-    while i < len(tokens):
-        tok = tokens[i]
-        if tok.kind != "word":
-            if tok.kind == "punct" and any(ch in ".!?" for ch in tok.text):
-                sentence_start = True
-            elif tok.text == '"' and (i == 0 or tokens[i - 1].kind == "space"):
-                sentence_start = True
-            i += 1
-            continue
-
-        honorific = tok.text in HONORIFICS
-        if honorific or (is_capitalized(i) and not sentence_start):
-            start, end, last_word = offsets[i], i, i
-            j = i + 1
-            if honorific and j < len(tokens) and tokens[j].text == ".":
-                end = j
-                j += 1
-            # Absorb further capitalized words separated by single spaces.
-            while (
-                j + 1 < len(tokens)
-                and tokens[j].kind == "space"
-                and tokens[j].text == " "
-                and is_capitalized(j + 1)
-                and tokens[j + 1].text not in HONORIFICS
-            ):
-                end = last_word = j + 1
-                j += 2
-            qualifies = last_word > i or not honorific
-            if qualifies:
-                stop = offsets[end] + len(tokens[end].text)
-                spans.append(paragraph[start:stop])
-                sentence_start = False
-                i = end + 1
-                continue
-        sentence_start = False
-        i += 1
+    spans: list[str] = []
+    start = last = None  # the open run's first offset; the last word's end
+    bare = False  # the open run is an honorific alone, not yet a span
+    for m in WORD_RE.finditer(paragraph):
+        word, gap = m.group(), paragraph[last:m.start()]
+        name = word[0].isupper() and not _SELF_RE.match(word)
+        honorific = word in HONORIFICS
+        if start is not None and name and not honorific and (
+            gap == " " or (bare and gap == ". ")
+        ):
+            if not bare:
+                spans.pop()
+            spans.append(paragraph[start:m.end()])
+            bare = False
+        elif honorific or (name and not (last is None or _SENTENCE_BREAK_RE.search(gap))):
+            start, bare = m.start(), honorific
+            if not bare:
+                spans.append(word)
+        else:
+            start = None
+        last = m.end()
     return spans
 
 
-def build_entity_table(paragraphs: Sequence[str], c: ConstraintSet) -> EntityMap:
+def build_entity_table(paragraphs: Sequence[str], c: ConstraintSet) -> dict[str, str]:
     """Detect entities document-wide and assign stable aliases.
 
-    A single capitalized word that the document also uses in lowercase
-    ("Why", "You") is an ordinary word, not an entity. The alias is the
-    entity with forbidden letters stripped; colliding or empty aliases get
-    a numeric suffix ("2", "3", ...) in first-seen order.
+    Returns a plain dict from each entity surface form to its alias, in
+    order of first appearance. A single capitalized word that the document
+    also uses in lowercase ("Why", "You") is an ordinary word, not an
+    entity. The alias is the entity with forbidden letters stripped;
+    colliding or empty aliases get a numeric suffix ("2", "3", ...) in
+    first-seen order.
     """
     words = {w for paragraph in paragraphs for w in textcore.words(paragraph)}
     surfaces: list[str] = []
@@ -146,24 +111,24 @@ def build_entity_table(paragraphs: Sequence[str], c: ConstraintSet) -> EntityMap
             suffix += 1
         used.add(alias)
         aliases[surface] = alias
-    return EntityMap(aliases)
+    return aliases
 
 
-def apply_entity_map(text: str, emap: EntityMap) -> str:
+def apply_entity_map(text: str, aliases: dict[str, str]) -> str:
     """Replace entity surface forms with their aliases, longest match first."""
-    if not emap.aliases:
+    if not aliases:
         return text
-    ordered = sorted(emap.aliases, key=len, reverse=True)
+    ordered = sorted(aliases, key=len, reverse=True)
     pattern = re.compile(
         r"(?<![A-Za-z])(?:" + "|".join(re.escape(s) for s in ordered) + r")(?![A-Za-z])"
     )
-    return pattern.sub(lambda m: emap.aliases[m.group(0)], text)
+    return pattern.sub(lambda m: aliases[m.group(0)], text)
 
 
-def _word_forms(emap: EntityMap) -> dict[str, list[tuple[str, ...]]]:
+def _word_forms(aliases: dict[str, str]) -> dict[str, list[tuple[str, ...]]]:
     """Lowercased word sequences that count as a mention of each entity."""
     forms: dict[str, list[tuple[str, ...]]] = {}
-    for surface, alias in emap.aliases.items():
+    for surface, alias in aliases.items():
         mentions = []
         for form in (surface, alias):
             words = tuple(w.lower() for w in textcore.words(form))
@@ -173,26 +138,23 @@ def _word_forms(emap: EntityMap) -> dict[str, list[tuple[str, ...]]]:
     return forms
 
 
-def resolve_pronouns(text: str, emap: EntityMap) -> str:
+def resolve_pronouns(text: str, aliases: dict[str, str]) -> str:
     """Swap a pronoun for an entity alias when the antecedent is unambiguous.
 
-    A third-person pronoun is replaced only when exactly one mapped entity
-    is mentioned (by surface or alias) within the preceding DEFAULT_WINDOW
-    words; any other situation leaves the pronoun alone.
+    One substitution over the text's words, with the entity table of
+    `build_entity_table`. A third-person pronoun is replaced only when
+    exactly one entity is mentioned (by surface or alias) within the
+    preceding DEFAULT_WINDOW words, a replaced pronoun counting as its
+    alias's words; any other situation leaves the pronoun alone.
     """
-    if not emap.aliases:
+    if not aliases:
         return text
-    forms = _word_forms(emap)
-    tokens = list(tokenize(text).tokens)
-    out: list[str] = []
+    forms = _word_forms(aliases)
     words_before: list[str] = []
 
-    for tok in tokens:
-        if tok.kind != "word":
-            out.append(tok.text)
-            continue
-        low = tok.text.lower()
-        if low in PRONOUNS:
+    def resolve(m: re.Match) -> str:
+        word = m.group()
+        if word.lower() in PRONOUNS:
             recent = words_before[-DEFAULT_WINDOW:]
             mentioned = [
                 surface
@@ -200,13 +162,11 @@ def resolve_pronouns(text: str, emap: EntityMap) -> str:
                 if any(_contains_run(recent, seq) for seq in seqs)
             ]
             if len(mentioned) == 1:
-                alias = emap.aliases[mentioned[0]]
-                out.append(alias)
-                words_before.extend(w.lower() for w in textcore.words(alias))
-                continue
-        out.append(tok.text)
-        words_before.append(low)
-    return "".join(out)
+                word = aliases[mentioned[0]]
+        words_before.extend(w.lower() for w in textcore.words(word))
+        return word
+
+    return WORD_RE.sub(resolve, text)
 
 
 def _contains_run(haystack: list[str], needle: tuple[str, ...]) -> bool:
@@ -214,12 +174,6 @@ def _contains_run(haystack: list[str], needle: tuple[str, ...]) -> bool:
     return any(
         tuple(haystack[i:i + n]) == needle for i in range(len(haystack) - n + 1)
     )
-
-
-_QUOTE_RUN_RE = re.compile(r"'{2,}")
-_SPACE_BEFORE_PUNCT_RE = re.compile(r"[ \t]+([,.!?])")
-_COMMA_SPACING_RE = re.compile(r",[ \t]*(?=[A-Za-z])")
-_PARAGRAPH_SPLIT_RE = re.compile(r"\n[ \t]*\n")
 
 
 def normalize_punctuation(text: str) -> str:
@@ -231,11 +185,11 @@ def normalize_punctuation(text: str) -> str:
     double quotes are removed.
     """
     paragraphs = []
-    for paragraph in _PARAGRAPH_SPLIT_RE.split(text):
+    for paragraph in re.split(r"\n[ \t]*\n", text):
         fixed = paragraph.replace("``", '"')
-        fixed = _QUOTE_RUN_RE.sub('"', fixed)
-        fixed = _SPACE_BEFORE_PUNCT_RE.sub(r"\1", fixed)
-        fixed = _COMMA_SPACING_RE.sub(", ", fixed)
+        fixed = re.sub(r"'{2,}", '"', fixed)
+        fixed = re.sub(r"[ \t]+([,.!?])", r"\1", fixed)
+        fixed = re.sub(r",[ \t]*(?=[A-Za-z])", ", ", fixed)
         parts = fixed.split('"')
         for i in range(1, len(parts)):
             if i % 2 == 1:  # text after an opening quote

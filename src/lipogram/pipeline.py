@@ -98,7 +98,7 @@ class Pipeline:
         c: ConstraintSet,
         cfg: DecoderConfig,
     ) -> tuple[list[str], int]:
-        emap = build_entity_table(paragraphs, c)
+        aliases = build_entity_table(paragraphs, c)
         tables = self._tables_for(c, cfg.candidate_vocab_size)
         decoded = beam_search(tuple(paragraphs), tables, cfg, self.lexicon)
         outputs = []
@@ -113,7 +113,7 @@ class Pipeline:
             # Cased before the pronoun pass, which may insert a lowercase alias.
             text = best.text()
             text = text[0].upper() + text[1:]
-            text = resolve_pronouns(text, emap)
+            text = resolve_pronouns(text, aliases)
             text = trim_suffix(text, source, self.select_embedder)
             if text[-1] not in ".!?\"":
                 text += "."

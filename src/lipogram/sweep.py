@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 from xml.sax.saxutils import escape
@@ -29,18 +29,6 @@ from .textcore import (
 
 VOWELS = "aeiou"
 
-CSV_COLUMNS = (
-    "label",
-    "letters",
-    "exclusion_fraction",
-    "mean_similarity",
-    "mean_e_score",
-    "mean_oov",
-    "mean_grammar_count",
-    "n_paragraphs",
-)
-
-
 @dataclass(frozen=True)
 class SweepPoint:
     label: str
@@ -51,6 +39,10 @@ class SweepPoint:
     mean_oov: float
     mean_grammar_count: float
     n_paragraphs: int
+
+
+# The sweep.csv header: SweepPoint's fields, in order.
+CSV_COLUMNS = tuple(f.name for f in fields(SweepPoint))
 
 
 @dataclass(frozen=True)
@@ -187,23 +179,13 @@ def _r2(ys: Sequence[float], predicted: Sequence[float]) -> float:
 
 
 def emit_sweep_csv(points: Sequence[SweepPoint], path: str | Path) -> None:
-    """Write points as CSV with the documented column schema."""
+    """Write points as CSV, one column per SweepPoint field (CSV_COLUMNS);
+    floats are written with repr, so float reads each back exactly."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for p in points:
-            writer.writerow(
-                [
-                    p.label,
-                    p.letters,
-                    repr(p.exclusion_fraction),
-                    repr(p.mean_similarity),
-                    repr(p.mean_e_score),
-                    repr(p.mean_oov),
-                    repr(p.mean_grammar_count),
-                    p.n_paragraphs,
-                ]
-            )
+            writer.writerow(repr(v) if isinstance(v, float) else v for v in astuple(p))
 
 
 def emit_report(

@@ -9,8 +9,11 @@ the token texts reproduces the input byte for byte.
 
 Callers that only need the word list use `words`, the words-only path: it
 returns the same list as `tokenize(text).words()` without building a token
-per match, and `canonical_words` returns their canonical forms. `tokenize`
-is for code that rebuilds text around the words.
+per match, and `canonical_words` returns their canonical forms. The package
+itself does not call `tokenize`: code that rebuilds text around the words
+scans `WORD_RE` matches (the entity and pronoun passes). `tokenize`,
+`TokenSeq` and `Token` stay the public token API, for callers that want
+every token.
 """
 
 from __future__ import annotations
@@ -30,11 +33,6 @@ _LETTER_BITS = {letter: 1 << i for i, letter in enumerate(ALPHABET)}
 # Both the ASCII apostrophe and U+2019 are word-internal; a leading or
 # trailing apostrophe is punctuation.
 WORD_RE = re.compile(r"[A-Za-z]+(?:['’][A-Za-z]+)*")
-_TOKEN_RE = re.compile(
-    rf"(?P<word>{WORD_RE.pattern})"
-    r"|(?P<space>\s+)"
-    r"|(?P<punct>[^A-Za-z\s]+)"
-)
 
 
 class Token(NamedTuple):
@@ -68,10 +66,8 @@ def words(text: str) -> list[str]:
 
 def tokenize(text: str) -> TokenSeq:
     """Split text into word/space/punct tokens (lossless)."""
-    tokens = [
-        Token(m.lastgroup, m.group(0)) for m in _TOKEN_RE.finditer(text)
-    ]
-    return TokenSeq(tokens)
+    pattern = rf"(?P<word>{WORD_RE.pattern})|(?P<space>\s+)|(?P<punct>[^A-Za-z\s]+)"
+    return TokenSeq([Token(m.lastgroup, m.group(0)) for m in re.finditer(pattern, text)])
 
 
 @dataclass(frozen=True)

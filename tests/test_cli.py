@@ -545,6 +545,24 @@ class TestEvaluate:
         assert rc == EXIT_OK
         assert "e_score 0.00" in capsys.readouterr().out
 
+    def test_translation_with_empty_paragraphs_reads_back(self, tmp_path, capsys):
+        # With no tail words, only the second paragraph has legal words, so
+        # the first and last come out empty: empty blocks in translation.txt.
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("Eee ere.\n\nMy dog ran far.\n\nThe eve.\n", encoding="utf-8")
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text("candidate_vocab_size=0\n", encoding="utf-8")
+        common = ["--corpus", str(corpus), "--letters", "e", "--config", str(cfg)]
+        assert run(["translate", *common], tmp_path / "t") == EXIT_OK
+        assert "2 of 3 paragraphs left empty" in capsys.readouterr().out
+        candidate = tmp_path / "t" / "translation.txt"
+        rc = run(["evaluate", *common, "--candidate", str(candidate)], tmp_path / "e")
+        assert rc == EXIT_OK
+        report = json.loads((tmp_path / "e" / "report.json").read_text(encoding="utf-8"))
+        similarities = [p["similarity"] for p in report["paragraphs"]]
+        assert len(similarities) == 3
+        assert similarities[0] == similarities[2] == 0.0 < similarities[1]
+
     def test_paragraph_mismatch_exits_nonzero(
         self, mini_corpus, tmp_path, capsys
     ):

@@ -1,4 +1,8 @@
-"""Tests for entity, pronoun, punctuation, trim, and grammar passes."""
+"""Tests for entity, pronoun, punctuation, trim, and grammar passes.
+
+The entity passes are also checked against ``passes_reference.py``, the
+token walks that the word scan replaced.
+"""
 
 import http.server
 import json
@@ -6,18 +10,20 @@ import logging
 import socket
 import threading
 import urllib.parse
+from importlib.resources import files
 
+import passes_reference as reference
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lipogram.metrics import TfidfEmbedder, build_idf, cosine_similarity, embed
 from lipogram.passes import (
-    EntityMap,
     GrammarMatch,
     GrammarProviderError,
     LanguageToolClient,
     OfflineGrammar,
+    _entity_spans,
     apply_entity_map,
     build_entity_table,
     drop_term_runs,
@@ -27,7 +33,7 @@ from lipogram.passes import (
     resolve_pronouns,
     trim_suffix,
 )
-from lipogram.textcore import ConstraintSet, tokenize, violates
+from lipogram.textcore import ConstraintSet, split_paragraphs, tokenize, violates
 
 E = ConstraintSet.from_string("e")
 NONE = ConstraintSet()
@@ -40,46 +46,46 @@ class TestBuildEntityTable:
             "Later Miss Baker spoke again.",
         ]
         table = build_entity_table(paragraphs, E)
-        assert table.aliases == {"Miss Baker": "Miss Bakr"}
+        assert table == {"Miss Baker": "Miss Bakr"}
 
     def test_constraint_free_entity_keeps_its_name(self):
         table = build_entity_table(["I saw Tom today."], E)
-        assert table.aliases == {"Tom": "Tom"}
+        assert table == {"Tom": "Tom"}
 
     def test_collision_gets_numeric_suffix_in_first_seen_order(self):
         table = build_entity_table(["We met Eve and then Ev arrived."], E)
-        assert table.aliases == {"Eve": "v", "Ev": "v2"}
+        assert table == {"Eve": "v", "Ev": "v2"}
 
     def test_fully_stripped_alias_becomes_a_number(self):
         table = build_entity_table(
             ["They all knew Ree somehow."], ConstraintSet.from_string("re")
         )
-        assert table.aliases == {"Ree": "2"}
+        assert table == {"Ree": "2"}
 
     def test_sentence_start_capitals_are_not_entities(self):
         table = build_entity_table(["Gatsby smiled at us. Nobody moved."], E)
-        assert "Gatsby" not in table.aliases
+        assert "Gatsby" not in table
 
     def test_mid_sentence_occurrence_is_caught(self):
         paragraphs = ["Gatsby smiled at us.", "Then I saw Gatsby again."]
         table = build_entity_table(paragraphs, E)
-        assert table.aliases == {"Gatsby": "Gatsby"}
+        assert table == {"Gatsby": "Gatsby"}
 
     def test_honorific_qualifies_even_at_sentence_start(self):
         table = build_entity_table(["Mr. Wilson arrived by car."], E)
-        assert table.aliases == {"Mr. Wilson": "Mr. Wilson"}
+        assert table == {"Mr. Wilson": "Mr. Wilson"}
 
     def test_honorific_without_period(self):
         table = build_entity_table(["So Dr Hartmann waved at our party."], E)
-        assert table.aliases == {"Dr Hartmann": "Dr Hartmann"}
+        assert table == {"Dr Hartmann": "Dr Hartmann"}
 
     def test_maximal_run_is_one_entity(self):
         table = build_entity_table(["I knew Tom Buchanan at school."], E)
-        assert list(table.aliases) == ["Tom Buchanan"]
+        assert list(table) == ["Tom Buchanan"]
 
     def test_pronoun_i_is_never_an_entity(self):
         table = build_entity_table(["And then I waved. Nobody saw how I've run."], E)
-        assert table.aliases == {}
+        assert table == {}
 
     def test_aliases_are_constraint_free(self):
         paragraphs = [
@@ -87,7 +93,7 @@ class TestBuildEntityTable:
             "Was Peter Keene with Miss Baker that night?",
         ]
         table = build_entity_table(paragraphs, E)
-        for alias in table.aliases.values():
+        for alias in table.values():
             assert not any(violates(w, E) for w in alias.split())
 
     def test_quoted_dialogue_opens_a_sentence(self):
@@ -98,95 +104,142 @@ class TestBuildEntityTable:
             'irrelevantly, "You ought to see the baby."'
         )
         table = build_entity_table([paragraph], E)
-        assert table.aliases == {"Tom": "Tom"}
+        assert table == {"Tom": "Tom"}
         text = "you would know what he said"
         assert resolve_pronouns(text, table) == text
 
     def test_word_also_used_in_lowercase_is_not_an_entity(self):
         paragraphs = ["She said, Why not ask Tom?", "Nobody knew why."]
-        assert build_entity_table(paragraphs, E).aliases == {"Tom": "Tom"}
+        assert build_entity_table(paragraphs, E) == {"Tom": "Tom"}
 
     def test_lowercase_use_does_not_drop_a_multi_word_run(self):
         paragraphs = ["Later we drove to West Egg.", "It lay west of the egg."]
         table = build_entity_table(paragraphs, E)
-        assert table.aliases == {"West Egg": "Wst gg"}
+        assert table == {"West Egg": "Wst gg"}
 
     def test_same_document_gives_identical_tables(self):
         paragraphs = ["I met Eve and Ev at Mr. Wilson's party."]
         first = build_entity_table(paragraphs, E)
         second = build_entity_table(paragraphs, E)
-        assert first.aliases == second.aliases
-        assert list(first.aliases) == list(second.aliases)
+        assert first == second
+        assert list(first) == list(second)
+
+
+def _novel():
+    text = files("lipogram.data").joinpath("gatsby.txt").read_text(encoding="utf-8")
+    return split_paragraphs(text)
+
+
+# Pieces that meet every branch of the scan: honorifics (with and without
+# their period), names, lowercase words, the pronoun "I" in its forms,
+# quotes, sentence marks and whitespace runs. Glued pieces make longer
+# words ("TomMr"), which are inputs too.
+_SCAN_PIECES = st.one_of(
+    st.sampled_from(["Mr", "Mrs", "Miss", "Dr", "Tom", "Gatsby", "West", "Egg"]),
+    st.sampled_from(["the", "saw", "he", "her", "I", "I'm", "I’d", "It", '"', "'"]),
+    st.text(alphabet=".!?,", min_size=1, max_size=3),
+    st.text(alphabet=" \t\n", min_size=1, max_size=3),
+)
+
+
+class TestEntityScanAgainstReference:
+    """The word scan against the token walk it replaced."""
+
+    @given(st.lists(_SCAN_PIECES, max_size=16).map("".join))
+    @settings(max_examples=400, deadline=None)
+    @example('Mr. Tom Mrs Gatsby. "West Egg" saw I\'m Dr.  Tom')
+    @example('And I saw Mr.\tWest. \t"Egg Tom')
+    def test_spans_equal_the_token_walk(self, paragraph):
+        assert _entity_spans(paragraph) == reference.entity_spans(paragraph)
+
+    def test_spans_equal_the_token_walk_on_the_novel(self):
+        for paragraph in _novel():
+            assert _entity_spans(paragraph) == reference.entity_spans(paragraph)
+
+    @pytest.mark.parametrize("letters", ["e", "a", "t", "q"])
+    def test_table_equals_the_reference_in_order(self, letters):
+        paragraphs, c = _novel(), ConstraintSet.from_string(letters)
+        table = build_entity_table(paragraphs, c)
+        assert list(table.items()) == list(reference.build_entity_table(paragraphs, c).items())
+
+    @pytest.mark.parametrize("letters", ["e", "q"])
+    def test_pronouns_equal_the_reference(self, letters):
+        # The novel's first 200 paragraphs as one document, as translate
+        # runs them, cased and lowercased (the decoder's output is lowercase).
+        paragraphs = _novel()[:200]
+        table = build_entity_table(paragraphs, ConstraintSet.from_string(letters))
+        for text in paragraphs + [p.lower() for p in paragraphs]:
+            assert resolve_pronouns(text, table) == reference.resolve_pronouns(text, table)
 
 
 class TestApplyEntityMap:
     def test_longest_match_wins(self):
-        emap = EntityMap({"Tom Buchanan": "X", "Tom": "Y"})
-        assert apply_entity_map("Tom Buchanan met Tom.", emap) == "X met Y."
+        aliases = {"Tom Buchanan": "X", "Tom": "Y"}
+        assert apply_entity_map("Tom Buchanan met Tom.", aliases) == "X met Y."
 
     def test_word_boundaries_respected(self):
-        emap = EntityMap({"Tom": "Y"})
-        assert apply_entity_map("The Tomb of Tom.", emap) == "The Tomb of Y."
+        aliases = {"Tom": "Y"}
+        assert apply_entity_map("The Tomb of Tom.", aliases) == "The Tomb of Y."
 
     def test_unmapped_text_unchanged(self):
-        emap = EntityMap({"Daisy": "Daisy"})
+        aliases = {"Daisy": "Daisy"}
         text = "Nothing here mentions anybody."
-        assert apply_entity_map(text, emap) == text
+        assert apply_entity_map(text, aliases) == text
 
     def test_empty_map_is_identity(self):
-        assert apply_entity_map("any text", EntityMap()) == "any text"
+        assert apply_entity_map("any text", {}) == "any text"
 
     def test_idempotent_for_unmapped_aliases(self):
-        emap = EntityMap({"Miss Baker": "Miss Bakr"})
-        once = apply_entity_map("I saw Miss Baker leave.", emap)
+        aliases = {"Miss Baker": "Miss Bakr"}
+        once = apply_entity_map("I saw Miss Baker leave.", aliases)
         assert once == "I saw Miss Bakr leave."
-        assert apply_entity_map(once, emap) == once
+        assert apply_entity_map(once, aliases) == once
 
 
 class TestResolvePronouns:
     def test_single_antecedent_resolved(self):
-        emap = EntityMap({"Gatsby": "Gatsby"})
-        out = resolve_pronouns("Gatsby smiled at last. He waved back.", emap)
+        aliases = {"Gatsby": "Gatsby"}
+        out = resolve_pronouns("Gatsby smiled at last. He waved back.", aliases)
         assert out == "Gatsby smiled at last. Gatsby waved back."
 
     def test_two_entities_in_window_left_alone(self):
-        emap = EntityMap({"Gatsby": "Gatsby", "Daisy": "Daisy"})
+        aliases = {"Gatsby": "Gatsby", "Daisy": "Daisy"}
         text = "Gatsby saw Daisy at that party. He waved."
-        assert resolve_pronouns(text, emap) == text
+        assert resolve_pronouns(text, aliases) == text
 
     def test_no_entity_in_window_left_alone(self):
-        emap = EntityMap({"Gatsby": "Gatsby"})
+        aliases = {"Gatsby": "Gatsby"}
         text = "Nobody was around. He waved anyway."
-        assert resolve_pronouns(text, emap) == text
+        assert resolve_pronouns(text, aliases) == text
 
     def test_window_boundary_is_respected(self):
         # "Gatsby stood up." puts 3 words before the filler, so 22 fillers
         # leave Gatsby exactly 25 words back (in range) and 23 push it out.
-        emap = EntityMap({"Gatsby": "Gatsby"})
+        aliases = {"Gatsby": "Gatsby"}
         near = f"Gatsby stood up. {' '.join(['word'] * 22)} He waved."
         far = f"Gatsby stood up. {' '.join(['word'] * 23)} He waved."
-        assert resolve_pronouns(near, emap).count("Gatsby") == 2
-        assert resolve_pronouns(far, emap).count("Gatsby") == 1
+        assert resolve_pronouns(near, aliases).count("Gatsby") == 2
+        assert resolve_pronouns(far, aliases).count("Gatsby") == 1
 
     def test_alias_mention_counts_as_antecedent(self):
-        emap = EntityMap({"Miss Baker": "Miss Bakr"})
-        out = resolve_pronouns("Miss Bakr sat down, and soon she sang.", emap)
+        aliases = {"Miss Baker": "Miss Bakr"}
+        out = resolve_pronouns("Miss Bakr sat down, and soon she sang.", aliases)
         assert out == "Miss Bakr sat down, and soon Miss Bakr sang."
 
     def test_lowercase_mention_counts_as_antecedent(self):
-        emap = EntityMap({"Gatsby": "Gatsby"})
-        out = resolve_pronouns("gatsby stood on that lawn and then he waved", emap)
+        aliases = {"Gatsby": "Gatsby"}
+        out = resolve_pronouns("gatsby stood on that lawn and then he waved", aliases)
         assert out == "gatsby stood on that lawn and then Gatsby waved"
 
     def test_replacement_counts_for_later_windows(self):
-        emap = EntityMap({"Gatsby": "Gatsby"})
-        out = resolve_pronouns("Gatsby waved. He ran. He fell.", emap)
+        aliases = {"Gatsby": "Gatsby"}
+        out = resolve_pronouns("Gatsby waved. He ran. He fell.", aliases)
         assert out == "Gatsby waved. Gatsby ran. Gatsby fell."
 
     def test_non_pronoun_words_untouched(self):
-        emap = EntityMap({"Gatsby": "Gatsby"})
+        aliases = {"Gatsby": "Gatsby"}
         text = "Gatsby held the helm there."
-        assert resolve_pronouns(text, emap) == text
+        assert resolve_pronouns(text, aliases) == text
 
 
 class TestNormalizePunctuation:

@@ -191,24 +191,33 @@ def _references(tree, strings=False):
 
 def _unreferenced(private, readers, strings=False, package=PACKAGE):
     """The private (or public) functions, classes and methods defined at
-    module level or in a module-level class under ``package`` that no
+    module level or in a module-level class under ``package``, and the
+    private names given a value at module level (``_X_RE = ...``), that no
     module under the ``readers`` directories refers to, as
-    ``module.qualified_name``. A reference keeps a def alive only if it
-    is made outside every such def, private or public, or inside one kept
-    alive, and not inside the def's own body: so defs that only refer to
-    one another are unreferenced too, and so is a private helper that
-    only unreferenced public code calls. The scan repeats until it keeps
-    no more alive. Dunder names are neither private nor public: Python
-    calls them."""
+    ``module.qualified_name``. Each of these is a def here, its body being
+    the whole assignment for a name. A reference keeps a def alive only if
+    it is made outside every such def, private or public, or inside one
+    kept alive, and not inside the def's own body: so defs that only refer
+    to one another are unreferenced too, and so is a private helper or
+    constant that only unreferenced code uses. The scan repeats until it
+    keeps no more alive. Dunder names are neither private nor public:
+    Python calls them."""
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    defined, used = [], Counter()  # (where, def, its class or None)
+    defined, used, name = [], Counter(), {}  # (where, def, its class or None)
     for path in sorted(package.rglob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                if len(targets) == 1 and isinstance(targets[0], ast.Name):
+                    if targets[0].id.startswith("_"):
+                        name[node] = targets[0].id
             members = node.body if isinstance(node, ast.ClassDef) else []
             for item in [node, *members]:
-                if isinstance(item, kinds) and not item.name.endswith("__"):
+                if isinstance(item, kinds):
+                    name[item] = item.name
+                if item in name and not name[item].endswith("__"):
                     owner = node if item is not node else None
-                    where = f"{path.stem}.{node.name + '.' if owner else ''}{item.name}"
+                    where = f"{path.stem}.{name[node] + '.' if owner else ''}{name[item]}"
                     defined.append((where, item, owner))
     for reader in readers:
         for path in sorted(reader.rglob("*.py")):
@@ -226,12 +235,12 @@ def _unreferenced(private, readers, strings=False, package=PACKAGE):
         found = [
             node for _, node, _ in defined
             if node not in live
-            and reached[node.name] > sum(region[n][node.name] for n in own[node] if n in live)
+            and reached[name[node]] > sum(region[n][name[node]] for n in own[node] if n in live)
         ]
         if not found:
             return [
                 where for where, node, _ in defined
-                if node not in live and node.name.startswith("_") == private
+                if node not in live and name[node].startswith("_") == private
             ]
         for node in found:
             live.add(node)
@@ -274,9 +283,34 @@ def test_unreferenced_is_transitive(tmp_path):
     assert _unreferenced(True, [tmp_path], package=tmp_path) == ["a._helper"]
 
 
+def test_unreferenced_private_assignments(tmp_path):
+    """A private name given a value at module level is scanned as a def
+    whose body is its assignment: one nothing uses, one only an
+    unreferenced def uses and one only another unused constant uses are
+    all unreferenced; one a live def uses is kept. Public constants are
+    not scanned."""
+    (tmp_path / "a.py").write_text(
+        "_UNUSED = 1\n"
+        "_ORPHANED: int = 2\n"
+        "_BASE = 3\n"
+        "_DERIVED = _BASE + 1\n"
+        "_KEPT = 4\n"
+        "PUBLIC = 5\n"
+        "__all__ = ['live']\n"
+        "def dead():\n    return _ORPHANED\n"
+        "def live():\n    return _KEPT\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "b.py").write_text("from a import live\nlive()\n", encoding="utf-8")
+    private = _unreferenced(True, [tmp_path], package=tmp_path)
+    assert private == ["a._UNUSED", "a._ORPHANED", "a._BASE", "a._DERIVED"]
+    assert _unreferenced(False, [tmp_path], package=tmp_path) == ["a.dead"]
+
+
 def test_package_has_no_dead_private_code():
     """Every private function, class or method defined at module level or
-    in a module-level class under src/lipogram is referenced somewhere in
+    in a module-level class under src/lipogram, and every private name
+    given a value at module level, is referenced somewhere in
     src/lipogram outside its own body and the bodies of unreferenced
     defs, by name or as an attribute.
 
