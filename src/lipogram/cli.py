@@ -307,16 +307,20 @@ def cmd_train(run: _Run) -> int:
 
 # translation.txt holds one block per paragraph, blocks separated by one
 # blank line, and ends in a newline; a paragraph left empty is an empty
-# block. The writer and the reader below are its one definition.
+# block, and no paragraphs at all are an empty file (so that one empty
+# paragraph, "\n", reads back as one). The writer and the reader below are
+# its one definition.
 def _translation_text(paragraphs: list[str]) -> str:
     """The text of translation.txt for these paragraphs."""
-    return "\n\n".join(paragraphs) + "\n"
+    return "\n\n".join(paragraphs) + "\n" if paragraphs else ""
 
 
 def _translation_paragraphs(text: str) -> list[str]:
     """The paragraphs of a translation.txt text, the inverse of
     _translation_text: the final newline dropped, the text split at each
     blank line, each block stripped and empty blocks kept."""
+    if not text:
+        return []
     return [p.strip() for p in re.split(r"\n[ \t]*\n", text.removesuffix("\n"))]
 
 

@@ -9,9 +9,12 @@ import csv
 import http.server
 import json
 import random
+import re
 import threading
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import lipogram.cli
 from lipogram.cli import EXIT_DECODE, EXIT_IO, EXIT_OK, EXIT_USAGE, main
@@ -562,6 +565,20 @@ class TestEvaluate:
         similarities = [p["similarity"] for p in report["paragraphs"]]
         assert len(similarities) == 3
         assert similarities[0] == similarities[2] == 0.0 < similarities[1]
+
+    @given(
+        st.lists(
+            st.text(alphabet="ab .\n", max_size=12)
+            .map(str.strip)
+            .filter(lambda p: not re.search(r"\n[ \t]*\n", p)),
+            max_size=5,
+        )
+    )
+    def test_translation_file_reads_back_as_written(self, paragraphs):
+        # Empty paragraphs included, and no paragraphs at all: an empty
+        # file, where one empty paragraph is a lone newline.
+        text = lipogram.cli._translation_text(paragraphs)
+        assert lipogram.cli._translation_paragraphs(text) == paragraphs
 
     def test_paragraph_mismatch_exits_nonzero(
         self, mini_corpus, tmp_path, capsys
